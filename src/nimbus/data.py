@@ -150,6 +150,17 @@ def load_manifest(path):
         raw_samples = doc["samples"]
     except KeyError as exc:
         raise DataError(f"{path}: manifest missing section {exc}") from exc
+    if not isinstance(geom, dict):
+        raise DataError(f"{path}: geometry must be an object")
+    dims = {}
+    for key in ("t_in", "t_out", "h_raw", "crop"):
+        if key not in geom:
+            raise DataError(f"{path}: geometry missing field {key!r}")
+        try:
+            dims[key] = int(geom[key])
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: geometry field {key!r} must be an integer, "
+                            f"got {geom[key]!r}") from exc
     for band, st in stats.items():
         if band not in bands:
             raise DataError(f"{path}: stats for unknown band {band!r}")
@@ -168,10 +179,8 @@ def load_manifest(path):
             if rel is not None and not os.path.exists(os.path.join(root, rel)):
                 raise DataError(f"{path}: sample {i} references missing file {rel}")
         samples.append(rec)
-    return Manifest(band_names=bands, t_in=int(geom["t_in"]), t_out=int(geom["t_out"]),
-                    h_raw=int(geom["h_raw"]), crop=int(geom["crop"]), stats=stats,
-                    samples=samples, filter_threshold=float(doc.get("filter_threshold", 0.0)),
-                    root=root)
+    return Manifest(band_names=bands, **dims, stats=stats, samples=samples,
+                    filter_threshold=float(doc.get("filter_threshold", 0.0)), root=root)
 
 
 def center_crop(x, crop):

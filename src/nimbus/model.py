@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import os
 import struct
 import tempfile
@@ -25,6 +26,10 @@ CHECKPOINT_MAGIC = b"SMCK"
 CHECKPOINT_VERSION = 1
 
 PRESETS = ("default", "single-frame")
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,7 +54,13 @@ class ModelConfig:
         if self.preset == "single-frame":
             object.__setattr__(self, "in_channels", 11)
             object.__setattr__(self, "out_channels", 1)
-        widths = tuple(int(w) for w in self.stage_widths)
+        for name in ("in_channels", "out_channels", "depth_multiplier", "cbam_reduction"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        widths = self.stage_widths
+        if not isinstance(widths, (list, tuple)) or not all(_is_int(w) for w in widths):
+            raise ConfigError(f"stage_widths must be a list of integers, got {widths!r}")
+        widths = tuple(int(w) for w in widths)
         object.__setattr__(self, "stage_widths", widths)
         if len(widths) != 5:
             raise ConfigError(f"exactly 5 stage widths required, got {len(widths)}")
@@ -77,8 +88,6 @@ class ModelConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        if "stage_widths" in d:
-            d = dict(d, stage_widths=tuple(d["stage_widths"]))
         return cls(**d)
 
 
@@ -301,11 +310,20 @@ def load_checkpoint(path):
     param_names = {n for n, _ in model.named_params()}
     wanted = dict(list(model.named_params()) + list(model.named_states()))
     seen = set()
-    for entry in header["entries"]:
+    entries = header["entries"]
+    if not isinstance(entries, list):
+        raise FormatError(f"{path}: header field 'entries' at byte 10 must be a list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise FormatError(f"{path}: header field 'entries[{i}]' at byte 10 must be an "
+                              f"object, got {type(entry).__name__}")
         name = entry.get("name")
         if name not in wanted:
             raise FormatError(f"{path}: header entry {name!r} not part of this architecture")
-        dims = tuple(int(d) for d in entry.get("dims", ()))
+        dims = entry.get("dims")
+        if not isinstance(dims, list) or not all(_is_int(d) for d in dims):
+            raise FormatError(f"{path}: entry {name!r} has malformed dims {dims!r}")
+        dims = tuple(dims)
         offset, length = entry.get("offset"), entry.get("length")
         if not isinstance(offset, int) or not isinstance(length, int) or offset < 0:
             raise FormatError(f"{path}: entry {name!r} has a malformed offset/length")

@@ -93,6 +93,22 @@ def _pad_zeros(x, padding):
     return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
 
 
+def _padded_samples(x, padding):
+    """Yield each sample of x as a zero-padded (C, H+2p, W+2p) array.
+
+    One buffer is reused for every sample, so a caller that needs a sample
+    after the next one is drawn must copy it.
+    """
+    if padding == 0:
+        yield from x
+        return
+    n, c, h, w = x.shape
+    buf = np.zeros((c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    for sample in x:
+        buf[:, padding:padding + h, padding:padding + w] = sample
+        yield buf
+
+
 def _windows(xp, kh, kw, stride):
     """Strided (N, C, out_h, out_w, kh, kw) view over a padded input."""
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
@@ -107,8 +123,11 @@ def conv2d(x, weight, bias=None, *, stride=1, padding=0, groups=1):
     Zero padding, identical stride on both axes.  Output sizes must come out
     integral, otherwise ShapeError: silent truncation is how off-by-one bugs
     hide.  Three shapes are special-cased for speed (pointwise as one matmul,
-    depthwise as nine shifted accumulations, dense as a single einsum); all
-    other group counts go through a grouped einsum.
+    depthwise per sample, dense as a single einsum); all other group counts
+    go through a grouped einsum.  The depthwise kernel pads one sample at a
+    time and, for each of the kh*kw taps in row-major order, multiplies the
+    shifted window by that tap's weights into one preallocated buffer and
+    adds it in place, so its working set is a single sample.
     """
     n, c_in, h, w, c_out, kh, kw, out_h, out_w = _conv_geometry(x, weight, stride, padding, groups)
     if bias is not None and bias.shape != (c_out,):
@@ -120,14 +139,16 @@ def conv2d(x, weight, bias=None, *, stride=1, padding=0, groups=1):
         y = y.reshape(n, c_out, out_h, out_w)
     elif groups == c_in and weight.shape[1] == 1:
         mult = c_out // c_in
-        xp = _pad_zeros(x, padding)
         wv = weight.reshape(c_in, mult, kh, kw)
         y = np.zeros((n, c_in, mult, out_h, out_w), dtype=x.dtype)
-        for dy in range(kh):
-            ys = slice(dy, dy + stride * (out_h - 1) + 1, stride)
-            for dx in range(kw):
-                xs = slice(dx, dx + stride * (out_w - 1) + 1, stride)
-                y += xp[:, :, None, ys, xs] * wv[None, :, :, dy, dx, None, None]
+        tap = np.empty((c_in, mult, out_h, out_w), dtype=np.result_type(x, weight))
+        for yb, xp in zip(y, _padded_samples(x, padding)):
+            for dy in range(kh):
+                ys = slice(dy, dy + stride * (out_h - 1) + 1, stride)
+                for dx in range(kw):
+                    xs = slice(dx, dx + stride * (out_w - 1) + 1, stride)
+                    np.multiply(xp[:, None, ys, xs], wv[:, :, dy, dx, None, None], out=tap)
+                    yb += tap
         y = y.reshape(n, c_out, out_h, out_w)
     elif groups == 1:
         win = _windows(_pad_zeros(x, padding), kh, kw, stride)
@@ -162,6 +183,12 @@ def conv2d_backward(x, weight, grad_out, *, stride=1, padding=0, groups=1, has_b
     a full-padding correlation of the stride-dilated output gradient with the
     spatially flipped, in/out-transposed weights; the dilation step is exact
     because conv2d refuses non-integral output sizes.
+
+    Stride-1 depthwise convs run one sample at a time.  For each tap, the
+    output gradient is multiplied by the tap's weights and summed over the
+    depth multiplier in one buffer, which is then added into the shifted
+    slice of a padded grad_x; the weight gradient adds one
+    einsum("chw,cmhw->cm") of the shifted input window per tap and sample.
     """
     n, c_in, h, w, c_out, kh, kw, out_h, out_w = _conv_geometry(x, weight, stride, padding, groups)
     if grad_out.shape != (n, c_out, out_h, out_w):
@@ -180,24 +207,29 @@ def conv2d_backward(x, weight, grad_out, *, stride=1, padding=0, groups=1, has_b
         return grad_x, np.ascontiguousarray(grad_w, dtype=weight.dtype), grad_bias
 
     if groups == c_in and weight.shape[1] == 1 and stride == 1:
-        xp = _pad_zeros(x, padding)
         go = grad_out.reshape(n, c_in, mult, out_h, out_w)
-        grad_w = np.empty((c_in, mult, kh, kw), dtype=weight.dtype)
-        for dy in range(kh):
-            for dx in range(kw):
-                patch = xp[:, :, None, dy:dy + out_h, dx:dx + out_w]
-                grad_w[:, :, dy, dx] = (patch * go).sum(axis=(0, 3, 4))
-        gp = np.pad(go, ((0, 0), (0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
         wv = weight.reshape(c_in, mult, kh, kw)
-        ph = h + 2 * padding
-        pw = w + 2 * padding
-        gxp = np.zeros((n, c_in, ph, pw), dtype=x.dtype)
-        for dy in range(kh):
-            for dx in range(kw):
-                shifted = gp[:, :, :, kh - 1 - dy:kh - 1 - dy + ph, kw - 1 - dx:kw - 1 - dx + pw]
-                gxp += (shifted * wv[None, :, :, dy, dx, None, None]).sum(axis=2)
-        grad_x = gxp[:, :, padding:padding + h, padding:padding + w]
-        return np.ascontiguousarray(grad_x), grad_w.reshape(weight.shape), grad_bias
+        grad_w = np.zeros((c_in, mult, kh, kw), dtype=weight.dtype)
+        grad_x = np.empty(x.shape, dtype=x.dtype)
+        gxp = np.empty((c_in, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        fold = np.empty((c_in, out_h, out_w), dtype=np.result_type(grad_out, weight))
+        prod = np.empty_like(fold)
+        for gxb, gob, xp in zip(grad_x, go, _padded_samples(x, padding)):
+            gxp.fill(0)
+            for dy in range(kh):
+                for dx in range(kw):
+                    win = xp[:, dy:dy + out_h, dx:dx + out_w]
+                    grad_w[:, :, dy, dx] += np.einsum("chw,cmhw->cm", win, gob)
+                    np.multiply(gob[:, 0], wv[:, 0, dy, dx, None, None], out=fold)
+                    for m in range(1, mult):
+                        np.multiply(gob[:, m], wv[:, m, dy, dx, None, None], out=prod)
+                        fold += prod
+                    # Outside the slice a full-plane correlation would add
+                    # only +-0, which leaves every value but -0 unchanged, and
+                    # gxp never holds -0; so this is bitwise the same.
+                    gxp[:, dy:dy + out_h, dx:dx + out_w] += fold
+            gxb[...] = gxp[:, padding:padding + h, padding:padding + w]
+        return grad_x, grad_w.reshape(weight.shape), grad_bias
 
     win = _windows(_pad_zeros(x, padding), kh, kw, stride)
     if groups == 1:

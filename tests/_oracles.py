@@ -1,7 +1,10 @@
 """Independent reference implementations used to check the fast kernels.
 
 Everything here is deliberately slow and literal: scalar loops and the
-textbook definitions, no shared code with the package under test.
+textbook definitions, no shared code with the package under test.  The two
+depthwise references are the exception to "slow": they are the package's
+earlier whole-batch depthwise kernels, kept as the bitwise reference for the
+per-sample ones.
 """
 
 import numpy as np
@@ -33,6 +36,56 @@ def conv2d_ref(x, weight, bias=None, stride=1, padding=0, groups=1):
     if bias is not None:
         out += bias.astype(np.float64)[None, :, None, None]
     return out
+
+
+def depthwise_conv2d_ref(x, weight, bias=None, stride=1, padding=0):
+    """The earlier depthwise conv2d: one 5-D (n, c, mult, h, w) product per tap."""
+    n, c_in, h, w = x.shape
+    c_out, _, kh, kw = weight.shape
+    out_h = (h + 2 * padding - kh) // stride + 1
+    out_w = (w + 2 * padding - kw) // stride + 1
+    mult = c_out // c_in
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    wv = weight.reshape(c_in, mult, kh, kw)
+    y = np.zeros((n, c_in, mult, out_h, out_w), dtype=x.dtype)
+    for dy in range(kh):
+        ys = slice(dy, dy + stride * (out_h - 1) + 1, stride)
+        for dx in range(kw):
+            xs = slice(dx, dx + stride * (out_w - 1) + 1, stride)
+            y += xp[:, :, None, ys, xs] * wv[None, :, :, dy, dx, None, None]
+    y = y.reshape(n, c_out, out_h, out_w)
+    y = np.ascontiguousarray(y, dtype=x.dtype)
+    if bias is not None:
+        y += bias.astype(x.dtype, copy=False)[None, :, None, None]
+    return y
+
+
+def depthwise_conv2d_backward_ref(x, weight, grad_out, padding=0):
+    """The earlier stride-1 depthwise conv2d_backward: a padded 5-D copy of
+    grad_out, reduced over mult per tap.  Returns (grad_x, grad_weight)."""
+    n, c_in, h, w = x.shape
+    c_out, _, kh, kw = weight.shape
+    out_h = h + 2 * padding - kh + 1
+    out_w = w + 2 * padding - kw + 1
+    mult = c_out // c_in
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    go = grad_out.reshape(n, c_in, mult, out_h, out_w)
+    grad_w = np.empty((c_in, mult, kh, kw), dtype=weight.dtype)
+    for dy in range(kh):
+        for dx in range(kw):
+            patch = xp[:, :, None, dy:dy + out_h, dx:dx + out_w]
+            grad_w[:, :, dy, dx] = (patch * go).sum(axis=(0, 3, 4))
+    gp = np.pad(go, ((0, 0), (0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+    wv = weight.reshape(c_in, mult, kh, kw)
+    ph = h + 2 * padding
+    pw = w + 2 * padding
+    gxp = np.zeros((n, c_in, ph, pw), dtype=x.dtype)
+    for dy in range(kh):
+        for dx in range(kw):
+            shifted = gp[:, :, :, kh - 1 - dy:kh - 1 - dy + ph, kw - 1 - dx:kw - 1 - dx + pw]
+            gxp += (shifted * wv[None, :, :, dy, dx, None, None]).sum(axis=2)
+    grad_x = gxp[:, :, padding:padding + h, padding:padding + w]
+    return np.ascontiguousarray(grad_x), grad_w.reshape(weight.shape)
 
 
 def fd_gradient(fn, x, eps=1e-6):

@@ -273,6 +273,7 @@ def desk_run(tmp_path_factory):
             "times": times}
 
 
+@pytest.mark.slow
 def test_criterion_06_end_to_end_desk_run(desk_run):
     """Synthesize, train, evaluate: val loss drops to <= 0.8x epoch 1, the
     model beats the all-zeros and all-ones baselines, all inside 15 min."""
@@ -299,6 +300,7 @@ def test_criterion_06_end_to_end_desk_run(desk_run):
               f"pipeline {total:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_07_rerun_determinism(desk_run):
     """Repeating the training with the same seed reproduces the checkpoint
     bytes and every evaluation count."""

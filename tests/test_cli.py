@@ -6,10 +6,12 @@ use a deliberately tiny model and dataset so the whole file stays fast.
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from _corrupt import rewrite_checkpoint_header, rewrite_manifest
 from nimbus import data as D
 from nimbus.cli import main
 
@@ -38,6 +40,16 @@ def tree_bytes(root):
             with open(path, "rb") as fh:
                 out[os.path.relpath(path, root)] = fh.read()
     return out
+
+
+def only_error_line(capsys):
+    """The one stderr line the CLI printed besides log records."""
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines()
+             if not line.startswith(("INFO ", "DEBUG "))]
+    assert len(lines) == 1, err
+    assert lines[0].startswith("nimbus: error: ")
+    return lines[0]
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +288,50 @@ class TestEnsemble:
                 a = D.read_tensor_file(os.path.join(solo, name))
                 b = D.read_tensor_file(os.path.join(ens, name))
                 assert np.max(np.abs(a - b)) <= 1e-6
+
+
+class TestMalformedInputs:
+    """Each malformed file gives one error line naming the field, never a
+    traceback: exit 1 for a configuration file, 2 for corrupt data."""
+
+    def test_non_list_stage_widths_in_config_exits_one(self, tmp_path, capsys):
+        path = str(tmp_path / "bad.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"model": {"stage_widths": "abc"}}, fh)
+        assert main(["params", "--config", path]) == 1
+        assert "stage_widths" in only_error_line(capsys)
+
+    def _evaluate_checkpoint(self, workspace, trained, tmp_path, edit):
+        path = str(tmp_path / "bad.smck")
+        shutil.copyfile(trained, path)
+        rewrite_checkpoint_header(path, edit)
+        return main(["evaluate", "--checkpoint", path, "--config", workspace["config"],
+                     "--manifest", workspace["manifest"], "--out", str(tmp_path / "rep")])
+
+    def test_non_list_stage_widths_in_checkpoint_exits_two(self, workspace, trained,
+                                                            tmp_path, capsys):
+        def edit(header):
+            header["config"]["stage_widths"] = 5
+        assert self._evaluate_checkpoint(workspace, trained, tmp_path, edit) == 2
+        assert "stage_widths" in only_error_line(capsys)
+
+    def test_non_object_checkpoint_entry_exits_two(self, workspace, trained,
+                                                   tmp_path, capsys):
+        def edit(header):
+            header["entries"][0] = "enc1"
+        assert self._evaluate_checkpoint(workspace, trained, tmp_path, edit) == 2
+        assert "entries[0]" in only_error_line(capsys)
+
+    def test_manifest_without_t_out_exits_two(self, tmp_path, capsys):
+        data_dir = str(tmp_path / "data")
+        assert main(["synth", "--out", data_dir, "--n", "2", "--n-val", "1",
+                     "--n-test", "1", "--grid", "16", "--seed", "4"]) == 0
+        manifest = os.path.join(data_dir, "manifest.json")
+        rewrite_manifest(manifest, lambda doc: doc["geometry"].pop("t_out"))
+        capsys.readouterr()
+        assert main(["evaluate", "--predictions", str(tmp_path), "--manifest", manifest,
+                     "--out", str(tmp_path / "rep")]) == 2
+        assert "t_out" in only_error_line(capsys)
 
 
 class TestDumpImage:

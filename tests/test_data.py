@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from _corrupt import rewrite_manifest
 from nimbus import data as D
 from nimbus.errors import ConfigError, DataError, FormatError, ShapeError
 
@@ -280,6 +281,15 @@ class TestManifest:
         doc["version"] = 99
         open(path, "w").write(json.dumps(doc))
         with pytest.raises(DataError, match="version"):
+            D.load_manifest(path)
+
+
+    @pytest.mark.parametrize("field", ["t_in", "t_out", "h_raw", "crop"])
+    def test_missing_geometry_field_is_data_error(self, tmp_path, field):
+        cfg = D.SynthConfig(n_train=2, n_val=1, n_test=1, grid=16, seed=2)
+        path = D.synth_generate(cfg, str(tmp_path / "ds4"))
+        rewrite_manifest(path, lambda doc: doc["geometry"].pop(field))
+        with pytest.raises(DataError, match=field):
             D.load_manifest(path)
 
 

@@ -9,6 +9,7 @@ from nimbus.errors import ConfigError, FormatError, ShapeError, StateError
 from nimbus.model import (ModelConfig, baseline_reference_param_count, build_model,
                           load_checkpoint, save_checkpoint)
 
+from _corrupt import rewrite_checkpoint_header
 from _oracles import fd_gradient, rel_err
 
 TOY = dict(in_channels=4, out_channels=2, stage_widths=(8, 16, 32, 64, 128),
@@ -70,6 +71,11 @@ class TestModelConfig:
     def test_dict_roundtrip(self):
         cfg = ModelConfig(**TOY)
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("widths", ["abc", 5])
+    def test_non_list_stage_widths_is_config_error(self, widths):
+        with pytest.raises(ConfigError, match="stage_widths"):
+            ModelConfig.from_dict({"stage_widths": widths})
 
 
 class TestParameterBudget:
@@ -254,6 +260,13 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[:-10])
         with pytest.raises(FormatError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_non_object_entry_is_format_error(self, toy_model, tmp_path):
+        path = tmp_path / "model.smck"
+        save_checkpoint(toy_model, path)
+        rewrite_checkpoint_header(path, lambda h: h["entries"].insert(1, 7))
+        with pytest.raises(FormatError, match=r"entries\[1\]"):
             load_checkpoint(path)
 
     def test_overlong_header_is_format_error(self, toy_model, tmp_path):

@@ -7,7 +7,8 @@ import pytest
 from nimbus import tensor as T
 from nimbus.errors import ShapeError, SizeError
 
-from _oracles import conv2d_ref, fd_gradient, rel_err, bilinear_ref
+from _oracles import (conv2d_ref, depthwise_conv2d_backward_ref, depthwise_conv2d_ref,
+                      fd_gradient, rel_err, bilinear_ref)
 
 GRAD_TOL = 1e-4
 
@@ -184,6 +185,64 @@ class TestConvBackward:
         w = rng.standard_normal((2, 2, 3, 3))
         with pytest.raises(ShapeError):
             T.conv2d_backward(x, w, np.zeros((1, 2, 3, 3)), padding=1)
+
+
+class TestDepthwiseKernels:
+    """The per-sample depthwise kernels against the earlier whole-batch ones.
+
+    The forward and grad_x keep the earlier per-element operation order, so
+    they must match bitwise.  grad_w sums in a different order; each entry
+    is a float32 sum of L = n * out_h * out_w products, and the bound below
+    is the usual random-walk rounding estimate for two such sums,
+    2 * sqrt(L) * eps * sum|x * g|, taken per entry.
+    """
+
+    SHAPE = (4, 36, 64, 64)
+
+    def _operands(self, rng, mult, shape=SHAPE):
+        n, c, h, w = shape
+        x = rng.standard_normal(shape).astype(np.float32)
+        wt = (0.3 * rng.standard_normal((c * mult, 1, 3, 3))).astype(np.float32)
+        b = rng.standard_normal(c * mult).astype(np.float32)
+        return x, wt, b
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("mult", [1, 2, 3])
+    def test_forward_bitwise_equal_to_reference(self, rng, mult, padding):
+        x, wt, b = self._operands(rng, mult)
+        got = T.conv2d(x, wt, b, padding=padding, groups=x.shape[1])
+        want = depthwise_conv2d_ref(x, wt, b, stride=1, padding=padding)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, want)
+
+    def test_strided_forward_bitwise_equal_to_reference(self, rng):
+        x, wt, b = self._operands(rng, 2, shape=(4, 36, 65, 65))
+        got = T.conv2d(x, wt, b, stride=2, padding=1, groups=36)
+        want = depthwise_conv2d_ref(x, wt, b, stride=2, padding=1)
+        assert got.shape == (4, 72, 33, 33)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("mult", [1, 2, 3])
+    def test_backward_against_reference(self, rng, mult, padding):
+        x, wt, _ = self._operands(rng, mult)
+        n, c, h, w = x.shape
+        out_hw = h + 2 * padding - 2
+        g = rng.standard_normal((n, c * mult, out_hw, out_hw)).astype(np.float32)
+        gx, gw, gb = T.conv2d_backward(x, wt, g, padding=padding, groups=c)
+        want_gx, want_gw = depthwise_conv2d_backward_ref(x, wt, g, padding=padding)
+
+        assert gx.dtype == np.float32 and gw.dtype == np.float32
+        assert np.array_equal(gx, want_gx)
+        assert np.array_equal(gb, g.sum(axis=(0, 2, 3)))
+
+        reduction = n * out_hw * out_hw
+        _, abs_sum = depthwise_conv2d_backward_ref(
+            np.abs(x).astype(np.float64), wt, np.abs(g).astype(np.float64), padding=padding)
+        bound = 2.0 * np.sqrt(reduction) * np.finfo(np.float32).eps * abs_sum
+        diff = np.abs(gw.astype(np.float64) - want_gw.astype(np.float64))
+        assert gw.shape == wt.shape
+        assert np.all(diff <= bound), float((diff / bound).max())
 
 
 class TestMaxPool:
