@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import zlib
@@ -133,8 +134,91 @@ def save_manifest(manifest, path):
     _atomic_write(path, payload)
 
 
+def _int_field(path, where, value):
+    """int(value) for a manifest field, or DataError naming the field.
+    Booleans and fractional numbers are refused, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise DataError(f"{path}: {where} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: {where} must be an integer, got {value!r}") from exc
+
+
+def _str_field(path, where, value):
+    if not isinstance(value, str):
+        raise DataError(f"{path}: {where} must be a string, got {value!r}")
+    return value
+
+
+def _load_geometry(path, geom):
+    if not isinstance(geom, dict):
+        raise DataError(f"{path}: geometry must be an object")
+    dims = {}
+    for key in ("t_in", "t_out", "h_raw", "crop"):
+        if key not in geom:
+            raise DataError(f"{path}: geometry missing field {key!r}")
+        dims[key] = _int_field(path, f"geometry field {key!r}", geom[key])
+        if dims[key] < 1:
+            raise DataError(f"{path}: geometry field {key!r} must be positive, got {dims[key]}")
+    if dims["crop"] > dims["h_raw"]:
+        raise DataError(f"{path}: geometry field 'crop' ({dims['crop']}) exceeds "
+                        f"h_raw ({dims['h_raw']})")
+    # Grids are square: w_raw is written for readers, and must agree.
+    if "w_raw" in geom:
+        w_raw = _int_field(path, "geometry field 'w_raw'", geom["w_raw"])
+        if w_raw != dims["h_raw"]:
+            raise DataError(f"{path}: geometry field 'w_raw' ({w_raw}) differs from "
+                            f"h_raw ({dims['h_raw']}); only square grids are supported")
+    return dims
+
+
+def _load_stats(path, stats, bands):
+    if not isinstance(stats, dict):
+        raise DataError(f"{path}: stats must be an object, got {type(stats).__name__}")
+    for band, st in stats.items():
+        if band not in bands:
+            raise DataError(f"{path}: stats for unknown band {band!r}")
+        if not isinstance(st, dict):
+            raise DataError(f"{path}: stats for band {band!r} must be an object")
+        for key in ("mean", "std"):
+            val = st.get(key)
+            if isinstance(val, bool) or not isinstance(val, (int, float)) \
+                    or not math.isfinite(val):
+                raise DataError(f"{path}: stats field {key!r} of band {band!r} must be "
+                                f"a finite number, got {val!r}")
+        if not st["std"] > 0:
+            raise DataError(f"{path}: band {band!r} has non-positive std")
+    return stats
+
+
+def _load_sample(path, root, i, s):
+    if not isinstance(s, dict):
+        raise DataError(f"{path}: sample {i} must be an object, got {s!r}")
+    try:
+        fields = {key: s[key] for key in ("input", "target", "region", "year", "split")}
+    except KeyError as exc:
+        raise DataError(f"{path}: sample {i} missing field {exc}") from exc
+    latent = s.get("latent")
+    rec = SampleRecord(
+        input_path=_str_field(path, f"sample {i} field 'input'", fields["input"]),
+        target_path=_str_field(path, f"sample {i} field 'target'", fields["target"]),
+        region=_str_field(path, f"sample {i} field 'region'", fields["region"]),
+        year=_int_field(path, f"sample {i} field 'year'", fields["year"]),
+        split=_str_field(path, f"sample {i} field 'split'", fields["split"]),
+        timestamp=_str_field(path, f"sample {i} field 'timestamp'", s.get("timestamp", "")),
+        latent_path=None if latent is None else _str_field(path, f"sample {i} field 'latent'",
+                                                           latent))
+    for rel in (rec.input_path, rec.target_path, rec.latent_path):
+        if rel is not None and not os.path.exists(os.path.join(root, rel)):
+            raise DataError(f"{path}: sample {i} references missing file {rel}")
+    return rec
+
+
 def load_manifest(path):
-    """Parse and validate manifest.json; every referenced file must exist."""
+    """Parse and validate manifest.json; every referenced file must exist.
+
+    Any malformed section or field raises DataError naming it."""
     try:
         with open(path, "rb") as fh:
             doc = json.load(fh)
@@ -145,42 +229,24 @@ def load_manifest(path):
     root = os.path.dirname(os.path.abspath(path))
     try:
         geom = doc["geometry"]
-        bands = tuple(doc["band_names"])
+        bands = doc["band_names"]
         stats = doc["stats"]
         raw_samples = doc["samples"]
     except KeyError as exc:
         raise DataError(f"{path}: manifest missing section {exc}") from exc
-    if not isinstance(geom, dict):
-        raise DataError(f"{path}: geometry must be an object")
-    dims = {}
-    for key in ("t_in", "t_out", "h_raw", "crop"):
-        if key not in geom:
-            raise DataError(f"{path}: geometry missing field {key!r}")
-        try:
-            dims[key] = int(geom[key])
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}: geometry field {key!r} must be an integer, "
-                            f"got {geom[key]!r}") from exc
-    for band, st in stats.items():
-        if band not in bands:
-            raise DataError(f"{path}: stats for unknown band {band!r}")
-        if not st.get("std", 0) > 0:
-            raise DataError(f"{path}: band {band!r} has non-positive std")
-    samples = []
-    for i, s in enumerate(raw_samples):
-        try:
-            rec = SampleRecord(input_path=s["input"], target_path=s["target"],
-                               region=s["region"], year=int(s["year"]),
-                               split=s["split"], timestamp=s.get("timestamp", ""),
-                               latent_path=s.get("latent"))
-        except KeyError as exc:
-            raise DataError(f"{path}: sample {i} missing field {exc}") from exc
-        for rel in (rec.input_path, rec.target_path, rec.latent_path):
-            if rel is not None and not os.path.exists(os.path.join(root, rel)):
-                raise DataError(f"{path}: sample {i} references missing file {rel}")
-        samples.append(rec)
+    dims = _load_geometry(path, geom)
+    if not isinstance(bands, list) or not all(isinstance(b, str) for b in bands):
+        raise DataError(f"{path}: band_names must be a list of strings")
+    bands = tuple(bands)
+    stats = _load_stats(path, stats, bands)
+    if not isinstance(raw_samples, list):
+        raise DataError(f"{path}: samples must be a list, got {type(raw_samples).__name__}")
+    samples = [_load_sample(path, root, i, s) for i, s in enumerate(raw_samples)]
+    threshold = doc.get("filter_threshold", 0.0)
+    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+        raise DataError(f"{path}: filter_threshold must be a number, got {threshold!r}")
     return Manifest(band_names=bands, **dims, stats=stats, samples=samples,
-                    filter_threshold=float(doc.get("filter_threshold", 0.0)), root=root)
+                    filter_threshold=float(threshold), root=root)
 
 
 def center_crop(x, crop):

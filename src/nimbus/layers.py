@@ -127,7 +127,9 @@ class BatchNorm(Block):
 
     Train mode normalizes with the biased batch variance and blends the same
     statistics into the running buffers (momentum weight on the new value).
-    Eval mode uses the running buffers and never mutates them.
+    Eval mode uses the running buffers and never mutates them.  Train mode
+    caches (xhat, inv_std), the normalized input and the per-channel
+    1/sqrt(var + eps); the backward needs nothing else.
     """
 
     def __init__(self, channels, momentum=0.1, eps=1e-5, dtype=T.DTYPE):
@@ -148,33 +150,40 @@ class BatchNorm(Block):
             if n * h * w < 2:
                 raise DegenerateBatchError("batch norm needs more than one value per channel")
             mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            xhat = x - mean[None, :, None, None]
+            # The same square-then-sum that x.var() does, on the centred
+            # input this pass needs anyway; y holds the squares meanwhile.
+            y = np.square(xhat)
+            var = y.sum(axis=(0, 2, 3)) / (n * h * w)
             mom = x.dtype.type(self.momentum)
             self.s["running_mean"] = (1 - mom) * self.s["running_mean"] + mom * mean
             self.s["running_var"] = (1 - mom) * self.s["running_var"] + mom * var
         else:
             mean = self.s["running_mean"]
             var = self.s["running_var"]
+            xhat = x - mean[None, :, None, None]
+            y = xhat  # nothing is cached in eval mode, so y may overwrite xhat
         inv_std = 1.0 / np.sqrt(var + x.dtype.type(self.eps))
-        xc = x - mean[None, :, None, None]
-        xhat = xc * inv_std[None, :, None, None]
-        y = self.p["gamma"][None, :, None, None] * xhat + self.p["beta"][None, :, None, None]
-        self._cache = (xc, xhat, inv_std) if train else None
+        xhat *= inv_std[None, :, None, None]
+        np.multiply(xhat, self.p["gamma"][None, :, None, None], out=y)
+        y += self.p["beta"][None, :, None, None]
+        self._cache = (xhat, inv_std) if train else None
         return y.astype(x.dtype, copy=False)
 
     def backward(self, grad_out):
-        xc, xhat, inv_std = self._need_cache()
+        """dx = gamma*inv_std/m * (m*g - sum(g) - xhat*sum(g*xhat)), with the
+        two channel sums being the beta and gamma gradients."""
+        xhat, inv_std = self._need_cache()
         n, _, h, w = grad_out.shape
         m = n * h * w
-        self.g = {"gamma": (grad_out * xhat).sum(axis=(0, 2, 3)),
-                  "beta": grad_out.sum(axis=(0, 2, 3))}
-        dxhat = grad_out * self.p["gamma"][None, :, None, None]
-        dvar = (dxhat * xc).sum(axis=(0, 2, 3)) * -0.5 * inv_std ** 3
-        dmean = (-dxhat.sum(axis=(0, 2, 3)) * inv_std
-                 + dvar * (-2.0 / m) * xc.sum(axis=(0, 2, 3)))
-        dx = (dxhat * inv_std[None, :, None, None]
-              + (2.0 / m) * dvar[None, :, None, None] * xc
-              + dmean[None, :, None, None] / m)
+        dx = grad_out * xhat
+        sum_gx = dx.sum(axis=(0, 2, 3))
+        sum_g = grad_out.sum(axis=(0, 2, 3))
+        self.g = {"gamma": sum_gx, "beta": sum_g}
+        np.multiply(xhat, (sum_gx / m)[None, :, None, None], out=dx)
+        np.subtract(grad_out, dx, out=dx)
+        dx -= (sum_g / m)[None, :, None, None]
+        dx *= (self.p["gamma"] * inv_std)[None, :, None, None]
         return dx.astype(grad_out.dtype, copy=False)
 
 
@@ -297,6 +306,9 @@ class DoubleConvDS(Block):
     The first unit maps c_in to c_mid, the second c_mid to c_out; c_mid
     defaults to c_out.  Decoder stages pass a halved c_mid to keep the
     parameter budget down, mirroring the up-path blocks this design borrows.
+    ReLU runs in place on each batch-norm output.  Train mode caches the two
+    post-ReLU activations (a1, a2), whose positive entries are the ReLU
+    masks; a1 is also the input that dsc2 caches, so it costs no copy.
     """
 
     def __init__(self, c_in, c_out, multiplier, rng, c_mid=None, dtype=T.DTYPE):
@@ -308,27 +320,30 @@ class DoubleConvDS(Block):
         self.bn2 = self._child("bn2", BatchNorm(c_out, dtype=dtype))
 
     def forward(self, x, train=False):
-        z1 = self.bn1.forward(self.dsc1.forward(x, train), train)
-        a1 = T.relu(z1)
-        z2 = self.bn2.forward(self.dsc2.forward(a1, train), train)
-        self._cache = (z1, z2) if train else None
-        return T.relu(z2)
+        a1 = self.bn1.forward(self.dsc1.forward(x, train), train)
+        T.relu(a1, out=a1)
+        a2 = self.bn2.forward(self.dsc2.forward(a1, train), train)
+        T.relu(a2, out=a2)
+        self._cache = (a1, a2) if train else None
+        return a2
 
     def backward(self, grad_out):
-        z1, z2 = self._need_cache()
-        g = self.dsc2.backward(self.bn2.backward(T.relu_backward(grad_out, z2)))
-        return self.dsc1.backward(self.bn1.backward(T.relu_backward(g, z1)))
+        a1, a2 = self._need_cache()
+        g = self.dsc2.backward(self.bn2.backward(T.relu_backward(grad_out, a2)))
+        return self.dsc1.backward(self.bn1.backward(T.relu_backward(g, a1)))
 
 
-def loss(pred, target, kind):
-    """Dispatch to a loss by name.  Returns (scalar loss, grad wrt pred)."""
+def loss(pred, target, kind, *, grad=True):
+    """Dispatch to a loss by name.  Returns (scalar loss, grad wrt pred); with
+    grad=False the gradient is not computed and None stands in for it."""
     if kind == "bce_logits":
         tv = np.asarray(target)
         if not np.all((tv == 0) | (tv == 1)):
             raise ValidationError("bce_logits requires binary targets")
-        return T.bce_with_logits(pred, target)
+        return T.bce_with_logits(pred, target, grad=grad)
     if kind == "mse":
-        return T.mse(pred, target)
+        value, g = T.mse(pred, target)
+        return value, (g if grad else None)
     raise ConfigError(f"unknown loss kind {kind!r}")
 
 

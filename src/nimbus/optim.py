@@ -139,7 +139,7 @@ def batch_loss(model, x, y, config, train):
         target = (y >= config.threshold).astype(up.dtype)
     else:
         target = y.astype(up.dtype, copy=False)
-    value, g_up = L.loss(up, target, config.loss)
+    value, g_up = L.loss(up, target, config.loss, grad=train)
     if not train:
         return value, None
     return value, T.bilinear_resize_backward(g_up, logits.shape[2], logits.shape[3])

@@ -93,19 +93,24 @@ def _pad_zeros(x, padding):
     return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
 
 
-def _padded_samples(x, padding):
-    """Yield each sample of x as a zero-padded (C, H+2p, W+2p) array.
+def _flat_padded_samples(x, padding):
+    """Yield each sample of x zero-padded and flattened to (C, (H+2p)(W+2p)).
 
-    One buffer is reused for every sample, so a caller that needs a sample
-    after the next one is drawn must copy it.
+    In this flat-row layout the window of tap (dy, dx) is the contiguous
+    slice that starts at dy*(W+2p) + dx.  One buffer is reused for every
+    sample, so a caller that needs a sample after the next one is drawn
+    must copy it.
     """
-    if padding == 0:
-        yield from x
-        return
     n, c, h, w = x.shape
-    buf = np.zeros((c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    if padding == 0:
+        for sample in x:
+            yield sample.reshape(c, h * w)
+        return
+    ph, pw = h + 2 * padding, w + 2 * padding
+    buf = np.zeros((c, ph * pw), dtype=x.dtype)
+    inner = buf.reshape(c, ph, pw)[:, padding:padding + h, padding:padding + w]
     for sample in x:
-        buf[:, padding:padding + h, padding:padding + w] = sample
+        inner[...] = sample
         yield buf
 
 
@@ -124,10 +129,19 @@ def conv2d(x, weight, bias=None, *, stride=1, padding=0, groups=1):
     integral, otherwise ShapeError: silent truncation is how off-by-one bugs
     hide.  Three shapes are special-cased for speed (pointwise as one matmul,
     depthwise per sample, dense as a single einsum); all other group counts
-    go through a grouped einsum.  The depthwise kernel pads one sample at a
-    time and, for each of the kh*kw taps in row-major order, multiplies the
-    shifted window by that tap's weights into one preallocated buffer and
-    adds it in place, so its working set is a single sample.
+    go through a grouped einsum.
+
+    The depthwise kernel works on one sample at a time in a flat-row layout:
+    the sample is padded to (C, H+2p, W+2p) and viewed as (C, (H+2p)(W+2p)),
+    so the window of tap (dy, dx) is the contiguous slice at offset
+    dy*(W+2p) + dx, and every tap is one multiply and one in-place add over
+    whole channels.  The stride-1 output is computed on rows of the padded
+    width W+2p; the last kw-1 columns of each row are junk, windows that
+    wrap into the next row, and are dropped on the way out.  Every kept
+    value sums the same products in the same row-major tap order as a direct
+    convolution, so the junk costs no exactness.  A strided conv keeps every
+    stride-th row and column of the stride-1 result, which holds exactly the
+    strided windows.
     """
     n, c_in, h, w, c_out, kh, kw, out_h, out_w = _conv_geometry(x, weight, stride, padding, groups)
     if bias is not None and bias.shape != (c_out,):
@@ -139,17 +153,26 @@ def conv2d(x, weight, bias=None, *, stride=1, padding=0, groups=1):
         y = y.reshape(n, c_out, out_h, out_w)
     elif groups == c_in and weight.shape[1] == 1:
         mult = c_out // c_in
-        wv = weight.reshape(c_in, mult, kh, kw)
-        y = np.zeros((n, c_in, mult, out_h, out_w), dtype=x.dtype)
-        tap = np.empty((c_in, mult, out_h, out_w), dtype=np.result_type(x, weight))
-        for yb, xp in zip(y, _padded_samples(x, padding)):
-            for dy in range(kh):
-                ys = slice(dy, dy + stride * (out_h - 1) + 1, stride)
-                for dx in range(kw):
-                    xs = slice(dx, dx + stride * (out_w - 1) + 1, stride)
-                    np.multiply(xp[:, None, ys, xs], wv[:, :, dy, dx, None, None], out=tap)
-                    yb += tap
-        y = y.reshape(n, c_out, out_h, out_w)
+        wv = weight.reshape(c_in, mult, kh * kw, 1)
+        pw = w + 2 * padding
+        full_h, full_w = h + 2 * padding - kh + 1, pw - kw + 1
+        span = full_h * pw - (kw - 1)
+        acc = np.empty((c_in, mult, full_h * pw), dtype=x.dtype)
+        tap = np.empty((c_in, mult, span), dtype=np.result_type(x, weight))
+        rows = acc.reshape(c_out, full_h, pw)[:, ::stride, :full_w:stride]
+        y = np.empty((n, c_out, out_h, out_w), dtype=x.dtype)
+        for yb, xf in zip(y, _flat_padded_samples(x, padding)):
+            for t in range(kh * kw):
+                off = (t // kw) * pw + t % kw
+                if t == 0:
+                    np.multiply(xf[:, None, :span], wv[:, :, 0], out=acc[:, :, :span])
+                else:
+                    np.multiply(xf[:, None, off:off + span], wv[:, :, t], out=tap)
+                    acc[:, :, :span] += tap
+            # The sum starts at the first product, not at +0; adding +0
+            # turns the -0 that nine -0 products leave into the +0 that a
+            # zero-initialised sum gives and changes no other value.
+            np.add(rows, x.dtype.type(0), out=yb)
     elif groups == 1:
         win = _windows(_pad_zeros(x, padding), kh, kw, stride)
         y = np.einsum("nihwkl,oikl->nohw", win, weight, optimize=True)
@@ -184,11 +207,17 @@ def conv2d_backward(x, weight, grad_out, *, stride=1, padding=0, groups=1, has_b
     spatially flipped, in/out-transposed weights; the dilation step is exact
     because conv2d refuses non-integral output sizes.
 
-    Stride-1 depthwise convs run one sample at a time.  For each tap, the
-    output gradient is multiplied by the tap's weights and summed over the
-    depth multiplier in one buffer, which is then added into the shifted
-    slice of a padded grad_x; the weight gradient adds one
-    einsum("chw,cmhw->cm") of the shifted input window per tap and sample.
+    Stride-1 depthwise convs run one sample at a time in the flat-row layout
+    of conv2d.  The output gradient is copied into rows of the padded width
+    W+2p whose kw-1 junk columns are held at zero.  For each tap, it is
+    multiplied by the tap's weights and summed over the depth multiplier,
+    and the sum is added into the tap's contiguous slice of the flat padded
+    grad_x; the weight gradient adds one batched dot product of the same
+    rows with the tap's slice of the flat padded input.  With finite inputs
+    the zero junk columns make every wrapped-around term a +-0 product,
+    which changes no nonzero sum, so grad_x is exactly that of a direct
+    correlation (see the note in the loop) and grad_w differs from it only
+    in summation order.
     """
     n, c_in, h, w, c_out, kh, kw, out_h, out_w = _conv_geometry(x, weight, stride, padding, groups)
     if grad_out.shape != (n, c_out, out_h, out_w):
@@ -207,28 +236,34 @@ def conv2d_backward(x, weight, grad_out, *, stride=1, padding=0, groups=1, has_b
         return grad_x, np.ascontiguousarray(grad_w, dtype=weight.dtype), grad_bias
 
     if groups == c_in and weight.shape[1] == 1 and stride == 1:
-        go = grad_out.reshape(n, c_in, mult, out_h, out_w)
-        wv = weight.reshape(c_in, mult, kh, kw)
-        grad_w = np.zeros((c_in, mult, kh, kw), dtype=weight.dtype)
+        wv = weight.reshape(c_in, mult, kh * kw, 1)
+        pw = w + 2 * padding
+        span = out_h * pw - (kw - 1)
+        gbuf = np.zeros((c_in, mult, out_h * pw), dtype=grad_out.dtype)
+        grows = gbuf.reshape(c_in, mult, out_h, pw)[..., :out_w]
+        g = gbuf[:, :, :span]
+        grad_w = np.zeros((c_in, mult, kh * kw), dtype=weight.dtype)
         grad_x = np.empty(x.shape, dtype=x.dtype)
-        gxp = np.empty((c_in, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-        fold = np.empty((c_in, out_h, out_w), dtype=np.result_type(grad_out, weight))
+        gxp = np.empty((c_in, (h + 2 * padding) * pw), dtype=x.dtype)
+        inner = gxp.reshape(c_in, h + 2 * padding, pw)[:, padding:padding + h, padding:padding + w]
+        fold = np.empty((c_in, span), dtype=np.result_type(grad_out, weight))
         prod = np.empty_like(fold)
-        for gxb, gob, xp in zip(grad_x, go, _padded_samples(x, padding)):
+        go = grad_out.reshape(n, c_in, mult, out_h, out_w)
+        for gxb, gob, xf in zip(grad_x, go, _flat_padded_samples(x, padding)):
+            grows[...] = gob
             gxp.fill(0)
-            for dy in range(kh):
-                for dx in range(kw):
-                    win = xp[:, dy:dy + out_h, dx:dx + out_w]
-                    grad_w[:, :, dy, dx] += np.einsum("chw,cmhw->cm", win, gob)
-                    np.multiply(gob[:, 0], wv[:, 0, dy, dx, None, None], out=fold)
-                    for m in range(1, mult):
-                        np.multiply(gob[:, m], wv[:, m, dy, dx, None, None], out=prod)
-                        fold += prod
-                    # Outside the slice a full-plane correlation would add
-                    # only +-0, which leaves every value but -0 unchanged, and
-                    # gxp never holds -0; so this is bitwise the same.
-                    gxp[:, dy:dy + out_h, dx:dx + out_w] += fold
-            gxb[...] = gxp[:, padding:padding + h, padding:padding + w]
+            for t in range(kh * kw):
+                off = (t // kw) * pw + t % kw
+                grad_w[:, :, t] += np.matmul(g, xf[:, off:off + span, None])[:, :, 0]
+                np.multiply(g[:, 0], wv[:, 0, t], out=fold)
+                for m in range(1, mult):
+                    np.multiply(g[:, m], wv[:, m, t], out=prod)
+                    fold += prod
+                # The junk columns of g are zero, so fold adds only +-0
+                # there, which leaves every value but -0 unchanged, and gxp
+                # never holds -0.
+                gxp[:, off:off + span] += fold
+            gxb[...] = inner
         return grad_x, grad_w.reshape(weight.shape), grad_bias
 
     win = _windows(_pad_zeros(x, padding), kh, kw, stride)
@@ -353,9 +388,9 @@ def crop_back(y, orig_h, orig_w):
     return np.ascontiguousarray(y[:, :, top:top + orig_h, left:left + orig_w])
 
 
-def relu(x):
-    """Elementwise max(x, 0)."""
-    return np.maximum(x, 0)
+def relu(x, out=None):
+    """Elementwise max(x, 0); out=x applies it in place."""
+    return np.maximum(x, 0, out=out)
 
 
 def relu_backward(grad_out, x):
@@ -363,14 +398,27 @@ def relu_backward(grad_out, x):
     return np.where(x > 0, grad_out, 0).astype(grad_out.dtype, copy=False)
 
 
+def _exp_neg_abs(x):
+    """exp(-|x|) in one new array: never overflows, and both halves of the
+    logistic function and the log1p term of the loss are built from it."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
+
+
+def _logistic_in_place(x, e, den):
+    """Overwrite e = exp(-|x|) with sigmoid(x): 1/(1+e) where x >= 0 and
+    e/(1+e) elsewhere.  den is scratch of e's shape."""
+    np.add(e, 1, out=den)
+    np.divide(e, den, out=e)
+    np.divide(1, den, out=e, where=x >= 0)
+    return e
+
+
 def sigmoid(x):
     """Numerically stable logistic function; never overflows at large |x|."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = _exp_neg_abs(x)
+    return _logistic_in_place(x, e, np.empty_like(e))
 
 
 def sigmoid_backward(grad_out, y):
@@ -444,18 +492,30 @@ def split_channels(grad_out, c_first):
             np.ascontiguousarray(grad_out[:, c_first:]))
 
 
-def bce_with_logits(logits, targets):
+def bce_with_logits(logits, targets, *, grad=True):
     """Mean binary cross-entropy on raw logits.  Returns (loss, grad_logits).
 
     Uses the max(x,0) - x*t + log1p(exp(-|x|)) form, which is finite for any
-    logit magnitude.  The gradient is (sigmoid(x) - t) / count.
+    logit magnitude.  The gradient is (sigmoid(x) - t) / count; it reuses the
+    loss's exp(-|x|) and is built in place.  With grad=False only the loss
+    is computed, and None stands in for the gradient.
     """
     if logits.shape != targets.shape:
         raise ShapeError(f"logits {logits.shape} vs targets {targets.shape}")
     x = logits
-    loss = np.maximum(x, 0) - x * targets + np.log1p(np.exp(-np.abs(x)))
-    grad = (sigmoid(x) - targets) / x.size
-    return float(loss.mean()), grad.astype(x.dtype, copy=False)
+    e = _exp_neg_abs(x)
+    total = np.maximum(x, 0)
+    tmp = np.multiply(x, targets)
+    total -= tmp
+    np.log1p(e, out=tmp)
+    total += tmp
+    value = float(total.mean())
+    if not grad:
+        return value, None
+    g = _logistic_in_place(x, e, total)
+    g -= targets
+    g /= x.size
+    return value, g
 
 
 def mse(pred, targets):

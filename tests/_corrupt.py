@@ -24,3 +24,30 @@ def rewrite_manifest(path, edit):
     edit(doc)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
+
+
+def _setting(*path, value):
+    """An edit for rewrite_manifest that sets doc[path[0]]...[path[-1]]."""
+    def edit(doc):
+        node = doc
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+    return edit
+
+
+# Malformed manifests as (test id, edit for rewrite_manifest, text the error
+# must contain).  Each once escaped load_manifest as a builtin exception or
+# was accepted silently.  VIS006 is the first band a synthesized set has.
+BAD_MANIFESTS = [
+    ("stats-list", _setting("stats", value=[1.0, 2.0]), "stats"),
+    ("stats-entry-number", _setting("stats", "VIS006", value=5), "stats for band"),
+    ("samples-number", _setting("samples", value=5), "samples"),
+    ("sample-string", _setting("samples", 0, value="s00000"), "sample 0"),
+    ("year-text", _setting("samples", 0, "year", value="abc"), "year"),
+    ("t_out-fraction", _setting("geometry", "t_out", value=2.5), "t_out"),
+    ("t_in-zero", _setting("geometry", "t_in", value=0), "t_in"),
+    ("crop-negative", _setting("geometry", "crop", value=-4), "crop"),
+    ("crop-past-h_raw", _setting("geometry", "crop", value=1000), "crop"),
+    ("w_raw-differs", _setting("geometry", "w_raw", value=7), "w_raw"),
+]

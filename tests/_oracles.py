@@ -1,10 +1,12 @@
 """Independent reference implementations used to check the fast kernels.
 
 Everything here is deliberately slow and literal: scalar loops and the
-textbook definitions, no shared code with the package under test.  The two
-depthwise references are the exception to "slow": they are the package's
-earlier whole-batch depthwise kernels, kept as the bitwise reference for the
-per-sample ones.
+textbook definitions, no shared code with the package under test.  The
+exceptions to "slow" are the package's earlier kernels, kept as the bitwise
+reference for the current ones: the whole-batch depthwise conv and its
+backward, the mask-gathering sigmoid and the loss built on it, and the batch
+norm and double-conv passes that cached the centred input and the pre-ReLU
+activations.
 """
 
 import numpy as np
@@ -86,6 +88,72 @@ def depthwise_conv2d_backward_ref(x, weight, grad_out, padding=0):
             gxp += (shifted * wv[None, :, :, dy, dx, None, None]).sum(axis=2)
     grad_x = gxp[:, :, padding:padding + h, padding:padding + w]
     return np.ascontiguousarray(grad_x), grad_w.reshape(weight.shape)
+
+
+def sigmoid_ref(x):
+    """The earlier sigmoid: one formula per sign, on boolean-mask gathers."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def bce_with_logits_ref(logits, targets):
+    """The earlier bce_with_logits: separate loss and sigmoid passes."""
+    x = logits
+    loss = np.maximum(x, 0) - x * targets + np.log1p(np.exp(-np.abs(x)))
+    grad = (sigmoid_ref(x) - targets) / x.size
+    return float(loss.mean()), grad.astype(x.dtype, copy=False)
+
+
+def batch_norm_forward_ref(bn, x, train=False):
+    """The earlier BatchNorm.forward, on bn's parameters and running state,
+    which it updates in train mode.  Returns (y, cache) with cache
+    (xc, xhat, inv_std) in train mode and None in eval mode."""
+    n, _, h, w = x.shape
+    if train:
+        mean = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        mom = x.dtype.type(bn.momentum)
+        bn.s["running_mean"] = (1 - mom) * bn.s["running_mean"] + mom * mean
+        bn.s["running_var"] = (1 - mom) * bn.s["running_var"] + mom * var
+    else:
+        mean = bn.s["running_mean"]
+        var = bn.s["running_var"]
+    inv_std = 1.0 / np.sqrt(var + x.dtype.type(bn.eps))
+    xc = x - mean[None, :, None, None]
+    xhat = xc * inv_std[None, :, None, None]
+    y = bn.p["gamma"][None, :, None, None] * xhat + bn.p["beta"][None, :, None, None]
+    return y.astype(x.dtype, copy=False), ((xc, xhat, inv_std) if train else None)
+
+
+def batch_norm_backward_ref(bn, cache, grad_out):
+    """The earlier BatchNorm.backward, through dvar and dmean.
+    Returns (grad_x, grad_gamma, grad_beta)."""
+    xc, xhat, inv_std = cache
+    n, _, h, w = grad_out.shape
+    m = n * h * w
+    g_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
+    g_beta = grad_out.sum(axis=(0, 2, 3))
+    dxhat = grad_out * bn.p["gamma"][None, :, None, None]
+    dvar = (dxhat * xc).sum(axis=(0, 2, 3)) * -0.5 * inv_std ** 3
+    dmean = (-dxhat.sum(axis=(0, 2, 3)) * inv_std
+             + dvar * (-2.0 / m) * xc.sum(axis=(0, 2, 3)))
+    dx = (dxhat * inv_std[None, :, None, None]
+          + (2.0 / m) * dvar[None, :, None, None] * xc
+          + dmean[None, :, None, None] / m)
+    return dx.astype(grad_out.dtype, copy=False), g_gamma, g_beta
+
+
+def double_conv_forward_ref(block, x, train=False):
+    """The earlier DoubleConvDS.forward: out-of-place ReLUs after the
+    reference batch norm, on block's convs, parameters and state."""
+    z1, _ = batch_norm_forward_ref(block.bn1, block.dsc1.forward(x, train), train)
+    a1 = np.maximum(z1, 0)
+    z2, _ = batch_norm_forward_ref(block.bn2, block.dsc2.forward(a1, train), train)
+    return np.maximum(z2, 0)
 
 
 def fd_gradient(fn, x, eps=1e-6):

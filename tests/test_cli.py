@@ -11,7 +11,7 @@ import shutil
 import numpy as np
 import pytest
 
-from _corrupt import rewrite_checkpoint_header, rewrite_manifest
+from _corrupt import BAD_MANIFESTS, rewrite_checkpoint_header, rewrite_manifest
 from nimbus import data as D
 from nimbus.cli import main
 
@@ -332,6 +332,19 @@ class TestMalformedInputs:
         assert main(["evaluate", "--predictions", str(tmp_path), "--manifest", manifest,
                      "--out", str(tmp_path / "rep")]) == 2
         assert "t_out" in only_error_line(capsys)
+
+    @pytest.mark.parametrize("edit,field", [case[1:] for case in BAD_MANIFESTS],
+                             ids=[case[0] for case in BAD_MANIFESTS])
+    def test_malformed_manifest_exits_two(self, tmp_path, capsys, edit, field):
+        data_dir = str(tmp_path / "data")
+        assert main(["synth", "--out", data_dir, "--n", "2", "--n-val", "1",
+                     "--n-test", "1", "--grid", "16", "--seed", "4"]) == 0
+        manifest = os.path.join(data_dir, "manifest.json")
+        rewrite_manifest(manifest, edit)
+        capsys.readouterr()
+        assert main(["evaluate", "--predictions", str(tmp_path), "--manifest", manifest,
+                     "--out", str(tmp_path / "rep")]) == 2
+        assert field in only_error_line(capsys)
 
 
 class TestDumpImage:

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from _corrupt import rewrite_manifest
+from _corrupt import BAD_MANIFESTS, rewrite_manifest
 from nimbus import data as D
 from nimbus.errors import ConfigError, DataError, FormatError, ShapeError
 
@@ -289,6 +289,15 @@ class TestManifest:
         cfg = D.SynthConfig(n_train=2, n_val=1, n_test=1, grid=16, seed=2)
         path = D.synth_generate(cfg, str(tmp_path / "ds4"))
         rewrite_manifest(path, lambda doc: doc["geometry"].pop(field))
+        with pytest.raises(DataError, match=field):
+            D.load_manifest(path)
+
+    @pytest.mark.parametrize("edit,field", [case[1:] for case in BAD_MANIFESTS],
+                             ids=[case[0] for case in BAD_MANIFESTS])
+    def test_malformed_section_is_data_error_naming_field(self, tmp_path, edit, field):
+        cfg = D.SynthConfig(n_train=2, n_val=1, n_test=1, grid=16, seed=2)
+        path = D.synth_generate(cfg, str(tmp_path / "ds5"))
+        rewrite_manifest(path, edit)
         with pytest.raises(DataError, match=field):
             D.load_manifest(path)
 

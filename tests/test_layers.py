@@ -7,7 +7,8 @@ from nimbus import layers as L
 from nimbus import tensor as T
 from nimbus.errors import ConfigError, DegenerateBatchError, StateError, ValidationError
 
-from _oracles import (channel_attention_ref, conv2d_ref, fd_gradient, rel_err,
+from _oracles import (batch_norm_backward_ref, batch_norm_forward_ref, channel_attention_ref,
+                      conv2d_ref, double_conv_forward_ref, fd_gradient, rel_err,
                       spatial_attention_ref)
 
 GRAD_TOL = 1e-4
@@ -113,6 +114,49 @@ class TestBatchNorm:
         assert rel_err(bn.s["running_var"], want_var) < 1e-12
         y_eval = bn.forward(x)
         assert y_eval.shape == x.shape
+
+    @staticmethod
+    def _twins(rng, channels, dtype):
+        """Two batch norms with the same random affine parameters."""
+        gamma = rng.uniform(0.5, 1.5, channels).astype(dtype)
+        beta = rng.standard_normal(channels).astype(dtype)
+        pair = []
+        for _ in range(2):
+            bn = L.BatchNorm(channels, dtype=dtype)
+            bn.p["gamma"], bn.p["beta"] = gamma.copy(), beta.copy()
+            pair.append(bn)
+        return pair
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_and_running_stats_bytes_equal_to_reference(self, rng, dtype):
+        """Train and eval outputs and the running statistics match the
+        earlier forward that also cached the centred input, byte for byte."""
+        bn, ref = self._twins(rng, 5, dtype)
+        for shape in [(4, 5, 6, 6), (2, 5, 17, 63)]:
+            x = (3.0 * rng.standard_normal(shape) + 1.0).astype(dtype)
+            got = bn.forward(x, train=True)
+            want, _ = batch_norm_forward_ref(ref, x, train=True)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            for name in ("running_mean", "running_var"):
+                assert bn.s[name].tobytes() == ref.s[name].tobytes(), name
+            got_eval = bn.forward(x)
+            want_eval, _ = batch_norm_forward_ref(ref, x)
+            assert got_eval.tobytes() == want_eval.tobytes()
+
+    def test_three_term_backward_matches_reference(self, rng):
+        """The three-term backward agrees with the earlier dvar/dmean form
+        to 1e-12 relative in float64; the parameter gradients are the same
+        two channel sums."""
+        bn, ref = self._twins(rng, 4, np.float64)
+        x = 2.0 * rng.standard_normal((3, 4, 9, 7)) - 0.5
+        g = rng.standard_normal(x.shape)
+        bn.forward(x, train=True)
+        _, cache = batch_norm_forward_ref(ref, x, train=True)
+        got = bn.backward(g)
+        want, want_gamma, want_beta = batch_norm_backward_ref(ref, cache, g)
+        assert rel_err(got, want) < 1e-12
+        assert rel_err(bn.g["gamma"], want_gamma) < 1e-12
+        assert rel_err(bn.g["beta"], want_beta) < 1e-12
 
     def test_degenerate_batch_rejected(self):
         bn = L.BatchNorm(3)
@@ -251,6 +295,20 @@ class TestDoubleConvDS:
         y = block.forward(np.zeros((2, 2, 4, 4)), train=True)
         for ch, beta in enumerate([0.7, -0.4, 0.0]):
             assert rel_err(y[:, ch], np.full((2, 4, 4), max(beta, 0.0))) < 1e-9
+
+    def test_forward_bytes_equal_to_reference(self, rng):
+        """In-place ReLUs on the batch-norm outputs give the bytes of the
+        earlier out-of-place forward, in train and then in eval mode."""
+        seed = int(rng.integers(1 << 30))
+        block = L.DoubleConvDS(6, 10, 2, np.random.default_rng(seed), c_mid=4)
+        ref = L.DoubleConvDS(6, 10, 2, np.random.default_rng(seed), c_mid=4)
+        x = rng.standard_normal((3, 6, 12, 10)).astype(np.float32)
+        for train in (True, False):
+            got = block.forward(x, train=train)
+            want = double_conv_forward_ref(ref, x, train=train)
+            assert got.tobytes() == want.tobytes(), train
+        for (name, got), (_, want) in zip(block.named_states(), ref.named_states()):
+            assert got.tobytes() == want.tobytes(), name
 
     def test_whole_block_gradient(self, rng):
         block = L.DoubleConvDS(2, 3, 1, rng, dtype=np.float64)

@@ -49,6 +49,12 @@ TOY_MODEL = ModelConfig(in_channels=8, out_channels=16,
                         depth_multiplier=1, cbam_reduction=4)
 
 
+def _blocks(block):
+    yield block
+    for child in block._children.values():
+        yield from _blocks(child)
+
+
 def toy_batch(seed, n=4, h=16):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, 8, h, h)).astype(np.float32)
@@ -241,6 +247,23 @@ class TestTrainEpoch:
         batches = [toy_batch(i) for i in range(5)]
         losses = [O.train_epoch(model, batches, cfg, opt) for _ in range(3)]
         assert losses[2] < losses[0]
+
+    def test_eval_loss_scalar_equals_train_loss_scalar(self):
+        """With batch-norm momentum 1 a train-mode forward leaves the running
+        statistics equal to the batch ones, so the eval-mode forward repeats
+        it exactly; the eval loss, computed without a gradient, must then be
+        the train loss bit for bit."""
+        cfg = O.TrainConfig(batch_size=4)
+        model = build_model(TOY_MODEL, seed=3)
+        bns = [b for b in _blocks(model) if isinstance(b, L.BatchNorm)]
+        assert bns
+        for bn in bns:
+            bn.momentum = 1.0
+        x, y = toy_batch(4)
+        train_value, g_logits = O.batch_loss(model, x, y, cfg, train=True)
+        eval_value, none = O.batch_loss(model, x, y, cfg, train=False)
+        assert g_logits is not None and none is None
+        assert np.float64(eval_value).tobytes() == np.float64(train_value).tobytes()
 
     def test_empty_split_rejected(self):
         """An empty batch iterable cannot silently report a zero loss."""

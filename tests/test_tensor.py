@@ -7,8 +7,8 @@ import pytest
 from nimbus import tensor as T
 from nimbus.errors import ShapeError, SizeError
 
-from _oracles import (conv2d_ref, depthwise_conv2d_backward_ref, depthwise_conv2d_ref,
-                      fd_gradient, rel_err, bilinear_ref)
+from _oracles import (bce_with_logits_ref, conv2d_ref, depthwise_conv2d_backward_ref,
+                      depthwise_conv2d_ref, fd_gradient, rel_err, bilinear_ref, sigmoid_ref)
 
 GRAD_TOL = 1e-4
 
@@ -188,61 +188,72 @@ class TestConvBackward:
 
 
 class TestDepthwiseKernels:
-    """The per-sample depthwise kernels against the earlier whole-batch ones.
+    """The flat-row depthwise kernels against the earlier whole-batch ones.
 
-    The forward and grad_x keep the earlier per-element operation order, so
-    they must match bitwise.  grad_w sums in a different order; each entry
-    is a float32 sum of L = n * out_h * out_w products, and the bound below
-    is the usual random-walk rounding estimate for two such sums,
+    The forward and grad_x sum the same products in the same order as the
+    reference, so they must match byte for byte, signs of zero included:
+    the inputs are ReLU outputs, full of exact zeros, and one kernel is all
+    negative, so some windows sum nothing but -0 products.  The flat layout
+    depends on the padded width, so the shapes include a non-square input
+    and an odd width.  grad_w sums in a different order; each entry is a
+    float32 sum of L = n * out_h * out_w products, and the bound below is
+    the usual random-walk rounding estimate for two such sums,
     2 * sqrt(L) * eps * sum|x * g|, taken per entry.
     """
 
-    SHAPE = (4, 36, 64, 64)
+    SHAPES = [(4, 36, 64, 64), (3, 36, 48, 80), (2, 8, 17, 63)]
 
-    def _operands(self, rng, mult, shape=SHAPE):
+    def _operands(self, rng, mult, shape):
         n, c, h, w = shape
         x = rng.standard_normal(shape).astype(np.float32)
+        x[x < 0.0] = 0.0
         wt = (0.3 * rng.standard_normal((c * mult, 1, 3, 3))).astype(np.float32)
+        wt[0] = -np.abs(wt[0])
         b = rng.standard_normal(c * mult).astype(np.float32)
         return x, wt, b
 
     @pytest.mark.parametrize("padding", [0, 1])
     @pytest.mark.parametrize("mult", [1, 2, 3])
     def test_forward_bitwise_equal_to_reference(self, rng, mult, padding):
-        x, wt, b = self._operands(rng, mult)
-        got = T.conv2d(x, wt, b, padding=padding, groups=x.shape[1])
-        want = depthwise_conv2d_ref(x, wt, b, stride=1, padding=padding)
-        assert got.dtype == np.float32
-        assert np.array_equal(got, want)
+        for shape in self.SHAPES:
+            x, wt, b = self._operands(rng, mult, shape)
+            for bias in (None, b):
+                got = T.conv2d(x, wt, bias, padding=padding, groups=x.shape[1])
+                want = depthwise_conv2d_ref(x, wt, bias, stride=1, padding=padding)
+                assert got.dtype == np.float32 and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), shape
 
     def test_strided_forward_bitwise_equal_to_reference(self, rng):
-        x, wt, b = self._operands(rng, 2, shape=(4, 36, 65, 65))
-        got = T.conv2d(x, wt, b, stride=2, padding=1, groups=36)
-        want = depthwise_conv2d_ref(x, wt, b, stride=2, padding=1)
-        assert got.shape == (4, 72, 33, 33)
-        assert np.array_equal(got, want)
+        for shape in [(4, 36, 65, 65), (2, 8, 17, 63)]:
+            x, wt, b = self._operands(rng, 2, shape)
+            n, c, h, w = shape
+            got = T.conv2d(x, wt, b, stride=2, padding=1, groups=c)
+            want = depthwise_conv2d_ref(x, wt, b, stride=2, padding=1)
+            assert got.shape == (n, 2 * c, (h - 1) // 2 + 1, (w - 1) // 2 + 1)
+            assert got.tobytes() == want.tobytes(), shape
 
     @pytest.mark.parametrize("padding", [0, 1])
     @pytest.mark.parametrize("mult", [1, 2, 3])
     def test_backward_against_reference(self, rng, mult, padding):
-        x, wt, _ = self._operands(rng, mult)
-        n, c, h, w = x.shape
-        out_hw = h + 2 * padding - 2
-        g = rng.standard_normal((n, c * mult, out_hw, out_hw)).astype(np.float32)
-        gx, gw, gb = T.conv2d_backward(x, wt, g, padding=padding, groups=c)
-        want_gx, want_gw = depthwise_conv2d_backward_ref(x, wt, g, padding=padding)
+        for shape in self.SHAPES:
+            x, wt, _ = self._operands(rng, mult, shape)
+            n, c, h, w = x.shape
+            out_h, out_w = h + 2 * padding - 2, w + 2 * padding - 2
+            g = rng.standard_normal((n, c * mult, out_h, out_w)).astype(np.float32)
+            gx, gw, gb = T.conv2d_backward(x, wt, g, padding=padding, groups=c)
+            want_gx, want_gw = depthwise_conv2d_backward_ref(x, wt, g, padding=padding)
 
-        assert gx.dtype == np.float32 and gw.dtype == np.float32
-        assert np.array_equal(gx, want_gx)
-        assert np.array_equal(gb, g.sum(axis=(0, 2, 3)))
+            assert gx.dtype == np.float32 and gw.dtype == np.float32
+            assert gx.tobytes() == want_gx.tobytes(), shape
+            assert np.array_equal(gb, g.sum(axis=(0, 2, 3)))
 
-        reduction = n * out_hw * out_hw
-        _, abs_sum = depthwise_conv2d_backward_ref(
-            np.abs(x).astype(np.float64), wt, np.abs(g).astype(np.float64), padding=padding)
-        bound = 2.0 * np.sqrt(reduction) * np.finfo(np.float32).eps * abs_sum
-        diff = np.abs(gw.astype(np.float64) - want_gw.astype(np.float64))
-        assert gw.shape == wt.shape
-        assert np.all(diff <= bound), float((diff / bound).max())
+            reduction = n * out_h * out_w
+            _, abs_sum = depthwise_conv2d_backward_ref(
+                np.abs(x).astype(np.float64), wt, np.abs(g).astype(np.float64), padding=padding)
+            bound = 2.0 * np.sqrt(reduction) * np.finfo(np.float32).eps * abs_sum
+            diff = np.abs(gw.astype(np.float64) - want_gw.astype(np.float64))
+            assert gw.shape == wt.shape
+            assert np.all(diff <= bound), (shape, float((diff / bound).max()))
 
 
 class TestMaxPool:
@@ -362,6 +373,19 @@ class TestActivations:
         assert 0.0 <= y[0] <= 1e-20
         assert 1.0 - 1e-20 <= y[-1] <= 1.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bytes_equal_to_reference(self, rng, dtype):
+        """Same per-element operations as the earlier mask-gathering sigmoid,
+        so the same bytes; a NaN stays NaN, though its sign bit may not."""
+        for shape in [(7,), (3, 5), (2, 3, 17, 19)]:
+            x = (20.0 * rng.standard_normal(shape)).astype(dtype)
+            x.flat[:6] = [0.0, -0.0, 1e4, -1e4, -np.inf, np.nan]
+            got, want = T.sigmoid(x), sigmoid_ref(x)
+            assert got.dtype == want.dtype
+            assert np.array_equal(np.isnan(got), np.isnan(x))
+            keep = ~np.isnan(x)
+            assert got[keep].tobytes() == want[keep].tobytes(), shape
+
     def test_sigmoid_backward_matches_fd(self, rng):
         x = rng.standard_normal((1, 2, 3, 3))
         g = rng.standard_normal(x.shape)
@@ -440,6 +464,22 @@ class TestLosses:
         _, grad = T.bce_with_logits(x, t)
         want = fd_gradient(lambda a: T.bce_with_logits(a, t)[0], x)
         assert rel_err(grad, want) < GRAD_TOL
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bce_bytes_equal_to_reference(self, rng, dtype):
+        """The loss scalar and its gradient match the earlier separate-pass
+        kernel bit for bit; grad=False returns the same scalar alone."""
+        x = (8.0 * rng.standard_normal((4, 3, 16, 20))).astype(dtype)
+        x.flat[:4] = [0.0, -0.0, 200.0, -200.0]
+        t = (rng.random(x.shape) > 0.5).astype(dtype)
+        loss, grad = T.bce_with_logits(x, t)
+        want_loss, want_grad = bce_with_logits_ref(x, t)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.dtype == want_grad.dtype
+        assert grad.tobytes() == want_grad.tobytes()
+        only, none = T.bce_with_logits(x, t, grad=False)
+        assert none is None
+        assert np.float64(only).tobytes() == np.float64(loss).tobytes()
 
     def test_mse_gradient_matches_fd(self, rng):
         p = rng.standard_normal((2, 2, 3, 3))
