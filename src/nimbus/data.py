@@ -262,20 +262,23 @@ def center_crop(x, crop):
 
 def select_bands(x, band_names, drop, t_in):
     """Remove the named bands from every frame of a frame-major stack."""
-    unknown = [d for d in drop if d not in band_names]
-    if unknown:
-        raise ConfigError(f"unknown band names in drop list: {unknown}")
+    kept = kept_bands(band_names, drop)
     n_bands = len(band_names)
     if x.shape[1] != t_in * n_bands:
         raise ShapeError(f"expected {t_in}*{n_bands} channels, got {x.shape[1]}")
     keep = [t * n_bands + b
             for t in range(t_in)
             for b, name in enumerate(band_names)
-            if name not in drop]
+            if name in kept]
     return np.ascontiguousarray(x[:, keep])
 
 
 def kept_bands(band_names, drop):
+    """The bands left after dropping drop; a name in drop that band_names
+    lacks raises ConfigError."""
+    unknown = [d for d in drop if d not in band_names]
+    if unknown:
+        raise ConfigError(f"unknown band names in drop list: {unknown}")
     return tuple(b for b in band_names if b not in drop)
 
 
@@ -283,12 +286,6 @@ def normalize(x, band_names, stats, t_in):
     """Per-band z-score with the same stats across all frames of a band."""
     means, stds = _stat_vectors(x, band_names, stats, t_in)
     return ((x - means) / stds).astype(x.dtype, copy=False)
-
-
-def denormalize(x, band_names, stats, t_in):
-    """Inverse of normalize, for diagnostics."""
-    means, stds = _stat_vectors(x, band_names, stats, t_in)
-    return (x * stds + means).astype(x.dtype, copy=False)
 
 
 def _stat_vectors(x, band_names, stats, t_in):
@@ -345,6 +342,16 @@ def load_sample_target(manifest, record):
     if y.shape != want:
         raise DataError(f"sample {record.target_path}: dims {y.shape} != manifest {want}")
     return y
+
+
+def load_sample_latent(manifest, record):
+    """Read one sample's last observed rain field, (1, 1, 2*crop, 2*crop):
+    the frame the persistence baseline repeats across every lead."""
+    z = read_tensor_file(manifest.resolve(record.latent_path))
+    want = (1, 1, 2 * manifest.crop, 2 * manifest.crop)
+    if z.shape != want:
+        raise DataError(f"sample {record.latent_path}: dims {z.shape} != manifest {want}")
+    return z
 
 
 def batch_iter(manifest, split, batch_size, seed, shuffle, drop=()):

@@ -345,8 +345,3 @@ def loss(pred, target, kind, *, grad=True):
         value, g = T.mse(pred, target)
         return value, (g if grad else None)
     raise ConfigError(f"unknown loss kind {kind!r}")
-
-
-def ds_conv_param_count(c_in, c_out, multiplier):
-    """Closed-form trainable parameter count of one depthwise-separable conv."""
-    return 9 * multiplier * c_in + multiplier * c_in * c_out + c_out

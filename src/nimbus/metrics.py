@@ -195,6 +195,51 @@ def _event_mask(pred, config):
     return up >= cut
 
 
+def _events(mask):
+    """Event count per (sample, lead) of a (batch, lead, H, W) mask."""
+    return np.count_nonzero(mask, axis=(2, 3))
+
+
+class _Tally:
+    """Confusion counts per (region, year) and per lead time, fed one batch
+    of per-(sample, lead) event counts at a time."""
+
+    def __init__(self, manifest):
+        self.frame_pixels = (2 * manifest.crop) ** 2
+        self.by_lead = np.zeros((manifest.t_out, 4), dtype=np.int64)
+        self.by_job = {}
+        self.n_samples = 0
+
+    def add(self, records, tp, n_pred, n_true):
+        """Add (batch, lead) counts; each argument may broadcast to that shape."""
+        tp, n_pred, n_true = np.broadcast_arrays(tp, n_pred, n_true)
+        fn = n_true - tp
+        counts = np.stack([tp, n_pred - tp, fn, self.frame_pixels - n_pred - fn], axis=-1)
+        self.by_lead += counts.sum(axis=0)
+        for record, row in zip(records, counts.sum(axis=1).tolist()):
+            job = (record.region, record.year)
+            self.by_job[job] = self.by_job.get(job, ConfusionCounts()) + ConfusionCounts(*row)
+        self.n_samples += len(records)
+
+    def report(self, split, config):
+        if self.n_samples == 0:
+            raise DataError(f"split {split!r} has no samples to evaluate")
+        by_lead = [ConfusionCounts(*row) for row in self.by_lead.tolist()]
+        return EvalReport(split=split if isinstance(split, str) else "custom",
+                          counts_by_job=self.by_job, counts_by_lead=by_lead,
+                          pooled=sum(by_lead, ConfusionCounts()), config=config,
+                          n_samples=self.n_samples)
+
+
+def _split_records(manifest, split):
+    return manifest.split_samples(split) if isinstance(split, str) else list(split)
+
+
+def _chunks(records, batch_size):
+    for start in range(0, len(records), batch_size):
+        yield records[start:start + batch_size]
+
+
 def _load_predictions(pred_dir, records, manifest):
     rows = []
     for record in records:
@@ -209,120 +254,72 @@ def _load_predictions(pred_dir, records, manifest):
     return np.concatenate(rows, axis=0)
 
 
+def _file_batches(pred_dir, manifest, split, config):
+    """(predictions, targets, records) batches read from prediction files;
+    no input file is opened."""
+    for chunk in _chunks(_split_records(manifest, split), config.batch_size):
+        y = np.concatenate([D.load_sample_target(manifest, r) for r in chunk])
+        pred = _load_predictions(pred_dir, chunk, manifest)
+        yield pred, y, chunk
+
+
+def _model_batches(model, manifest, split, config):
+    for x, y, records in D.batch_iter(manifest, split, config.batch_size,
+                                      seed=0, shuffle=False, drop=config.drop_bands):
+        pred = model.forward(x, train=False)
+        if config.prediction_kind == "probability":
+            pred = T.sigmoid(pred)
+        yield pred, y, records
+
+
 def evaluate(source, manifest, split, config=EvalConfig()):
     """Score a model or a directory of prediction files against a split.
 
     source is either a model (anything with .forward) or the path of a
-    directory holding <stem>.pred.w4cl files from predict_to_files.  Counts
+    directory holding <stem>.pred.w4cl files from predict_to_files; scoring
+    files reads only the targets and the prediction files.  Counts
     accumulate per (region, year) and per lead time; the pooled CSI comes
     from the pooled counts.
     """
-    from_files = isinstance(source, (str, os.PathLike))
-    by_job = {}
-    by_lead = None
-    n_samples = 0
-    for x, y, records in D.batch_iter(manifest, split, config.batch_size,
-                                      seed=0, shuffle=False, drop=config.drop_bands):
-        if from_files:
-            pred = _load_predictions(source, records, manifest)
-        else:
-            pred = source.forward(x, train=False)
-            if config.prediction_kind == "probability":
-                pred = T.sigmoid(pred)
-        if by_lead is None:
-            by_lead = [ConfusionCounts() for _ in range(y.shape[1])]
+    D.kept_bands(manifest.band_names, config.drop_bands)
+    batches = _file_batches if isinstance(source, (str, os.PathLike)) else _model_batches
+    tally = _Tally(manifest)
+    for pred, y, records in batches(source, manifest, split, config):
         pred_event = _event_mask(pred, config)
         true_event = binarize(y, config.threshold)
         if pred_event.shape != true_event.shape:
             raise ShapeError(f"prediction {pred_event.shape} vs target {true_event.shape}")
-        for i, record in enumerate(records):
-            job = (record.region, record.year)
-            sample_counts = ConfusionCounts()
-            for lead in range(y.shape[1]):
-                c = count_events(pred_event[i, lead], true_event[i, lead])
-                by_lead[lead] = by_lead[lead] + c
-                sample_counts = sample_counts + c
-            by_job[job] = by_job.get(job, ConfusionCounts()) + sample_counts
-            n_samples += 1
-    if n_samples == 0:
-        raise DataError(f"split {split!r} has no samples to evaluate")
-    pooled = sum(by_lead, ConfusionCounts())
-    return EvalReport(split=split if isinstance(split, str) else "custom",
-                      counts_by_job=by_job, counts_by_lead=by_lead,
-                      pooled=pooled, config=config, n_samples=n_samples)
-
-
-def _constant_report(manifest, split, config, value):
-    """Evaluate an all-zeros or all-ones probability field without a model."""
-    by_job = {}
-    by_lead = None
-    n_samples = 0
-    pred_frame = None
-    for _, y, records in D.batch_iter(manifest, split, config.batch_size,
-                                      seed=0, shuffle=False, drop=config.drop_bands):
-        if by_lead is None:
-            by_lead = [ConfusionCounts() for _ in range(y.shape[1])]
-        if pred_frame is None or pred_frame.shape != y.shape[2:]:
-            pred_frame = np.full(y.shape[2:], value >= config.prob_threshold)
-        true_event = binarize(y, config.threshold)
-        for i, record in enumerate(records):
-            job = (record.region, record.year)
-            sample_counts = ConfusionCounts()
-            for lead in range(y.shape[1]):
-                c = count_events(pred_frame, true_event[i, lead])
-                by_lead[lead] = by_lead[lead] + c
-                sample_counts = sample_counts + c
-            by_job[job] = by_job.get(job, ConfusionCounts()) + sample_counts
-            n_samples += 1
-    if n_samples == 0:
-        raise DataError(f"split {split!r} has no samples to evaluate")
-    return EvalReport(split=split if isinstance(split, str) else "custom",
-                      counts_by_job=by_job, counts_by_lead=by_lead,
-                      pooled=sum(by_lead, ConfusionCounts()), config=config,
-                      n_samples=n_samples)
-
-
-def persistence_report(manifest, split, config=EvalConfig()):
-    """Score the repeat-the-last-observation forecast, or None if the split
-    carries no latent rain fields to persist."""
-    samples = manifest.split_samples(split) if isinstance(split, str) else list(split)
-    if not samples or any(s.latent_path is None for s in samples):
-        return None
-    by_job = {}
-    by_lead = None
-    n_samples = 0
-    for s in samples:
-        latent = D.read_tensor_file(manifest.resolve(s.latent_path))
-        y = D.load_sample_target(manifest, s)
-        if by_lead is None:
-            by_lead = [ConfusionCounts() for _ in range(y.shape[1])]
-        pred_event = binarize(latent[0, 0], config.threshold)
-        true_event = binarize(y[0], config.threshold)
-        job = (s.region, s.year)
-        sample_counts = ConfusionCounts()
-        for lead in range(y.shape[1]):
-            c = count_events(pred_event, true_event[lead])
-            by_lead[lead] = by_lead[lead] + c
-            sample_counts = sample_counts + c
-        by_job[job] = by_job.get(job, ConfusionCounts()) + sample_counts
-        n_samples += 1
-    return EvalReport(split=split if isinstance(split, str) else "custom",
-                      counts_by_job=by_job, counts_by_lead=by_lead,
-                      pooled=sum(by_lead, ConfusionCounts()), config=config,
-                      n_samples=n_samples)
+        tally.add(records, _events(pred_event & true_event), _events(pred_event),
+                  _events(true_event))
+    return tally.report(split, config)
 
 
 def trivial_baselines(manifest, split, config=EvalConfig()):
     """CSI of the no-skill references: all-zeros, all-ones, persistence.
 
+    One pass reads each target once, and each latent rain field once.
+    Because 0 < prob_threshold < 1, all-zeros never predicts an event and
+    all-ones always does, so both come from the observed-event counts alone.
     Persistence repeats the last observed rain field across every lead; when
-    the data carries no such field the entry is None rather than an error.
+    any sample carries no such field the entry is None rather than an error.
     """
-    zeros = _constant_report(manifest, split, config, 0.0)
-    ones = _constant_report(manifest, split, config, 1.0)
-    persist = persistence_report(manifest, split, config)
-    return {"all_zeros": zeros.pooled_csi, "all_ones": ones.pooled_csi,
-            "persistence": None if persist is None else persist.pooled_csi}
+    D.kept_bands(manifest.band_names, config.drop_bands)
+    records = _split_records(manifest, split)
+    zeros, ones = _Tally(manifest), _Tally(manifest)
+    persist = _Tally(manifest) if all(r.latent_path is not None for r in records) else None
+    for chunk in _chunks(records, config.batch_size):
+        y = np.concatenate([D.load_sample_target(manifest, r) for r in chunk])
+        true_event = binarize(y, config.threshold)
+        n_true = _events(true_event)
+        zeros.add(chunk, 0, 0, n_true)
+        ones.add(chunk, n_true, ones.frame_pixels, n_true)
+        if persist is not None:
+            latent = np.concatenate([D.load_sample_latent(manifest, r) for r in chunk])
+            latent_event = binarize(latent, config.threshold)
+            persist.add(chunk, _events(latent_event & true_event), _events(latent_event), n_true)
+    return {"all_zeros": zeros.report(split, config).pooled_csi,
+            "all_ones": ones.report(split, config).pooled_csi,
+            "persistence": None if persist is None else persist.report(split, config).pooled_csi}
 
 
 def ensemble_predict(models, x, mode="average"):

@@ -310,6 +310,7 @@ def load_checkpoint(path):
     param_names = {n for n, _ in model.named_params()}
     wanted = dict(list(model.named_params()) + list(model.named_states()))
     seen = set()
+    spans = []      # (first byte, end byte, name) of every entry's data
     entries = header["entries"]
     if not isinstance(entries, list):
         raise FormatError(f"{path}: header field 'entries' at byte 10 must be a list")
@@ -327,6 +328,9 @@ def load_checkpoint(path):
         offset, length = entry.get("offset"), entry.get("length")
         if not isinstance(offset, int) or not isinstance(length, int) or offset < 0:
             raise FormatError(f"{path}: entry {name!r} has a malformed offset/length")
+        if name in seen:
+            raise FormatError(f"{path}: entry {name!r} appears twice; entries[{i}] "
+                              f"repeats it with data at byte {data_start + offset}")
         if dims != wanted[name].shape:
             raise FormatError(
                 f"{path}: entry {name!r} dims {list(dims)} do not match the "
@@ -346,6 +350,12 @@ def load_checkpoint(path):
         else:
             model.set_state(name, arr)
         seen.add(name)
+        spans.append((lo, hi, name))
+    spans.sort()
+    for (_, prev_hi, prev), (lo, _, name) in zip(spans, spans[1:]):
+        if lo < prev_hi:
+            raise FormatError(f"{path}: entry {name!r} data at byte {lo} overlaps entry "
+                              f"{prev!r}, which ends at byte {prev_hi}")
     missing = set(wanted) - seen
     if missing:
         raise FormatError(f"{path}: header omits {len(missing)} blocks, e.g. {sorted(missing)[0]!r}")

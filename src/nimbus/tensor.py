@@ -421,59 +421,6 @@ def sigmoid(x):
     return _logistic_in_place(x, e, np.empty_like(e))
 
 
-def sigmoid_backward(grad_out, y):
-    """Gradient through sigmoid given its forward output y."""
-    return grad_out * y * (1.0 - y)
-
-
-def _broadcast_operand(a, b):
-    """Return b viewed against a's NCHW layout: same shape, or a C-vector."""
-    if b.shape == a.shape:
-        return b
-    if b.ndim == 1 and b.shape[0] == a.shape[1]:
-        return b[None, :, None, None]
-    raise ShapeError(f"operand {b.shape} does not broadcast against {a.shape}")
-
-
-def add(a, b):
-    """Elementwise sum; b may be a per-channel vector."""
-    check_nchw(a, "first operand")
-    return a + _broadcast_operand(a, b)
-
-
-def add_backward(grad_out, b_shape):
-    """Gradients of add: pass-through for a, channel-reduced for a vector b."""
-    if len(b_shape) == 1:
-        return grad_out, grad_out.sum(axis=(0, 2, 3))
-    return grad_out, grad_out
-
-
-def mul(a, b):
-    """Elementwise product; b may be a per-channel vector."""
-    check_nchw(a, "first operand")
-    return a * _broadcast_operand(a, b)
-
-
-def mul_backward(grad_out, a, b):
-    """Gradients of mul with the same broadcast rule as the forward."""
-    bb = _broadcast_operand(a, b)
-    grad_a = grad_out * bb
-    grad_b = grad_out * a
-    if b.ndim == 1:
-        grad_b = grad_b.sum(axis=(0, 2, 3))
-    return grad_a, grad_b
-
-
-def scale(x, alpha):
-    """Multiply by a scalar."""
-    return x * x.dtype.type(alpha)
-
-
-def scale_backward(grad_out, alpha):
-    """Gradient of scale."""
-    return grad_out * grad_out.dtype.type(alpha)
-
-
 def concat_channels(a, b):
     """Concatenate along the channel axis; batch and spatial dims must agree."""
     check_nchw(a, "first input")

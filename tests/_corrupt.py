@@ -3,6 +3,10 @@
 import json
 import struct
 
+import numpy as np
+
+from nimbus import data as D
+
 
 def rewrite_checkpoint_header(path, edit):
     """Apply edit(header_dict) to a .smck file's JSON header in place,
@@ -15,6 +19,11 @@ def rewrite_checkpoint_header(path, edit):
     body = json.dumps(header).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(raw[:6] + struct.pack("<I", len(body)) + body + raw[10 + header_len:])
+
+
+def rewrite_tensor(path, dims):
+    """Replace a tensor file in place with a well-formed one of other dims."""
+    D.write_tensor_file(path, np.ones(dims, np.float32))
 
 
 def rewrite_manifest(path, edit):
@@ -50,4 +59,16 @@ BAD_MANIFESTS = [
     ("crop-negative", _setting("geometry", "crop", value=-4), "crop"),
     ("crop-past-h_raw", _setting("geometry", "crop", value=1000), "crop"),
     ("w_raw-differs", _setting("geometry", "w_raw", value=7), "w_raw"),
+]
+
+
+# Malformed latent rain fields as (test id, dims for a crop of c, the dims the
+# loader wants being (1, 1, 2c, 2c)).  Each once broke the persistence
+# baseline: a 1-D field escaped as IndexError, a field on another grid raised
+# ShapeError (a usage exit, not a data one), and a second frame was accepted
+# with only the first one used.
+BAD_LATENT_DIMS = [
+    ("one-dim", lambda c: (4 * c * c,)),
+    ("other-grid", lambda c: (1, 1, 8, 8)),
+    ("two-frames", lambda c: (2, 1, 2 * c, 2 * c)),
 ]

@@ -4,12 +4,21 @@ Everything here is deliberately slow and literal: scalar loops and the
 textbook definitions, no shared code with the package under test.  The
 exceptions to "slow" are the package's earlier kernels, kept as the bitwise
 reference for the current ones: the whole-batch depthwise conv and its
-backward, the mask-gathering sigmoid and the loss built on it, and the batch
+backward, the mask-gathering sigmoid and the loss built on it, the batch
 norm and double-conv passes that cached the centred input and the pre-ReLU
-activations.
+activations, and the verification loops that called count_events once per
+sample and lead, read every input file and read each target four times.
 """
 
+import os
+
 import numpy as np
+
+from nimbus import data as D
+from nimbus import tensor as T
+from nimbus.errors import DataError, ShapeError
+from nimbus.metrics import (ConfusionCounts, EvalConfig, EvalReport, _event_mask, binarize,
+                            count_events, prediction_path)
 
 
 def conv2d_ref(x, weight, bias=None, stride=1, padding=0, groups=1):
@@ -240,3 +249,135 @@ def csi_ref(pred, truth):
             fn += 1
     denom = tp + fp + fn
     return tp / denom if denom else 0.0
+
+
+# The earlier verification path, kept verbatim as the counting reference.
+
+def load_predictions_ref(pred_dir, records, manifest):
+    rows = []
+    for record in records:
+        path = prediction_path(pred_dir, record)
+        if not os.path.exists(path):
+            raise DataError(f"missing prediction file {path}")
+        p = D.read_tensor_file(path)
+        want = (1, manifest.t_out, manifest.crop, manifest.crop)
+        if p.shape != want:
+            raise DataError(f"{path}: dims {p.shape} != {want}")
+        rows.append(p)
+    return np.concatenate(rows, axis=0)
+
+
+def evaluate_ref(source, manifest, split, config=EvalConfig()):
+    """Score a model or a directory of prediction files against a split.
+
+    source is either a model (anything with .forward) or the path of a
+    directory holding <stem>.pred.w4cl files from predict_to_files.  Counts
+    accumulate per (region, year) and per lead time; the pooled CSI comes
+    from the pooled counts.
+    """
+    from_files = isinstance(source, (str, os.PathLike))
+    by_job = {}
+    by_lead = None
+    n_samples = 0
+    for x, y, records in D.batch_iter(manifest, split, config.batch_size,
+                                      seed=0, shuffle=False, drop=config.drop_bands):
+        if from_files:
+            pred = load_predictions_ref(source, records, manifest)
+        else:
+            pred = source.forward(x, train=False)
+            if config.prediction_kind == "probability":
+                pred = T.sigmoid(pred)
+        if by_lead is None:
+            by_lead = [ConfusionCounts() for _ in range(y.shape[1])]
+        pred_event = _event_mask(pred, config)
+        true_event = binarize(y, config.threshold)
+        if pred_event.shape != true_event.shape:
+            raise ShapeError(f"prediction {pred_event.shape} vs target {true_event.shape}")
+        for i, record in enumerate(records):
+            job = (record.region, record.year)
+            sample_counts = ConfusionCounts()
+            for lead in range(y.shape[1]):
+                c = count_events(pred_event[i, lead], true_event[i, lead])
+                by_lead[lead] = by_lead[lead] + c
+                sample_counts = sample_counts + c
+            by_job[job] = by_job.get(job, ConfusionCounts()) + sample_counts
+            n_samples += 1
+    if n_samples == 0:
+        raise DataError(f"split {split!r} has no samples to evaluate")
+    pooled = sum(by_lead, ConfusionCounts())
+    return EvalReport(split=split if isinstance(split, str) else "custom",
+                      counts_by_job=by_job, counts_by_lead=by_lead,
+                      pooled=pooled, config=config, n_samples=n_samples)
+
+
+def constant_report_ref(manifest, split, config, value):
+    """Evaluate an all-zeros or all-ones probability field without a model."""
+    by_job = {}
+    by_lead = None
+    n_samples = 0
+    pred_frame = None
+    for _, y, records in D.batch_iter(manifest, split, config.batch_size,
+                                      seed=0, shuffle=False, drop=config.drop_bands):
+        if by_lead is None:
+            by_lead = [ConfusionCounts() for _ in range(y.shape[1])]
+        if pred_frame is None or pred_frame.shape != y.shape[2:]:
+            pred_frame = np.full(y.shape[2:], value >= config.prob_threshold)
+        true_event = binarize(y, config.threshold)
+        for i, record in enumerate(records):
+            job = (record.region, record.year)
+            sample_counts = ConfusionCounts()
+            for lead in range(y.shape[1]):
+                c = count_events(pred_frame, true_event[i, lead])
+                by_lead[lead] = by_lead[lead] + c
+                sample_counts = sample_counts + c
+            by_job[job] = by_job.get(job, ConfusionCounts()) + sample_counts
+            n_samples += 1
+    if n_samples == 0:
+        raise DataError(f"split {split!r} has no samples to evaluate")
+    return EvalReport(split=split if isinstance(split, str) else "custom",
+                      counts_by_job=by_job, counts_by_lead=by_lead,
+                      pooled=sum(by_lead, ConfusionCounts()), config=config,
+                      n_samples=n_samples)
+
+
+def persistence_report_ref(manifest, split, config=EvalConfig()):
+    """Score the repeat-the-last-observation forecast, or None if the split
+    carries no latent rain fields to persist."""
+    samples = manifest.split_samples(split) if isinstance(split, str) else list(split)
+    if not samples or any(s.latent_path is None for s in samples):
+        return None
+    by_job = {}
+    by_lead = None
+    n_samples = 0
+    for s in samples:
+        latent = D.read_tensor_file(manifest.resolve(s.latent_path))
+        y = D.load_sample_target(manifest, s)
+        if by_lead is None:
+            by_lead = [ConfusionCounts() for _ in range(y.shape[1])]
+        pred_event = binarize(latent[0, 0], config.threshold)
+        true_event = binarize(y[0], config.threshold)
+        job = (s.region, s.year)
+        sample_counts = ConfusionCounts()
+        for lead in range(y.shape[1]):
+            c = count_events(pred_event, true_event[lead])
+            by_lead[lead] = by_lead[lead] + c
+            sample_counts = sample_counts + c
+        by_job[job] = by_job.get(job, ConfusionCounts()) + sample_counts
+        n_samples += 1
+    return EvalReport(split=split if isinstance(split, str) else "custom",
+                      counts_by_job=by_job, counts_by_lead=by_lead,
+                      pooled=sum(by_lead, ConfusionCounts()), config=config,
+                      n_samples=n_samples)
+
+
+def trivial_baselines_ref(manifest, split, config=EvalConfig()):
+    """CSI of the no-skill references: all-zeros, all-ones, persistence.
+
+    Persistence repeats the last observed rain field across every lead; when
+    the data carries no such field the entry is None rather than an error.
+    """
+    zeros = constant_report_ref(manifest, split, config, 0.0)
+    ones = constant_report_ref(manifest, split, config, 1.0)
+    persist = persistence_report_ref(manifest, split, config)
+    return {"all_zeros": zeros.pooled_csi, "all_ones": ones.pooled_csi,
+            "persistence": None if persist is None else persist.pooled_csi}

@@ -11,8 +11,10 @@ import shutil
 import numpy as np
 import pytest
 
-from _corrupt import BAD_MANIFESTS, rewrite_checkpoint_header, rewrite_manifest
+from _corrupt import (BAD_LATENT_DIMS, BAD_MANIFESTS, rewrite_checkpoint_header,
+                      rewrite_manifest, rewrite_tensor)
 from nimbus import data as D
+from nimbus import metrics as M
 from nimbus.cli import main
 
 SMALL_MODEL = {"in_channels": 8, "out_channels": 16,
@@ -321,6 +323,40 @@ class TestMalformedInputs:
             header["entries"][0] = "enc1"
         assert self._evaluate_checkpoint(workspace, trained, tmp_path, edit) == 2
         assert "entries[0]" in only_error_line(capsys)
+
+    def test_duplicate_checkpoint_entry_exits_two(self, workspace, trained, tmp_path, capsys):
+        def edit(header):
+            header["entries"].append(dict(header["entries"][0]))
+        assert self._evaluate_checkpoint(workspace, trained, tmp_path, edit) == 2
+        line = only_error_line(capsys)
+        assert "appears twice" in line and "at byte" in line
+
+    def test_overlapping_checkpoint_entries_exit_two(self, workspace, trained, tmp_path, capsys):
+        def edit(header):
+            header["entries"][1]["offset"] = header["entries"][0]["offset"] + 4
+        assert self._evaluate_checkpoint(workspace, trained, tmp_path, edit) == 2
+        line = only_error_line(capsys)
+        assert "overlaps entry" in line and "at byte" in line
+
+    @pytest.mark.parametrize("dims", [case[1] for case in BAD_LATENT_DIMS],
+                             ids=[case[0] for case in BAD_LATENT_DIMS])
+    def test_malformed_latent_exits_two(self, tmp_path, capsys, dims):
+        data_dir = str(tmp_path / "data")
+        assert main(["synth", "--out", data_dir, "--n", "2", "--n-val", "1",
+                     "--n-test", "1", "--grid", "16", "--seed", "4"]) == 0
+        manifest = D.load_manifest(os.path.join(data_dir, "manifest.json"))
+        record = manifest.split_samples("test")[0]
+        pred_dir = str(tmp_path / "preds")
+        os.makedirs(pred_dir)
+        D.write_tensor_file(M.prediction_path(pred_dir, record),
+                            np.zeros((1, manifest.t_out, manifest.crop, manifest.crop),
+                                     np.float32))
+        rewrite_tensor(manifest.resolve(record.latent_path), dims(manifest.crop))
+        capsys.readouterr()
+        assert main(["evaluate", "--predictions", pred_dir,
+                     "--manifest", os.path.join(data_dir, "manifest.json"),
+                     "--out", str(tmp_path / "rep")]) == 2
+        assert record.latent_path in only_error_line(capsys)
 
     def test_manifest_without_t_out_exits_two(self, tmp_path, capsys):
         data_dir = str(tmp_path / "data")

@@ -128,11 +128,6 @@ class TestNormalize:
         y = D.normalize(x, ("a", "b"), self.STATS, 2)
         assert np.allclose(y, 0.0)
 
-    def test_roundtrip_within_tolerance(self):
-        x = np.random.default_rng(3).standard_normal((2, 4, 5, 5)).astype(np.float32)
-        y = D.denormalize(D.normalize(x, ("a", "b"), self.STATS, 2), ("a", "b"), self.STATS, 2)
-        assert np.abs(y - x).max() < 1e-6
-
     def test_nonpositive_std_rejected(self):
         bad = {"a": {"mean": 0.0, "std": 0.0}}
         with pytest.raises(DataError):

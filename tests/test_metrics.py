@@ -9,11 +9,13 @@ nearest-cell replication of the coarse mask.
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from _oracles import csi_ref
+from _corrupt import BAD_LATENT_DIMS, rewrite_tensor
+from _oracles import csi_ref, evaluate_ref, trivial_baselines_ref
 from nimbus import data as D
 from nimbus import metrics as M
 from nimbus.errors import ConfigError, DataError, ShapeError
@@ -336,6 +338,24 @@ class TestTrivialBaselines:
         manifest = micro_manifest(tmp_path, masks, ["r1"], latent=False)
         assert M.trivial_baselines(manifest, "test")["persistence"] is None
 
+    def test_persistence_absent_when_one_sample_lacks_its_latent(self, tmp_path):
+        masks = [[[[1, 0], [0, 0]], [[0, 1], [0, 0]]]] * 2
+        manifest = micro_manifest(tmp_path, masks, ["r1", "r2"], latent=True)
+        manifest.samples[1].latent_path = None
+        assert M.trivial_baselines(manifest, "test")["persistence"] is None
+
+    @pytest.mark.parametrize("dims", [case[1] for case in BAD_LATENT_DIMS],
+                             ids=[case[0] for case in BAD_LATENT_DIMS])
+    def test_malformed_latent_is_data_error_naming_the_file(self, tmp_path, dims):
+        masks = [[[[1, 0], [0, 0]], [[1, 1], [0, 0]]]]
+        manifest = micro_manifest(tmp_path, masks, ["r1"], latent=True)
+        record = manifest.samples[0]
+        rewrite_tensor(manifest.resolve(record.latent_path), dims(manifest.crop))
+        with pytest.raises(DataError, match=re.escape(record.latent_path)):
+            D.load_sample_latent(manifest, record)
+        with pytest.raises(DataError, match=re.escape(record.latent_path)):
+            M.trivial_baselines(manifest, "test")
+
     def test_persistence_counts_latent_against_each_lead(self, tmp_path):
         """With latent frames present the persistence CSI is the latent mask
         scored against every lead, here hand-checkable."""
@@ -343,6 +363,85 @@ class TestTrivialBaselines:
         manifest = micro_manifest(tmp_path, masks, ["r1"], latent=True)
         out = M.trivial_baselines(manifest, "test")
         assert out["persistence"] == pytest.approx(8 / 12)
+
+
+@pytest.fixture(scope="module")
+def jobs_set(tmp_path_factory):
+    """Two regions by two years; seven test scenes, so batches of three end
+    with a short one."""
+    out = str(tmp_path_factory.mktemp("jobs"))
+    cfg = D.SynthConfig(n_train=2, n_val=1, n_test=7, grid=16, bands=("VIS006", "IR016"),
+                        regions=("r1", "r2"), years=(2019, 2020), seed=13)
+    return D.load_manifest(D.synth_generate(cfg, out))
+
+
+def all_counts(report):
+    return ({job: c.to_dict() for job, c in report.counts_by_job.items()},
+            [c.to_dict() for c in report.counts_by_lead], report.pooled.to_dict(),
+            report.n_samples)
+
+
+class TestOneVerificationPath:
+    """The batch accumulator against the earlier per-(sample, lead) loops,
+    kept verbatim in _oracles."""
+
+    @pytest.mark.parametrize("kind", ["probability", "rate"])
+    def test_evaluate_counts_equal_the_per_lead_loop(self, jobs_set, tmp_path, kind):
+        config = M.EvalConfig(batch_size=3, prediction_kind=kind)
+        model = build_model(TOY_MODEL, seed=4)
+        pred_dir = str(tmp_path / "preds")
+        M.predict_to_files(model, jobs_set, "test", pred_dir, config)
+        for source in (model, pred_dir):
+            got = M.evaluate(source, jobs_set, "test", config)
+            want = evaluate_ref(source, jobs_set, "test", config)
+            assert all_counts(got) == all_counts(want)
+            assert len(got.counts_by_job) == 4 and got.n_samples == 7
+            assert min(got.pooled.to_dict().values()) > 0
+            assert got.to_json() == want.to_json() and got.to_tsv() == want.to_tsv()
+
+    @pytest.mark.parametrize("threshold", [0.2, 1.5])
+    def test_baselines_equal_the_per_lead_loops(self, jobs_set, threshold):
+        config = M.EvalConfig(batch_size=3, threshold=threshold)
+        got = M.trivial_baselines(jobs_set, "test", config)
+        assert got == trivial_baselines_ref(jobs_set, "test", config)
+        assert 0 < got["all_ones"] < 1 and 0 < got["persistence"] < 1
+
+    def test_scoring_files_and_baselines_read_no_input(self, jobs_set, tmp_path, monkeypatch):
+        pred_dir = str(tmp_path / "preds")
+        M.predict_to_files(build_model(TOY_MODEL, seed=4), jobs_set, "test", pred_dir)
+        read = []
+        original = D.read_tensor_file
+
+        def recording_read(path):
+            read.append(os.path.basename(path))
+            return original(path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an input file was loaded")
+
+        monkeypatch.setattr(D, "load_sample_input", refuse)
+        monkeypatch.setattr(D, "read_tensor_file", recording_read)
+        M.evaluate(pred_dir, jobs_set, "test", M.EvalConfig(batch_size=3))
+        M.trivial_baselines(jobs_set, "test", M.EvalConfig(batch_size=3))
+        assert len(read) == 4 * 7
+        assert not [name for name in read if name.endswith(".input.w4cl")]
+
+    def test_unknown_drop_band_is_config_error_without_inputs(self, jobs_set, tmp_path):
+        pred_dir = str(tmp_path / "preds")
+        M.predict_to_files(build_model(TOY_MODEL, seed=4), jobs_set, "test", pred_dir)
+        config = M.EvalConfig(drop_bands=("WV062",))
+        with pytest.raises(ConfigError, match="WV062"):
+            M.evaluate(pred_dir, jobs_set, "test", config)
+        with pytest.raises(ConfigError, match="WV062"):
+            M.trivial_baselines(jobs_set, "test", config)
+
+    def test_every_count_is_a_python_int(self, jobs_set):
+        report = M.evaluate(build_model(TOY_MODEL, seed=4), jobs_set, "test",
+                            M.EvalConfig(batch_size=3))
+        groups = [report.pooled, *report.counts_by_lead, *report.counts_by_job.values()]
+        assert all(type(v) is int for c in groups for v in c.to_dict().values())
+        assert type(report.n_samples) is int
+        json.dumps(report.to_json_dict())
 
 
 class TestEnsemble:

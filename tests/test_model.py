@@ -1,6 +1,8 @@
 """Whole-network tests: configuration, parameter budget, geometry,
 full-graph gradients, and checkpoint serialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,35 @@ class TestCheckpoint:
         save_checkpoint(toy_model, path)
         rewrite_checkpoint_header(path, lambda h: h["entries"].insert(1, 7))
         with pytest.raises(FormatError, match=r"entries\[1\]"):
+            load_checkpoint(path)
+
+    def test_duplicate_entry_is_format_error(self, toy_model, tmp_path):
+        """A repeated name once loaded silently, the later entry winning."""
+        path = tmp_path / "model.smck"
+        save_checkpoint(toy_model, path)
+        first = {}
+
+        def edit(header):
+            first.update(header["entries"][0])
+            header["entries"].append(dict(first))
+        rewrite_checkpoint_header(path, edit)
+        with pytest.raises(FormatError, match=re.escape(repr(first["name"])) +
+                           r" appears twice; entries\[\d+\] repeats it with data at byte \d+"):
+            load_checkpoint(path)
+
+    def test_overlapping_entries_are_format_error(self, toy_model, tmp_path):
+        """An entry whose bytes reach into another's once loaded silently."""
+        path = tmp_path / "model.smck"
+        save_checkpoint(toy_model, path)
+        names = []
+
+        def edit(header):
+            a, b = header["entries"][:2]
+            names.extend([a["name"], b["name"]])
+            b["offset"] = a["offset"] + 4
+        rewrite_checkpoint_header(path, edit)
+        with pytest.raises(FormatError, match=re.escape(repr(names[1])) + r" data at byte \d+ "
+                           "overlaps entry " + re.escape(repr(names[0]))):
             load_checkpoint(path)
 
     def test_overlong_header_is_format_error(self, toy_model, tmp_path):

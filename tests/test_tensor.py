@@ -386,46 +386,6 @@ class TestActivations:
             keep = ~np.isnan(x)
             assert got[keep].tobytes() == want[keep].tobytes(), shape
 
-    def test_sigmoid_backward_matches_fd(self, rng):
-        x = rng.standard_normal((1, 2, 3, 3))
-        g = rng.standard_normal(x.shape)
-        y = T.sigmoid(x)
-        gx = T.sigmoid_backward(g, y)
-        want = fd_gradient(lambda a: float((T.sigmoid(a) * g).sum()), x)
-        assert rel_err(gx, want) < GRAD_TOL
-
-
-class TestElementwiseArithmetic:
-    def test_add_channel_vector_broadcast(self, rng):
-        x = rng.standard_normal((2, 3, 4, 4))
-        v = rng.standard_normal(3)
-        got = T.add(x, v)
-        assert rel_err(got, x + v[None, :, None, None]) < 1e-15
-
-    def test_add_backward_reduces_vector_operand(self, rng):
-        g = rng.standard_normal((2, 3, 4, 4))
-        ga, gv = T.add_backward(g, (3,))
-        assert ga is g
-        assert rel_err(gv, g.sum(axis=(0, 2, 3))) < 1e-15
-
-    def test_mul_backward_matches_fd(self, rng):
-        x = rng.standard_normal((2, 3, 4, 4))
-        v = rng.standard_normal(3)
-        probe = rng.standard_normal(x.shape)
-        ga, gv = T.mul_backward(probe, x, v)
-        assert rel_err(ga, fd_gradient(lambda a: float((T.mul(a, v) * probe).sum()), x)) < GRAD_TOL
-        assert rel_err(gv, fd_gradient(lambda a: float((T.mul(x, a) * probe).sum()), v)) < GRAD_TOL
-
-    def test_mul_rejects_wrong_vector_length(self):
-        with pytest.raises(ShapeError):
-            T.mul(np.zeros((1, 3, 2, 2), dtype=np.float32), np.zeros(4, dtype=np.float32))
-
-    def test_scale_roundtrip(self, rng):
-        x = rng.standard_normal((1, 2, 3, 3)).astype(np.float32)
-        assert np.allclose(T.scale(T.scale(x, 2.0), 0.5), x)
-        g = rng.standard_normal((1, 2, 3, 3)).astype(np.float32)
-        assert np.allclose(T.scale_backward(g, 3.0), 3.0 * g)
-
 
 class TestConcatSplit:
     def test_roundtrip(self, rng):
