@@ -16,28 +16,21 @@ from .errors import ConfigError
 from .metrics import EvalConfig
 from .model import ModelConfig
 from .optim import TrainConfig
+from .schema import Section
 
 
 @dataclasses.dataclass(frozen=True)
-class DataConfig:
+class DataConfig(Section):
     manifest: str | None = None
     filter_threshold: float | None = None   # None: use the manifest's value
-    drop_bands: tuple = ()
+    drop_bands: tuple[str, ...] = ()
+
+    section = "data"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.filter_threshold is not None and self.filter_threshold < 0:
             raise ConfigError("filter_threshold must be >= 0")
-
-    @classmethod
-    def from_dict(cls, d):
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown data config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "drop_bands" in d:
-            d["drop_bands"] = tuple(d["drop_bands"])
-        return cls(**d)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,8 +50,6 @@ class RunConfig:
         kwargs = {}
         for name, section_cls in sections.items():
             if name in d:
-                if not isinstance(d[name], dict):
-                    raise ConfigError(f"config section {name!r} must be an object")
                 kwargs[name] = section_cls.from_dict(d[name])
         return cls(**kwargs)
 

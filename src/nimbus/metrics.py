@@ -18,6 +18,7 @@ import numpy as np
 from . import data as D
 from . import tensor as T
 from .errors import ConfigError, DataError, ShapeError
+from .schema import Section
 
 PREDICTION_SUFFIX = ".pred.w4cl"
 
@@ -42,14 +43,17 @@ class ConfusionCounts:
 
 
 @dataclasses.dataclass(frozen=True)
-class EvalConfig:
+class EvalConfig(Section):
     threshold: float = 0.2        # rain rate (mm/h) defining an event
     prob_threshold: float = 0.5   # probability cut for bce-trained models
     prediction_kind: str = "probability"   # "rate" for mse-trained models
     batch_size: int = 8
-    drop_bands: tuple = ()
+    drop_bands: tuple[str, ...] = ()
+
+    section = "eval"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.threshold < 0:
             raise ConfigError(f"threshold must be >= 0, got {self.threshold}")
         if not 0 < self.prob_threshold < 1:
@@ -58,17 +62,6 @@ class EvalConfig:
             raise ConfigError(f"unknown prediction kind {self.prediction_kind!r}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-
-    @classmethod
-    def from_dict(cls, d):
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown eval config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "drop_bands" in d:
-            d["drop_bands"] = tuple(d["drop_bands"])
-        return cls(**d)
 
 
 def binarize(rates, threshold):

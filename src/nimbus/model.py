@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
 import os
 import struct
 import tempfile
@@ -21,6 +20,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, FormatError, ShapeError, StateError
 from .layers import CBAM, Block, DoubleConvDS, _he_uniform
+from .schema import Section, is_int
 
 CHECKPOINT_MAGIC = b"SMCK"
 CHECKPOINT_VERSION = 1
@@ -28,12 +28,8 @@ CHECKPOINT_VERSION = 1
 PRESETS = ("default", "single-frame")
 
 
-def _is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclasses.dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Section):
     """Architecture hyperparameters.
 
     The `single-frame` preset forces 11 input channels (one 11-band frame)
@@ -43,25 +39,21 @@ class ModelConfig:
 
     in_channels: int = 36
     out_channels: int = 16
-    stage_widths: tuple = (64, 128, 256, 512, 1024)
+    stage_widths: tuple[int, ...] = (64, 128, 256, 512, 1024)
     depth_multiplier: int = 2
     cbam_reduction: int = 16
     preset: str = "default"
 
+    section = "model"
+
     def __post_init__(self):
+        super().__post_init__()
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}, expected one of {PRESETS}")
         if self.preset == "single-frame":
             object.__setattr__(self, "in_channels", 11)
             object.__setattr__(self, "out_channels", 1)
-        for name in ("in_channels", "out_channels", "depth_multiplier", "cbam_reduction"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         widths = self.stage_widths
-        if not isinstance(widths, (list, tuple)) or not all(_is_int(w) for w in widths):
-            raise ConfigError(f"stage_widths must be a list of integers, got {widths!r}")
-        widths = tuple(int(w) for w in widths)
-        object.__setattr__(self, "stage_widths", widths)
         if len(widths) != 5:
             raise ConfigError(f"exactly 5 stage widths required, got {len(widths)}")
         if any(w <= 0 for w in widths) or list(widths) != sorted(set(widths)):
@@ -79,16 +71,6 @@ class ModelConfig:
         d = dataclasses.asdict(self)
         d["stage_widths"] = list(d["stage_widths"])
         return d
-
-    @classmethod
-    def from_dict(cls, d):
-        if not isinstance(d, dict):
-            raise ConfigError(f"model config must be an object, got {type(d).__name__}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 class Conv1x1(Block):
@@ -319,10 +301,13 @@ def load_checkpoint(path):
             raise FormatError(f"{path}: header field 'entries[{i}]' at byte 10 must be an "
                               f"object, got {type(entry).__name__}")
         name = entry.get("name")
+        if not isinstance(name, str):
+            raise FormatError(f"{path}: header field 'entries[{i}].name' at byte 10 must be a "
+                              f"string, got {type(name).__name__}")
         if name not in wanted:
             raise FormatError(f"{path}: header entry {name!r} not part of this architecture")
         dims = entry.get("dims")
-        if not isinstance(dims, list) or not all(_is_int(d) for d in dims):
+        if not isinstance(dims, list) or not all(is_int(d) for d in dims):
             raise FormatError(f"{path}: entry {name!r} has malformed dims {dims!r}")
         dims = tuple(dims)
         offset, length = entry.get("offset"), entry.get("length")
@@ -351,12 +336,22 @@ def load_checkpoint(path):
             model.set_state(name, arr)
         seen.add(name)
         spans.append((lo, hi, name))
-    spans.sort()
-    for (_, prev_hi, prev), (lo, _, name) in zip(spans, spans[1:]):
-        if lo < prev_hi:
-            raise FormatError(f"{path}: entry {name!r} data at byte {lo} overlaps entry "
-                              f"{prev!r}, which ends at byte {prev_hi}")
     missing = set(wanted) - seen
     if missing:
         raise FormatError(f"{path}: header omits {len(missing)} blocks, e.g. {sorted(missing)[0]!r}")
+    # The entries must tile the data section: no overlaps, no gaps, and no
+    # bytes before the first entry or after the last.
+    spans.sort()
+    prev_hi, prev = data_start, None
+    for lo, hi, name in spans:
+        if lo < prev_hi:
+            raise FormatError(f"{path}: entry {name!r} data at byte {lo} overlaps entry "
+                              f"{prev!r}, which ends at byte {prev_hi}")
+        if lo > prev_hi:
+            raise FormatError(f"{path}: bytes {prev_hi} to {lo} before entry {name!r} "
+                              f"belong to no entry")
+        prev_hi, prev = hi, name
+    if prev_hi != len(raw):
+        raise FormatError(f"{path}: bytes {prev_hi} to {len(raw)} after entry {prev!r} "
+                          f"belong to no entry")
     return model

@@ -21,10 +21,11 @@ from . import layers as L
 from . import tensor as T
 from .errors import ConfigError, PoisonedGradientError, StateError
 from .model import _atomic_write, build_model, save_checkpoint
+from .schema import Section
 
 
 @dataclasses.dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Section):
     batch_size: int = 32
     max_epochs: int = 10
     patience: int = 3
@@ -39,21 +40,16 @@ class TrainConfig:
     eps: float = 1e-8
     threshold: float = 0.2        # rain rate (mm/h) binarizing bce targets
 
+    section = "train"
+
     def __post_init__(self):
+        super().__post_init__()
         if self.max_epochs < 1 or self.batch_size < 1 or self.patience < 1:
             raise ConfigError("max_epochs, batch_size, and patience must be >= 1")
         if self.min_delta < 0 or self.lr < 0:
             raise ConfigError("min_delta and lr must be >= 0")
         if self.loss not in ("bce_logits", "mse"):
             raise ConfigError(f"unknown loss {self.loss!r}")
-
-    @classmethod
-    def from_dict(cls, d):
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 class AdamW:
@@ -184,7 +180,8 @@ def fit(model, train_batches, val_batches, config, history_path=None):
     train_batches(epoch_seed) and val_batches() build fresh batch iterators;
     the train iterator reshuffles per epoch from a derived seed.  History is
     one record per epoch; when history_path is given the records are also
-    written there as JSON lines.
+    written there as JSON lines.  A PoisonedGradientError mid-run is
+    re-raised after the records of the completed epochs are written.
     """
     opt = AdamW(model, config)
     stopper = EarlyStopper(config.patience, config.min_delta)
@@ -192,8 +189,12 @@ def fit(model, train_batches, val_batches, config, history_path=None):
     best_snapshot = None
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.monotonic()
-        train_loss = train_epoch(model, train_batches(_epoch_seed(config.seed, epoch)),
-                                 config, opt)
+        try:
+            train_loss = train_epoch(model, train_batches(_epoch_seed(config.seed, epoch)),
+                                     config, opt)
+        except PoisonedGradientError:
+            _write_history(history_path, history)
+            raise
         val_loss = eval_loss(model, val_batches(), config)
         history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss,
                         "seconds": round(time.monotonic() - t0, 3), "lr": config.lr})
@@ -211,10 +212,15 @@ def fit(model, train_batches, val_batches, config, history_path=None):
             model.set_param(name, arr)
         else:
             model.set_state(name, arr)
-    if history_path is not None:
-        lines = "".join(json.dumps(rec) + "\n" for rec in history)
-        _atomic_write(history_path, lines.encode("utf-8"))
+    _write_history(history_path, history)
     return model, history
+
+
+def _write_history(path, history):
+    """Write the epoch records as JSON lines when a path is given."""
+    if path is not None:
+        lines = "".join(json.dumps(rec) + "\n" for rec in history)
+        _atomic_write(path, lines.encode("utf-8"))
 
 
 def _regional_loaders(manifest, samples, config, drop):

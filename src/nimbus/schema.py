@@ -1,0 +1,78 @@
+"""Typed config sections, built directly or from JSON objects.
+
+Each config section is a frozen dataclass whose field annotations declare
+the values it accepts: an integer (never a bool), a finite number, a bool,
+a string, a list or tuple of one of these (kept as a tuple), or `X | None`.
+Building a section checks every field against its annotation and raises a
+ConfigError naming the section and the field; `from_dict` also rejects
+unknown keys.  Range checks stay in each section's __post_init__, after
+the call to Section.__post_init__.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+import numbers
+import types
+import typing
+
+from .errors import ConfigError
+
+
+def is_int(value):
+    """True for an integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+_KINDS = {
+    int: ("an integer", is_int),
+    float: ("a finite number", _is_number),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _typed(name, kind, value):
+    """Return value if it has the annotated kind, else raise ConfigError."""
+    if typing.get_origin(kind) in (typing.Union, types.UnionType):
+        if value is None:
+            return None
+        (kind,) = [k for k in typing.get_args(kind) if k is not type(None)]
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        item = typing.get_args(kind)[0]
+        return tuple(_typed(f"{name}[{i}]", item, v) for i, v in enumerate(value))
+    what, ok = _KINDS[kind]
+    if not ok(value):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return int(value) if kind is int else value
+
+
+class Section:
+    """Base of the config sections; subclasses are frozen dataclasses that
+    set `section` to their key in the run config."""
+
+    section: typing.ClassVar[str]
+
+    def __post_init__(self):
+        kinds = typing.get_type_hints(type(self))
+        for field in dataclasses.fields(self):
+            value = _typed(f"{self.section}.{field.name}", kinds[field.name],
+                           getattr(self, field.name))
+            object.__setattr__(self, field.name, value)
+
+    @classmethod
+    def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigError(f"{cls.section} config must be an object, got {type(d).__name__}")
+        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown {cls.section} config keys: {sorted(unknown)}")
+        return cls(**d)

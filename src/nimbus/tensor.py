@@ -114,6 +114,16 @@ def _flat_padded_samples(x, padding):
         yield buf
 
 
+def _im2col(xf, cols, kw, pw):
+    """Fill cols (C, kh*kw, span) with the tap windows of one flat padded
+    sample xf (C, (H+2p)*pw): tap t = (dy, dx) is the contiguous slice of
+    xf that starts at dy*pw + dx."""
+    span = cols.shape[2]
+    for t in range(cols.shape[1]):
+        off = (t // kw) * pw + t % kw
+        cols[:, t] = xf[:, off:off + span]
+
+
 def _windows(xp, kh, kw, stride):
     """Strided (N, C, out_h, out_w, kh, kw) view over a padded input."""
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
@@ -134,14 +144,19 @@ def conv2d(x, weight, bias=None, *, stride=1, padding=0, groups=1):
     The depthwise kernel works on one sample at a time in a flat-row layout:
     the sample is padded to (C, H+2p, W+2p) and viewed as (C, (H+2p)(W+2p)),
     so the window of tap (dy, dx) is the contiguous slice at offset
-    dy*(W+2p) + dx, and every tap is one multiply and one in-place add over
-    whole channels.  The stride-1 output is computed on rows of the padded
-    width W+2p; the last kw-1 columns of each row are junk, windows that
-    wrap into the next row, and are dropped on the way out.  Every kept
-    value sums the same products in the same row-major tap order as a direct
-    convolution, so the junk costs no exactness.  A strided conv keeps every
-    stride-th row and column of the stride-1 result, which holds exactly the
-    strided windows.
+    dy*(W+2p) + dx.  The kh*kw tap slices are copied into an im2col buffer
+    cols of shape (C, kh*kw, span), and the sample's output is one stacked
+    matmul, (C, mult, kh*kw) @ cols: per channel a small GEMM whose inner
+    dimension is the taps.  The stride-1 output is computed on rows of the
+    padded width W+2p; the last kw-1 columns of each row are junk, windows
+    that wrap into the next row, and are dropped on the way out.  Each kept
+    column of cols holds exactly the window of its output pixel, so the
+    junk costs no exactness: every kept value is a float32 dot product of
+    its kh*kw taps, rounded within the usual (kh*kw-1)*eps/2 of the exact
+    sum.  A strided conv keeps every stride-th row and column of the
+    stride-1 result, which holds exactly the strided windows.  Every sample
+    runs the same GEMM shapes, so a sample's output bytes do not depend on
+    the batch it is in.
     """
     n, c_in, h, w, c_out, kh, kw, out_h, out_w = _conv_geometry(x, weight, stride, padding, groups)
     if bias is not None and bias.shape != (c_out,):
@@ -152,27 +167,19 @@ def conv2d(x, weight, bias=None, *, stride=1, padding=0, groups=1):
         y = np.matmul(weight.reshape(c_out, c_in), xs.reshape(n, c_in, out_h * out_w))
         y = y.reshape(n, c_out, out_h, out_w)
     elif groups == c_in and weight.shape[1] == 1:
-        mult = c_out // c_in
-        wv = weight.reshape(c_in, mult, kh * kw, 1)
+        mult, taps = c_out // c_in, kh * kw
+        wv = weight.reshape(c_in, mult, taps)
         pw = w + 2 * padding
         full_h, full_w = h + 2 * padding - kh + 1, pw - kw + 1
         span = full_h * pw - (kw - 1)
+        cols = np.empty((c_in, taps, span), dtype=x.dtype)
         acc = np.empty((c_in, mult, full_h * pw), dtype=x.dtype)
-        tap = np.empty((c_in, mult, span), dtype=np.result_type(x, weight))
         rows = acc.reshape(c_out, full_h, pw)[:, ::stride, :full_w:stride]
         y = np.empty((n, c_out, out_h, out_w), dtype=x.dtype)
         for yb, xf in zip(y, _flat_padded_samples(x, padding)):
-            for t in range(kh * kw):
-                off = (t // kw) * pw + t % kw
-                if t == 0:
-                    np.multiply(xf[:, None, :span], wv[:, :, 0], out=acc[:, :, :span])
-                else:
-                    np.multiply(xf[:, None, off:off + span], wv[:, :, t], out=tap)
-                    acc[:, :, :span] += tap
-            # The sum starts at the first product, not at +0; adding +0
-            # turns the -0 that nine -0 products leave into the +0 that a
-            # zero-initialised sum gives and changes no other value.
-            np.add(rows, x.dtype.type(0), out=yb)
+            _im2col(xf, cols, kw, pw)
+            np.matmul(wv, cols, out=acc[:, :, :span])
+            yb[...] = rows
     elif groups == 1:
         win = _windows(_pad_zeros(x, padding), kh, kw, stride)
         y = np.einsum("nihwkl,oikl->nohw", win, weight, optimize=True)
@@ -207,17 +214,20 @@ def conv2d_backward(x, weight, grad_out, *, stride=1, padding=0, groups=1, has_b
     spatially flipped, in/out-transposed weights; the dilation step is exact
     because conv2d refuses non-integral output sizes.
 
-    Stride-1 depthwise convs run one sample at a time in the flat-row layout
-    of conv2d.  The output gradient is copied into rows of the padded width
-    W+2p whose kw-1 junk columns are held at zero.  For each tap, it is
-    multiplied by the tap's weights and summed over the depth multiplier,
-    and the sum is added into the tap's contiguous slice of the flat padded
-    grad_x; the weight gradient adds one batched dot product of the same
-    rows with the tap's slice of the flat padded input.  With finite inputs
-    the zero junk columns make every wrapped-around term a +-0 product,
-    which changes no nonzero sum, so grad_x is exactly that of a direct
-    correlation (see the note in the loop) and grad_w differs from it only
-    in summation order.
+    Stride-1 depthwise convs run one sample at a time in the flat-row and
+    im2col layout of conv2d.  The output gradient g is copied into rows of
+    the padded width W+2p whose kw-1 junk columns are held at zero, and the
+    sample's cols are rebuilt from the input.  The weight gradient adds the
+    stacked matmul g @ cols^T, (C, mult, span) @ (C, span, kh*kw).  The
+    stacked matmul w^T @ g, (C, kh*kw, mult) @ (C, mult, span), gives each
+    tap's contribution to the input gradient; it writes tap t's row at the
+    offset dy*(W+2p) + dx where the tap read its window, in a zeroed
+    (C, kh*kw, (H+2p)(W+2p)) buffer, so col2im is one sum over the tap
+    axis into the flat padded grad_x.  With finite inputs the zero junk
+    columns of g make every wrapped-around term a +-0 product, which
+    changes no nonzero sum: grad_x and grad_w are those of a direct
+    correlation up to summation order, and like the forward they do not
+    depend on the rest of the batch.
     """
     n, c_in, h, w, c_out, kh, kw, out_h, out_w = _conv_geometry(x, weight, stride, padding, groups)
     if grad_out.shape != (n, c_out, out_h, out_w):
@@ -236,33 +246,35 @@ def conv2d_backward(x, weight, grad_out, *, stride=1, padding=0, groups=1, has_b
         return grad_x, np.ascontiguousarray(grad_w, dtype=weight.dtype), grad_bias
 
     if groups == c_in and weight.shape[1] == 1 and stride == 1:
-        wv = weight.reshape(c_in, mult, kh * kw, 1)
-        pw = w + 2 * padding
+        taps = kh * kw
+        ph, pw = h + 2 * padding, w + 2 * padding
         span = out_h * pw - (kw - 1)
+        wt = weight.reshape(c_in, mult, taps).transpose(0, 2, 1).reshape(c_in, kh, kw, mult)
         gbuf = np.zeros((c_in, mult, out_h * pw), dtype=grad_out.dtype)
         grows = gbuf.reshape(c_in, mult, out_h, pw)[..., :out_w]
         g = gbuf[:, :, :span]
-        grad_w = np.zeros((c_in, mult, kh * kw), dtype=weight.dtype)
+        cols = np.empty((c_in, taps, span), dtype=x.dtype)
+        # Row t of shifted holds tap t's input-gradient row at the tap's
+        # offset into the flat padded sample and zeros elsewhere; tapview
+        # is the (C, kh, kw, span) window of those rows that the matmul
+        # writes, so the zeros are never overwritten.
+        shifted = np.zeros((c_in, taps, ph * pw), dtype=x.dtype)
+        step, item = shifted.strides[1], shifted.itemsize
+        tapview = np.lib.stride_tricks.as_strided(
+            shifted, (c_in, kh, kw, span),
+            (shifted.strides[0], kw * step + pw * item, step + item, item))
+        grad_w = np.zeros((c_in, mult, taps), dtype=weight.dtype)
+        gw = np.empty_like(grad_w)
         grad_x = np.empty(x.shape, dtype=x.dtype)
-        gxp = np.empty((c_in, (h + 2 * padding) * pw), dtype=x.dtype)
-        inner = gxp.reshape(c_in, h + 2 * padding, pw)[:, padding:padding + h, padding:padding + w]
-        fold = np.empty((c_in, span), dtype=np.result_type(grad_out, weight))
-        prod = np.empty_like(fold)
+        gxp = np.empty((c_in, ph * pw), dtype=x.dtype)
+        inner = gxp.reshape(c_in, ph, pw)[:, padding:padding + h, padding:padding + w]
         go = grad_out.reshape(n, c_in, mult, out_h, out_w)
         for gxb, gob, xf in zip(grad_x, go, _flat_padded_samples(x, padding)):
             grows[...] = gob
-            gxp.fill(0)
-            for t in range(kh * kw):
-                off = (t // kw) * pw + t % kw
-                grad_w[:, :, t] += np.matmul(g, xf[:, off:off + span, None])[:, :, 0]
-                np.multiply(g[:, 0], wv[:, 0, t], out=fold)
-                for m in range(1, mult):
-                    np.multiply(g[:, m], wv[:, m, t], out=prod)
-                    fold += prod
-                # The junk columns of g are zero, so fold adds only +-0
-                # there, which leaves every value but -0 unchanged, and gxp
-                # never holds -0.
-                gxp[:, off:off + span] += fold
+            _im2col(xf, cols, kw, pw)
+            grad_w += np.matmul(g, cols.transpose(0, 2, 1), out=gw)
+            np.matmul(wt, g[:, None], out=tapview)
+            np.add.reduce(shifted, axis=1, out=gxp)
             gxb[...] = inner
         return grad_x, grad_w.reshape(weight.shape), grad_bias
 

@@ -1,4 +1,5 @@
-"""Helpers that rewrite valid files into malformed ones for error-path tests."""
+"""Helpers that rewrite valid files into malformed ones, or poison a training
+run, for error-path tests."""
 
 import json
 import struct
@@ -6,11 +7,12 @@ import struct
 import numpy as np
 
 from nimbus import data as D
+from nimbus import optim as O
 
 
-def rewrite_checkpoint_header(path, edit):
+def rewrite_checkpoint_header(path, edit, append=b""):
     """Apply edit(header_dict) to a .smck file's JSON header in place,
-    keeping the magic, version and blob bytes."""
+    keeping the magic, version and blob bytes and adding append after them."""
     with open(path, "rb") as fh:
         raw = fh.read()
     (header_len,) = struct.unpack_from("<I", raw, 6)
@@ -18,12 +20,26 @@ def rewrite_checkpoint_header(path, edit):
     edit(header)
     body = json.dumps(header).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(raw[:6] + struct.pack("<I", len(body)) + body + raw[10 + header_len:])
+        fh.write(raw[:6] + struct.pack("<I", len(body)) + body + raw[10 + header_len:] + append)
 
 
 def rewrite_tensor(path, dims):
     """Replace a tensor file in place with a well-formed one of other dims."""
     D.write_tensor_file(path, np.ones(dims, np.float32))
+
+
+def poison_epoch(monkeypatch, epoch):
+    """Make every input of the given epoch's train batches NaN, so that the
+    first step of that epoch meets a non-finite gradient."""
+    real = O.train_epoch
+    calls = []
+
+    def train_epoch(model, batches, config, opt):
+        calls.append(None)
+        if len(calls) == epoch:
+            batches = [(np.full_like(b[0], np.nan),) + tuple(b[1:]) for b in batches]
+        return real(model, batches, config, opt)
+    monkeypatch.setattr(O, "train_epoch", train_epoch)
 
 
 def rewrite_manifest(path, edit):
@@ -36,7 +52,7 @@ def rewrite_manifest(path, edit):
 
 
 def _setting(*path, value):
-    """An edit for rewrite_manifest that sets doc[path[0]]...[path[-1]]."""
+    """An edit for a JSON document that sets doc[path[0]]...[path[-1]]."""
     def edit(doc):
         node = doc
         for step in path[:-1]:
@@ -71,4 +87,35 @@ BAD_LATENT_DIMS = [
     ("one-dim", lambda c: (4 * c * c,)),
     ("other-grid", lambda c: (1, 1, 8, 8)),
     ("two-frames", lambda c: (2, 1, 2 * c, 2 * c)),
+]
+
+
+def _shift_offsets(first, by):
+    """A header edit that moves the data of entries[first:] by `by` bytes."""
+    def edit(header):
+        for entry in header["entries"][first:]:
+            entry["offset"] += by
+    return edit
+
+
+# Malformed checkpoints as (test id, header edit, bytes appended after the
+# blobs, text the error must contain).  Each once loaded silently or, for
+# the list name, escaped as a bare TypeError.
+BAD_CHECKPOINTS = [
+    ("appended-bytes", lambda header: None, bytes(700), "belong to no entry"),
+    ("gap-before-last", _shift_offsets(-1, 4), bytes(4), "belong to no entry"),
+    ("gap-before-first", _shift_offsets(0, 4), bytes(4), "belong to no entry"),
+    ("name-not-string", _setting("entries", 0, "name", value=["x"]), b"", "entries[0].name"),
+]
+
+
+# Run configs with a mistyped field as (test id, config document, the field
+# the error must name).  The first three escaped RunConfig.from_dict as bare
+# TypeErrors and the last two were accepted silently.
+BAD_CONFIGS = [
+    ("lr-text", {"train": {"lr": "abc"}}, "train.lr"),
+    ("threshold-null", {"eval": {"threshold": None}}, "eval.threshold"),
+    ("drop_bands-number", {"data": {"drop_bands": 5}}, "data.drop_bands"),
+    ("batch_size-fraction", {"eval": {"batch_size": 2.5}}, "eval.batch_size"),
+    ("max_epochs-bool", {"train": {"max_epochs": True}}, "train.max_epochs"),
 ]

@@ -2,12 +2,14 @@
 
 Everything here is deliberately slow and literal: scalar loops and the
 textbook definitions, no shared code with the package under test.  The
-exceptions to "slow" are the package's earlier kernels, kept as the bitwise
-reference for the current ones: the whole-batch depthwise conv and its
-backward, the mask-gathering sigmoid and the loss built on it, the batch
-norm and double-conv passes that cached the centred input and the pre-ReLU
-activations, and the verification loops that called count_events once per
-sample and lead, read every input file and read each target four times.
+exceptions to "slow" are the package's earlier kernels.  The whole-batch
+depthwise conv and its backward are tolerance references for the im2col
+kernels, which add the same products in another order.  The others are
+bitwise references for the current code: the mask-gathering sigmoid and the
+loss built on it, the batch norm and double-conv passes that cached the
+centred input and the pre-ReLU activations, and the verification loops that
+called count_events once per sample and lead, read every input file and
+read each target four times.
 """
 
 import os

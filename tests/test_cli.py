@@ -11,8 +11,9 @@ import shutil
 import numpy as np
 import pytest
 
-from _corrupt import (BAD_LATENT_DIMS, BAD_MANIFESTS, rewrite_checkpoint_header,
-                      rewrite_manifest, rewrite_tensor)
+from _corrupt import (BAD_CHECKPOINTS, BAD_CONFIGS, BAD_LATENT_DIMS, BAD_MANIFESTS,
+                      poison_epoch, rewrite_checkpoint_header, rewrite_manifest,
+                      rewrite_tensor)
 from nimbus import data as D
 from nimbus import metrics as M
 from nimbus.cli import main
@@ -213,6 +214,22 @@ class TestTrain:
         assert by_region["north"]["error"] is None
         assert by_region["atlantis"]["error"] is not None
 
+    def test_poisoned_gradient_mid_run_keeps_history_and_exits_two(self, workspace, tmp_path,
+                                                                    capsys, monkeypatch):
+        config = str(tmp_path / "three-epochs.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump({"model": SMALL_MODEL,
+                       "train": {"batch_size": 4, "max_epochs": 3, "patience": 3}}, fh)
+        poison_epoch(monkeypatch, 2)
+        out = str(tmp_path / "poisoned")
+        capsys.readouterr()
+        assert main(["train", "--config", config, "--manifest", workspace["manifest"],
+                     "--out", out]) == 2
+        assert "non-finite gradient" in only_error_line(capsys)
+        with open(os.path.join(out, "model.history.jsonl"), encoding="utf-8") as fh:
+            assert [json.loads(line)["epoch"] for line in fh] == [1]
+        assert not os.path.exists(os.path.join(out, "model.smck"))
+
     def test_all_jobs_failing_is_runtime_exit(self, workspace, tmp_path):
         rc = main(["train", "--config", workspace["config"],
                    "--manifest", workspace["manifest"],
@@ -303,10 +320,19 @@ class TestMalformedInputs:
         assert main(["params", "--config", path]) == 1
         assert "stage_widths" in only_error_line(capsys)
 
-    def _evaluate_checkpoint(self, workspace, trained, tmp_path, edit):
+    @pytest.mark.parametrize("doc,field", [case[1:] for case in BAD_CONFIGS],
+                             ids=[case[0] for case in BAD_CONFIGS])
+    def test_mistyped_config_field_exits_one(self, tmp_path, capsys, doc, field):
+        path = str(tmp_path / "bad.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert main(["params", "--config", path]) == 1
+        assert field in only_error_line(capsys)
+
+    def _evaluate_checkpoint(self, workspace, trained, tmp_path, edit, append=b""):
         path = str(tmp_path / "bad.smck")
         shutil.copyfile(trained, path)
-        rewrite_checkpoint_header(path, edit)
+        rewrite_checkpoint_header(path, edit, append)
         return main(["evaluate", "--checkpoint", path, "--config", workspace["config"],
                      "--manifest", workspace["manifest"], "--out", str(tmp_path / "rep")])
 
@@ -337,6 +363,13 @@ class TestMalformedInputs:
         assert self._evaluate_checkpoint(workspace, trained, tmp_path, edit) == 2
         line = only_error_line(capsys)
         assert "overlaps entry" in line and "at byte" in line
+
+    @pytest.mark.parametrize("edit,append,text", [case[1:] for case in BAD_CHECKPOINTS],
+                             ids=[case[0] for case in BAD_CHECKPOINTS])
+    def test_malformed_blob_table_exits_two(self, workspace, trained, tmp_path, capsys,
+                                            edit, append, text):
+        assert self._evaluate_checkpoint(workspace, trained, tmp_path, edit, append) == 2
+        assert text in only_error_line(capsys)
 
     @pytest.mark.parametrize("dims", [case[1] for case in BAD_LATENT_DIMS],
                              ids=[case[0] for case in BAD_LATENT_DIMS])

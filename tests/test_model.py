@@ -11,7 +11,7 @@ from nimbus.errors import ConfigError, FormatError, ShapeError, StateError
 from nimbus.model import (ModelConfig, baseline_reference_param_count, build_model,
                           load_checkpoint, save_checkpoint)
 
-from _corrupt import rewrite_checkpoint_header
+from _corrupt import BAD_CHECKPOINTS, rewrite_checkpoint_header
 from _oracles import fd_gradient, rel_err
 
 TOY = dict(in_channels=4, out_channels=2, stage_widths=(8, 16, 32, 64, 128),
@@ -298,6 +298,15 @@ class TestCheckpoint:
         rewrite_checkpoint_header(path, edit)
         with pytest.raises(FormatError, match=re.escape(repr(names[1])) + r" data at byte \d+ "
                            "overlaps entry " + re.escape(repr(names[0]))):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit,append,text", [case[1:] for case in BAD_CHECKPOINTS],
+                             ids=[case[0] for case in BAD_CHECKPOINTS])
+    def test_entries_must_tile_the_data_section(self, toy_model, tmp_path, edit, append, text):
+        path = tmp_path / "model.smck"
+        save_checkpoint(toy_model, path)
+        rewrite_checkpoint_header(path, edit, append)
+        with pytest.raises(FormatError, match=re.escape(text)):
             load_checkpoint(path)
 
     def test_overlong_header_is_format_error(self, toy_model, tmp_path):

@@ -20,6 +20,8 @@ from nimbus import optim as O
 from nimbus.errors import ConfigError, PoisonedGradientError, StateError
 from nimbus.model import ModelConfig, build_model
 
+from _corrupt import poison_epoch
+
 
 def adam_scalar_ref(p, grads, lr, beta1, beta2, eps):
     """Plain Adam on one scalar, no weight decay; returns value after each step."""
@@ -322,6 +324,21 @@ class TestFit:
         with open(path, encoding="utf-8") as fh:
             on_disk = [json.loads(line) for line in fh]
         assert on_disk == history
+
+    def test_poisoned_gradient_writes_completed_epochs_then_raises(self, tmp_path,
+                                                                   monkeypatch):
+        x, y = toy_batch(4)
+        tb, vb = const_loaders([(x, y)], [(x, y)])
+        cfg = O.TrainConfig(batch_size=4, max_epochs=3, patience=3)
+        path = str(tmp_path / "history.jsonl")
+        _, clean = O.fit(build_model(TOY_MODEL, seed=3), tb, vb, cfg)
+        poison_epoch(monkeypatch, 2)
+        with pytest.raises(PoisonedGradientError):
+            O.fit(build_model(TOY_MODEL, seed=3), tb, vb, cfg, history_path=path)
+        with open(path, encoding="utf-8") as fh:
+            on_disk = [json.loads(line) for line in fh]
+        assert [rec["epoch"] for rec in on_disk] == [1]
+        assert on_disk[0]["val_loss"] == clean[0]["val_loss"]
 
 
 @pytest.fixture(scope="module")
