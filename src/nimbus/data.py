@@ -51,9 +51,14 @@ def read_tensor_file(path):
     """Read a tensor file: magic "W4CL", version u8, dtype u8 (1 = float32
     little-endian), ndim u8, one pad byte, ndim u32 little-endian dims, then
     raw row-major data.  Malformed files raise FormatError with the byte
-    offset of the problem."""
+    offset of the problem.  The file is read once into a buffer that the
+    returned array views, so the array is writable and shares its memory
+    with nothing else."""
     with open(path, "rb") as fh:
-        raw = fh.read()
+        raw = bytearray(os.fstat(fh.fileno()).st_size)
+        del raw[fh.readinto(raw):]  # short if the file shrank after fstat
+        # A pipe reports size 0 and a file can grow after fstat: read to EOF.
+        raw += fh.read()
     if len(raw) < 8:
         raise FormatError(f"{path}: truncated at byte {len(raw)}, fixed header needs 8 bytes")
     if raw[:4] != TENSOR_MAGIC:
@@ -74,7 +79,7 @@ def read_tensor_file(path):
         raise FormatError(
             f"{path}: payload of {len(raw) - dims_end} bytes at byte {dims_end} "
             f"does not match dims {list(dims)} ({want} bytes)")
-    return np.frombuffer(raw[dims_end:], dtype="<f4").reshape(dims).copy()
+    return np.frombuffer(raw, dtype="<f4", offset=dims_end).reshape(dims)
 
 
 @dataclasses.dataclass
@@ -250,14 +255,15 @@ def load_manifest(path):
 
 
 def center_crop(x, crop):
-    """Slice the centered (crop x crop) window; no interpolation.  For
-    252 -> 126 this keeps row/col indices 63..188."""
+    """Slice the centered (crop x crop) window; no interpolation, no copy:
+    the result is a view of x.  For 252 -> 126 this keeps row/col indices
+    63..188."""
     h, w = x.shape[-2], x.shape[-1]
     if crop > h or crop > w:
         raise ShapeError(f"cannot crop {h}x{w} to {crop}x{crop}")
     top = (h - crop) // 2
     left = (w - crop) // 2
-    return np.ascontiguousarray(x[..., top:top + crop, left:left + crop])
+    return x[..., top:top + crop, left:left + crop]
 
 
 def select_bands(x, band_names, drop, t_in):
@@ -326,12 +332,15 @@ def filter_non_rainy(manifest, samples, volume_threshold):
 
 def load_sample_input(manifest, record, drop):
     """Read one input file and run it through select_bands -> center_crop ->
-    normalize; returns a (1, T_in*B_kept, crop, crop) float32 batch row."""
+    normalize; returns a (1, T_in*B_kept, crop, crop) float32 batch row.
+    The band gather runs only when a band is dropped, and normalize reads
+    the crop window in place; neither changes a byte of the result."""
     x = read_tensor_file(manifest.resolve(record.input_path))
     want = (1, manifest.t_in * len(manifest.band_names), manifest.h_raw, manifest.h_raw)
     if x.shape != want:
         raise DataError(f"sample {record.input_path}: dims {x.shape} != manifest {want}")
-    x = select_bands(x, manifest.band_names, drop, manifest.t_in)
+    if drop:
+        x = select_bands(x, manifest.band_names, drop, manifest.t_in)
     x = center_crop(x, manifest.crop)
     return normalize(x, kept_bands(manifest.band_names, drop), manifest.stats, manifest.t_in)
 

@@ -209,41 +209,64 @@ class ChannelAttention(Block):
             raise ShapeError(f"expected {self.channels} channels, got {c}")
         w1, w2 = self.p["w1"], self.p["w2"]
         flat = x.reshape(n, c, h * w)
-        avg = flat.mean(axis=2)
         arg = flat.argmax(axis=2)
-        mx = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
-        pre_a = avg @ w1.T
-        pre_m = mx @ w1.T
-        z = np.maximum(pre_a, 0) @ w2.T + np.maximum(pre_m, 0) @ w2.T
+        # The two descriptors of each sample side by side, (n, c, 2).  The
+        # MLP is one small stacked matmul per sample, whose bytes do not
+        # depend on the batch; one GEMM over the batch rows would let BLAS
+        # pick its kernel by row count.
+        desc = np.stack([flat.mean(axis=2),
+                         np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]], axis=2)
+        pre = w1 @ desc
+        z = (w2 @ np.maximum(pre, 0)).sum(axis=2)
         s = T.sigmoid(z)
         y = x * s[:, :, None, None]
         if self.record_scales:
             self.last_scale = s
-        self._cache = (x, avg, arg, pre_a, pre_m, s) if train else None
+        self._cache = (x, desc, arg, pre, s) if train else None
         return y
 
     def backward(self, grad_out):
-        x, avg, arg, pre_a, pre_m, s = self._need_cache()
+        x, desc, arg, pre, s = self._need_cache()
         n, c, h, w = x.shape
         w1, w2 = self.p["w1"], self.p["w2"]
         gs = (grad_out * x).sum(axis=(2, 3))
         gx = grad_out * s[:, :, None, None]
         dz = gs * s * (1.0 - s)
-        h_a = np.maximum(pre_a, 0)
-        h_m = np.maximum(pre_m, 0)
-        self.g = {"w2": dz.T @ h_a + dz.T @ h_m}
-        dh = dz @ w2
-        dpre_a = dh * (pre_a > 0)
-        dpre_m = dh * (pre_m > 0)
-        mx = np.take_along_axis(x.reshape(n, c, h * w), arg[:, :, None], axis=2)[:, :, 0]
-        self.g["w1"] = dpre_a.T @ avg + dpre_m.T @ mx
-        davg = dpre_a @ w1
-        dmx = dpre_m @ w1
+        hid = np.maximum(pre, 0)
+        self.g = {"w2": dz.T @ hid[:, :, 0] + dz.T @ hid[:, :, 1]}
+        # Per sample, like the forward: w2^T @ dz and w1^T @ dpre.
+        dpre = (w2.T @ dz[:, :, None]) * (pre > 0)
+        self.g["w1"] = dpre[:, :, 0].T @ desc[:, :, 0] + dpre[:, :, 1].T @ desc[:, :, 1]
+        ddesc = w1.T @ dpre
+        davg, dmx = ddesc[:, :, 0], ddesc[:, :, 1]
         gx += davg[:, :, None, None] / (h * w)
         scat = np.zeros((n, c, h * w), dtype=grad_out.dtype)
         np.put_along_axis(scat, arg[:, :, None], dmx[:, :, None], axis=2)
         gx += scat.reshape(n, c, h, w)
         return gx
+
+
+def _channel_max(x):
+    """Per position, the first channel holding the channel max, as argmax
+    over axis 1 finds it, and the value there.  Returns (max_c, arg), both
+    (N, 1, H, W).
+
+    With r = k - C for channel k, (x == max) * r is negative at the
+    channels that hold the max and 0 elsewhere, so its minimum is the first
+    such k less C; modulo C it is that k.  In a column holding NaN the max
+    is NaN and equals nothing, so there the NaN channels are the hits and
+    the first of them wins, as with argmax.  These reductions over the
+    channel axis run across contiguous planes, which argmax over that axis
+    does not.
+    """
+    c = x.shape[1]
+    r = np.arange(-c, 0, dtype=np.int16 if c < 1 << 15 else np.int64).reshape(1, c, 1, 1)
+    m = x.max(axis=1, keepdims=True)
+    hit = x == m
+    if np.isnan(m).any():
+        hit |= np.isnan(x)
+    arg = np.multiply(hit, r, dtype=r.dtype).min(axis=1, keepdims=True) % c
+    return np.take_along_axis(x, arg, axis=1), arg
 
 
 class SpatialAttention(Block):
@@ -259,10 +282,8 @@ class SpatialAttention(Block):
         self.p["conv.bias"] = np.zeros(1, dtype=dtype)
 
     def forward(self, x, train=False):
-        n, c, h, w = x.shape
         mean_c = x.mean(axis=1, keepdims=True)
-        arg = x.argmax(axis=1)
-        max_c = np.take_along_axis(x, arg[:, None], axis=1)
+        max_c, arg = _channel_max(x)
         f = np.concatenate([mean_c, max_c], axis=1)
         z = T.conv2d(f, self.p["conv.weight"], self.p["conv.bias"], padding=self.kernel // 2)
         m = T.sigmoid(z)
@@ -280,7 +301,7 @@ class SpatialAttention(Block):
         self.g = {"conv.weight": g_w, "conv.bias": g_b}
         gx += gf[:, 0:1] / c
         scat = np.zeros_like(x)
-        np.put_along_axis(scat, arg[:, None], gf[:, 1:2], axis=1)
+        np.put_along_axis(scat, arg, gf[:, 1:2], axis=1)
         gx += scat
         return gx
 

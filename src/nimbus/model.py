@@ -311,8 +311,10 @@ def load_checkpoint(path):
             raise FormatError(f"{path}: entry {name!r} has malformed dims {dims!r}")
         dims = tuple(dims)
         offset, length = entry.get("offset"), entry.get("length")
-        if not isinstance(offset, int) or not isinstance(length, int) or offset < 0:
-            raise FormatError(f"{path}: entry {name!r} has a malformed offset/length")
+        for field, value in (("offset", offset), ("length", length)):
+            if not is_int(value) or value < 0:
+                raise FormatError(f"{path}: header field 'entries[{i}].{field}' at byte 10 must "
+                                  f"be a non-negative integer, got {value!r}")
         if name in seen:
             raise FormatError(f"{path}: entry {name!r} appears twice; entries[{i}] "
                               f"repeats it with data at byte {data_start + offset}")

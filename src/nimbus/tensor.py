@@ -87,12 +87,6 @@ def _conv_geometry(x, weight, stride, padding, groups):
     return n, c_in, h, w, c_out, kh, kw, span_h // stride + 1, span_w // stride + 1
 
 
-def _pad_zeros(x, padding):
-    if padding == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-
-
 def _flat_padded_samples(x, padding):
     """Yield each sample of x zero-padded and flattened to (C, (H+2p)(W+2p)).
 
@@ -124,39 +118,36 @@ def _im2col(xf, cols, kw, pw):
         cols[:, t] = xf[:, off:off + span]
 
 
-def _windows(xp, kh, kw, stride):
-    """Strided (N, C, out_h, out_w, kh, kw) view over a padded input."""
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    if stride > 1:
-        win = win[:, :, ::stride, ::stride]
-    return win
-
-
 def conv2d(x, weight, bias=None, *, stride=1, padding=0, groups=1):
     """Cross-correlate x (N, C_in, H, W) with weight (C_out, C_in/groups, kh, kw).
 
     Zero padding, identical stride on both axes.  Output sizes must come out
     integral, otherwise ShapeError: silent truncation is how off-by-one bugs
-    hide.  Three shapes are special-cased for speed (pointwise as one matmul,
-    depthwise per sample, dense as a single einsum); all other group counts
-    go through a grouped einsum.
+    hide.  An unpadded 1x1 conv without groups is one matmul over the
+    batch; every other conv, depthwise, grouped or dense, runs the kernel
+    below.
 
-    The depthwise kernel works on one sample at a time in a flat-row layout:
-    the sample is padded to (C, H+2p, W+2p) and viewed as (C, (H+2p)(W+2p)),
-    so the window of tap (dy, dx) is the contiguous slice at offset
-    dy*(W+2p) + dx.  The kh*kw tap slices are copied into an im2col buffer
-    cols of shape (C, kh*kw, span), and the sample's output is one stacked
-    matmul, (C, mult, kh*kw) @ cols: per channel a small GEMM whose inner
-    dimension is the taps.  The stride-1 output is computed on rows of the
-    padded width W+2p; the last kw-1 columns of each row are junk, windows
-    that wrap into the next row, and are dropped on the way out.  Each kept
-    column of cols holds exactly the window of its output pixel, so the
-    junk costs no exactness: every kept value is a float32 dot product of
-    its kh*kw taps, rounded within the usual (kh*kw-1)*eps/2 of the exact
-    sum.  A strided conv keeps every stride-th row and column of the
-    stride-1 result, which holds exactly the strided windows.  Every sample
-    runs the same GEMM shapes, so a sample's output bytes do not depend on
-    the batch it is in.
+    The kernel works on one sample at a time in a flat-row layout: the
+    sample is padded to (C_in, H+2p, W+2p) and viewed as
+    (C_in, (H+2p)(W+2p)), so the window of tap (dy, dx) is the contiguous
+    slice at offset dy*(W+2p) + dx.  The kh*kw tap slices are copied into
+    an im2col buffer cols of shape (C_in, kh*kw, span), which is also
+    (groups, cg*kh*kw, span) with cg = C_in/groups input channels per
+    group.  The sample's output is one stacked matmul,
+    (groups, mult, cg*kh*kw) @ cols with mult = C_out/groups: per group a
+    GEMM whose inner dimension runs over the group's channels and taps.  A
+    depthwise conv is the case cg = 1.  The stride-1 output is computed on
+    rows of the padded width W+2p; the last kw-1 columns of each row are
+    junk, windows that wrap into the next row, and are dropped on the way
+    out.  Each kept column of cols holds exactly the window of its output
+    pixel, so the junk costs no exactness: every kept value is a dot
+    product of its cg*kh*kw products, rounded within the usual
+    (cg*kh*kw-1)*eps/2 of the exact sum.  A strided conv keeps every
+    stride-th row and column of the stride-1 result, which holds exactly
+    the strided windows; it therefore pays stride**2 times the
+    multiply-adds and accumulator memory of the strided output (no conv in
+    the model is strided).  Every sample runs the same GEMM shapes, so a
+    sample's output bytes do not depend on the batch it is in.
     """
     n, c_in, h, w, c_out, kh, kw, out_h, out_w = _conv_geometry(x, weight, stride, padding, groups)
     if bias is not None and bias.shape != (c_out,):
@@ -166,29 +157,21 @@ def conv2d(x, weight, bias=None, *, stride=1, padding=0, groups=1):
         xs = x[:, :, ::stride, ::stride] if stride > 1 else x
         y = np.matmul(weight.reshape(c_out, c_in), xs.reshape(n, c_in, out_h * out_w))
         y = y.reshape(n, c_out, out_h, out_w)
-    elif groups == c_in and weight.shape[1] == 1:
-        mult, taps = c_out // c_in, kh * kw
-        wv = weight.reshape(c_in, mult, taps)
+    else:
+        cg, mult, taps = c_in // groups, c_out // groups, kh * kw
+        wv = weight.reshape(groups, mult, cg * taps)
         pw = w + 2 * padding
         full_h, full_w = h + 2 * padding - kh + 1, pw - kw + 1
         span = full_h * pw - (kw - 1)
         cols = np.empty((c_in, taps, span), dtype=x.dtype)
-        acc = np.empty((c_in, mult, full_h * pw), dtype=x.dtype)
+        gcols = cols.reshape(groups, cg * taps, span)
+        acc = np.empty((groups, mult, full_h * pw), dtype=x.dtype)
         rows = acc.reshape(c_out, full_h, pw)[:, ::stride, :full_w:stride]
         y = np.empty((n, c_out, out_h, out_w), dtype=x.dtype)
         for yb, xf in zip(y, _flat_padded_samples(x, padding)):
             _im2col(xf, cols, kw, pw)
-            np.matmul(wv, cols, out=acc[:, :, :span])
+            np.matmul(wv, gcols, out=acc[:, :, :span])
             yb[...] = rows
-    elif groups == 1:
-        win = _windows(_pad_zeros(x, padding), kh, kw, stride)
-        y = np.einsum("nihwkl,oikl->nohw", win, weight, optimize=True)
-    else:
-        win = _windows(_pad_zeros(x, padding), kh, kw, stride)
-        wing = win.reshape(n, groups, c_in // groups, out_h, out_w, kh, kw)
-        wg = weight.reshape(groups, c_out // groups, c_in // groups, kh, kw)
-        y = np.einsum("ngihwkl,goikl->ngohw", wing, wg, optimize=True)
-        y = y.reshape(n, c_out, out_h, out_w)
 
     y = np.ascontiguousarray(y, dtype=x.dtype)
     if bias is not None:
@@ -196,38 +179,29 @@ def conv2d(x, weight, bias=None, *, stride=1, padding=0, groups=1):
     return y
 
 
-def _dilate(g, stride):
-    """Insert stride-1 zeros between grad rows/cols, undoing the stride skip."""
-    if stride == 1:
-        return g
-    n, c, h, w = g.shape
-    out = np.zeros((n, c, (h - 1) * stride + 1, (w - 1) * stride + 1), dtype=g.dtype)
-    out[:, :, ::stride, ::stride] = g
-    return out
-
-
 def conv2d_backward(x, weight, grad_out, *, stride=1, padding=0, groups=1, has_bias=True):
     """Gradients of conv2d.  Returns (grad_x, grad_weight, grad_bias or None).
 
-    grad_weight correlates input windows with the output gradient.  grad_x is
-    a full-padding correlation of the stride-dilated output gradient with the
-    spatially flipped, in/out-transposed weights; the dilation step is exact
-    because conv2d refuses non-integral output sizes.
-
-    Stride-1 depthwise convs run one sample at a time in the flat-row and
-    im2col layout of conv2d.  The output gradient g is copied into rows of
-    the padded width W+2p whose kw-1 junk columns are held at zero, and the
-    sample's cols are rebuilt from the input.  The weight gradient adds the
-    stacked matmul g @ cols^T, (C, mult, span) @ (C, span, kh*kw).  The
-    stacked matmul w^T @ g, (C, kh*kw, mult) @ (C, mult, span), gives each
-    tap's contribution to the input gradient; it writes tap t's row at the
+    An unpadded, unstrided 1x1 conv without groups takes two matmuls over
+    the batch.  Every other conv runs one sample at a time in the flat-row
+    and im2col layout of conv2d, with cg = C_in/groups and
+    mult = C_out/groups.  The output gradient is written into rows of the
+    stride-1 output at the padded width W+2p, a zeroed (groups, mult,
+    span) buffer g: a stride-s conv writes its gradient into every s-th
+    row and column, the positions whose windows it kept, and every other
+    entry, the kw-1 junk columns included, stays zero.  The sample's cols
+    are rebuilt from the input.  The weight gradient adds the stacked
+    matmul g @ cols^T, (groups, mult, span) @ (groups, span, cg*kh*kw).
+    The stacked matmul w^T @ g, (groups, cg, kh, kw, mult) @
+    (groups, 1, 1, mult, span), gives each channel's and tap's
+    contribution to the input gradient; it writes tap t's row at the
     offset dy*(W+2p) + dx where the tap read its window, in a zeroed
-    (C, kh*kw, (H+2p)(W+2p)) buffer, so col2im is one sum over the tap
-    axis into the flat padded grad_x.  With finite inputs the zero junk
-    columns of g make every wrapped-around term a +-0 product, which
-    changes no nonzero sum: grad_x and grad_w are those of a direct
-    correlation up to summation order, and like the forward they do not
-    depend on the rest of the batch.
+    (C_in, kh*kw, (H+2p)(W+2p)) buffer, so col2im is one sum over the tap
+    axis into the flat padded grad_x.  With finite inputs the zeros of g
+    make every wrapped-around or skipped term a +-0 product, which changes
+    no nonzero sum: grad_x and grad_w are those of a direct correlation up
+    to summation order, and like the forward they do not depend on the
+    rest of the batch.
     """
     n, c_in, h, w, c_out, kh, kw, out_h, out_w = _conv_geometry(x, weight, stride, padding, groups)
     if grad_out.shape != (n, c_out, out_h, out_w):
@@ -235,7 +209,6 @@ def conv2d_backward(x, weight, grad_out, *, stride=1, padding=0, groups=1, has_b
             f"grad_out must have shape {(n, c_out, out_h, out_w)}, got {grad_out.shape}"
         )
     grad_bias = grad_out.sum(axis=(0, 2, 3)) if has_bias else None
-    mult = c_out // groups
 
     if kh == 1 and kw == 1 and groups == 1 and padding == 0 and stride == 1:
         gof = grad_out.reshape(n, c_out, h * w)
@@ -245,80 +218,68 @@ def conv2d_backward(x, weight, grad_out, *, stride=1, padding=0, groups=1, has_b
         grad_x = np.matmul(w2.T, gof).reshape(x.shape)
         return grad_x, np.ascontiguousarray(grad_w, dtype=weight.dtype), grad_bias
 
-    if groups == c_in and weight.shape[1] == 1 and stride == 1:
-        taps = kh * kw
-        ph, pw = h + 2 * padding, w + 2 * padding
-        span = out_h * pw - (kw - 1)
-        wt = weight.reshape(c_in, mult, taps).transpose(0, 2, 1).reshape(c_in, kh, kw, mult)
-        gbuf = np.zeros((c_in, mult, out_h * pw), dtype=grad_out.dtype)
-        grows = gbuf.reshape(c_in, mult, out_h, pw)[..., :out_w]
-        g = gbuf[:, :, :span]
-        cols = np.empty((c_in, taps, span), dtype=x.dtype)
-        # Row t of shifted holds tap t's input-gradient row at the tap's
-        # offset into the flat padded sample and zeros elsewhere; tapview
-        # is the (C, kh, kw, span) window of those rows that the matmul
-        # writes, so the zeros are never overwritten.
-        shifted = np.zeros((c_in, taps, ph * pw), dtype=x.dtype)
-        step, item = shifted.strides[1], shifted.itemsize
-        tapview = np.lib.stride_tricks.as_strided(
-            shifted, (c_in, kh, kw, span),
-            (shifted.strides[0], kw * step + pw * item, step + item, item))
-        grad_w = np.zeros((c_in, mult, taps), dtype=weight.dtype)
-        gw = np.empty_like(grad_w)
-        grad_x = np.empty(x.shape, dtype=x.dtype)
-        gxp = np.empty((c_in, ph * pw), dtype=x.dtype)
-        inner = gxp.reshape(c_in, ph, pw)[:, padding:padding + h, padding:padding + w]
-        go = grad_out.reshape(n, c_in, mult, out_h, out_w)
-        for gxb, gob, xf in zip(grad_x, go, _flat_padded_samples(x, padding)):
-            grows[...] = gob
-            _im2col(xf, cols, kw, pw)
-            grad_w += np.matmul(g, cols.transpose(0, 2, 1), out=gw)
-            np.matmul(wt, g[:, None], out=tapview)
-            np.add.reduce(shifted, axis=1, out=gxp)
-            gxb[...] = inner
-        return grad_x, grad_w.reshape(weight.shape), grad_bias
-
-    win = _windows(_pad_zeros(x, padding), kh, kw, stride)
-    if groups == 1:
-        grad_w = np.einsum("nihwkl,nohw->oikl", win, grad_out, optimize=True)
-    else:
-        wing = win.reshape(n, groups, c_in // groups, out_h, out_w, kh, kw)
-        gog = grad_out.reshape(n, groups, mult, out_h, out_w)
-        grad_w = np.einsum("ngihwkl,ngohw->goikl", wing, gog, optimize=True)
-        grad_w = grad_w.reshape(weight.shape)
-    grad_w = np.ascontiguousarray(grad_w, dtype=weight.dtype)
-
-    # Transpose within each group: (G, mult, cg, kh, kw) -> (G*cg, mult, kh, kw),
-    # flip the taps, then correlate the dilated grad with full padding.
-    wt = weight.reshape(groups, mult, c_in // groups, kh, kw)
-    wt = wt.transpose(0, 2, 1, 3, 4)[:, :, :, ::-1, ::-1]
-    wt = np.ascontiguousarray(wt.reshape(c_in, mult, kh, kw))
-    gd = _dilate(grad_out, stride)
-    gwin = _windows(np.pad(gd, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1))), kh, kw, 1)
-    gwing = gwin.reshape(n, groups, mult, h + 2 * padding, w + 2 * padding, kh, kw)
-    wtg = wt.reshape(groups, c_in // groups, mult, kh, kw)
-    gxp = np.einsum("ngmhwkl,gcmkl->ngchw", gwing, wtg, optimize=True)
-    gxp = gxp.reshape(n, c_in, h + 2 * padding, w + 2 * padding)
-    grad_x = gxp[:, :, padding:padding + h, padding:padding + w]
-    return np.ascontiguousarray(grad_x), grad_w, grad_bias
+    cg, mult, taps = c_in // groups, c_out // groups, kh * kw
+    ph, pw = h + 2 * padding, w + 2 * padding
+    full_h, full_w = ph - kh + 1, pw - kw + 1
+    span = full_h * pw - (kw - 1)
+    wt = np.ascontiguousarray(
+        weight.reshape(groups, mult, cg, kh, kw).transpose(0, 2, 3, 4, 1))
+    gbuf = np.zeros((groups, mult, full_h * pw), dtype=grad_out.dtype)
+    grows = gbuf.reshape(groups, mult, full_h, pw)[..., ::stride, :full_w:stride]
+    g = gbuf[:, :, :span]
+    cols = np.empty((c_in, taps, span), dtype=x.dtype)
+    gcols_t = cols.reshape(groups, cg * taps, span).transpose(0, 2, 1)
+    # Row t of shifted holds tap t's input-gradient row at the tap's offset
+    # into the flat padded sample and zeros elsewhere; tapview is the
+    # (groups, cg, kh, kw, span) window of those rows that the matmul
+    # writes, so the zeros are never overwritten.
+    shifted = np.zeros((c_in, taps, ph * pw), dtype=x.dtype)
+    chan, step, item = shifted.strides
+    tapview = np.lib.stride_tricks.as_strided(
+        shifted, (groups, cg, kh, kw, span),
+        (cg * chan, chan, kw * step + pw * item, step + item, item))
+    grad_w = np.zeros((groups, mult, cg * taps), dtype=weight.dtype)
+    gw = np.empty_like(grad_w)
+    grad_x = np.empty(x.shape, dtype=x.dtype)
+    gxp = np.empty((c_in, ph * pw), dtype=x.dtype)
+    inner = gxp.reshape(c_in, ph, pw)[:, padding:padding + h, padding:padding + w]
+    go = grad_out.reshape(n, groups, mult, out_h, out_w)
+    for gxb, gob, xf in zip(grad_x, go, _flat_padded_samples(x, padding)):
+        grows[...] = gob
+        _im2col(xf, cols, kw, pw)
+        grad_w += np.matmul(g, gcols_t, out=gw)
+        np.matmul(wt, g[:, None, None], out=tapview)
+        np.add.reduce(shifted, axis=1, out=gxp)
+        gxb[...] = inner
+    return grad_x, grad_w.reshape(weight.shape), grad_bias
 
 
 def max_pool2(x):
     """2x2 max pooling, stride 2.  Returns (pooled, argmax).
 
-    Ties go to the lowest flat index inside the window, scanned row-major.
-    argmax is an int8 array of window positions 0..3 that the backward pass
-    scatters into.  Odd spatial sizes are a ShapeError, not a truncation.
+    argmax is an int8 array of window positions 0..3, row-major, that the
+    backward pass writes into.  Ties go to the lowest position: the pooled
+    value and its argmax only move to a later position that is strictly
+    greater, so of -0 and +0 the first one met is kept.  A window holding
+    NaN pools to NaN and its argmax is unspecified.  Odd spatial sizes are
+    a ShapeError, not a truncation.
     """
     check_nchw(x, "input")
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"max_pool2 needs even spatial dims, got {h}x{w}")
-    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    win = win.reshape(n, c, h // 2, w // 2, 4)
-    arg = win.argmax(axis=-1)
-    out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
-    return np.ascontiguousarray(out), arg.astype(np.int8)
+    out = x[:, :, 0::2, 0::2].copy()
+    arg = np.zeros(out.shape, dtype=np.int8)
+    gt = np.empty(out.shape, dtype=bool)
+    # Window positions 1..3 in row-major order, as (row, column) offsets.
+    for k, (dy, dx) in enumerate(((0, 1), (1, 0), (1, 1)), 1):
+        v = x[:, :, dy::2, dx::2]
+        np.greater(v, out, out=gt)
+        # Positions only grow, so the latest strict win is the largest k.
+        np.maximum(arg, np.multiply(gt, k, dtype=np.int8), out=arg)
+        # maximum(a, b) returns b unless a > b: the earlier value wins ties.
+        np.maximum(v, out, out=out)
+    return out, arg
 
 
 def max_pool2_backward(grad_out, argmax):
@@ -406,7 +367,11 @@ def relu(x, out=None):
 
 
 def relu_backward(grad_out, x):
-    """Pass gradient where x > 0; the kink at exactly zero propagates nothing."""
+    """Pass gradient where x > 0; the kink at exactly zero propagates nothing.
+
+    A passed entry keeps its bits, sign of zero and NaN included; every
+    blocked entry, where x <= 0 or x is NaN, is +0.
+    """
     return np.where(x > 0, grad_out, 0).astype(grad_out.dtype, copy=False)
 
 
@@ -422,9 +387,10 @@ def _logistic_in_place(x, e, den):
     """Overwrite e = exp(-|x|) with sigmoid(x): 1/(1+e) where x >= 0 and
     e/(1+e) elsewhere.  den is scratch of e's shape."""
     np.add(e, 1, out=den)
-    np.divide(e, den, out=e)
-    np.divide(1, den, out=e, where=x >= 0)
-    return e
+    # e <= 1, so raising it to 1 where x >= 0 makes one divide give both
+    # halves, with the same IEEE quotients as dividing 1 or e by den.
+    np.maximum(e, x >= 0, out=e)
+    return np.divide(e, den, out=e)
 
 
 def sigmoid(x):

@@ -100,12 +100,14 @@ def _shift_offsets(first, by):
 
 # Malformed checkpoints as (test id, header edit, bytes appended after the
 # blobs, text the error must contain).  Each once loaded silently or, for
-# the list name, escaped as a bare TypeError.
+# the list name, escaped as a bare TypeError.  A JSON false passed the old
+# isinstance(offset, int) check, as 0, which the first entry's offset is.
 BAD_CHECKPOINTS = [
     ("appended-bytes", lambda header: None, bytes(700), "belong to no entry"),
     ("gap-before-last", _shift_offsets(-1, 4), bytes(4), "belong to no entry"),
     ("gap-before-first", _shift_offsets(0, 4), bytes(4), "belong to no entry"),
     ("name-not-string", _setting("entries", 0, "name", value=["x"]), b"", "entries[0].name"),
+    ("offset-false", _setting("entries", 0, "offset", value=False), b"", "entries[0].offset"),
 ]
 
 

@@ -3,13 +3,14 @@
 Everything here is deliberately slow and literal: scalar loops and the
 textbook definitions, no shared code with the package under test.  The
 exceptions to "slow" are the package's earlier kernels.  The whole-batch
-depthwise conv and its backward are tolerance references for the im2col
-kernels, which add the same products in another order.  The others are
-bitwise references for the current code: the mask-gathering sigmoid and the
-loss built on it, the batch norm and double-conv passes that cached the
-centred input and the pre-ReLU activations, and the verification loops that
-called count_events once per sample and lead, read every input file and
-read each target four times.
+sliding-window einsum conv and its backward are tolerance references for
+the im2col kernel, which adds the same products in another order.  The
+others are bitwise references for the current code: the reshape-and-argmax
+max pool, the argmax channel reduction of the spatial gate, the
+mask-gathering sigmoid and the loss built on it, the batch norm and
+double-conv passes that cached the centred input and the pre-ReLU
+activations, and the verification loops that called count_events once per
+sample and lead, read every input file and read each target four times.
 """
 
 import os
@@ -51,54 +52,71 @@ def conv2d_ref(x, weight, bias=None, stride=1, padding=0, groups=1):
     return out
 
 
-def depthwise_conv2d_ref(x, weight, bias=None, stride=1, padding=0):
-    """The earlier depthwise conv2d: one 5-D (n, c, mult, h, w) product per tap."""
-    n, c_in, h, w = x.shape
-    c_out, _, kh, kw = weight.shape
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
-    mult = c_out // c_in
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    wv = weight.reshape(c_in, mult, kh, kw)
-    y = np.zeros((n, c_in, mult, out_h, out_w), dtype=x.dtype)
-    for dy in range(kh):
-        ys = slice(dy, dy + stride * (out_h - 1) + 1, stride)
-        for dx in range(kw):
-            xs = slice(dx, dx + stride * (out_w - 1) + 1, stride)
-            y += xp[:, :, None, ys, xs] * wv[None, :, :, dy, dx, None, None]
-    y = y.reshape(n, c_out, out_h, out_w)
-    y = np.ascontiguousarray(y, dtype=x.dtype)
+def _windows(x, kh, kw, stride, pad_h, pad_w):
+    """Strided (N, C, out_h, out_w, kh, kw) window view over a zero-padded x."""
+    xp = np.pad(x, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    return win[:, :, ::stride, ::stride]
+
+
+def conv2d_window_ref(x, weight, bias=None, stride=1, padding=0, groups=1):
+    """The earlier dense and grouped conv2d: one einsum over a sliding-window
+    view of the whole padded batch."""
+    n, c_in = x.shape[:2]
+    c_out, cg, kh, kw = weight.shape
+    win = _windows(x, kh, kw, stride, padding, padding)
+    out_h, out_w = win.shape[2:4]
+    wing = win.reshape(n, groups, cg, out_h, out_w, kh, kw)
+    wg = weight.reshape(groups, c_out // groups, cg, kh, kw)
+    y = np.einsum("ngihwkl,goikl->ngohw", wing, wg, optimize=True)
+    y = np.ascontiguousarray(y.reshape(n, c_out, out_h, out_w), dtype=x.dtype)
     if bias is not None:
         y += bias.astype(x.dtype, copy=False)[None, :, None, None]
     return y
 
 
-def depthwise_conv2d_backward_ref(x, weight, grad_out, padding=0):
-    """The earlier stride-1 depthwise conv2d_backward: a padded 5-D copy of
-    grad_out, reduced over mult per tap.  Returns (grad_x, grad_weight)."""
+def conv2d_backward_window_ref(x, weight, grad_out, stride=1, padding=0, groups=1):
+    """The earlier dense and grouped conv2d_backward: grad_w correlates the
+    input windows with grad_out, grad_x is a full-padding correlation of the
+    stride-dilated grad_out with the flipped, in/out-transposed weights.
+    Returns (grad_x, grad_weight)."""
     n, c_in, h, w = x.shape
-    c_out, _, kh, kw = weight.shape
-    out_h = h + 2 * padding - kh + 1
-    out_w = w + 2 * padding - kw + 1
-    mult = c_out // c_in
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    go = grad_out.reshape(n, c_in, mult, out_h, out_w)
-    grad_w = np.empty((c_in, mult, kh, kw), dtype=weight.dtype)
-    for dy in range(kh):
-        for dx in range(kw):
-            patch = xp[:, :, None, dy:dy + out_h, dx:dx + out_w]
-            grad_w[:, :, dy, dx] = (patch * go).sum(axis=(0, 3, 4))
-    gp = np.pad(go, ((0, 0), (0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-    wv = weight.reshape(c_in, mult, kh, kw)
-    ph = h + 2 * padding
-    pw = w + 2 * padding
-    gxp = np.zeros((n, c_in, ph, pw), dtype=x.dtype)
-    for dy in range(kh):
-        for dx in range(kw):
-            shifted = gp[:, :, :, kh - 1 - dy:kh - 1 - dy + ph, kw - 1 - dx:kw - 1 - dx + pw]
-            gxp += (shifted * wv[None, :, :, dy, dx, None, None]).sum(axis=2)
-    grad_x = gxp[:, :, padding:padding + h, padding:padding + w]
-    return np.ascontiguousarray(grad_x), grad_w.reshape(weight.shape)
+    c_out, cg, kh, kw = weight.shape
+    mult = c_out // groups
+    out_h, out_w = grad_out.shape[2:]
+    win = _windows(x, kh, kw, stride, padding, padding)
+    wing = win.reshape(n, groups, cg, out_h, out_w, kh, kw)
+    gog = grad_out.reshape(n, groups, mult, out_h, out_w)
+    grad_w = np.einsum("ngihwkl,ngohw->goikl", wing, gog, optimize=True)
+    grad_w = np.ascontiguousarray(grad_w.reshape(weight.shape), dtype=weight.dtype)
+    wt = weight.reshape(groups, mult, cg, kh, kw).transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1]
+    gd = np.zeros((n, c_out, (out_h - 1) * stride + 1, (out_w - 1) * stride + 1),
+                  dtype=grad_out.dtype)
+    gd[:, :, ::stride, ::stride] = grad_out
+    ph, pw = h + 2 * padding, w + 2 * padding
+    gwin = _windows(gd, kh, kw, 1, kh - 1, kw - 1)
+    gwing = gwin.reshape(n, groups, mult, ph, pw, kh, kw)
+    gxp = np.einsum("ngmhwkl,gcmkl->ngchw", gwing, wt, optimize=True)
+    grad_x = gxp.reshape(n, c_in, ph, pw)[:, :, padding:padding + h, padding:padding + w]
+    return np.ascontiguousarray(grad_x), grad_w
+
+
+def max_pool2_ref(x):
+    """The earlier max_pool2: argmax over a reshaped (..., 4) window axis."""
+    n, c, h, w = x.shape
+    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    win = win.reshape(n, c, h // 2, w // 2, 4)
+    arg = win.argmax(axis=-1)
+    out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+    return np.ascontiguousarray(out), arg.astype(np.int8)
+
+
+def channel_max_ref(x):
+    """The earlier channel reduction of the spatial gate: argmax over the
+    channel axis and the value it points at.  Returns (max_c, arg), both
+    (N, 1, H, W)."""
+    arg = x.argmax(axis=1)[:, None]
+    return np.take_along_axis(x, arg, axis=1), arg
 
 
 def sigmoid_ref(x):

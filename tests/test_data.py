@@ -3,6 +3,8 @@ preprocessing steps, batching, and the synthetic generator."""
 
 import json
 import os
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -55,6 +57,55 @@ class TestTensorFile:
         with pytest.raises(FormatError, match="byte 5"):
             D.read_tensor_file(p)
 
+    def test_read_array_is_writable_and_private(self, tmp_path):
+        """Each read owns fresh memory: writing to one read array changes
+        neither the file nor a second read of it."""
+        x = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+        p = tmp_path / "t.w4cl"
+        D.write_tensor_file(p, x)
+        first = D.read_tensor_file(p)
+        assert first.flags.writeable and first.dtype == np.dtype("<f4")
+        first += 100.0
+        second = D.read_tensor_file(p)
+        assert second.tobytes() == x.tobytes()
+        assert not np.shares_memory(first, second)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_a_pipe_whole(self, tmp_path):
+        """A pipe reports size 0 to fstat; every byte is still read."""
+        x = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+        src = tmp_path / "t.w4cl"
+        D.write_tensor_file(src, x)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(src.read_bytes()))
+        writer.start()
+        try:
+            back = D.read_tensor_file(fifo)
+        finally:
+            writer.join()
+        assert back.tobytes() == x.tobytes() and back.shape == x.shape
+
+    def test_reads_bytes_past_the_fstat_size(self, tmp_path, monkeypatch):
+        """A file that grows after fstat is read to its end: the extra bytes
+        are counted, here as a payload longer than the dims allow."""
+        x = np.arange(6, dtype=np.float32)
+        p = tmp_path / "t.w4cl"
+        D.write_tensor_file(p, x)
+        real = os.fstat
+        monkeypatch.setattr(D.os, "fstat",
+                            lambda fd: types.SimpleNamespace(st_size=real(fd).st_size - 10))
+        assert D.read_tensor_file(p).tobytes() == x.tobytes()
+        with open(p, "ab") as fh:
+            fh.write(b"\0" * 4)
+        with pytest.raises(FormatError, match="payload of 28 bytes at byte 12"):
+            D.read_tensor_file(p)
+
+    def test_zero_size_tensor_roundtrips(self, tmp_path):
+        p = tmp_path / "t.w4cl"
+        D.write_tensor_file(p, np.zeros((2, 0, 3), dtype=np.float32))
+        assert D.read_tensor_file(p).shape == (2, 0, 3)
+
     def test_version_check(self, tmp_path):
         p = tmp_path / "t.w4cl"
         D.write_tensor_file(p, np.zeros(3, dtype=np.float32))
@@ -86,6 +137,10 @@ class TestCenterCrop:
         padded = np.zeros_like(x)
         padded[:, :, 8:24, 8:24] = c
         assert np.array_equal(padded[:, :, 8:24, 8:24], x[:, :, 8:24, 8:24])
+
+    def test_returns_a_view(self):
+        x = np.zeros((1, 2, 8, 8), dtype=np.float32)
+        assert np.shares_memory(D.center_crop(x, 4), x)
 
     def test_oversized_crop_rejected(self):
         with pytest.raises(ShapeError):
@@ -132,6 +187,22 @@ class TestNormalize:
         bad = {"a": {"mean": 0.0, "std": 0.0}}
         with pytest.raises(DataError):
             D.normalize(np.zeros((1, 1, 2, 2), dtype=np.float32), ("a",), bad, 1)
+
+
+class TestLoadSampleInput:
+    @pytest.mark.parametrize("drop", [(), ("IR016",)])
+    def test_bytes_equal_to_the_three_steps(self, small_set, drop):
+        """load_sample_input gives the bytes of read -> select_bands ->
+        center_crop -> normalize, whether or not a band is dropped."""
+        m = small_set
+        for s in m.samples[:3]:
+            x = D.read_tensor_file(m.resolve(s.input_path))
+            x = D.center_crop(D.select_bands(x, m.band_names, drop, m.t_in), m.crop)
+            want = D.normalize(x, D.kept_bands(m.band_names, drop), m.stats, m.t_in)
+            got = D.load_sample_input(m, s, drop)
+            assert got.shape == (1, m.t_in * (len(m.band_names) - len(drop)), m.crop, m.crop)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous
 
 
 class TestFilterNonRainy:

@@ -8,7 +8,7 @@ from nimbus import tensor as T
 from nimbus.errors import ConfigError, DegenerateBatchError, StateError, ValidationError
 
 from _oracles import (batch_norm_backward_ref, batch_norm_forward_ref, channel_attention_ref,
-                      conv2d_ref, double_conv_forward_ref, fd_gradient, rel_err,
+                      channel_max_ref, conv2d_ref, double_conv_forward_ref, fd_gradient, rel_err,
                       spatial_attention_ref)
 
 GRAD_TOL = 1e-4
@@ -246,6 +246,40 @@ class TestSpatialAttention:
         assert rel_err(att.forward(x), want) < 1e-12
         assert m.shape == (2, 1, 8, 9)
         assert np.all((m > 0) & (m < 1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_channel_max_bytes_equal_to_reference(self, rng, dtype):
+        """The channel reduction matches argmax over the channel axis byte
+        for byte: from {-1, -0, +0, 1} most positions tie across channels,
+        many between -0 and +0, and the lowest channel must win."""
+        for c in (1, 2, 16, 128, 256):
+            x = rng.choice(np.array([-1.0, -0.0, 0.0, 1.0], dtype=dtype), size=(2, c, 5, 7))
+            max_c, arg = L._channel_max(x)
+            want, want_arg = channel_max_ref(x)
+            assert max_c.dtype == want.dtype and max_c.tobytes() == want.tobytes(), c
+            assert np.array_equal(arg, want_arg), c
+
+    def test_channel_max_of_nan_column_is_a_valid_index(self):
+        x = np.zeros((1, 3, 2, 2), dtype=np.float32)
+        x[0, :, 0, 0] = np.nan
+        x[0, 2, 1, 1] = 1.0
+        max_c, arg = L._channel_max(x)
+        assert arg[0, 0, 0, 0] == 0 and arg[0, 0, 1, 1] == 2 and max_c[0, 0, 1, 1] == 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_channel_max_with_partly_nan_columns_equals_reference(self, rng, dtype):
+        """Where a column holds NaN among finite values, the first NaN
+        channel wins, as with argmax, even when a finite value sits in a
+        lower channel."""
+        for c in (2, 16, 128):
+            x = rng.choice(np.array([-1.0, -0.0, 0.0, 1.0], dtype=dtype), size=(2, c, 5, 7))
+            x[rng.random(x.shape) < 0.5 / c] = np.nan
+            x[0, 1, 0, 0] = np.nan
+            max_c, arg = L._channel_max(x)
+            want, want_arg = channel_max_ref(x)
+            assert max_c.dtype == want.dtype and max_c.tobytes() == want.tobytes(), c
+            assert np.array_equal(arg, want_arg), c
+            assert arg[0, 0, 0, 0] <= 1 and np.isnan(max_c[0, 0, 0, 0])
 
     def test_gradients(self, rng):
         att = L.SpatialAttention(rng, kernel=3, dtype=np.float64)

@@ -435,6 +435,24 @@ class TestOneVerificationPath:
         with pytest.raises(ConfigError, match="WV062"):
             M.trivial_baselines(jobs_set, "test", config)
 
+    @pytest.mark.parametrize("kind", ["probability", "rate"])
+    def test_files_and_reports_do_not_depend_on_batch_size(self, jobs_set, tmp_path, kind):
+        """A scene's forecast bytes do not depend on the batch it runs in, so
+        prediction files and model reports are byte-identical at batch sizes
+        1, 3 (batches of 3, 3 and 1) and 8 (one batch of all 7 scenes)."""
+        model = build_model(TOY_MODEL, seed=4)
+        files, reports = [], []
+        for batch_size in (1, 3, 8):
+            config = M.EvalConfig(batch_size=batch_size, prediction_kind=kind)
+            pred_dir = tmp_path / f"batch{batch_size}"
+            M.predict_to_files(model, jobs_set, "test", str(pred_dir), config)
+            files.append({p.name: p.read_bytes() for p in pred_dir.iterdir()})
+            report = M.evaluate(model, jobs_set, "test", config)
+            reports.append((report.to_json(), report.to_tsv()))
+        assert len(files[0]) == 7
+        assert files[1] == files[0] and files[2] == files[0]
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
     def test_every_count_is_a_python_int(self, jobs_set):
         report = M.evaluate(build_model(TOY_MODEL, seed=4), jobs_set, "test",
                             M.EvalConfig(batch_size=3))

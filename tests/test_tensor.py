@@ -7,8 +7,8 @@ import pytest
 from nimbus import tensor as T
 from nimbus.errors import ShapeError, SizeError
 
-from _oracles import (bce_with_logits_ref, conv2d_ref, depthwise_conv2d_backward_ref,
-                      depthwise_conv2d_ref, fd_gradient, rel_err, bilinear_ref, sigmoid_ref)
+from _oracles import (bce_with_logits_ref, bilinear_ref, conv2d_backward_window_ref, conv2d_ref,
+                      conv2d_window_ref, fd_gradient, max_pool2_ref, rel_err, sigmoid_ref)
 
 GRAD_TOL = 1e-4
 
@@ -188,10 +188,12 @@ class TestConvBackward:
 
 
 class TestDepthwiseKernels:
-    """The im2col depthwise kernels against the earlier whole-batch ones.
+    """The im2col conv kernel against the earlier whole-batch window-einsum
+    kernels, for every k x k conv: depthwise, grouped and dense.
 
-    Each output of the forward is a float32 sum of K = kh*kw products, and
-    each entry of grad_x one of K = kh*kw*mult; the kernels and the
+    Each output of the forward is a float32 sum of K = cg*kh*kw products
+    (cg input channels per group), and each entry of grad_x one of at most
+    K = mult*kh*kw (mult output channels per group); the kernel and the
     references add them in different orders.  Recursive float32 summation
     of n products errs by at most (n-1)*eps/2 times the sum of their
     magnitudes, to first order, so the two can differ by at most
@@ -202,105 +204,154 @@ class TestDepthwiseKernels:
     full of exact zeros, and one kernel is all negative.  The flat layout
     depends on the padded width, so the shapes include a non-square input
     and an odd width.  Every sample runs the same GEMMs whatever the batch,
-    which the batch-split pins check byte for byte.  The two forward tests
-    keep the names they had when they pinned the bytes of the reference;
-    what they check now is the bound.
+    which the batch-split pins check byte for byte.  The class and the two
+    depthwise forward tests keep the names they had when they covered only
+    the depthwise kernel against its bitwise reference; what they check
+    now is the bound.
     """
 
     SHAPES = [(4, 36, 64, 64), (3, 36, 48, 80), (2, 8, 17, 63)]
+    # (id, input shape, weight shape, groups, stride, padding): the desk's
+    # 7x7 spatial gate, a grouped conv and a strided dense one.
+    GENERAL = [
+        ("gate", (4, 2, 64, 64), (1, 2, 7, 7), 1, 1, 3),
+        ("grouped", (3, 12, 17, 23), (8, 3, 3, 3), 4, 1, 1),
+        ("strided", (2, 6, 17, 63), (4, 6, 3, 3), 1, 2, 1),
+    ]
     EPS = np.finfo(np.float32).eps
 
-    def _operands(self, rng, mult, shape):
-        n, c, h, w = shape
-        x = rng.standard_normal(shape).astype(np.float32)
+    def _operands(self, rng, x_shape, w_shape):
+        x = rng.standard_normal(x_shape).astype(np.float32)
         x[x < 0.0] = 0.0
-        wt = (0.3 * rng.standard_normal((c * mult, 1, 3, 3))).astype(np.float32)
+        wt = (0.3 * rng.standard_normal(w_shape)).astype(np.float32)
         wt[0] = -np.abs(wt[0])
-        b = rng.standard_normal(c * mult).astype(np.float32)
+        b = rng.standard_normal(w_shape[0]).astype(np.float32)
         return x, wt, b
 
-    def _assert_forward_within_bound(self, x, wt, b, stride, padding):
-        c = x.shape[1]
-        got = T.conv2d(x, wt, stride=stride, padding=padding, groups=c)
-        want = depthwise_conv2d_ref(x, wt, stride=stride, padding=padding)
+    def _depthwise(self, rng, mult, shape):
+        return self._operands(rng, shape, (shape[1] * mult, 1, 3, 3))
+
+    def _assert_forward_within_bound(self, x, wt, b, stride, padding, groups):
+        got = T.conv2d(x, wt, stride=stride, padding=padding, groups=groups)
+        want = conv2d_window_ref(x, wt, stride=stride, padding=padding, groups=groups)
         assert got.dtype == np.float32 and got.shape == want.shape
-        abs_sum = depthwise_conv2d_ref(np.abs(x).astype(np.float64), np.abs(wt).astype(np.float64),
-                                       stride=stride, padding=padding)
-        bound = 9 * self.EPS * abs_sum
+        abs_sum = conv2d_window_ref(np.abs(x).astype(np.float64), np.abs(wt).astype(np.float64),
+                                    stride=stride, padding=padding, groups=groups)
+        _, cg, kh, kw = wt.shape
+        bound = cg * kh * kw * self.EPS * abs_sum
         diff = np.abs(got.astype(np.float64) - want.astype(np.float64))
         assert np.all(diff <= bound), (x.shape, float((diff / np.maximum(bound, 1e-300)).max()))
         # The bias is one float32 add after the sum, the same add as before.
-        with_bias = T.conv2d(x, wt, b, stride=stride, padding=padding, groups=c)
+        with_bias = T.conv2d(x, wt, b, stride=stride, padding=padding, groups=groups)
         assert with_bias.tobytes() == (got + b[None, :, None, None]).tobytes()
         return got
+
+    def _assert_backward_within_bound(self, rng, x, wt, stride, padding, groups):
+        y_shape = T.conv2d(x, wt, stride=stride, padding=padding, groups=groups).shape
+        g = rng.standard_normal(y_shape).astype(np.float32)
+        gx, gw, gb = T.conv2d_backward(x, wt, g, stride=stride, padding=padding, groups=groups)
+        want_gx, want_gw = conv2d_backward_window_ref(x, wt, g, stride, padding, groups)
+
+        assert gx.dtype == np.float32 and gw.dtype == np.float32
+        assert np.array_equal(gb, g.sum(axis=(0, 2, 3)))
+
+        abs_gx, abs_gw = conv2d_backward_window_ref(
+            np.abs(x).astype(np.float64), np.abs(wt).astype(np.float64),
+            np.abs(g).astype(np.float64), stride, padding, groups)
+        c_out, _, kh, kw = wt.shape
+        bound = (c_out // groups) * kh * kw * self.EPS * abs_gx
+        diff = np.abs(gx.astype(np.float64) - want_gx.astype(np.float64))
+        assert gx.shape == x.shape
+        assert np.all(diff <= bound), (x.shape, float((diff / np.maximum(bound, 1e-300)).max()))
+
+        n, _, out_h, out_w = y_shape
+        bound = 2.0 * np.sqrt(n * out_h * out_w) * self.EPS * abs_gw
+        diff = np.abs(gw.astype(np.float64) - want_gw.astype(np.float64))
+        assert gw.shape == wt.shape
+        assert np.all(diff <= bound), (x.shape, float((diff / bound).max()))
+
+    def _assert_batch_of_eight_equals_eight_single_calls(self, rng, x, wt, b, stride, padding,
+                                                         groups):
+        args = dict(stride=stride, padding=padding, groups=groups)
+        y = T.conv2d(x, wt, b, **args)
+        g = rng.standard_normal(y.shape).astype(np.float32)
+        gx, _, _ = T.conv2d_backward(x, wt, g, **args)
+        for i in range(8):
+            one = T.conv2d(x[i:i + 1], wt, b, **args)
+            assert one.tobytes() == y[i:i + 1].tobytes(), i
+            one, _, _ = T.conv2d_backward(x[i:i + 1], wt, g[i:i + 1], **args)
+            assert one.tobytes() == gx[i:i + 1].tobytes(), i
+
+    def _assert_repeated_calls_give_identical_bytes(self, rng, x, wt, b, stride, padding,
+                                                    groups):
+        args = dict(stride=stride, padding=padding, groups=groups)
+        y = T.conv2d(x, wt, b, **args)
+        assert T.conv2d(x, wt, b, **args).tobytes() == y.tobytes()
+        g = rng.standard_normal(y.shape).astype(np.float32)
+        first = T.conv2d_backward(x, wt, g, **args)
+        second = T.conv2d_backward(x, wt, g, **args)
+        for a, b2 in zip(first, second):
+            assert a.tobytes() == b2.tobytes()
 
     @pytest.mark.parametrize("padding", [0, 1])
     @pytest.mark.parametrize("mult", [1, 2, 3])
     def test_forward_bitwise_equal_to_reference(self, rng, mult, padding):
         for shape in self.SHAPES:
-            x, wt, b = self._operands(rng, mult, shape)
-            self._assert_forward_within_bound(x, wt, b, 1, padding)
+            x, wt, b = self._depthwise(rng, mult, shape)
+            self._assert_forward_within_bound(x, wt, b, 1, padding, shape[1])
 
     def test_strided_forward_bitwise_equal_to_reference(self, rng):
         for shape in [(4, 36, 65, 65), (2, 8, 17, 63)]:
-            x, wt, b = self._operands(rng, 2, shape)
+            x, wt, b = self._depthwise(rng, 2, shape)
             n, c, h, w = shape
-            got = self._assert_forward_within_bound(x, wt, b, 2, 1)
+            got = self._assert_forward_within_bound(x, wt, b, 2, 1, c)
             assert got.shape == (n, 2 * c, (h - 1) // 2 + 1, (w - 1) // 2 + 1)
 
     @pytest.mark.parametrize("padding", [0, 1])
     @pytest.mark.parametrize("mult", [1, 2, 3])
     def test_backward_against_reference(self, rng, mult, padding):
         for shape in self.SHAPES:
-            x, wt, _ = self._operands(rng, mult, shape)
-            n, c, h, w = x.shape
-            out_h, out_w = h + 2 * padding - 2, w + 2 * padding - 2
-            g = rng.standard_normal((n, c * mult, out_h, out_w)).astype(np.float32)
-            gx, gw, gb = T.conv2d_backward(x, wt, g, padding=padding, groups=c)
-            want_gx, want_gw = depthwise_conv2d_backward_ref(x, wt, g, padding=padding)
+            x, wt, _ = self._depthwise(rng, mult, shape)
+            self._assert_backward_within_bound(rng, x, wt, 1, padding, shape[1])
 
-            assert gx.dtype == np.float32 and gw.dtype == np.float32
-            assert np.array_equal(gb, g.sum(axis=(0, 2, 3)))
-
-            abs_gx, abs_gw = depthwise_conv2d_backward_ref(
-                np.abs(x).astype(np.float64), np.abs(wt).astype(np.float64),
-                np.abs(g).astype(np.float64), padding=padding)
-            bound = 9 * mult * self.EPS * abs_gx
-            diff = np.abs(gx.astype(np.float64) - want_gx.astype(np.float64))
-            assert gx.shape == x.shape
-            assert np.all(diff <= bound), (shape, float((diff / np.maximum(bound, 1e-300)).max()))
-
-            reduction = n * out_h * out_w
-            bound = 2.0 * np.sqrt(reduction) * self.EPS * abs_gw
-            diff = np.abs(gw.astype(np.float64) - want_gw.astype(np.float64))
-            assert gw.shape == wt.shape
-            assert np.all(diff <= bound), (shape, float((diff / bound).max()))
+    def test_strided_backward_against_reference(self, rng):
+        for shape in [(2, 12, 33, 33), (2, 8, 17, 63)]:
+            x, wt, _ = self._depthwise(rng, 2, shape)
+            self._assert_backward_within_bound(rng, x, wt, 2, 1, shape[1])
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_batch_of_eight_equals_eight_single_calls(self, rng, stride):
-        x, wt, b = self._operands(rng, 2, (8, 12, 17, 23))
-        c = x.shape[1]
-        y = T.conv2d(x, wt, b, stride=stride, padding=1, groups=c)
-        for i in range(8):
-            one = T.conv2d(x[i:i + 1], wt, b, stride=stride, padding=1, groups=c)
-            assert one.tobytes() == y[i:i + 1].tobytes(), i
-        if stride == 1:
-            g = rng.standard_normal(y.shape).astype(np.float32)
-            gx, _, _ = T.conv2d_backward(x, wt, g, padding=1, groups=c)
-            for i in range(8):
-                one, _, _ = T.conv2d_backward(x[i:i + 1], wt, g[i:i + 1], padding=1, groups=c)
-                assert one.tobytes() == gx[i:i + 1].tobytes(), i
+        x, wt, b = self._depthwise(rng, 2, (8, 12, 17, 23))
+        self._assert_batch_of_eight_equals_eight_single_calls(rng, x, wt, b, stride, 1, 12)
 
     def test_repeated_calls_give_identical_bytes(self, rng):
-        x, wt, b = self._operands(rng, 2, (3, 12, 17, 23))
-        c = x.shape[1]
-        y = T.conv2d(x, wt, b, padding=1, groups=c)
-        assert T.conv2d(x, wt, b, padding=1, groups=c).tobytes() == y.tobytes()
-        g = rng.standard_normal(y.shape).astype(np.float32)
-        first = T.conv2d_backward(x, wt, g, padding=1, groups=c)
-        second = T.conv2d_backward(x, wt, g, padding=1, groups=c)
-        for a, b2 in zip(first, second):
-            assert a.tobytes() == b2.tobytes()
+        x, wt, b = self._depthwise(rng, 2, (3, 12, 17, 23))
+        self._assert_repeated_calls_give_identical_bytes(rng, x, wt, b, 1, 1, 12)
+
+    @pytest.mark.parametrize("case", GENERAL, ids=[c[0] for c in GENERAL])
+    def test_general_forward_within_bound(self, rng, case):
+        _, x_shape, w_shape, groups, stride, padding = case
+        x, wt, b = self._operands(rng, x_shape, w_shape)
+        self._assert_forward_within_bound(x, wt, b, stride, padding, groups)
+
+    @pytest.mark.parametrize("case", GENERAL, ids=[c[0] for c in GENERAL])
+    def test_general_backward_within_bound(self, rng, case):
+        _, x_shape, w_shape, groups, stride, padding = case
+        x, wt, _ = self._operands(rng, x_shape, w_shape)
+        self._assert_backward_within_bound(rng, x, wt, stride, padding, groups)
+
+    @pytest.mark.parametrize("case", GENERAL, ids=[c[0] for c in GENERAL])
+    def test_general_batch_of_eight_equals_eight_single_calls(self, rng, case):
+        _, x_shape, w_shape, groups, stride, padding = case
+        x, wt, b = self._operands(rng, (8,) + x_shape[1:], w_shape)
+        self._assert_batch_of_eight_equals_eight_single_calls(rng, x, wt, b, stride, padding,
+                                                              groups)
+
+    @pytest.mark.parametrize("case", GENERAL, ids=[c[0] for c in GENERAL])
+    def test_general_repeated_calls_give_identical_bytes(self, rng, case):
+        _, x_shape, w_shape, groups, stride, padding = case
+        x, wt, b = self._operands(rng, x_shape, w_shape)
+        self._assert_repeated_calls_give_identical_bytes(rng, x, wt, b, stride, padding, groups)
 
 
 class TestMaxPool:
@@ -324,6 +375,42 @@ class TestMaxPool:
     def test_rejects_odd_size(self):
         with pytest.raises(ShapeError):
             T.max_pool2(np.zeros((1, 1, 3, 4), dtype=np.float32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_to_reference_with_ties_and_signed_zeros(self, rng, dtype):
+        """Pooled values and argmax match the earlier reshape-and-argmax
+        kernel byte for byte: from {-1, -0, +0, 1} most windows tie, many
+        between -0 and +0, and the lowest position must win each tie."""
+        for shape in [(3, 5, 8, 12), (1, 1, 2, 2), (2, 16, 64, 64)]:
+            x = rng.choice(np.array([-1.0, -0.0, 0.0, 1.0], dtype=dtype), size=shape)
+            got, got_arg = T.max_pool2(x)
+            want, want_arg = max_pool2_ref(x)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), shape
+            assert got_arg.dtype == np.int8 and got_arg.tobytes() == want_arg.tobytes(), shape
+            assert got.flags.c_contiguous
+
+    def test_nan_window_pools_to_nan(self):
+        x = np.zeros((1, 1, 2, 4), dtype=np.float32)
+        x[0, 0, 1, 0] = np.nan
+        x[0, 0, 0, 3] = 5.0
+        y, arg = T.max_pool2(x)
+        assert np.isnan(y[0, 0, 0, 0]) and y[0, 0, 0, 1] == 5.0 and arg[0, 0, 0, 1] == 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_bytes_at_argmax_and_positive_zero_elsewhere(self, rng, dtype):
+        """Each gradient lands at its argmax with its bits, -0 and NaN
+        included, and every other cell is +0."""
+        for shape in [(3, 5, 4, 6), (2, 16, 32, 32)]:
+            g = rng.standard_normal(shape).astype(dtype)
+            g[rng.random(shape) < 0.2] = -0.0
+            g[rng.random(shape) < 0.1] = np.nan
+            g[rng.random(shape) < 0.1] = -np.nan
+            arg = rng.integers(0, 4, size=shape).astype(np.int8)
+            got = T.max_pool2_backward(g, arg)
+            want = np.zeros((shape[0], shape[1], 2 * shape[2], 2 * shape[3]), dtype=dtype)
+            for k, (dy, dx) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+                want[:, :, dy::2, dx::2][arg == k] = g[arg == k]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), shape
 
     def test_backward_scatters_to_argmax_only(self, rng):
         x = rng.standard_normal((2, 3, 6, 6))
@@ -411,6 +498,21 @@ class TestActivations:
         gx = T.relu_backward(g, x)
         want = fd_gradient(lambda a: float((T.relu(a) * g).sum()), x)
         assert rel_err(gx, want) < GRAD_TOL
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_backward_keeps_bits_and_blocks_with_positive_zero(self, rng, dtype):
+        """A passed gradient keeps its bits, -0 and NaN included; a blocked
+        one, where x <= 0 or x is NaN, is +0."""
+        shape = (2, 3, 17, 19)
+        x = rng.choice(np.array([-1.0, -0.0, 0.0, 1.0, np.nan], dtype=dtype), size=shape)
+        g = rng.standard_normal(shape).astype(dtype)
+        g[rng.random(shape) < 0.2] = -0.0
+        g[rng.random(shape) < 0.1] = np.nan
+        g[rng.random(shape) < 0.1] = -np.inf
+        got = T.relu_backward(g, x)
+        want = g.copy()
+        want[~(x > 0)] = 0.0
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_sigmoid_extremes_stay_finite(self):
         x = np.array([-500.0, -100.0, 0.0, 100.0, 500.0])
