@@ -23,9 +23,8 @@ from . import optim as O
 from .config import RunConfig
 from .errors import (ConfigError, NimbusError, ShapeError, SizeError,
                      ValidationError)
-from .model import (ModelConfig, PRESETS, _atomic_write,
-                    baseline_reference_param_count, build_model,
-                    load_checkpoint)
+from .model import (ModelConfig, PRESETS, _atomic_write, architecture_size,
+                    baseline_reference_param_count, load_checkpoint)
 
 log = logging.getLogger("nimbus")
 
@@ -208,7 +207,7 @@ def cmd_params(args):
         model_cfg = RunConfig.from_file(args.config).model
     else:
         model_cfg = ModelConfig(preset=args.preset or "default")
-    total = build_model(model_cfg, seed=0).count_params()
+    total, _ = architecture_size(model_cfg)
     baseline = baseline_reference_param_count(model_cfg)
     print(f"total_params {total}")
     print(f"baseline_reference {baseline}")

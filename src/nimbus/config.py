@@ -42,6 +42,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigError(f"config root must be a JSON object, got {type(d).__name__}")
         sections = {"model": ModelConfig, "train": TrainConfig,
                     "eval": EvalConfig, "data": DataConfig}
         unknown = set(d) - set(sections)
@@ -58,10 +60,8 @@ class RunConfig:
         with open(path, encoding="utf-8") as fh:
             try:
                 d = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:   # bad UTF-8, syntax, huge ints, deep nesting
                 raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(d, dict):
-            raise ConfigError(f"{path}: config root must be a JSON object")
         return cls.from_dict(d)
 
     def to_json_dict(self):

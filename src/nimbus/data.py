@@ -227,7 +227,7 @@ def load_manifest(path):
     try:
         with open(path, "rb") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # bad UTF-8, syntax, huge ints, deep nesting
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("version") != MANIFEST_VERSION:
         raise DataError(f"{path}: missing or unsupported manifest version")

@@ -3,8 +3,11 @@ norm, CBAM channel/spatial attention, the double-conv unit, and the losses.
 
 Each block owns its parameters (`p`), non-trainable state (`s`), and after a
 backward pass its gradients (`g`).  Forward in train mode caches whatever the
-analytic backward needs; eval mode caches nothing and mutates nothing except
-batch-norm running statistics, which only move in train mode.
+analytic backward needs, and backward consumes that cache: it drops the
+block's reference as it starts, so the saved activations are freed once the
+block's own backward returns, and each train forward allows exactly one
+backward.  Eval mode caches nothing and mutates nothing except batch-norm
+running statistics, which only move in train mode.
 """
 
 from __future__ import annotations
@@ -23,7 +26,12 @@ def _he_uniform(rng, shape, fan_in, dtype):
 
 
 class Block:
-    """Base for all layers: a parameter dict, a state dict, named children."""
+    """Base for all layers: a parameter dict, a state dict, named children.
+
+    A train-mode forward leaves the cache its backward needs in `_cache`;
+    backward takes it through `_need_cache`, which clears `_cache`, so a
+    second backward without a new train forward raises StateError.
+    """
 
     def __init__(self):
         self.p = {}
@@ -86,9 +94,11 @@ class Block:
         return self
 
     def _need_cache(self):
-        if self._cache is None:
+        """Hand the train-mode cache to backward and drop this block's hold on it."""
+        cache, self._cache = self._cache, None
+        if cache is None:
             raise StateError(f"{type(self).__name__}.backward called without a cached forward")
-        return self._cache
+        return cache
 
 
 class DepthwiseSeparableConv(Block):
@@ -354,15 +364,16 @@ class DoubleConvDS(Block):
         return self.dsc1.backward(self.bn1.backward(T.relu_backward(g, a1)))
 
 
-def loss(pred, target, kind, *, grad=True):
+def loss(pred, target, kind, *, grad=True, count=None):
     """Dispatch to a loss by name.  Returns (scalar loss, grad wrt pred); with
-    grad=False the gradient is not computed and None stands in for it."""
+    grad=False the gradient is not computed and None stands in for it.  The
+    mean runs over `count` elements, all of pred when None."""
     if kind == "bce_logits":
         tv = np.asarray(target)
         if not np.all((tv == 0) | (tv == 1)):
             raise ValidationError("bce_logits requires binary targets")
-        return T.bce_with_logits(pred, target, grad=grad)
+        return T.bce_with_logits(pred, target, grad=grad, count=count)
     if kind == "mse":
-        value, g = T.mse(pred, target)
+        value, g = T.mse(pred, target, count=count)
         return value, (g if grad else None)
     raise ConfigError(f"unknown loss kind {kind!r}")

@@ -155,9 +155,11 @@ def prediction_path(pred_dir, record):
     return os.path.join(pred_dir, sample_stem(record) + PREDICTION_SUFFIX)
 
 
-def model_probabilities(model, x):
-    """Eval-mode forward to event probabilities at crop resolution."""
-    return T.sigmoid(model.forward(x, train=False))
+def model_probabilities(model, x, kind="probability"):
+    """Eval-mode forward at crop resolution: event probabilities, or the raw
+    rates of an mse-trained model when kind is "rate"."""
+    out = model.forward(x, train=False)
+    return T.sigmoid(out) if kind == "probability" else out
 
 
 def predict_to_files(model, manifest, split, out_dir, config=EvalConfig()):
@@ -165,19 +167,9 @@ def predict_to_files(model, manifest, split, out_dir, config=EvalConfig()):
 
     Files hold probabilities (or rates, for mse-trained models) at crop
     resolution with dims (1, t_out, crop, crop), named <stem>.pred.w4cl.
+    This is the one-member ensemble, whose mean is the member's own bytes.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for x, _, records in D.batch_iter(manifest, split, config.batch_size,
-                                      seed=0, shuffle=False, drop=config.drop_bands):
-        probs = model.forward(x, train=False)
-        if config.prediction_kind == "probability":
-            probs = T.sigmoid(probs)
-        for i, record in enumerate(records):
-            path = prediction_path(out_dir, record)
-            D.write_tensor_file(path, probs[i:i + 1])
-            paths.append(path)
-    return paths
+    return ensemble_to_files([model], manifest, split, out_dir, config)
 
 
 def _event_mask(pred, config):
@@ -259,10 +251,7 @@ def _file_batches(pred_dir, manifest, split, config):
 def _model_batches(model, manifest, split, config):
     for x, y, records in D.batch_iter(manifest, split, config.batch_size,
                                       seed=0, shuffle=False, drop=config.drop_bands):
-        pred = model.forward(x, train=False)
-        if config.prediction_kind == "probability":
-            pred = T.sigmoid(pred)
-        yield pred, y, records
+        yield model_probabilities(model, x, config.prediction_kind), y, records
 
 
 def evaluate(source, manifest, split, config=EvalConfig()):
@@ -315,31 +304,35 @@ def trivial_baselines(manifest, split, config=EvalConfig()):
             "persistence": None if persist is None else persist.report(split, config).pooled_csi}
 
 
-def ensemble_predict(models, x, mode="average"):
-    """Mean of per-model event probabilities for one input batch."""
+def ensemble_predict(models, x, mode="average", kind="probability"):
+    """Mean of per-model predictions (see model_probabilities) for one
+    input batch."""
     if mode != "average":
         raise ConfigError(f"unknown ensemble mode {mode!r}")
     if not models:
         raise ConfigError("ensemble needs at least one model")
     out = None
     for model in models:
-        probs = model_probabilities(model, x)
+        probs = model_probabilities(model, x, kind)
         if out is None:
-            out = np.zeros_like(probs, dtype=np.float64)
+            out = probs.astype(np.float64)
         elif probs.shape != out.shape:
             raise ShapeError(f"ensemble member output {probs.shape} != {out.shape}")
-        out += probs
-    return (out / len(models)).astype(probs.dtype)
+        else:
+            out += probs
+    out /= len(models)
+    return out.astype(probs.dtype)
 
 
 def ensemble_to_files(models, manifest, split, out_dir, config=EvalConfig()):
-    """Write averaged-probability prediction files for a model ensemble."""
+    """Write averaged prediction files for a model ensemble; returns the
+    paths.  Only the input files are read, never a target."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for x, _, records in D.batch_iter(manifest, split, config.batch_size,
-                                      seed=0, shuffle=False, drop=config.drop_bands):
-        probs = ensemble_predict(models, x)
-        for i, record in enumerate(records):
+    for chunk in _chunks(_split_records(manifest, split), config.batch_size):
+        x = np.concatenate([D.load_sample_input(manifest, r, config.drop_bands) for r in chunk])
+        probs = ensemble_predict(models, x, kind=config.prediction_kind)
+        for i, record in enumerate(chunk):
             path = prediction_path(out_dir, record)
             D.write_tensor_file(path, probs[i:i + 1])
             paths.append(path)

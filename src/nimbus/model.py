@@ -14,11 +14,12 @@ import json
 import os
 import struct
 import tempfile
+import types
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, FormatError, ShapeError, StateError
+from .errors import ConfigError, FormatError, ShapeError
 from .layers import CBAM, Block, DoubleConvDS, _he_uniform
 from .schema import Section, is_int
 
@@ -104,27 +105,19 @@ class SmaAtUNet(Block):
         super().__init__()
         self.config = config
         rng = np.random.default_rng(seed)
-        w = config.stage_widths
         k = config.depth_multiplier
         r = config.cbam_reduction
-        bottleneck = w[4] // 2
-        enc_out = (w[0], w[1], w[2], w[3], bottleneck)
-        enc_in = (config.in_channels, w[0], w[1], w[2], w[3])
+        enc, dec = _channel_plan(config)
         self.enc = []
         self.att = []
-        for i in range(5):
-            self.enc.append(self._child(f"enc{i + 1}", DoubleConvDS(enc_in[i], enc_out[i], k, rng)))
-            self.att.append(self._child(f"cbam{i + 1}", CBAM(enc_out[i], r, rng)))
-        dec_out = (w[3] // 2, w[2] // 2, w[1] // 2, w[0])
+        for i, (c_in, c_out) in enumerate(enc):
+            self.enc.append(self._child(f"enc{i + 1}", DoubleConvDS(c_in, c_out, k, rng)))
+            self.att.append(self._child(f"cbam{i + 1}", CBAM(c_out, r, rng)))
         self.dec = []
-        carry = bottleneck
-        for i in range(4):
-            concat_c = enc_out[3 - i] + carry
+        for i, (c_in, c_out) in enumerate(dec):
             self.dec.append(self._child(
-                f"dec{i + 1}",
-                DoubleConvDS(concat_c, dec_out[i], k, rng, c_mid=concat_c // 2)))
-            carry = dec_out[i]
-        self.head = self._child("head", Conv1x1(dec_out[3], config.out_channels, rng))
+                f"dec{i + 1}", DoubleConvDS(c_in, c_out, k, rng, c_mid=c_in // 2)))
+        self.head = self._child("head", Conv1x1(dec[-1][1], config.out_channels, rng))
 
     def forward(self, x, train=False):
         T.check_nchw(x, "input")
@@ -162,9 +155,7 @@ class SmaAtUNet(Block):
         return out
 
     def backward(self, grad_out):
-        if self._cache is None:
-            raise StateError("backward called without a cached train-mode forward")
-        cache = self._cache
+        cache = self._need_cache()
         h, w = cache["orig"]
         hp, wp = cache["padded"]
         if grad_out.shape[2:] != (h, w):
@@ -197,6 +188,61 @@ class SmaAtUNet(Block):
 def build_model(config, seed):
     """Deterministically initialize a SmaAtUNet from a seed."""
     return SmaAtUNet(config, seed)
+
+
+def _channel_plan(config):
+    """(c_in, c_out) of the five encoder stages, each CBAM-refined, and of
+    the four decoder stages, whose middle width is half their input.  The
+    bottleneck stage emits half the last stage width; each decoder stage
+    takes its skip concatenated with the stage below."""
+    w = config.stage_widths
+    enc_out = (w[0], w[1], w[2], w[3], w[4] // 2)
+    enc = list(zip((config.in_channels,) + enc_out[:4], enc_out))
+    dec = []
+    carry = enc_out[4]
+    for skip, c_out in zip(enc_out[3::-1], (w[3] // 2, w[2] // 2, w[1] // 2, w[0])):
+        dec.append((skip + carry, c_out))
+        carry = c_out
+    return enc, dec
+
+
+def architecture_size(config):
+    """(trainable parameters, batch-norm running-statistic values) of the
+    network a config describes, counted from its channel plan without
+    building it, so any config, however large, costs no memory."""
+    k = config.depth_multiplier
+    r = config.cbam_reduction
+    enc, dec = _channel_plan(config)
+    if any(c % r for _, c in enc):
+        raise ConfigError(f"cbam_reduction {r} must divide every attended width "
+                          f"{[c for _, c in enc]}")
+    units = [(c_in, c_out, c_out) for c_in, c_out in enc]
+    units += [(c_in, c_out, c_in // 2) for c_in, c_out in dec]
+
+    def ds_conv(c_in, c_out):
+        return 9 * k * c_in + k * c_in * c_out + c_out
+
+    # Each batch norm holds gamma and beta, and as many running statistics.
+    norm = sum(2 * (mid + c_out) for _, c_out, mid in units)
+    params = sum(ds_conv(c_in, mid) + ds_conv(mid, c_out) for c_in, c_out, mid in units) + norm
+    # CBAM: the channel MLP's two matrices and the 7x7 two-plane gate with bias.
+    params += sum(2 * c * (c // r) + 2 * 7 * 7 + 1 for _, c in enc)
+    params += (dec[-1][1] + 1) * config.out_channels
+    return params, norm
+
+
+def _largest_demand(config):
+    """The config field an architecture's size grows with whose smallest
+    value would shrink it most, with the field's value."""
+    r = config.cbam_reduction
+    smallest = {"in_channels": 1, "out_channels": 1, "depth_multiplier": 1,
+                "stage_widths": [2 * r, 4 * r, 6 * r, 8 * r, 10 * r]}
+
+    def size_without(field):
+        shrunk = types.SimpleNamespace(**{**config.to_dict(), field: smallest[field]})
+        return sum(architecture_size(shrunk))
+    field = min(smallest, key=size_without)
+    return field, getattr(config, field)
 
 
 def baseline_reference_param_count(config):
@@ -279,16 +325,24 @@ def load_checkpoint(path):
         raise FormatError(f"{path}: header length {header_len} at byte 6 exceeds file size")
     try:
         header = json.loads(raw[10:data_start].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:   # bad UTF-8, syntax, huge ints, deep nesting
         raise FormatError(f"{path}: unreadable JSON header at byte 10: {exc}") from exc
     if not isinstance(header, dict) or "config" not in header or "entries" not in header:
         raise FormatError(f"{path}: header at byte 10 missing config/entries")
     try:
         config = ModelConfig.from_dict(header["config"])
+        # The data section must hold every parameter and state the config
+        # asks for; checking first keeps a corrupt config from allocating.
+        need = 4 * sum(architecture_size(config))
+        if need > len(raw) - data_start:
+            field, value = _largest_demand(config)
+            raise FormatError(
+                f"{path}: data section truncated at byte {len(raw)}: the header config needs "
+                f"{need} bytes from byte {data_start}, most of them for config field "
+                f"{field!r} = {value!r}")
+        model = build_model(config, seed=0)
     except ConfigError as exc:
         raise FormatError(f"{path}: invalid config in header at byte 10: {exc}") from exc
-
-    model = build_model(config, seed=0)
     param_names = {n for n, _ in model.named_params()}
     wanted = dict(list(model.named_params()) + list(model.named_states()))
     seen = set()

@@ -19,7 +19,7 @@ import numpy as np
 from . import data as D
 from . import layers as L
 from . import tensor as T
-from .errors import ConfigError, PoisonedGradientError, StateError
+from .errors import ConfigError, PoisonedGradientError, ShapeError, StateError
 from .model import _atomic_write, build_model, save_checkpoint
 from .schema import Section
 
@@ -126,19 +126,30 @@ def batch_loss(model, x, y, config, train):
 
     The model emits crop-resolution logits; they are bilinearly upsampled to
     the target resolution before the loss, the same resolution change the
-    evaluator applies.  Returns (loss, gradient wrt the model logits) with
-    the gradient None in eval mode.
+    evaluator applies.  The forward runs on the whole batch; the loss is
+    scored one sample at a time, each sample's share of the batch mean, so
+    only one sample's upsampled logits, target and loss scratch exist at
+    once.  Returns (loss, gradient wrt the model logits) with the gradient
+    None in eval mode.
     """
     logits = model.forward(x, train=train)
-    up = T.bilinear_resize(logits, y.shape[2], y.shape[3])
-    if config.loss == "bce_logits":
-        target = (y >= config.threshold).astype(up.dtype)
-    else:
-        target = y.astype(up.dtype, copy=False)
-    value, g_up = L.loss(up, target, config.loss, grad=train)
-    if not train:
-        return value, None
-    return value, T.bilinear_resize_backward(g_up, logits.shape[2], logits.shape[3])
+    n, c, h, w = logits.shape
+    if y.shape[:2] != (n, c):
+        raise ShapeError(f"targets {y.shape} do not match logits {logits.shape}")
+    count = n * c * y.shape[2] * y.shape[3]
+    value = 0.0
+    g_logits = np.empty_like(logits) if train else None
+    for i in range(n):
+        up = T.bilinear_resize(logits[i:i + 1], y.shape[2], y.shape[3])
+        if config.loss == "bce_logits":
+            target = (y[i:i + 1] >= config.threshold).astype(up.dtype)
+        else:
+            target = y[i:i + 1].astype(up.dtype, copy=False)
+        part, g_up = L.loss(up, target, config.loss, grad=train, count=count)
+        value += part
+        if train:
+            g_logits[i] = T.bilinear_resize_backward(g_up, h, w)[0]
+    return value, g_logits
 
 
 def train_epoch(model, batches, config, opt):

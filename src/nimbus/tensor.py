@@ -417,35 +417,40 @@ def split_channels(grad_out, c_first):
             np.ascontiguousarray(grad_out[:, c_first:]))
 
 
-def bce_with_logits(logits, targets, *, grad=True):
+def bce_with_logits(logits, targets, *, grad=True, count=None):
     """Mean binary cross-entropy on raw logits.  Returns (loss, grad_logits).
 
     Uses the max(x,0) - x*t + log1p(exp(-|x|)) form, which is finite for any
-    logit magnitude.  The gradient is (sigmoid(x) - t) / count; it reuses the
-    loss's exp(-|x|) and is built in place.  With grad=False only the loss
-    is computed, and None stands in for the gradient.
+    logit magnitude.  The mean divides by `count` elements, all of logits
+    when None; a larger count scores one slice of a batch as its share of
+    the batch mean.  The gradient is (sigmoid(x) - t) / count; it reuses
+    the loss's exp(-|x|) and is built in place.  With grad=False only the
+    loss is computed, and None stands in for the gradient.
     """
     if logits.shape != targets.shape:
         raise ShapeError(f"logits {logits.shape} vs targets {targets.shape}")
     x = logits
+    count = x.size if count is None else count
     e = _exp_neg_abs(x)
     total = np.maximum(x, 0)
     tmp = np.multiply(x, targets)
     total -= tmp
     np.log1p(e, out=tmp)
     total += tmp
-    value = float(total.mean())
+    value = float(total.sum() / count)
     if not grad:
         return value, None
     g = _logistic_in_place(x, e, total)
     g -= targets
-    g /= x.size
+    g /= count
     return value, g
 
 
-def mse(pred, targets):
-    """Mean squared error.  Returns (loss, grad_pred)."""
+def mse(pred, targets, *, count=None):
+    """Mean squared error over `count` elements, all of pred when None.
+    Returns (loss, grad_pred)."""
     if pred.shape != targets.shape:
         raise ShapeError(f"pred {pred.shape} vs targets {targets.shape}")
+    count = pred.size if count is None else count
     diff = pred - targets
-    return float(np.mean(diff * diff)), (2.0 / pred.size) * diff
+    return float(np.sum(diff * diff) / count), (2.0 / count) * diff

@@ -1,6 +1,7 @@
 """Helpers that rewrite valid files into malformed ones, or poison a training
 run, for error-path tests."""
 
+import copy
 import json
 import struct
 
@@ -49,6 +50,53 @@ def rewrite_manifest(path, edit):
     edit(doc)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
+
+
+def mutate_bytes(raw, mutations):
+    """Apply ("set", i, byte), ("truncate", i) and ("append", bytes)
+    mutations in turn; positions wrap over the current length."""
+    raw = bytearray(raw)
+    for mutation in mutations:
+        if mutation[0] == "set" and raw:
+            raw[mutation[1] % len(raw)] = mutation[2]
+        elif mutation[0] == "truncate":
+            del raw[mutation[1] % (len(raw) + 1):]
+        elif mutation[0] == "append":
+            raw += mutation[1]
+    return bytes(raw)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, val in node.items():
+            yield from _paths(val, prefix + (key,))
+    elif isinstance(node, list):
+        for i, val in enumerate(node):
+            yield from _paths(val, prefix + (i,))
+
+
+def mutate_document(doc, mutation):
+    """Apply ("drop", i) or ("swap", i, value) to a JSON document and return
+    it; i picks a path, wrapping over the paths doc has now, and swapping
+    the empty path replaces the whole document."""
+    paths = list(_paths(doc))
+    if mutation[0] == "drop":
+        paths = paths[1:]
+        if not paths:
+            return doc
+    path = paths[mutation[1] % len(paths)]
+    if not path:
+        return copy.deepcopy(mutation[2])
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    if mutation[0] == "drop":
+        del parent[path[-1]]
+    else:
+        # A copy, so that a value drawn twice never nests inside itself.
+        parent[path[-1]] = copy.deepcopy(mutation[2])
+    return doc
 
 
 def _setting(*path, value):
@@ -120,4 +168,35 @@ BAD_CONFIGS = [
     ("drop_bands-number", {"data": {"drop_bands": 5}}, "data.drop_bands"),
     ("batch_size-fraction", {"eval": {"batch_size": 2.5}}, "eval.batch_size"),
     ("max_epochs-bool", {"train": {"max_epochs": True}}, "train.max_epochs"),
+]
+
+
+# Config fields a checkpoint header can ask too much of, as (test id, field,
+# value).  Every value is valid for ModelConfig; the first three once made
+# load_checkpoint build the model and fail with a bare MemoryError, and the
+# last one allocated about 7 MB for a checkpoint of about 60 kB.  The widths
+# keep the smallest four of the test models and stay divisible by their
+# attention reduction.
+OVERSIZED_CONFIGS = [
+    ("in_channels-2**40", "in_channels", 2 ** 40),
+    ("out_channels-2**40", "out_channels", 2 ** 40),
+    ("depth_multiplier-2**40", "depth_multiplier", 2 ** 40),
+    ("stage_widths-2**40", "stage_widths", [8, 16, 32, 64, 2 ** 40]),
+    ("in_channels-1e5", "in_channels", 100_000),
+]
+
+
+def oversize(field, value):
+    """A header edit that sets one config field."""
+    return _setting("config", field, value=value)
+
+
+# JSON documents the parsers once let escape as builtin exceptions, as (test
+# id, bytes): invalid UTF-8 (UnicodeDecodeError), an integer past Python's
+# 4300-digit conversion limit (ValueError) and nesting past the recursion
+# limit (RecursionError).
+UNDECODABLE_JSON = [
+    ("bad-utf8", b'{"a": "\xff"}'),
+    ("digits-past-limit", b'{"a": 1' + b"0" * 5000 + b"}"),
+    ("nested-past-recursion-limit", b"[" * 100_000 + b"]" * 100_000),
 ]

@@ -9,7 +9,8 @@ others are bitwise references for the current code: the reshape-and-argmax
 max pool, the argmax channel reduction of the spatial gate, the
 mask-gathering sigmoid and the loss built on it, the batch norm and
 double-conv passes that cached the centred input and the pre-ReLU
-activations, and the verification loops that called count_events once per
+activations, the training loss that upsampled and scored the whole batch
+at once, and the verification loops that called count_events once per
 sample and lead, read every input file and read each target four times.
 """
 
@@ -18,6 +19,7 @@ import os
 import numpy as np
 
 from nimbus import data as D
+from nimbus import layers as L
 from nimbus import tensor as T
 from nimbus.errors import DataError, ShapeError
 from nimbus.metrics import (ConfusionCounts, EvalConfig, EvalReport, _event_mask, binarize,
@@ -135,6 +137,21 @@ def bce_with_logits_ref(logits, targets):
     loss = np.maximum(x, 0) - x * targets + np.log1p(np.exp(-np.abs(x)))
     grad = (sigmoid_ref(x) - targets) / x.size
     return float(loss.mean()), grad.astype(x.dtype, copy=False)
+
+
+def batch_loss_ref(model, x, y, config, train):
+    """The earlier optim.batch_loss: upsample the whole batch's logits, then
+    build the target and take the loss and its gradient in one pass each."""
+    logits = model.forward(x, train=train)
+    up = T.bilinear_resize(logits, y.shape[2], y.shape[3])
+    if config.loss == "bce_logits":
+        target = (y >= config.threshold).astype(up.dtype)
+    else:
+        target = y.astype(up.dtype, copy=False)
+    value, g_up = L.loss(up, target, config.loss, grad=train)
+    if not train:
+        return value, None
+    return value, T.bilinear_resize_backward(g_up, logits.shape[2], logits.shape[3])
 
 
 def batch_norm_forward_ref(bn, x, train=False):

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from _corrupt import (BAD_CHECKPOINTS, BAD_CONFIGS, BAD_LATENT_DIMS, BAD_MANIFESTS,
-                      poison_epoch, rewrite_checkpoint_header, rewrite_manifest,
-                      rewrite_tensor)
+                      OVERSIZED_CONFIGS, oversize, poison_epoch, rewrite_checkpoint_header,
+                      rewrite_manifest, rewrite_tensor)
 from nimbus import data as D
 from nimbus import metrics as M
 from nimbus.cli import main
@@ -148,6 +148,14 @@ class TestParams:
         assert main(["params", "--config", workspace["config"]]) == 0
         out = dict(line.split() for line in capsys.readouterr().out.splitlines())
         assert int(out["total_params"]) < 1e5
+
+    def test_counts_a_huge_config_without_building_it(self, tmp_path, capsys):
+        path = str(tmp_path / "huge.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"model": {**SMALL_MODEL, "in_channels": 2 ** 40}}, fh)
+        assert main(["params", "--config", path]) == 0
+        out = dict(line.split() for line in capsys.readouterr().out.splitlines())
+        assert int(out["total_params"]) > 2 ** 40
 
 
 class TestSynth:
@@ -363,6 +371,17 @@ class TestMalformedInputs:
         assert self._evaluate_checkpoint(workspace, trained, tmp_path, edit) == 2
         line = only_error_line(capsys)
         assert "overlaps entry" in line and "at byte" in line
+
+    @pytest.mark.parametrize("field,value", [case[1:] for case in OVERSIZED_CONFIGS],
+                             ids=[case[0] for case in OVERSIZED_CONFIGS])
+    def test_oversized_checkpoint_config_exits_two(self, workspace, trained, tmp_path, capsys,
+                                                   field, value):
+        path = str(tmp_path / "bad.smck")
+        shutil.copyfile(trained, path)
+        rewrite_checkpoint_header(path, oversize(field, value))
+        assert main(["predict", "--checkpoint", path, "--manifest", workspace["manifest"],
+                     "--out", str(tmp_path / "pred")]) == 2
+        assert f"config field '{field}'" in only_error_line(capsys)
 
     @pytest.mark.parametrize("edit,append,text", [case[1:] for case in BAD_CHECKPOINTS],
                              ids=[case[0] for case in BAD_CHECKPOINTS])

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from _corrupt import BAD_CONFIGS
+from _corrupt import BAD_CONFIGS, UNDECODABLE_JSON
 from nimbus.config import DataConfig, RunConfig
 from nimbus.errors import ConfigError
 from nimbus.metrics import EvalConfig
@@ -61,3 +61,18 @@ def test_direct_construction_is_checked_too():
 def test_other_mistyped_fields(doc, field):
     with pytest.raises(ConfigError, match=field.replace("[", r"\[").replace("]", r"\]")):
         RunConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("root", [None, 5, "abc", [], [{"model": {}}]])
+def test_non_object_root_is_config_error(root):
+    with pytest.raises(ConfigError, match="config root"):
+        RunConfig.from_dict(root)
+
+
+@pytest.mark.parametrize("raw", [case[1] for case in UNDECODABLE_JSON],
+                         ids=[case[0] for case in UNDECODABLE_JSON])
+def test_undecodable_file_is_config_error(tmp_path, raw):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        RunConfig.from_file(str(path))

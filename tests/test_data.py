@@ -9,7 +9,7 @@ import types
 import numpy as np
 import pytest
 
-from _corrupt import BAD_MANIFESTS, rewrite_manifest
+from _corrupt import BAD_MANIFESTS, UNDECODABLE_JSON, rewrite_manifest
 from nimbus import data as D
 from nimbus.errors import ConfigError, DataError, FormatError, ShapeError
 
@@ -322,6 +322,14 @@ class TestSynthGenerate:
 
 
 class TestManifest:
+    @pytest.mark.parametrize("raw", [case[1] for case in UNDECODABLE_JSON],
+                             ids=[case[0] for case in UNDECODABLE_JSON])
+    def test_undecodable_manifest_is_data_error(self, tmp_path, raw):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match="not valid JSON"):
+            D.load_manifest(str(path))
+
     def test_missing_file_rejected(self, tmp_path):
         cfg = D.SynthConfig(n_train=2, n_val=1, n_test=1, grid=16, seed=2)
         path = D.synth_generate(cfg, str(tmp_path / "ds"))

@@ -390,6 +390,40 @@ class TestLossDispatch:
             L.loss(np.zeros((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)), "huber")
 
 
+BLOCKS = {
+    "DepthwiseSeparableConv": lambda rng: L.DepthwiseSeparableConv(4, 6, 2, rng),
+    "BatchNorm": lambda rng: L.BatchNorm(4),
+    "ChannelAttention": lambda rng: L.ChannelAttention(4, 2, rng),
+    "SpatialAttention": lambda rng: L.SpatialAttention(rng),
+    "CBAM": lambda rng: L.CBAM(4, 2, rng),
+    "DoubleConvDS": lambda rng: L.DoubleConvDS(4, 6, 1, rng),
+}
+
+
+class TestBackwardConsumesCache:
+    @pytest.mark.parametrize("kind", list(BLOCKS))
+    def test_one_backward_per_train_forward(self, rng, kind):
+        """Backward frees the cache of every block it runs through, so a
+        second backward without a new train forward is a StateError; a new
+        train forward allows one more."""
+        block = BLOCKS[kind](rng)
+        x = rng.standard_normal((2, 4, 8, 8)).astype(np.float32)
+        y = block.forward(x, train=True)
+        block.backward(np.ones_like(y))
+        for b in _blocks(block):
+            assert b._cache is None, type(b).__name__
+        with pytest.raises(StateError):
+            block.backward(np.ones_like(y))
+        block.forward(x, train=True)
+        block.backward(np.ones_like(y))
+
+
+def _blocks(block):
+    yield block
+    for child in block._children.values():
+        yield from _blocks(child)
+
+
 class TestBlockPlumbing:
     def test_named_params_are_unique_and_ordered(self, rng):
         block = L.DoubleConvDS(2, 3, 1, rng)

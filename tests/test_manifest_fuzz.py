@@ -10,6 +10,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from _corrupt import mutate_document  # noqa: E402
 from nimbus import data as D  # noqa: E402
 from nimbus.errors import NimbusError  # noqa: E402
 
@@ -33,40 +34,15 @@ def dataset(tmp_path_factory):
         return out, json.load(fh)
 
 
-def _paths(node, prefix=()):
-    yield prefix
-    if isinstance(node, dict):
-        for key, val in node.items():
-            yield from _paths(val, prefix + (key,))
-    elif isinstance(node, list):
-        for i, val in enumerate(node):
-            yield from _paths(val, prefix + (i,))
-
-
 def _mutate(doc, mutation):
-    """Apply one mutation; the path index wraps over the paths doc has now."""
+    """Apply one mutation; see mutate_document for drop and swap."""
     if mutation[0] == "shrink":
         _, key, by = mutation
         geom = doc.get("geometry") if isinstance(doc, dict) else None
         if isinstance(geom, dict) and isinstance(geom.get(key), int):
             geom[key] -= by
         return doc
-    paths = list(_paths(doc))
-    if mutation[0] == "drop":
-        paths = paths[1:]
-        if not paths:
-            return doc
-    path = paths[mutation[1] % len(paths)]
-    if not path:
-        return mutation[2]
-    parent = doc
-    for step in path[:-1]:
-        parent = parent[step]
-    if mutation[0] == "drop":
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = mutation[2]
-    return doc
+    return mutate_document(doc, mutation)
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)

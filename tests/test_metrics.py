@@ -18,6 +18,7 @@ from _corrupt import BAD_LATENT_DIMS, rewrite_tensor
 from _oracles import csi_ref, evaluate_ref, trivial_baselines_ref
 from nimbus import data as D
 from nimbus import metrics as M
+from nimbus import tensor as T
 from nimbus.errors import ConfigError, DataError, ShapeError
 from nimbus.model import ModelConfig, build_model
 
@@ -460,6 +461,42 @@ class TestOneVerificationPath:
         assert all(type(v) is int for c in groups for v in c.to_dict().values())
         assert type(report.n_samples) is int
         json.dumps(report.to_json_dict())
+
+
+class TestPredictToFiles:
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    @pytest.mark.parametrize("kind", ["probability", "rate"])
+    def test_files_hold_forward_bytes_and_only_inputs_are_read(self, tiny_set, tmp_path,
+                                                               monkeypatch, kind, batch_size):
+        """Each file holds its scene's eval-forward bytes, through the
+        sigmoid for probabilities, as a one-member ensemble; forecasting
+        reads each input file once and never a target."""
+        model = build_model(TOY_MODEL, seed=4)
+        out_dir = str(tmp_path)
+        want = {}
+        for x, _, records in D.batch_iter(tiny_set, "test", 8, 0, False):
+            out = model.forward(x, train=False)
+            out = T.sigmoid(out) if kind == "probability" else out
+            for i, record in enumerate(records):
+                want[M.prediction_path(out_dir, record)] = out[i:i + 1]
+        read = D.read_tensor_file
+        reads = []
+
+        def counted_read(path):
+            reads.append(path)
+            return read(path)
+
+        def no_target(*args):
+            raise AssertionError("a forecast read a target file")
+        monkeypatch.setattr(D, "read_tensor_file", counted_read)
+        monkeypatch.setattr(D, "load_sample_target", no_target)
+        paths = M.predict_to_files(model, tiny_set, "test", out_dir,
+                                   M.EvalConfig(batch_size=batch_size, prediction_kind=kind))
+        assert sorted(paths) == sorted(want)
+        assert sorted(reads) == sorted(tiny_set.resolve(r.input_path)
+                                       for r in tiny_set.split_samples("test"))
+        for path in paths:
+            assert read(path).tobytes() == want[path].tobytes()
 
 
 class TestEnsemble:

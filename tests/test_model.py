@@ -2,16 +2,19 @@
 full-graph gradients, and checkpoint serialization."""
 
 import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nimbus import tensor as T
 from nimbus.errors import ConfigError, FormatError, ShapeError, StateError
-from nimbus.model import (ModelConfig, baseline_reference_param_count, build_model,
-                          load_checkpoint, save_checkpoint)
+from nimbus.model import (ModelConfig, architecture_size, baseline_reference_param_count,
+                          build_model, load_checkpoint, save_checkpoint)
 
-from _corrupt import BAD_CHECKPOINTS, rewrite_checkpoint_header
+from _corrupt import (BAD_CHECKPOINTS, OVERSIZED_CONFIGS, UNDECODABLE_JSON, oversize,
+                      rewrite_checkpoint_header)
 from _oracles import fd_gradient, rel_err
 
 TOY = dict(in_channels=4, out_channels=2, stage_widths=(8, 16, 32, 64, 128),
@@ -99,6 +102,20 @@ class TestParameterBudget:
     def test_count_equals_sum_of_array_sizes(self, toy_model):
         assert toy_model.count_params() == sum(v.size for _, v in toy_model.named_params())
 
+    @pytest.mark.parametrize("cfg", [
+        ModelConfig(), ModelConfig(preset="single-frame"), ModelConfig(**TOY),
+        ModelConfig(in_channels=3, out_channels=5, stage_widths=(6, 12, 18, 24, 36),
+                    depth_multiplier=3, cbam_reduction=3),
+    ], ids=["default", "single-frame", "toy", "odd-widths"])
+    def test_architecture_size_equals_the_built_model(self, cfg):
+        model = build_model(cfg, seed=0)
+        states = sum(v.size for _, v in model.named_states())
+        assert architecture_size(cfg) == (model.count_params(), states)
+
+    def test_architecture_size_rejects_a_reduction_the_widths_do_not_take(self):
+        with pytest.raises(ConfigError, match="cbam_reduction"):
+            architecture_size(ModelConfig(**{**TOY, "cbam_reduction": 3}))
+
 
 class TestForwardGeometry:
     def test_odd_input_padded_and_cropped(self, toy_model):
@@ -156,6 +173,22 @@ class TestBackward:
     def test_backward_without_forward_is_state_error(self, toy_model):
         with pytest.raises(StateError):
             toy_model.backward(np.zeros((1, 2, 16, 16), dtype=np.float32))
+
+    def test_backward_frees_every_cache(self, toy_model):
+        """After one backward no block holds its train-mode activations, and
+        the model and its head refuse a second backward."""
+        x = np.random.default_rng(5).standard_normal((2, 4, 16, 16)).astype(np.float32)
+        y = toy_model.forward(x, train=True)
+        toy_model.backward(np.ones_like(y))
+        blocks = [toy_model]
+        while blocks:
+            block = blocks.pop()
+            assert block._cache is None, type(block).__name__
+            blocks.extend(block._children.values())
+        with pytest.raises(StateError):
+            toy_model.backward(np.ones_like(y))
+        with pytest.raises(StateError):
+            toy_model.head.backward(np.ones_like(y))
 
     def test_whole_model_gradient_sample_matches_fd(self, toy_model):
         model = toy_model.to_dtype(np.float64)
@@ -307,6 +340,41 @@ class TestCheckpoint:
         save_checkpoint(toy_model, path)
         rewrite_checkpoint_header(path, edit, append)
         with pytest.raises(FormatError, match=re.escape(text)):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field,value", [case[1:] for case in OVERSIZED_CONFIGS],
+                             ids=[case[0] for case in OVERSIZED_CONFIGS])
+    def test_oversized_config_is_rejected_before_allocating(self, toy_model, tmp_path,
+                                                            field, value):
+        """A header config that needs more parameter and state bytes than
+        the data section holds is a FormatError naming the field, raised
+        before anything the size of the config is allocated."""
+        path = tmp_path / "model.smck"
+        save_checkpoint(toy_model, path)
+        rewrite_checkpoint_header(path, oversize(field, value))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=f"config field '{field}'"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * size + (1 << 20)
+
+    def test_unbuildable_config_is_format_error(self, toy_model, tmp_path):
+        path = tmp_path / "model.smck"
+        save_checkpoint(toy_model, path)
+        rewrite_checkpoint_header(path, oversize("cbam_reduction", 3))
+        with pytest.raises(FormatError, match="cbam_reduction"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [case[1] for case in UNDECODABLE_JSON],
+                             ids=[case[0] for case in UNDECODABLE_JSON])
+    def test_undecodable_header_is_format_error(self, tmp_path, header):
+        path = tmp_path / "model.smck"
+        path.write_bytes(b"SMCK" + struct.pack("<HI", 1, len(header)) + header)
+        with pytest.raises(FormatError, match="byte 10"):
             load_checkpoint(path)
 
     def test_overlong_header_is_format_error(self, toy_model, tmp_path):

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +18,11 @@ import pytest
 from nimbus import data as D
 from nimbus import layers as L
 from nimbus import optim as O
-from nimbus.errors import ConfigError, PoisonedGradientError, StateError
+from nimbus.errors import ConfigError, PoisonedGradientError, ShapeError, StateError
 from nimbus.model import ModelConfig, build_model
 
 from _corrupt import poison_epoch
+from _oracles import batch_loss_ref
 
 
 def adam_scalar_ref(p, grads, lr, beta1, beta2, eps):
@@ -273,6 +275,76 @@ class TestTrainEpoch:
         model = build_model(TOY_MODEL, seed=0)
         with pytest.raises(ConfigError):
             O.train_epoch(model, [], cfg, O.AdamW(model, cfg))
+
+
+class FixedLogits:
+    """A stand-in model whose forward returns the same logits every time."""
+
+    def __init__(self, logits):
+        self.logits = logits
+
+    def forward(self, x, train=False):
+        return self.logits
+
+
+class TestBatchLoss:
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("loss", ["bce_logits", "mse"])
+    def test_gradient_bytes_equal_to_the_whole_batch_path(self, loss, n):
+        """Scoring one sample at a time, each as its share of the batch
+        mean, gives the logit gradient of the whole-batch path byte for
+        byte, also at a batch of 3, where dividing each sample's gradient
+        by its own size and rescaling would round differently.  Only the
+        loss value, now summed per sample, may move in its last bits."""
+        rng = np.random.default_rng(n)
+        logits = (4 * rng.standard_normal((n, 16, 16, 16))).astype(np.float32)
+        logits.flat[:3] = [0.0, 60.0, -60.0]
+        y = np.clip(rng.normal(0.6, 1.0, size=(n, 16, 32, 32)), 0, None).astype(np.float32)
+        cfg = O.TrainConfig(loss=loss)
+        model = FixedLogits(logits)
+        value, g = O.batch_loss(model, None, y, cfg, train=True)
+        want_value, want_g = batch_loss_ref(model, None, y, cfg, train=True)
+        assert g.dtype == want_g.dtype and g.shape == want_g.shape
+        assert g.tobytes() == want_g.tobytes()
+        assert abs(value - want_value) <= 1e-6 * abs(want_value)
+        eval_value, none = O.batch_loss(model, None, y, cfg, train=False)
+        assert none is None
+        assert np.float64(eval_value).tobytes() == np.float64(value).tobytes()
+
+    def test_targets_of_another_batch_are_rejected(self):
+        logits = np.zeros((2, 16, 16, 16), np.float32)
+        y = np.zeros((3, 16, 32, 32), np.float32)
+        with pytest.raises(ShapeError):
+            O.batch_loss(FixedLogits(logits), None, y, O.TrainConfig(), train=True)
+
+    def test_loss_scratch_does_not_grow_with_the_batch(self):
+        """Past the forward, batch_loss holds one sample's target-grid
+        scratch at a time.  The traced peak above the memory live after the
+        forward, less the logit gradient it returns, is the same at batch 8
+        as at batch 2; scoring the whole batch at once grew it by several
+        target-grid arrays per sample."""
+        cfg = O.TrainConfig()
+        extra = {}
+        for n in (2, 8):
+            model = build_model(TOY_MODEL, seed=0)
+            x, y = toy_batch(6, n=n)
+            forward = model.forward
+            live = []
+
+            def traced_forward(x, train=False):
+                out = forward(x, train)
+                live.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+                return out
+            model.forward = traced_forward
+            tracemalloc.start()
+            try:
+                _, g = O.batch_loss(model, x, y, cfg, train=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra[n] = peak - live[0] - g.nbytes
+        assert extra[8] <= extra[2] + 16 * 1024, extra
 
 
 def const_loaders(train_pairs, val_pairs):

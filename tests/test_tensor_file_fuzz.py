@@ -13,6 +13,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
+from _corrupt import mutate_bytes  # noqa: E402
 from nimbus import data as D  # noqa: E402
 from nimbus import metrics as M  # noqa: E402
 from nimbus.cli import main  # noqa: E402
@@ -27,18 +28,6 @@ MUTATION = st.one_of(
     st.tuples(st.just("append"), st.binary(min_size=1, max_size=9)),
 )
 MUTATIONS = st.lists(MUTATION, min_size=1, max_size=3)
-
-
-def _mutate(raw, mutations):
-    raw = bytearray(raw)
-    for mutation in mutations:
-        if mutation[0] == "set" and raw:
-            raw[mutation[1] % len(raw)] = mutation[2]
-        elif mutation[0] == "truncate":
-            del raw[mutation[1] % (len(raw) + 1):]
-        elif mutation[0] == "append":
-            raw += mutation[1]
-    return bytes(raw)
 
 
 def _read_or_error(path):
@@ -57,7 +46,7 @@ def test_mutated_tensor_file_reads_or_names_a_byte(tmp_path_factory, mutations):
     x = np.arange(24, dtype=np.float32).reshape(1, 2, 3, 4)
     D.write_tensor_file(path, x)
     with open(path, "rb") as fh:
-        raw = _mutate(fh.read(), mutations)
+        raw = mutate_bytes(fh.read(), mutations)
     with open(path, "wb") as fh:
         fh.write(raw)
     got = _read_or_error(path)
@@ -91,7 +80,7 @@ def scored_set(tmp_path_factory):
 @given(mutations=MUTATIONS)
 def test_mutated_prediction_file_exits_two_with_one_line(scored_set, capsys, mutations):
     root, manifest, manifest_path, path, valid = scored_set
-    raw = _mutate(valid, mutations)
+    raw = mutate_bytes(valid, mutations)
     with open(path, "wb") as fh:
         fh.write(raw)
     try:
