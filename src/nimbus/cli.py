@@ -218,23 +218,29 @@ def cmd_params(args):
 def dump_image(tensor_path, channel, frame, out_path):
     """Write one (H, W) slice of a tensor file as a binary P5 graymap.
 
-    Values are min-max scaled to 0..255; a constant slice maps to 128.
+    Values are min-max scaled to 0..255; a constant slice maps to 128.  An
+    empty slice, or one holding NaN or Inf, has no such scale and is refused.
     """
     x = D.read_tensor_file(tensor_path)
     if x.ndim == 2:
-        plane = x
+        plane, where = x, "the whole tensor"
     elif x.ndim == 3:
         if not 0 <= channel < x.shape[0]:
             raise ValidationError(f"channel {channel} out of range for dims {x.shape}")
-        plane = x[channel]
+        plane, where = x[channel], f"channel {channel}"
     elif x.ndim == 4:
         if not 0 <= frame < x.shape[0]:
             raise ValidationError(f"frame {frame} out of range for dims {x.shape}")
         if not 0 <= channel < x.shape[1]:
             raise ValidationError(f"channel {channel} out of range for dims {x.shape}")
-        plane = x[frame, channel]
+        plane, where = x[frame, channel], f"frame {frame}, channel {channel}"
     else:
         raise ValidationError(f"cannot render a {x.ndim}-d tensor as an image")
+    if plane.size == 0:
+        raise ValidationError(f"{tensor_path}: slice ({where}) of dims {x.shape} is empty")
+    if not np.isfinite(plane).all():
+        raise ValidationError(f"{tensor_path}: slice ({where}) of dims {x.shape} holds "
+                              f"non-finite values")
     lo = float(plane.min())
     hi = float(plane.max())
     if hi > lo:

@@ -102,8 +102,9 @@ class Block:
 
 
 class DepthwiseSeparableConv(Block):
-    """3x3 depthwise conv (multiplier k, no bias) followed by a 1x1 pointwise
-    conv with bias.  Parameter count is 9k*C_in + k*C_in*C_out + C_out."""
+    """3x3 depthwise conv (multiplier k) followed by a 1x1 pointwise conv,
+    neither with a bias: every one feeds a batch norm, whose mean
+    subtraction would cancel it.  Parameter count is 9k*C_in + k*C_in*C_out."""
 
     def __init__(self, c_in, c_out, multiplier, rng, dtype=T.DTYPE):
         super().__init__()
@@ -113,22 +114,22 @@ class DepthwiseSeparableConv(Block):
         mid = c_in * multiplier
         self.p["depthwise.weight"] = _he_uniform(rng, (mid, 1, 3, 3), 9, dtype)
         self.p["pointwise.weight"] = _he_uniform(rng, (c_out, mid, 1, 1), mid, dtype)
-        self.p["pointwise.bias"] = np.zeros(c_out, dtype=dtype)
 
     def forward(self, x, train=False):
         if x.shape[1] != self.c_in:
             raise ShapeError(f"expected {self.c_in} input channels, got {x.shape[1]}")
         mid = T.conv2d(x, self.p["depthwise.weight"], padding=1, groups=self.c_in)
-        y = T.conv2d(mid, self.p["pointwise.weight"], self.p["pointwise.bias"])
+        y = T.conv2d(mid, self.p["pointwise.weight"])
         self._cache = (x, mid) if train else None
         return y
 
     def backward(self, grad_out):
         x, mid = self._need_cache()
-        g_mid, g_pw, g_pb = T.conv2d_backward(mid, self.p["pointwise.weight"], grad_out)
+        g_mid, g_pw, _ = T.conv2d_backward(mid, self.p["pointwise.weight"], grad_out,
+                                           has_bias=False)
         g_x, g_dw, _ = T.conv2d_backward(x, self.p["depthwise.weight"], g_mid,
                                          padding=1, groups=self.c_in, has_bias=False)
-        self.g = {"depthwise.weight": g_dw, "pointwise.weight": g_pw, "pointwise.bias": g_pb}
+        self.g = {"depthwise.weight": g_dw, "pointwise.weight": g_pw}
         return g_x
 
 

@@ -24,7 +24,7 @@ from .layers import CBAM, Block, DoubleConvDS, _he_uniform
 from .schema import Section, is_int
 
 CHECKPOINT_MAGIC = b"SMCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 PRESETS = ("default", "single-frame")
 
@@ -220,7 +220,7 @@ def architecture_size(config):
     units += [(c_in, c_out, c_in // 2) for c_in, c_out in dec]
 
     def ds_conv(c_in, c_out):
-        return 9 * k * c_in + k * c_in * c_out + c_out
+        return 9 * k * c_in + k * c_in * c_out
 
     # Each batch norm holds gamma and beta, and as many running statistics.
     norm = sum(2 * (mid + c_out) for _, c_out, mid in units)
@@ -287,7 +287,7 @@ def _atomic_write(path, payload):
 def save_checkpoint(model, path):
     """Serialize params, batch-norm state, and config; write atomically.
 
-    Layout: magic "SMCK", u16 version, u32 header length, JSON header
+    Layout: magic "SMCK", u16 version (2), u32 header length, JSON header
     {config, entries: [{name, dims, offset, length}]}, then the raw
     float32 little-endian blobs back to back.  Offsets are relative to the
     end of the header.
@@ -308,8 +308,26 @@ def save_checkpoint(model, path):
     _atomic_write(path, payload)
 
 
+def _v1_biases(model):
+    """Map each pointwise-bias entry of a version-1 checkpoint to the
+    running mean of the batch norm it feeds: `<blk>.dscK.pointwise.bias`
+    to `<blk>.bnK.running_mean`."""
+    folds = {}
+    for name, _ in model.named_states():
+        block, bn, stat = name.rsplit(".", 2)
+        if stat == "running_mean":
+            folds[f"{block}.dsc{bn.removeprefix('bn')}.pointwise.bias"] = name
+    return folds
+
+
 def load_checkpoint(path):
-    """Read a checkpoint back into a freshly built model, bitwise."""
+    """Read a checkpoint back into a freshly built model, bitwise.
+
+    Version 1 also stored a bias for every pointwise conv, each of which
+    feeds a batch norm.  Eval batch norm computes (x + b) - running_mean,
+    so such a file loads with running_mean - b as its running mean, which
+    changes eval outputs by rounding only.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 10:
@@ -317,7 +335,7 @@ def load_checkpoint(path):
     if raw[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad magic at byte 0, expected {CHECKPOINT_MAGIC!r}")
     (version,) = struct.unpack_from("<H", raw, 4)
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise FormatError(f"{path}: unsupported version {version} at byte 4")
     (header_len,) = struct.unpack_from("<I", raw, 6)
     data_start = 10 + header_len
@@ -345,6 +363,9 @@ def load_checkpoint(path):
         raise FormatError(f"{path}: invalid config in header at byte 10: {exc}") from exc
     param_names = {n for n, _ in model.named_params()}
     wanted = dict(list(model.named_params()) + list(model.named_states()))
+    folds = _v1_biases(model) if version == 1 else {}
+    wanted.update({bias: wanted[mean] for bias, mean in folds.items()})
+    biases = {}
     seen = set()
     spans = []      # (first byte, end byte, name) of every entry's data
     entries = header["entries"]
@@ -388,6 +409,8 @@ def load_checkpoint(path):
         arr = np.frombuffer(raw[lo:hi], dtype="<f4").reshape(dims).copy()
         if name in param_names:
             model.set_param(name, arr)
+        elif name in folds:
+            biases[name] = arr
         else:
             model.set_state(name, arr)
         seen.add(name)
@@ -410,4 +433,7 @@ def load_checkpoint(path):
     if prev_hi != len(raw):
         raise FormatError(f"{path}: bytes {prev_hi} to {len(raw)} after entry {prev!r} "
                           f"belong to no entry")
+    states = dict(model.named_states())
+    for bias, mean in folds.items():
+        model.set_state(mean, states[mean] - biases[bias])
     return model

@@ -50,7 +50,16 @@ class TrainConfig(Section):
             raise ConfigError("min_delta and lr must be >= 0")
         if self.loss not in ("bce_logits", "mse"):
             raise ConfigError(f"unknown loss {self.loss!r}")
-
+        # A beta of 1 zeroes Adam's bias correction and an eps of 0 divides
+        # a zero gradient's 0 by 0: either makes the first step NaN.
+        rules = {"beta1": (0 <= self.beta1 < 1, "lie in [0, 1)"),
+                 "beta2": (0 <= self.beta2 < 1, "lie in [0, 1)"),
+                 "eps": (self.eps > 0, "be > 0"),
+                 "weight_decay": (self.weight_decay >= 0, "be >= 0"),
+                 "threshold": (self.threshold >= 0, "be >= 0")}
+        for field, (ok, rule) in rules.items():
+            if not ok:
+                raise ConfigError(f"train.{field} must {rule}, got {getattr(self, field)}")
 
 class AdamW:
     """Adam with decoupled weight decay.

@@ -32,11 +32,6 @@ def _checked_dims(dims):
     return dims
 
 
-def tensor_new(dims, fill=0.0, dtype=DTYPE):
-    """Allocate a tensor filled with a constant.  Zero-sized dims are legal."""
-    return np.full(_checked_dims(dims), fill, dtype=dtype)
-
-
 def tensor_random(dims, dist, scale, seed, dtype=DTYPE):
     """Seeded random tensor: uniform(-scale, scale) or normal(0, scale).
 

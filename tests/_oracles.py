@@ -12,9 +12,13 @@ double-conv passes that cached the centred input and the pre-ReLU
 activations, the training loss that upsampled and scored the whole batch
 at once, and the verification loops that called count_events once per
 sample and lead, read every input file and read each target four times.
+The version-1 checkpoint writer, whose pointwise convs carried biases,
+writes the files the version-2 reader must still load.
 """
 
+import json
 import os
+import struct
 
 import numpy as np
 
@@ -219,6 +223,39 @@ def fd_gradient(fn, x, eps=1e-6):
     return grad
 
 
+def richardson_fd(fn, arr, idx, eps=1e-5, max_eps=1e-3, resolve=1e5):
+    """d fn() / d arr[idx] at float64 arr by Richardson extrapolation of
+    central differences: (4 D(e/2) - D(e)) / 3 at e = eps, where D(h) is
+    the central difference at step h.  That cancels D's h**2 truncation
+    term, so the step can stay small enough to keep off ReLU and argmax
+    kinks.
+
+    fn() carries a rounding error of several ulps, which e = 1e-5 cannot
+    outrun where fn barely moves: a gradient of 2e-6 on a loss of 39 moves
+    it by 5000 ulps over 2e, so ten ulps of noise are 2e-3 of D(e).  While
+    fn(+e) - fn(-e) spans fewer than `resolve` ulps, e therefore grows
+    tenfold, up to max_eps.  Only such flat coordinates take the wider
+    steps, which would cross kinks elsewhere.  arr[idx] is perturbed in
+    place and restored."""
+    orig = arr[idx]
+
+    def ends(h):
+        arr[idx] = orig + h
+        plus = fn()
+        arr[idx] = orig - h
+        minus = fn()
+        arr[idx] = orig
+        return plus, minus
+    e = eps
+    while True:
+        half_plus, half_minus = ends(e / 2)
+        plus, minus = ends(e)
+        est = (4.0 * (half_plus - half_minus) / e - (plus - minus) / (2.0 * e)) / 3.0
+        if abs(plus - minus) >= resolve * np.spacing(max(abs(plus), abs(minus))) or e >= max_eps:
+            return est
+        e = min(10.0 * e, max_eps)
+
+
 def rel_err(got, want):
     """Max absolute difference, scaled by the reference magnitude."""
     got = np.asarray(got, dtype=np.float64)
@@ -418,3 +455,27 @@ def trivial_baselines_ref(manifest, split, config=EvalConfig()):
     persist = persistence_report_ref(manifest, split, config)
     return {"all_zeros": zeros.pooled_csi, "all_ones": ones.pooled_csi,
             "persistence": None if persist is None else persist.pooled_csi}
+
+
+def save_checkpoint_v1_ref(model, path, biases):
+    """Write model as a version-1 checkpoint, whose every pointwise conv
+    also had a bias: `biases` maps `<blk>.dscK.pointwise.bias` to its
+    array, written right after that conv's weight as the version-1 writer
+    did.  A bias left out of `biases` is left out of the file."""
+    named = []
+    for name, arr in model.named_params():
+        named.append((name, arr))
+        bias = name.replace(".pointwise.weight", ".pointwise.bias")
+        if bias in biases:
+            named.append((bias, biases[bias]))
+    entries, blobs, offset = [], [], 0
+    for name, arr in named + list(model.named_states()):
+        blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        entries.append({"name": name, "dims": list(arr.shape),
+                        "offset": offset, "length": len(blob)})
+        blobs.append(blob)
+        offset += len(blob)
+    header = json.dumps({"config": model.config.to_dict(), "entries": entries},
+                        separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"SMCK" + struct.pack("<HI", 1, len(header)) + header + b"".join(blobs))

@@ -135,7 +135,7 @@ class TestParams:
     def test_default_preset_prints_budget_and_ratio(self, capsys):
         assert main(["params", "--preset", "default"]) == 0
         out = dict(line.split() for line in capsys.readouterr().out.splitlines())
-        assert int(out["total_params"]) == 4025799
+        assert int(out["total_params"]) == 4021383
         assert int(out["baseline_reference"]) == 24035216
         assert float(out["ratio"]) <= 0.25
 
@@ -337,6 +337,15 @@ class TestMalformedInputs:
         assert main(["params", "--config", path]) == 1
         assert field in only_error_line(capsys)
 
+    @pytest.mark.parametrize("field,value", [("beta1", 1.0), ("beta2", 1.0), ("eps", -1e-8),
+                                             ("weight_decay", -0.01), ("threshold", -0.2)])
+    def test_out_of_range_train_field_exits_one(self, tmp_path, capsys, field, value):
+        path = str(tmp_path / "bad.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"train": {field: value}}, fh)
+        assert main(["params", "--config", path]) == 1
+        assert f"train.{field}" in only_error_line(capsys)
+
     def _evaluate_checkpoint(self, workspace, trained, tmp_path, edit, append=b""):
         path = str(tmp_path / "bad.smck")
         shutil.copyfile(trained, path)
@@ -460,6 +469,26 @@ class TestDumpImage:
         assert main(["dump-image", "--input", path, "--out", out]) == 0
         got = np.frombuffer(read_pgm(out)[2], np.uint8).reshape(4, 4)
         np.testing.assert_array_equal(got, (mask * 255).astype(np.uint8))
+
+    @pytest.mark.parametrize("dims,frame,value,text", [
+        ((2, 0), 0, 0.0, "(the whole tensor) of dims (2, 0) is empty"),
+        ((3, 0, 4), 0, 0.0, "(channel 0) of dims (3, 0, 4) is empty"),
+        ((2, 1, 4, 4), 1, np.inf, "(frame 1, channel 0) of dims (2, 1, 4, 4) holds non-finite"),
+        ((2, 1, 4, 4), 1, -np.inf, "(frame 1, channel 0)"),
+        ((2, 1, 4, 4), 1, np.nan, "(frame 1, channel 0)"),
+    ], ids=["empty-2d", "empty-3d", "inf", "minus-inf", "nan"])
+    def test_unscalable_slice_exits_one(self, tmp_path, capsys, dims, frame, value, text):
+        """An empty slice once escaped as a ValueError traceback, one with
+        Inf was written as garbage and one with NaN as all 128."""
+        x = np.zeros(dims, np.float32)
+        if x.size:
+            x[frame, 0, 1, 2] = value
+        path = str(tmp_path / "t.w4cl")
+        D.write_tensor_file(path, x)
+        out = str(tmp_path / "t.pgm")
+        assert main(["dump-image", "--input", path, "--frame", str(frame), "--out", out]) == 1
+        assert text in only_error_line(capsys)
+        assert not os.path.exists(out)
 
     def test_out_of_range_indices_exit_one(self, tmp_path):
         path = str(tmp_path / "t.w4cl")

@@ -41,14 +41,13 @@ class TestDepthwiseSeparableConv:
         dw[0, 0, 1, 1] = 1.0
         layer.p["depthwise.weight"] = dw
         layer.p["pointwise.weight"] = np.ones((1, 1, 1, 1))
-        layer.p["pointwise.bias"] = np.zeros(1)
         x = rng.standard_normal((2, 1, 5, 5))
         assert np.allclose(layer.forward(x), x, atol=1e-12)
 
     def test_param_count_formula(self, rng):
         layer = L.DepthwiseSeparableConv(64, 128, 2, rng)
         actual = sum(v.size for _, v in layer.named_params())
-        assert actual == 17664
+        assert actual == 17536
         # the standard 3x3 conv it replaces: 64*128*9 + 128
         assert 64 * 128 * 9 + 128 == 73856
 
@@ -56,7 +55,7 @@ class TestDepthwiseSeparableConv:
         layer = L.DepthwiseSeparableConv(3, 4, 2, rng, dtype=np.float64)
         x = rng.standard_normal((2, 3, 6, 6))
         mid = conv2d_ref(x, layer.p["depthwise.weight"], None, 1, 1, groups=3)
-        want = conv2d_ref(mid, layer.p["pointwise.weight"], layer.p["pointwise.bias"])
+        want = conv2d_ref(mid, layer.p["pointwise.weight"])
         assert rel_err(layer.forward(x), want) < 1e-12
 
     def test_rejects_channel_mismatch(self, rng):
@@ -356,7 +355,7 @@ class TestDoubleConvDS:
         gx = block.backward(probe)
         want = fd_gradient(lambda a: float((block.forward(a, train=True) * probe).sum()), x)
         assert rel_err(gx, want) < GRAD_TOL
-        for name in ["dsc1.depthwise.weight", "bn1.gamma", "dsc2.pointwise.bias", "bn2.beta"]:
+        for name in ["dsc1.depthwise.weight", "bn1.gamma", "dsc2.pointwise.weight", "bn2.beta"]:
             head, _, rest = name.partition(".")
             param_fd(getattr(block, head), run, rest)
 

@@ -10,15 +10,19 @@ import pytest
 
 from nimbus import tensor as T
 from nimbus.errors import ConfigError, FormatError, ShapeError, StateError
+from nimbus.layers import DoubleConvDS
 from nimbus.model import (ModelConfig, architecture_size, baseline_reference_param_count,
                           build_model, load_checkpoint, save_checkpoint)
 
 from _corrupt import (BAD_CHECKPOINTS, OVERSIZED_CONFIGS, UNDECODABLE_JSON, oversize,
                       rewrite_checkpoint_header)
-from _oracles import fd_gradient, rel_err
+from _oracles import (batch_norm_forward_ref, conv2d_ref, fd_gradient, rel_err, richardson_fd,
+                      save_checkpoint_v1_ref)
 
 TOY = dict(in_channels=4, out_channels=2, stage_widths=(8, 16, 32, 64, 128),
            depth_multiplier=1, cbam_reduction=4)
+DESK = dict(in_channels=36, out_channels=16, stage_widths=(16, 32, 64, 128, 256),
+            depth_multiplier=2, cbam_reduction=8)
 
 
 def toy_param_count_by_formula(cfg):
@@ -28,7 +32,7 @@ def toy_param_count_by_formula(cfg):
     r = cfg.cbam_reduction
 
     def dsc(ci, co):
-        return 9 * k * ci + k * ci * co + co
+        return 9 * k * ci + k * ci * co
 
     def dc(ci, co, mid):
         return dsc(ci, mid) + 2 * mid + dsc(mid, co) + 2 * co
@@ -207,16 +211,8 @@ class TestBackward:
             arr = params[name]
             for flat in rng.choice(arr.size, size=min(2, arr.size), replace=False):
                 idx = np.unravel_index(flat, arr.shape)
-                orig = arr[idx]
-                eps = 1e-6
-                arr[idx] = orig + eps
-                plus = run()
-                arr[idx] = orig - eps
-                minus = run()
-                arr[idx] = orig
-                fd = (plus - minus) / (2 * eps)
+                fd = richardson_fd(run, arr, idx)
                 got = grads[name][idx]
-                # a per-channel shift feeding batch norm has true gradient 0;
                 # below the finite-difference noise floor both readings agree
                 if max(abs(fd), abs(got)) > 1e-6:
                     assert abs(got - fd) / max(abs(fd), abs(got)) < 1e-3, (name, idx, got, fd)
@@ -384,4 +380,108 @@ class TestCheckpoint:
         raw[6:10] = (2 ** 31).to_bytes(4, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="header length"):
+            load_checkpoint(path)
+
+
+def _double_convs(model):
+    return [(name, block) for name, block in model._children.items()
+            if isinstance(block, DoubleConvDS)]
+
+
+def _v1_state(model, rng, bias_scale):
+    """Give model's batch norms running statistics away from their (0, 1)
+    start, and return pointwise biases of the given scale for a version-1
+    file, keyed by entry name."""
+    for name, arr in list(model.named_states()):
+        if name.endswith("running_mean"):
+            model.set_state(name, rng.normal(0, 0.5, arr.shape).astype(np.float32))
+        else:
+            model.set_state(name, rng.uniform(0.5, 2.0, arr.shape).astype(np.float32))
+    return {f"{name}.dsc{k}.pointwise.bias":
+            (bias_scale * rng.normal(0, 1, getattr(block, f"bn{k}").channels)).astype(np.float32)
+            for name, block in _double_convs(model) for k in (1, 2)}
+
+
+class TestCheckpointVersion1:
+    """Version-1 files stored a bias for every pointwise conv, which the
+    batch norm after it cancels; they load with each bias folded into that
+    batch norm's running mean."""
+
+    # Both sides round in float32 (eps 1.2e-7), in another order: the
+    # reference adds each bias before the running mean is taken off, the
+    # fold takes it off the running mean first.  One double conv stays
+    # within 16 eps of its output scale (3.3e-7 measured); the 18 batch
+    # norms of the desk model within about 170 (3.5e-6 measured).
+    F32_TOL = 2e-6
+    DESK_TOL = 2e-5
+
+    def test_zero_biases_load_bitwise_as_version_2(self, toy_model, tmp_path):
+        biases = _v1_state(toy_model, np.random.default_rng(20), 0.0)
+        save_checkpoint_v1_ref(toy_model, tmp_path / "v1.smck", biases)
+        save_checkpoint(toy_model, tmp_path / "v2.smck")
+        v1 = load_checkpoint(tmp_path / "v1.smck")
+        v2 = load_checkpoint(tmp_path / "v2.smck")
+        for got, want in ((v1.named_params(), v2.named_params()),
+                          (v1.named_states(), v2.named_states())):
+            got, want = dict(got), dict(want)
+            assert list(got) == list(want)
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_each_double_conv_matches_the_biased_reference(self, toy_model, tmp_path):
+        """Eval forward of every loaded DoubleConvDS against conv2d_ref with
+        the bias added, then the reference batch norm on the file's running
+        statistics, then ReLU."""
+        rng = np.random.default_rng(21)
+        biases = _v1_state(toy_model, rng, 0.5)
+        save_checkpoint_v1_ref(toy_model, tmp_path / "v1.smck", biases)
+        loaded = load_checkpoint(tmp_path / "v1.smck")
+        for name, block in _double_convs(loaded):
+            ref = toy_model._children[name]
+            x = rng.standard_normal((2, ref.dsc1.c_in, 4, 4)).astype(np.float32)
+            want = x
+            for k in (1, 2):
+                dsc, bn = getattr(ref, f"dsc{k}"), getattr(ref, f"bn{k}")
+                mid = conv2d_ref(want, dsc.p["depthwise.weight"], padding=1, groups=dsc.c_in)
+                z = conv2d_ref(mid, dsc.p["pointwise.weight"],
+                               biases[f"{name}.dsc{k}.pointwise.bias"])
+                want = np.maximum(batch_norm_forward_ref(bn, z.astype(np.float32))[0], 0)
+            assert rel_err(block.forward(x), want) < self.F32_TOL, name
+
+    def test_desk_model_forward_survives_the_fold(self, tmp_path):
+        """The whole desk model: the loaded model against the same weights
+        with each bias added back after its pointwise conv."""
+        rng = np.random.default_rng(22)
+        model = build_model(ModelConfig(**DESK), seed=1)
+        biases = _v1_state(model, rng, 0.5)
+        save_checkpoint_v1_ref(model, tmp_path / "v1.smck", biases)
+        loaded = load_checkpoint(tmp_path / "v1.smck")
+
+        def biased(forward, bias):
+            return lambda x, train=False: forward(x, train) + bias[None, :, None, None]
+
+        for name, block in _double_convs(model):
+            for k in (1, 2):
+                dsc = getattr(block, f"dsc{k}")
+                dsc.forward = biased(dsc.forward, biases[f"{name}.dsc{k}.pointwise.bias"])
+        x = rng.standard_normal((2, 36, 64, 64)).astype(np.float32)
+        want = model.forward(x)
+        got = loaded.forward(x)
+        assert np.abs(got - want).max() <= self.DESK_TOL * np.abs(want).max()
+
+    def test_missing_bias_is_format_error(self, toy_model, tmp_path):
+        biases = _v1_state(toy_model, np.random.default_rng(23), 0.5)
+        del biases["dec2.dsc1.pointwise.bias"]
+        save_checkpoint_v1_ref(toy_model, tmp_path / "v1.smck", biases)
+        with pytest.raises(FormatError, match="omits 1 blocks, e.g. 'dec2.dsc1.pointwise.bias'"):
+            load_checkpoint(tmp_path / "v1.smck")
+
+    def test_bias_in_a_version_2_file_is_format_error(self, toy_model, tmp_path):
+        path = tmp_path / "v1.smck"
+        biases = _v1_state(toy_model, np.random.default_rng(24), 0.5)
+        save_checkpoint_v1_ref(toy_model, path, biases)
+        raw = bytearray(path.read_bytes())
+        raw[4:6] = struct.pack("<H", 2)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="'enc1.dsc1.pointwise.bias' not part of this"):
             load_checkpoint(path)

@@ -77,11 +77,15 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("bad", [
         {"max_epochs": 0}, {"batch_size": 0}, {"patience": 0},
-        {"min_delta": -0.1}, {"lr": -1e-3}, {"loss": "hinge"},
+        {"min_delta": -0.1}, {"lr": -1e-3}, {"loss": "hinge"}, {"beta1": 1.0}, {"beta1": -0.1},
+        {"beta2": 1.0}, {"eps": 0.0}, {"eps": -1e-8}, {"weight_decay": -1e-2},
+        {"threshold": -0.2},
     ])
     def test_invalid_values_rejected(self, bad):
-        """Every numeric floor and the loss-kind whitelist are enforced."""
-        with pytest.raises(ConfigError):
+        """Every numeric floor and the loss-kind whitelist are enforced, and
+        the error names the field.  A beta of 1 or an eps of 0 would make
+        the first AdamW step NaN."""
+        with pytest.raises(ConfigError, match=next(iter(bad))):
             O.TrainConfig(**bad)
 
     def test_from_dict_rejects_unknown_keys(self):
