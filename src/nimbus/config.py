@@ -40,6 +40,13 @@ class RunConfig:
     eval: EvalConfig = EvalConfig()
     data: DataConfig = DataConfig()
 
+    def __post_init__(self):
+        # Checkpoints do not record bands: score a model on the bands it learnt from.
+        train, scored = set(self.data.drop_bands), set(self.eval.drop_bands)
+        if train and scored and train != scored:
+            raise ConfigError(f"eval.drop_bands {sorted(scored)} differs from "
+                              f"data.drop_bands {sorted(train)}")
+
     @classmethod
     def from_dict(cls, d):
         if not isinstance(d, dict):

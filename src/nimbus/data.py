@@ -140,14 +140,12 @@ def save_manifest(manifest, path):
 
 
 def _int_field(path, where, value):
-    """int(value) for a manifest field, or DataError naming the field.
-    Booleans and fractional numbers are refused, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise DataError(f"{path}: {where} must be an integer, got {value!r}")
-    try:
+    """int(value) for a manifest field, or DataError naming the field.  Integral
+    floats pass; booleans, strings and other numbers are refused, not converted."""
+    if isinstance(value, int) and not isinstance(value, bool) \
+            or isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{path}: {where} must be an integer, got {value!r}") from exc
+    raise DataError(f"{path}: {where} must be an integer, got {value!r}")
 
 
 def _str_field(path, where, value):

@@ -1,5 +1,5 @@
 """Differentiable building blocks: depthwise-separable convolution, batch
-norm, CBAM channel/spatial attention, the double-conv unit, and the losses.
+norm, CBAM channel/spatial attention, and the double-conv unit.
 
 Each block owns its parameters (`p`), non-trainable state (`s`), and after a
 backward pass its gradients (`g`).  Forward in train mode caches whatever the
@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DegenerateBatchError, ShapeError, StateError, ValidationError
+from .errors import ConfigError, DegenerateBatchError, ShapeError, StateError
 
 
 def _he_uniform(rng, shape, fan_in, dtype):
@@ -44,53 +44,45 @@ class Block:
         self._children[name] = block
         return block
 
-    def named_params(self, prefix=""):
+    def _walk(self, prefix=""):
+        """Yield (prefix, block) for this block and then, pre-order, every
+        descendant in construction order; a descendant's prefix is its
+        dotted path plus a trailing dot."""
+        yield prefix, self
+        for name, child in self._children.items():
+            yield from child._walk(f"{prefix}{name}.")
+
+    def named_params(self):
         """Yield (hierarchical name, array) in deterministic construction order."""
-        for key, val in self.p.items():
-            yield (f"{prefix}.{key}" if prefix else key), val
-        for name, child in self._children.items():
-            yield from child.named_params(f"{prefix}.{name}" if prefix else name)
+        return ((prefix + key, val) for prefix, block in self._walk()
+                for key, val in block.p.items())
 
-    def named_states(self, prefix=""):
-        for key, val in self.s.items():
-            yield (f"{prefix}.{key}" if prefix else key), val
-        for name, child in self._children.items():
-            yield from child.named_states(f"{prefix}.{name}" if prefix else name)
+    def named_states(self):
+        return ((prefix + key, val) for prefix, block in self._walk()
+                for key, val in block.s.items())
 
-    def named_grads(self, prefix=""):
-        for key in self.p:
-            yield (f"{prefix}.{key}" if prefix else key), self.g.get(key)
-        for name, child in self._children.items():
-            yield from child.named_grads(f"{prefix}.{name}" if prefix else name)
+    def named_grads(self):
+        return ((prefix + key, block.g.get(key)) for prefix, block in self._walk()
+                for key in block.p)
 
     def set_param(self, name, value):
-        head, _, rest = name.partition(".")
-        if rest and head in self._children:
-            self._children[head].set_param(rest, value)
-        elif name in self.p:
-            if self.p[name].shape != value.shape:
-                raise ShapeError(f"parameter {name}: shape {value.shape} != {self.p[name].shape}")
-            self.p[name] = value
-        else:
-            raise KeyError(f"no parameter named {name!r}")
-
-    def set_state(self, name, value):
-        head, _, rest = name.partition(".")
-        if rest and head in self._children:
-            self._children[head].set_state(rest, value)
-        elif name in self.s:
-            self.s[name] = value
-        else:
-            raise KeyError(f"no state named {name!r}")
+        for prefix, block in self._walk():
+            key = name[len(prefix):]
+            if name.startswith(prefix) and key in block.p:
+                if block.p[key].shape != value.shape:
+                    raise ShapeError(f"parameter {name}: shape {value.shape} != "
+                                     f"{block.p[key].shape}")
+                block.p[key] = value
+                return
+        raise KeyError(f"no parameter named {name!r}")
 
     def to_dtype(self, dtype):
         """Cast every parameter and state in place; clears stale caches."""
-        self.p = {k: v.astype(dtype) for k, v in self.p.items()}
-        self.s = {k: v.astype(dtype) for k, v in self.s.items()}
-        self.g = {}
-        self._cache = None
-        for child in self._children.values():
-            child.to_dtype(dtype)
+        for _, block in self._walk():
+            block.p = {k: v.astype(dtype) for k, v in block.p.items()}
+            block.s = {k: v.astype(dtype) for k, v in block.s.items()}
+            block.g = {}
+            block._cache = None
         return self
 
     def _need_cache(self):
@@ -364,17 +356,3 @@ class DoubleConvDS(Block):
         g = self.dsc2.backward(self.bn2.backward(T.relu_backward(grad_out, a2)))
         return self.dsc1.backward(self.bn1.backward(T.relu_backward(g, a1)))
 
-
-def loss(pred, target, kind, *, grad=True, count=None):
-    """Dispatch to a loss by name.  Returns (scalar loss, grad wrt pred); with
-    grad=False the gradient is not computed and None stands in for it.  The
-    mean runs over `count` elements, all of pred when None."""
-    if kind == "bce_logits":
-        tv = np.asarray(target)
-        if not np.all((tv == 0) | (tv == 1)):
-            raise ValidationError("bce_logits requires binary targets")
-        return T.bce_with_logits(pred, target, grad=grad, count=count)
-    if kind == "mse":
-        value, g = T.mse(pred, target, count=count)
-        return value, (g if grad else None)
-    raise ConfigError(f"unknown loss kind {kind!r}")

@@ -304,11 +304,9 @@ def trivial_baselines(manifest, split, config=EvalConfig()):
             "persistence": None if persist is None else persist.report(split, config).pooled_csi}
 
 
-def ensemble_predict(models, x, mode="average", kind="probability"):
+def ensemble_predict(models, x, kind="probability"):
     """Mean of per-model predictions (see model_probabilities) for one
     input batch."""
-    if mode != "average":
-        raise ConfigError(f"unknown ensemble mode {mode!r}")
     if not models:
         raise ConfigError("ensemble needs at least one model")
     out = None

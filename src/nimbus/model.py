@@ -361,11 +361,9 @@ def load_checkpoint(path):
         model = build_model(config, seed=0)
     except ConfigError as exc:
         raise FormatError(f"{path}: invalid config in header at byte 10: {exc}") from exc
-    param_names = {n for n, _ in model.named_params()}
     wanted = dict(list(model.named_params()) + list(model.named_states()))
     folds = _v1_biases(model) if version == 1 else {}
-    wanted.update({bias: wanted[mean] for bias, mean in folds.items()})
-    biases = {}
+    wanted.update({bias: np.empty_like(wanted[mean]) for bias, mean in folds.items()})
     seen = set()
     spans = []      # (first byte, end byte, name) of every entry's data
     entries = header["entries"]
@@ -406,13 +404,7 @@ def load_checkpoint(path):
         hi = lo + length
         if hi > len(raw):
             raise FormatError(f"{path}: entry {name!r} data truncated at byte {len(raw)}")
-        arr = np.frombuffer(raw[lo:hi], dtype="<f4").reshape(dims).copy()
-        if name in param_names:
-            model.set_param(name, arr)
-        elif name in folds:
-            biases[name] = arr
-        else:
-            model.set_state(name, arr)
+        wanted[name][...] = np.frombuffer(raw[lo:hi], dtype="<f4").reshape(dims)
         seen.add(name)
         spans.append((lo, hi, name))
     missing = set(wanted) - seen
@@ -433,7 +425,6 @@ def load_checkpoint(path):
     if prev_hi != len(raw):
         raise FormatError(f"{path}: bytes {prev_hi} to {len(raw)} after entry {prev!r} "
                           f"belong to no entry")
-    states = dict(model.named_states())
     for bias, mean in folds.items():
-        model.set_state(mean, states[mean] - biases[bias])
+        wanted[mean] -= wanted[bias]
     return model

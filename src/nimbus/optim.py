@@ -17,7 +17,6 @@ import zlib
 import numpy as np
 
 from . import data as D
-from . import layers as L
 from . import tensor as T
 from .errors import ConfigError, PoisonedGradientError, ShapeError, StateError
 from .model import _atomic_write, build_model, save_checkpoint
@@ -152,9 +151,9 @@ def batch_loss(model, x, y, config, train):
         up = T.bilinear_resize(logits[i:i + 1], y.shape[2], y.shape[3])
         if config.loss == "bce_logits":
             target = (y[i:i + 1] >= config.threshold).astype(up.dtype)
+            part, g_up = T.bce_with_logits(up, target, grad=train, count=count)
         else:
-            target = y[i:i + 1].astype(up.dtype, copy=False)
-        part, g_up = L.loss(up, target, config.loss, grad=train, count=count)
+            part, g_up = T.mse(up, y[i:i + 1].astype(up.dtype, copy=False), count=count)
         value += part
         if train:
             g_logits[i] = T.bilinear_resize_backward(g_up, h, w)[0]
@@ -226,12 +225,10 @@ def fit(model, train_batches, val_batches, config, history_path=None):
             break
     if best_snapshot is None:
         raise StateError("validation loss never improved on +inf; refusing to pick a model")
-    param_names = {n for n, _ in model.named_params()}
+    # Fetched only now: train-mode batch norm rebinds its running statistics.
+    current = dict(list(model.named_params()) + list(model.named_states()))
     for name, arr in best_snapshot.items():
-        if name in param_names:
-            model.set_param(name, arr)
-        else:
-            model.set_state(name, arr)
+        current[name][...] = arr
     _write_history(history_path, history)
     return model, history
 

@@ -123,6 +123,9 @@ BAD_MANIFESTS = [
     ("crop-negative", _setting("geometry", "crop", value=-4), "crop"),
     ("crop-past-h_raw", _setting("geometry", "crop", value=1000), "crop"),
     ("w_raw-differs", _setting("geometry", "w_raw", value=7), "w_raw"),
+    ("t_in-digits", _setting("geometry", "t_in", value="4"), "t_in"),
+    ("crop-padded-digits", _setting("geometry", "crop", value=" 16 "), "crop"),
+    ("year-digits", _setting("samples", 0, "year", value="2019"), "year"),
 ]
 
 

@@ -10,8 +10,10 @@ max pool, the argmax channel reduction of the spatial gate, the
 mask-gathering sigmoid and the loss built on it, the batch norm and
 double-conv passes that cached the centred input and the pre-ReLU
 activations, the training loss that upsampled and scored the whole batch
-at once, and the verification loops that called count_events once per
-sample and lead, read every input file and read each target four times.
+at once through a loss dispatcher, the per-method recursions that named
+parameters and states, and the verification loops that called
+count_events once per sample and lead, read every input file and read
+each target four times.
 The version-1 checkpoint writer, whose pointwise convs carried biases,
 writes the files the version-2 reader must still load.
 """
@@ -23,9 +25,8 @@ import struct
 import numpy as np
 
 from nimbus import data as D
-from nimbus import layers as L
 from nimbus import tensor as T
-from nimbus.errors import DataError, ShapeError
+from nimbus.errors import ConfigError, DataError, ShapeError, ValidationError
 from nimbus.metrics import (ConfusionCounts, EvalConfig, EvalReport, _event_mask, binarize,
                             count_events, prediction_path)
 
@@ -148,14 +149,29 @@ def batch_loss_ref(model, x, y, config, train):
     build the target and take the loss and its gradient in one pass each."""
     logits = model.forward(x, train=train)
     up = T.bilinear_resize(logits, y.shape[2], y.shape[3])
+    # The loss dispatcher it called, inline: it checked that bce targets
+    # were binary and refused other kinds.
     if config.loss == "bce_logits":
         target = (y >= config.threshold).astype(up.dtype)
+        if not np.all((target == 0) | (target == 1)):
+            raise ValidationError("bce_logits requires binary targets")
+        value, g_up = T.bce_with_logits(up, target, grad=train)
+    elif config.loss == "mse":
+        value, g_up = T.mse(up, y.astype(up.dtype, copy=False))
     else:
-        target = y.astype(up.dtype, copy=False)
-    value, g_up = L.loss(up, target, config.loss, grad=train)
+        raise ConfigError(f"unknown loss kind {config.loss!r}")
     if not train:
         return value, None
     return value, T.bilinear_resize_backward(g_up, logits.shape[2], logits.shape[3])
+
+
+def named_arrays_ref(block, attr, prefix=""):
+    """The earlier Block.named_params (attr "p") and named_states (attr
+    "s"): a block's own entries, then each child's, one recursion each."""
+    for key, val in getattr(block, attr).items():
+        yield (f"{prefix}.{key}" if prefix else key), val
+    for name, child in block._children.items():
+        yield from named_arrays_ref(child, attr, f"{prefix}.{name}" if prefix else name)
 
 
 def batch_norm_forward_ref(bn, x, train=False):

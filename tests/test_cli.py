@@ -346,6 +346,17 @@ class TestMalformedInputs:
         assert main(["params", "--config", path]) == 1
         assert f"train.{field}" in only_error_line(capsys)
 
+    def test_differing_drop_lists_exit_one(self, tmp_path, capsys):
+        path = str(tmp_path / "bad.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"data": {"drop_bands": ["VIS006"]},
+                       "eval": {"drop_bands": ["IR134"]}}, fh)
+        assert main(["evaluate", "--config", path, "--predictions", str(tmp_path),
+                     "--manifest", str(tmp_path / "manifest.json"),
+                     "--out", str(tmp_path / "rep")]) == 1
+        line = only_error_line(capsys)
+        assert "eval.drop_bands" in line and "data.drop_bands" in line
+
     def _evaluate_checkpoint(self, workspace, trained, tmp_path, edit, append=b""):
         path = str(tmp_path / "bad.smck")
         shutil.copyfile(trained, path)

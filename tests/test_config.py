@@ -76,3 +76,16 @@ def test_undecodable_file_is_config_error(tmp_path, raw):
     path.write_bytes(raw)
     with pytest.raises(ConfigError, match="invalid JSON"):
         RunConfig.from_file(str(path))
+
+
+def test_differing_drop_lists_are_refused():
+    """Checkpoints do not record their bands, so an eval drop list other
+    than the training one would feed the model the wrong bands."""
+    with pytest.raises(ConfigError, match=r"eval\.drop_bands .* data\.drop_bands"):
+        RunConfig.from_dict({"data": {"drop_bands": ["VIS006"]},
+                             "eval": {"drop_bands": ["IR134"]}})
+    for data, scored in ((["VIS006", "IR134"], ["IR134", "VIS006"]), (["VIS006"], []),
+                         ([], ["IR134"])):
+        config = RunConfig.from_dict({"data": {"drop_bands": data},
+                                      "eval": {"drop_bands": scored}})
+        assert config.eval.drop_bands == tuple(scored)

@@ -375,6 +375,20 @@ class TestManifest:
         with pytest.raises(DataError, match=field):
             D.load_manifest(path)
 
+    def test_integral_floats_load_as_integers(self, tmp_path):
+        cfg = D.SynthConfig(n_train=2, n_val=1, n_test=1, grid=16, seed=2)
+        path = D.synth_generate(cfg, str(tmp_path / "ds6"))
+        want = D.load_manifest(path)
+
+        def as_floats(doc):
+            doc["geometry"]["t_in"] = float(doc["geometry"]["t_in"])
+            doc["samples"][0]["year"] = float(doc["samples"][0]["year"])
+
+        rewrite_manifest(path, as_floats)
+        got = D.load_manifest(path)
+        assert type(got.t_in) is int and got.t_in == want.t_in
+        assert type(got.samples[0].year) is int and got.samples[0].year == want.samples[0].year
+
 
 class TestBatchIter:
     def test_partition_sizes(self, small_set):

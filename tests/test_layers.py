@@ -5,7 +5,7 @@ import pytest
 
 from nimbus import layers as L
 from nimbus import tensor as T
-from nimbus.errors import ConfigError, DegenerateBatchError, StateError, ValidationError
+from nimbus.errors import ConfigError, DegenerateBatchError, StateError
 
 from _oracles import (batch_norm_backward_ref, batch_norm_forward_ref, channel_attention_ref,
                       channel_max_ref, conv2d_ref, double_conv_forward_ref, fd_gradient, rel_err,
@@ -358,35 +358,6 @@ class TestDoubleConvDS:
         for name in ["dsc1.depthwise.weight", "bn1.gamma", "dsc2.pointwise.weight", "bn2.beta"]:
             head, _, rest = name.partition(".")
             param_fd(getattr(block, head), run, rest)
-
-
-class TestLossDispatch:
-    def test_bce_rejects_soft_targets(self):
-        x = np.zeros((1, 1, 2, 2))
-        with pytest.raises(ValidationError):
-            L.loss(x, np.full_like(x, 0.3), "bce_logits")
-
-    def test_mse_perfect_fit(self, rng):
-        t = rng.standard_normal((2, 2, 3, 3))
-        val, grad = L.loss(t.copy(), t, "mse")
-        assert val == 0.0
-        assert np.all(grad == 0)
-
-    def test_bce_decreases_with_correct_logit_magnitude(self):
-        t = np.ones((1, 1, 1, 1))
-        losses = [L.loss(np.full((1, 1, 1, 1), float(m)), t, "bce_logits")[0]
-                  for m in range(6)]
-        assert all(a > b for a, b in zip(losses, losses[1:]))
-
-    def test_losses_nonnegative(self, rng):
-        x = rng.standard_normal((2, 1, 4, 4))
-        t = (rng.random((2, 1, 4, 4)) > 0.5).astype(np.float64)
-        assert L.loss(x, t, "bce_logits")[0] > 0
-        assert L.loss(x, rng.standard_normal(x.shape), "mse")[0] > 0
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            L.loss(np.zeros((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)), "huber")
 
 
 BLOCKS = {

@@ -522,9 +522,6 @@ class TestEnsemble:
 
     def test_unknown_mode_and_empty_list_rejected(self):
         with pytest.raises(ConfigError):
-            M.ensemble_predict([ConstantModel(0.5, (1, 2, 2))],
-                               np.zeros((1, 1, 2, 2)), mode="vote")
-        with pytest.raises(ConfigError):
             M.ensemble_predict([], np.zeros((1, 1, 2, 2)))
 
     def test_ensemble_files_equal_externally_averaged_files(self, tiny_set, tmp_path):

@@ -16,8 +16,8 @@ from nimbus.model import (ModelConfig, architecture_size, baseline_reference_par
 
 from _corrupt import (BAD_CHECKPOINTS, OVERSIZED_CONFIGS, UNDECODABLE_JSON, oversize,
                       rewrite_checkpoint_header)
-from _oracles import (batch_norm_forward_ref, conv2d_ref, fd_gradient, rel_err, richardson_fd,
-                      save_checkpoint_v1_ref)
+from _oracles import (batch_norm_forward_ref, conv2d_ref, fd_gradient, named_arrays_ref, rel_err,
+                      richardson_fd, save_checkpoint_v1_ref)
 
 TOY = dict(in_channels=4, out_channels=2, stage_widths=(8, 16, 32, 64, 128),
            depth_multiplier=1, cbam_reduction=4)
@@ -119,6 +119,18 @@ class TestParameterBudget:
     def test_architecture_size_rejects_a_reduction_the_widths_do_not_take(self):
         with pytest.raises(ConfigError, match="cbam_reduction"):
             architecture_size(ModelConfig(**{**TOY, "cbam_reduction": 3}))
+
+
+@pytest.mark.parametrize("cfg", [TOY, DESK], ids=["toy", "desk"])
+def test_named_arrays_follow_the_recursive_walk(cfg):
+    """named_params and named_states give the names, order and very arrays
+    of the per-method recursions they replaced, so checkpoints keep their
+    entry order."""
+    model = build_model(ModelConfig(**cfg), seed=5)
+    for got, attr in ((model.named_params(), "p"), (model.named_states(), "s")):
+        got, want = list(got), list(named_arrays_ref(model, attr))
+        assert [name for name, _ in got] == [name for name, _ in want]
+        assert all(a is b for (_, a), (_, b) in zip(got, want))
 
 
 class TestForwardGeometry:
@@ -392,11 +404,11 @@ def _v1_state(model, rng, bias_scale):
     """Give model's batch norms running statistics away from their (0, 1)
     start, and return pointwise biases of the given scale for a version-1
     file, keyed by entry name."""
-    for name, arr in list(model.named_states()):
+    for name, arr in model.named_states():
         if name.endswith("running_mean"):
-            model.set_state(name, rng.normal(0, 0.5, arr.shape).astype(np.float32))
+            arr[...] = rng.normal(0, 0.5, arr.shape)
         else:
-            model.set_state(name, rng.uniform(0.5, 2.0, arr.shape).astype(np.float32))
+            arr[...] = rng.uniform(0.5, 2.0, arr.shape)
     return {f"{name}.dsc{k}.pointwise.bias":
             (bias_scale * rng.normal(0, 1, getattr(block, f"bn{k}").channels)).astype(np.float32)
             for name, block in _double_convs(model) for k in (1, 2)}

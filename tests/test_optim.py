@@ -376,6 +376,35 @@ class TestFit:
         for (name, p), (_, q) in zip(model.named_params(), ref.named_params()):
             np.testing.assert_array_equal(p, q)
 
+    def test_early_stop_restores_every_tensor_of_the_best_epoch(self):
+        """With the best epoch (1) before the last (3), fit hands back the
+        epoch-1 parameters and batch-norm statistics byte for byte.  The
+        validation factory runs right after each epoch's training, so it
+        sees each epoch's tensors."""
+        x, _ = toy_batch(7)
+        y_rain = np.full((4, 16, 32, 32), 2.0, dtype=np.float32)
+        y_dry = np.zeros((4, 16, 32, 32), dtype=np.float32)
+        model = build_model(TOY_MODEL, seed=11)
+        seen = []
+
+        def val_batches():
+            seen.append({name: arr.copy() for name, arr in
+                         list(model.named_params()) + list(model.named_states())})
+            return [(x, y_dry)]
+
+        cfg = O.TrainConfig(batch_size=4, max_epochs=6, patience=2, seed=11, lr=0.3)
+        model, history = O.fit(model, lambda epoch_seed: [(x, y_rain)], val_batches, cfg)
+        assert len(history) == len(seen) == 3
+        assert min(range(3), key=lambda i: history[i]["val_loss"]) == 0
+        got = dict(list(model.named_params()) + list(model.named_states()))
+        assert list(got) == list(seen[0])
+        for name, arr in got.items():
+            assert arr.tobytes() == seen[0][name].tobytes(), name
+        assert any(arr.tobytes() != seen[-1][name].tobytes() for name, arr in got.items()
+                   if name.endswith("running_mean"))
+        assert any(arr.tobytes() != seen[-1][name].tobytes() for name, arr in got.items()
+                   if name.endswith("weight"))
+
     def test_improving_val_runs_all_epochs(self):
         """When validation keeps dropping, fit uses its whole epoch budget."""
         x, y = toy_batch(9)

@@ -590,3 +590,20 @@ class TestLosses:
         _, grad = T.mse(p, t)
         want = fd_gradient(lambda a: T.mse(a, t)[0], p)
         assert rel_err(grad, want) < GRAD_TOL
+
+    def test_mse_perfect_fit(self, rng):
+        t = rng.standard_normal((2, 2, 3, 3))
+        val, grad = T.mse(t.copy(), t)
+        assert val == 0.0
+        assert np.all(grad == 0)
+
+    def test_bce_decreases_with_correct_logit_magnitude(self):
+        t = np.ones((1, 1, 1, 1))
+        losses = [T.bce_with_logits(np.full((1, 1, 1, 1), float(m)), t)[0] for m in range(6)]
+        assert all(a > b for a, b in zip(losses, losses[1:]))
+
+    def test_losses_nonnegative(self, rng):
+        x = rng.standard_normal((2, 1, 4, 4))
+        t = (rng.random((2, 1, 4, 4)) > 0.5).astype(np.float64)
+        assert T.bce_with_logits(x, t)[0] > 0
+        assert T.mse(x, rng.standard_normal(x.shape))[0] > 0
