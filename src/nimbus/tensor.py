@@ -177,26 +177,40 @@ def conv2d(x, weight, bias=None, *, stride=1, padding=0, groups=1):
 def conv2d_backward(x, weight, grad_out, *, stride=1, padding=0, groups=1, has_bias=True):
     """Gradients of conv2d.  Returns (grad_x, grad_weight, grad_bias or None).
 
-    An unpadded, unstrided 1x1 conv without groups takes two matmuls over
-    the batch.  Every other conv runs one sample at a time in the flat-row
-    and im2col layout of conv2d, with cg = C_in/groups and
-    mult = C_out/groups.  The output gradient is written into rows of the
-    stride-1 output at the padded width W+2p, a zeroed (groups, mult,
-    span) buffer g: a stride-s conv writes its gradient into every s-th
-    row and column, the positions whose windows it kept, and every other
-    entry, the kw-1 junk columns included, stays zero.  The sample's cols
-    are rebuilt from the input.  The weight gradient adds the stacked
-    matmul g @ cols^T, (groups, mult, span) @ (groups, span, cg*kh*kw).
-    The stacked matmul w^T @ g, (groups, cg, kh, kw, mult) @
-    (groups, 1, 1, mult, span), gives each channel's and tap's
-    contribution to the input gradient; it writes tap t's row at the
-    offset dy*(W+2p) + dx where the tap read its window, in a zeroed
-    (C_in, kh*kw, (H+2p)(W+2p)) buffer, so col2im is one sum over the tap
-    axis into the flat padded grad_x.  With finite inputs the zeros of g
-    make every wrapped-around or skipped term a +-0 product, which changes
-    no nonzero sum: grad_x and grad_w are those of a direct correlation up
-    to summation order, and like the forward they do not depend on the
-    rest of the batch.
+    An unpadded, unstrided 1x1 conv without groups takes one matmul over
+    the batch for grad_x.  Its grad_w is a running sum over the samples in
+    batch order of one GEMM each, grad_out[i] @ x[i]^T, which BLAS reads
+    in place without transposed copies.  Every other conv runs one sample
+    at a time in the flat-row and im2col layout of conv2d, with
+    cg = C_in/groups and mult = C_out/groups.  The output gradient is
+    written into rows of the stride-1 output at the padded width W+2p, a
+    zeroed (groups, mult, span) buffer g: a stride-s conv writes its
+    gradient into every s-th row and column, the positions whose windows
+    it kept, and every other entry, the kw-1 junk columns included, stays
+    zero.  The sample's cols are rebuilt from the input.  The weight
+    gradient adds the stacked matmul g @ cols^T, (groups, mult, span) @
+    (groups, span, cg*kh*kw).
+
+    A stride-1 conv with a square kernel, padding p < kh and fewer output
+    than input channels per group (mult < cg, as in the 7x7 attention
+    gate) takes its input gradient as a transposed conv (Dumoulin and
+    Visin 2016, section 4): one conv2d of grad_out with the kernel rotated
+    180 degrees, its two channel axes swapped within each group, and
+    padding kh-1-p.  Per sample that is one GEMM with an inner dimension
+    of mult*kh*kw in place of C_in*kh*kw tap rows and their sum.  Only the
+    shape picks the path.  Every other conv, depthwise (cg = 1) and
+    strided included, uses the stacked matmul w^T @ g,
+    (groups, cg, kh, kw, mult) @ (groups, 1, 1, mult, span), which gives
+    each channel's and tap's contribution to the input gradient; it writes
+    tap t's row at the offset dy*(W+2p) + dx where the tap read its
+    window, in a zeroed (C_in, kh*kw, (H+2p)(W+2p)) buffer, so col2im is
+    one sum over the tap axis into the flat padded grad_x.
+
+    With finite inputs the zeros of g and of the padding make every
+    wrapped-around or skipped term a +-0 product, which changes no nonzero
+    sum: grad_x and grad_w are those of a direct correlation up to
+    summation order, and like the forward they do not depend on the rest
+    of the batch.
     """
     n, c_in, h, w, c_out, kh, kw, out_h, out_w = _conv_geometry(x, weight, stride, padding, groups)
     if grad_out.shape != (n, c_out, out_h, out_w):
@@ -208,44 +222,54 @@ def conv2d_backward(x, weight, grad_out, *, stride=1, padding=0, groups=1, has_b
     if kh == 1 and kw == 1 and groups == 1 and padding == 0 and stride == 1:
         gof = grad_out.reshape(n, c_out, h * w)
         xf = x.reshape(n, c_in, h * w)
-        w2 = weight.reshape(c_out, c_in)
-        grad_w = np.einsum("nof,nif->oi", gof, xf, optimize=True).reshape(weight.shape)
-        grad_x = np.matmul(w2.T, gof).reshape(x.shape)
-        return grad_x, np.ascontiguousarray(grad_w, dtype=weight.dtype), grad_bias
+        grad_w = np.zeros((c_out, c_in), dtype=weight.dtype)
+        gw = np.empty_like(grad_w)
+        for gob, xb in zip(gof, xf):
+            grad_w += np.matmul(gob, xb.T, out=gw)
+        grad_x = np.matmul(weight.reshape(c_out, c_in).T, gof).reshape(x.shape)
+        return grad_x, grad_w.reshape(weight.shape), grad_bias
 
     cg, mult, taps = c_in // groups, c_out // groups, kh * kw
     ph, pw = h + 2 * padding, w + 2 * padding
     full_h, full_w = ph - kh + 1, pw - kw + 1
     span = full_h * pw - (kw - 1)
-    wt = np.ascontiguousarray(
-        weight.reshape(groups, mult, cg, kh, kw).transpose(0, 2, 3, 4, 1))
+    transposed = stride == 1 and mult < cg and kh == kw and padding < kh
+    if transposed:
+        flipped = (weight.reshape(groups, mult, cg, kh, kw)[..., ::-1, ::-1]
+                   .transpose(0, 2, 1, 3, 4))
+        grad_x = conv2d(grad_out, flipped.reshape(c_in, mult, kh, kw),
+                        padding=kh - 1 - padding, groups=groups)
+    else:
+        wt = np.ascontiguousarray(
+            weight.reshape(groups, mult, cg, kh, kw).transpose(0, 2, 3, 4, 1))
+        # Row t of shifted holds tap t's input-gradient row at the tap's
+        # offset into the flat padded sample and zeros elsewhere; tapview is
+        # the (groups, cg, kh, kw, span) window of those rows that the
+        # matmul writes, so the zeros are never overwritten.
+        shifted = np.zeros((c_in, taps, ph * pw), dtype=x.dtype)
+        chan, step, item = shifted.strides
+        tapview = np.lib.stride_tricks.as_strided(
+            shifted, (groups, cg, kh, kw, span),
+            (cg * chan, chan, kw * step + pw * item, step + item, item))
+        grad_x = np.empty(x.shape, dtype=x.dtype)
+        gxp = np.empty((c_in, ph * pw), dtype=x.dtype)
+        inner = gxp.reshape(c_in, ph, pw)[:, padding:padding + h, padding:padding + w]
     gbuf = np.zeros((groups, mult, full_h * pw), dtype=grad_out.dtype)
     grows = gbuf.reshape(groups, mult, full_h, pw)[..., ::stride, :full_w:stride]
     g = gbuf[:, :, :span]
     cols = np.empty((c_in, taps, span), dtype=x.dtype)
     gcols_t = cols.reshape(groups, cg * taps, span).transpose(0, 2, 1)
-    # Row t of shifted holds tap t's input-gradient row at the tap's offset
-    # into the flat padded sample and zeros elsewhere; tapview is the
-    # (groups, cg, kh, kw, span) window of those rows that the matmul
-    # writes, so the zeros are never overwritten.
-    shifted = np.zeros((c_in, taps, ph * pw), dtype=x.dtype)
-    chan, step, item = shifted.strides
-    tapview = np.lib.stride_tricks.as_strided(
-        shifted, (groups, cg, kh, kw, span),
-        (cg * chan, chan, kw * step + pw * item, step + item, item))
     grad_w = np.zeros((groups, mult, cg * taps), dtype=weight.dtype)
     gw = np.empty_like(grad_w)
-    grad_x = np.empty(x.shape, dtype=x.dtype)
-    gxp = np.empty((c_in, ph * pw), dtype=x.dtype)
-    inner = gxp.reshape(c_in, ph, pw)[:, padding:padding + h, padding:padding + w]
     go = grad_out.reshape(n, groups, mult, out_h, out_w)
-    for gxb, gob, xf in zip(grad_x, go, _flat_padded_samples(x, padding)):
+    for i, (gob, xf) in enumerate(zip(go, _flat_padded_samples(x, padding))):
         grows[...] = gob
         _im2col(xf, cols, kw, pw)
         grad_w += np.matmul(g, gcols_t, out=gw)
-        np.matmul(wt, g[:, None, None], out=tapview)
-        np.add.reduce(shifted, axis=1, out=gxp)
-        gxb[...] = inner
+        if not transposed:
+            np.matmul(wt, g[:, None, None], out=tapview)
+            np.add.reduce(shifted, axis=1, out=gxp)
+            grad_x[i] = inner
     return grad_x, grad_w.reshape(weight.shape), grad_bias
 
 
@@ -278,14 +302,24 @@ def max_pool2(x):
 
 
 def max_pool2_backward(grad_out, argmax):
-    """Scatter grad_out back to the argmax positions; other cells get zero."""
+    """Scatter grad_out back to the argmax positions; other cells get zero.
+
+    Each window position k fills its stride-2 slice of the output with the
+    integer bits of grad_out ANDed with 0 - (argmax == k), a word of all
+    ones or all zeros: the argmax cell keeps its gradient's bits, sign of
+    zero and NaN included, and the other three cells are +0.
+    """
     if grad_out.shape != argmax.shape:
         raise ShapeError(f"grad_out {grad_out.shape} does not match argmax {argmax.shape}")
     n, c, oh, ow = grad_out.shape
-    win = np.zeros((n, c, oh, ow, 4), dtype=grad_out.dtype)
-    np.put_along_axis(win, argmax[..., None].astype(np.intp), grad_out[..., None], axis=-1)
-    gx = win.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return np.ascontiguousarray(gx.reshape(n, c, 2 * oh, 2 * ow))
+    ints = np.dtype(f"i{grad_out.dtype.itemsize}")
+    bits = grad_out.view(ints)
+    mask = np.empty(grad_out.shape, dtype=ints)
+    gx = np.empty((n, c, 2 * oh, 2 * ow), dtype=ints)
+    for k, (dy, dx) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        np.negative(argmax == k, dtype=ints, out=mask)
+        np.bitwise_and(bits, mask, out=gx[:, :, dy::2, dx::2])
+    return gx.view(grad_out.dtype)
 
 
 def _resize_matrix(n_in, n_out, dtype):
@@ -364,10 +398,13 @@ def relu(x, out=None):
 def relu_backward(grad_out, x):
     """Pass gradient where x > 0; the kink at exactly zero propagates nothing.
 
-    A passed entry keeps its bits, sign of zero and NaN included; every
-    blocked entry, where x <= 0 or x is NaN, is +0.
+    The integer bits of grad_out are ANDed with 0 - (x > 0), a word of all
+    ones or all zeros, so a passed entry keeps its bits, sign of zero and
+    NaN included, and every blocked entry, where x <= 0 or x is NaN, is +0.
     """
-    return np.where(x > 0, grad_out, 0).astype(grad_out.dtype, copy=False)
+    ints = np.dtype(f"i{grad_out.dtype.itemsize}")
+    mask = np.negative(x > 0, dtype=ints)
+    return np.bitwise_and(grad_out.view(ints), mask, out=mask).view(grad_out.dtype)
 
 
 def _exp_neg_abs(x):

@@ -231,6 +231,46 @@ class TestBackward:
                 checked += 1
         assert checked >= 100
 
+    def test_whole_model_gradient_at_32x32_matches_central_difference(self, toy_model):
+        """At 32x32 `enc5` runs at 2x2, so each of its batch norms sees eight
+        values per channel and is out of saturation, and a plain central
+        difference reads every block's gradient above its noise.  ReLU and
+        max-pool kinks lie so densely here that a step of 1e-6 crosses some
+        (0.7 relative error seen on an `enc1` weight with other data); at a
+        step of 1e-8 they are rare.  A loss near 100 carries about 1e-13 of
+        rounding, which puts about 1e-5 of noise on the difference quotient,
+        so coordinates whose gradient is under 1e-2, where that noise nears
+        the 1e-3 tolerance, are skipped."""
+        model = toy_model.to_dtype(np.float64)
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((2, 4, 32, 32))
+        probe = rng.standard_normal((2, 2, 32, 32))
+        step = 1e-8
+
+        def run():
+            return float((model.forward(x, train=True) * probe).sum())
+
+        run()
+        grads = model.backward(probe)
+        params = dict(model.named_params())
+        checked = 0
+        for name in sorted(params):
+            arr = params[name]
+            for flat in rng.choice(arr.size, size=min(2, arr.size), replace=False):
+                idx = np.unravel_index(flat, arr.shape)
+                orig = arr[idx]
+                arr[idx] = orig + step
+                plus = run()
+                arr[idx] = orig - step
+                minus = run()
+                arr[idx] = orig
+                fd = (plus - minus) / (2.0 * step)
+                got = grads[name][idx]
+                if max(abs(fd), abs(got)) > 1e-2:
+                    assert abs(got - fd) / max(abs(fd), abs(got)) < 1e-3, (name, idx, got, fd)
+                    checked += 1
+        assert checked >= 150
+
     def test_duplicated_batch_leaves_grads_unchanged(self, toy_model):
         model = toy_model.to_dtype(np.float64)
         rng = np.random.default_rng(7)

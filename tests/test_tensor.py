@@ -206,12 +206,18 @@ class TestDepthwiseKernels:
 
     SHAPES = [(4, 36, 64, 64), (3, 36, 48, 80), (2, 8, 17, 63)]
     # (id, input shape, weight shape, groups, stride, padding): the desk's
-    # 7x7 spatial gate, a grouped conv and a strided dense one.
+    # 7x7 spatial gate, the gate unpadded, a grouped conv, a strided dense
+    # one and a dense one with more output than input channels.
     GENERAL = [
         ("gate", (4, 2, 64, 64), (1, 2, 7, 7), 1, 1, 3),
+        ("unpadded-gate", (2, 2, 16, 16), (1, 2, 7, 7), 1, 1, 0),
         ("grouped", (3, 12, 17, 23), (8, 3, 3, 3), 4, 1, 1),
         ("strided", (2, 6, 17, 63), (4, 6, 3, 3), 1, 2, 1),
+        ("wide", (2, 3, 17, 23), (6, 3, 3, 3), 1, 1, 1),
     ]
+    # The stride-1 cases with fewer output than input channels per group,
+    # whose grad_x is a forward conv of grad_out.
+    TRANSPOSED = {"gate", "unpadded-gate", "grouped"}
     EPS = np.finfo(np.float32).eps
 
     def _operands(self, rng, x_shape, w_shape):
@@ -335,6 +341,54 @@ class TestDepthwiseKernels:
         self._assert_backward_within_bound(rng, x, wt, stride, padding, groups)
 
     @pytest.mark.parametrize("case", GENERAL, ids=[c[0] for c in GENERAL])
+    def test_general_backward_runs_a_forward_conv_only_when_narrowing(self, rng, case,
+                                                                     monkeypatch):
+        """grad_x of a narrowing stride-1 conv is one conv2d of grad_out with
+        the kernel rotated 180 degrees, its channel axes swapped per group
+        and padding kh-1-p; every other conv runs no conv2d at all."""
+        name, x_shape, w_shape, groups, stride, padding = case
+        x, wt, _ = self._operands(rng, x_shape, w_shape)
+        g = rng.standard_normal(
+            T.conv2d(x, wt, stride=stride, padding=padding, groups=groups).shape
+        ).astype(np.float32)
+        calls = []
+        conv2d = T.conv2d
+
+        def spy(inp, weight, bias=None, **kwargs):
+            calls.append((inp, weight, kwargs))
+            return conv2d(inp, weight, bias, **kwargs)
+
+        monkeypatch.setattr(T, "conv2d", spy)
+        gx, _, _ = T.conv2d_backward(x, wt, g, stride=stride, padding=padding, groups=groups)
+        if name not in self.TRANSPOSED:
+            assert calls == []
+            return
+        [(inp, weight, kwargs)] = calls
+        _, cg, kh, kw = wt.shape
+        mult = wt.shape[0] // groups
+        want_w = (wt.reshape(groups, mult, cg, kh, kw)[..., ::-1, ::-1]
+                  .transpose(0, 2, 1, 3, 4).reshape(groups * cg, mult, kh, kw))
+        assert inp is g and np.array_equal(weight, want_w)
+        assert kwargs == dict(padding=kh - 1 - padding, groups=groups)
+        assert gx.tobytes() == conv2d(g, want_w, **kwargs).tobytes()
+
+    def test_pointwise_backward_sums_samples_in_order(self, rng):
+        """An unpadded 1x1 conv's grad_x is one matmul per sample, so a batch
+        gives the bytes of its per-sample calls; grad_w is the running sum of
+        the per-sample products in batch order, which the bitwise rerun of
+        a training relies on."""
+        x, wt, _ = self._operands(rng, (4, 72, 32, 32), (16, 72, 1, 1))
+        g = rng.standard_normal((4, 16, 32, 32)).astype(np.float32)
+        gx, gw, _ = T.conv2d_backward(x, wt, g)
+        running = np.zeros_like(gw)
+        for i in range(4):
+            one_gx, one_gw, _ = T.conv2d_backward(x[i:i + 1], wt, g[i:i + 1])
+            assert one_gx.tobytes() == gx[i:i + 1].tobytes(), i
+            running += one_gw
+        assert gw.dtype == np.float32 and gw.tobytes() == running.tobytes()
+        self._assert_backward_within_bound(rng, x, wt, 1, 0, 1)
+
+    @pytest.mark.parametrize("case", GENERAL, ids=[c[0] for c in GENERAL])
     def test_general_batch_of_eight_equals_eight_single_calls(self, rng, case):
         _, x_shape, w_shape, groups, stride, padding = case
         x, wt, b = self._operands(rng, (8,) + x_shape[1:], w_shape)
@@ -405,6 +459,20 @@ class TestMaxPool:
             for k, (dy, dx) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
                 want[:, :, dy::2, dx::2][arg == k] = g[arg == k]
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), shape
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_of_a_view_equals_backward_of_its_copy(self, rng, dtype):
+        """The bit-mask scatter reads a channel slice or a transposed view of
+        grad_out as it would read a contiguous copy."""
+        base = rng.standard_normal((2, 8, 6, 6)).astype(dtype)
+        base[rng.random(base.shape) < 0.2] = -0.0
+        base[rng.random(base.shape) < 0.1] = np.nan
+        for g in (base[:, 2:6], base.transpose(0, 1, 3, 2)):
+            assert not g.flags.c_contiguous
+            arg = rng.integers(0, 4, size=g.shape).astype(np.int8)
+            got = T.max_pool2_backward(g, arg)
+            want = T.max_pool2_backward(np.ascontiguousarray(g), arg)
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
     def test_backward_scatters_to_argmax_only(self, rng):
         x = rng.standard_normal((2, 3, 6, 6))
@@ -507,6 +575,22 @@ class TestActivations:
         want = g.copy()
         want[~(x > 0)] = 0.0
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_backward_of_a_view_equals_backward_of_its_copy(self, rng, dtype):
+        """The bit mask reads a channel slice or a transposed view of
+        grad_out, and of x, as it would read contiguous copies."""
+        shape = (2, 8, 7, 7)
+        gbase = rng.standard_normal(shape).astype(dtype)
+        gbase[rng.random(shape) < 0.2] = -0.0
+        gbase[rng.random(shape) < 0.1] = np.nan
+        xbase = rng.choice(np.array([-1.0, -0.0, 0.0, 1.0, np.nan], dtype=dtype), size=shape)
+        for view in (lambda a: a[:, 2:6], lambda a: a.transpose(0, 1, 3, 2)):
+            g, x = view(gbase), view(xbase)
+            assert not g.flags.c_contiguous
+            got = T.relu_backward(g, x)
+            want = T.relu_backward(np.ascontiguousarray(g), np.ascontiguousarray(x))
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
     def test_sigmoid_extremes_stay_finite(self):
         x = np.array([-500.0, -100.0, 0.0, 100.0, 500.0])
