@@ -6,8 +6,12 @@ backward pass its gradients (`g`).  Forward in train mode caches whatever the
 analytic backward needs, and backward consumes that cache: it drops the
 block's reference as it starts, so the saved activations are freed once the
 block's own backward returns, and each train forward allows exactly one
-backward.  Eval mode caches nothing and mutates nothing except batch-norm
-running statistics, which only move in train mode.
+backward.  Batch-norm running statistics move only in train mode.
+
+Eval mode does only what an eval forward needs: it caches nothing, mutates
+nothing, and skips work whose only use is the backward.  Each batch norm
+runs folded into the pointwise conv before it (see DoubleConvDS), and the
+spatial gate takes its channel max without the argmax.
 """
 
 from __future__ import annotations
@@ -96,7 +100,13 @@ class Block:
 class DepthwiseSeparableConv(Block):
     """3x3 depthwise conv (multiplier k) followed by a 1x1 pointwise conv,
     neither with a bias: every one feeds a batch norm, whose mean
-    subtraction would cancel it.  Parameter count is 9k*C_in + k*C_in*C_out."""
+    subtraction would cancel it.  Parameter count is 9k*C_in + k*C_in*C_out.
+
+    An eval forward may pass affine=(scale, shift), a per-output-channel
+    map to apply after the pointwise conv; it runs as that conv with its
+    weights scaled by `scale` and `shift` as its bias.  The train backward
+    knows nothing of it, so a train forward never takes one.
+    """
 
     def __init__(self, c_in, c_out, multiplier, rng, dtype=T.DTYPE):
         super().__init__()
@@ -107,11 +117,15 @@ class DepthwiseSeparableConv(Block):
         self.p["depthwise.weight"] = _he_uniform(rng, (mid, 1, 3, 3), 9, dtype)
         self.p["pointwise.weight"] = _he_uniform(rng, (c_out, mid, 1, 1), mid, dtype)
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, affine=None):
         if x.shape[1] != self.c_in:
             raise ShapeError(f"expected {self.c_in} input channels, got {x.shape[1]}")
         mid = T.conv2d(x, self.p["depthwise.weight"], padding=1, groups=self.c_in)
-        y = T.conv2d(mid, self.p["pointwise.weight"])
+        if affine is None:
+            y = T.conv2d(mid, self.p["pointwise.weight"])
+        else:
+            scale, shift = affine
+            y = T.conv2d(mid, self.p["pointwise.weight"] * scale[:, None, None, None], shift)
         self._cache = (x, mid) if train else None
         return y
 
@@ -130,9 +144,12 @@ class BatchNorm(Block):
 
     Train mode normalizes with the biased batch variance and blends the same
     statistics into the running buffers (momentum weight on the new value).
-    Eval mode uses the running buffers and never mutates them.  Train mode
-    caches (xhat, inv_std), the normalized input and the per-channel
+    It caches (xhat, inv_std), the normalized input and the per-channel
     1/sqrt(var + eps); the backward needs nothing else.
+
+    In eval mode a batch norm is the fixed per-channel affine map that
+    eval_affine returns, and it runs only folded into the conv before it
+    (see DoubleConvDS), so forward refuses eval mode.
     """
 
     def __init__(self, channels, momentum=0.1, eps=1e-5, dtype=T.DTYPE):
@@ -146,32 +163,37 @@ class BatchNorm(Block):
         self.s["running_var"] = np.ones(channels, dtype=dtype)
 
     def forward(self, x, train=False):
+        if not train:
+            raise StateError("eval-mode batch norm runs folded into the conv before it; "
+                             "see BatchNorm.eval_affine")
         if x.shape[1] != self.channels:
             raise ShapeError(f"expected {self.channels} channels, got {x.shape[1]}")
         n, _, h, w = x.shape
-        if train:
-            if n * h * w < 2:
-                raise DegenerateBatchError("batch norm needs more than one value per channel")
-            mean = x.mean(axis=(0, 2, 3))
-            xhat = x - mean[None, :, None, None]
-            # The same square-then-sum that x.var() does, on the centred
-            # input this pass needs anyway; y holds the squares meanwhile.
-            y = np.square(xhat)
-            var = y.sum(axis=(0, 2, 3)) / (n * h * w)
-            mom = x.dtype.type(self.momentum)
-            self.s["running_mean"] = (1 - mom) * self.s["running_mean"] + mom * mean
-            self.s["running_var"] = (1 - mom) * self.s["running_var"] + mom * var
-        else:
-            mean = self.s["running_mean"]
-            var = self.s["running_var"]
-            xhat = x - mean[None, :, None, None]
-            y = xhat  # nothing is cached in eval mode, so y may overwrite xhat
+        if n * h * w < 2:
+            raise DegenerateBatchError("batch norm needs more than one value per channel")
+        mean = x.mean(axis=(0, 2, 3))
+        xhat = x - mean[None, :, None, None]
+        # The same square-then-sum that x.var() does, on the centred input
+        # this pass needs anyway; y holds the squares meanwhile.
+        y = np.square(xhat)
+        var = y.sum(axis=(0, 2, 3)) / (n * h * w)
+        mom = x.dtype.type(self.momentum)
+        self.s["running_mean"] = (1 - mom) * self.s["running_mean"] + mom * mean
+        self.s["running_var"] = (1 - mom) * self.s["running_var"] + mom * var
         inv_std = 1.0 / np.sqrt(var + x.dtype.type(self.eps))
         xhat *= inv_std[None, :, None, None]
         np.multiply(xhat, self.p["gamma"][None, :, None, None], out=y)
         y += self.p["beta"][None, :, None, None]
-        self._cache = (xhat, inv_std) if train else None
+        self._cache = (xhat, inv_std)
         return y.astype(x.dtype, copy=False)
+
+    def eval_affine(self):
+        """The eval-mode batch norm as (scale, shift), y = scale*x + shift per
+        channel: scale = gamma / sqrt(running_var + eps) and
+        shift = beta - scale*running_mean, in the parameters' dtype."""
+        gamma = self.p["gamma"]
+        scale = gamma / np.sqrt(self.s["running_var"] + gamma.dtype.type(self.eps))
+        return scale, self.p["beta"] - scale * self.s["running_mean"]
 
     def backward(self, grad_out):
         """dx = gamma*inv_std/m * (m*g - sum(g) - xhat*sum(g*xhat)), with the
@@ -274,7 +296,14 @@ def _channel_max(x):
 
 class SpatialAttention(Block):
     """CBAM spatial gate: 7x7 conv over the channel-mean and channel-max
-    planes, squashed to a per-position factor."""
+    planes, squashed to a per-position factor.
+
+    Only the train backward needs to know which channel held the max, so
+    only train mode runs _channel_max; eval mode takes the plain max.  The
+    two maxima can differ only in the sign of a zero or the bits of a NaN;
+    the gate factor comes out the same, since the sigmoid maps a zero of
+    either sign to 0.5 and NaN to NaN.
+    """
 
     def __init__(self, rng, kernel=7, dtype=T.DTYPE):
         super().__init__()
@@ -286,7 +315,10 @@ class SpatialAttention(Block):
 
     def forward(self, x, train=False):
         mean_c = x.mean(axis=1, keepdims=True)
-        max_c, arg = _channel_max(x)
+        if train:
+            max_c, arg = _channel_max(x)
+        else:
+            max_c = x.max(axis=1, keepdims=True)
         f = np.concatenate([mean_c, max_c], axis=1)
         z = T.conv2d(f, self.p["conv.weight"], self.p["conv.bias"], padding=self.kernel // 2)
         m = T.sigmoid(z)
@@ -333,6 +365,17 @@ class DoubleConvDS(Block):
     ReLU runs in place on each batch-norm output.  Train mode caches the two
     post-ReLU activations (a1, a2), whose positive entries are the ReLU
     masks; a1 is also the input that dsc2 caches, so it costs no copy.
+
+    In eval mode each batch norm is a fixed affine map right after a
+    bias-free pointwise conv W, so it folds into that conv (Jacob et al.
+    2018, section 3.2): the conv runs with weights s[:, None] * W and bias
+    b, where s = gamma / sqrt(running_var + eps) and
+    b = beta - s*running_mean, and no batch-norm pass runs.  The fold is
+    recomputed on every eval forward, a (C_out,) pair and one
+    (C_out, mid) product; no folded copy is kept, because training and
+    checkpoint loading write the parameters and statistics in place and
+    would leave it stale.  The folded output differs from the unfolded one
+    by rounding only.
     """
 
     def __init__(self, c_in, c_out, multiplier, rng, c_mid=None, dtype=T.DTYPE):
@@ -344,12 +387,18 @@ class DoubleConvDS(Block):
         self.bn2 = self._child("bn2", BatchNorm(c_out, dtype=dtype))
 
     def forward(self, x, train=False):
-        a1 = self.bn1.forward(self.dsc1.forward(x, train), train)
-        T.relu(a1, out=a1)
-        a2 = self.bn2.forward(self.dsc2.forward(a1, train), train)
-        T.relu(a2, out=a2)
+        a1 = self._unit(self.dsc1, self.bn1, x, train)
+        a2 = self._unit(self.dsc2, self.bn2, a1, train)
         self._cache = (a1, a2) if train else None
         return a2
+
+    @staticmethod
+    def _unit(dsc, bn, x, train):
+        if train:
+            a = bn.forward(dsc.forward(x, True), True)
+        else:
+            a = dsc.forward(x, affine=bn.eval_affine())
+        return T.relu(a, out=a)
 
     def backward(self, grad_out):
         a1, a2 = self._need_cache()

@@ -320,13 +320,37 @@ def _v1_biases(model):
     return folds
 
 
+def _check_values(path, name, values, start):
+    """Refuse an entry holding NaN or Inf, or a negative running variance.
+
+    Each of them spreads through the convs after it into forecasts that
+    are NaN throughout: a negative variance, for one, because the eval
+    forward divides by sqrt(running_var + eps).  A running variance blends
+    non-negative batch variances, so no saved model holds a negative one.
+    start is the file offset of the entry's first value.
+    """
+    bad = ~np.isfinite(values)
+    if name.endswith("running_var"):
+        bad |= values < 0
+    if bad.any():
+        k = int(bad.argmax())
+        kind = "a negative running variance" if np.isfinite(values[k]) else "a non-finite value"
+        raise FormatError(f"{path}: entry {name!r} holds {kind}, {float(values[k])}, "
+                          f"at byte {start + 4 * k}")
+
+
 def load_checkpoint(path):
     """Read a checkpoint back into a freshly built model, bitwise.
 
+    Every value must be finite and every running variance non-negative;
+    otherwise the FormatError names the entry and the byte offset of its
+    first bad value.
+
     Version 1 also stored a bias for every pointwise conv, each of which
-    feeds a batch norm.  Eval batch norm computes (x + b) - running_mean,
-    so such a file loads with running_mean - b as its running mean, which
-    changes eval outputs by rounding only.
+    feeds a batch norm.  The batch norm takes running_mean off the biased
+    conv output, (x + b) - running_mean, so such a file loads with
+    running_mean - b as its running mean, which changes eval outputs by
+    rounding only.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -425,6 +449,8 @@ def load_checkpoint(path):
     if prev_hi != len(raw):
         raise FormatError(f"{path}: bytes {prev_hi} to {len(raw)} after entry {prev!r} "
                           f"belong to no entry")
+    for lo, _, name in spans:
+        _check_values(path, name, wanted[name].reshape(-1), lo)
     for bias, mean in folds.items():
         wanted[mean] -= wanted[bias]
     return model

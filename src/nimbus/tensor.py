@@ -8,6 +8,8 @@ kernel has a matching analytic backward.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ShapeError, SizeError
@@ -322,8 +324,15 @@ def max_pool2_backward(grad_out, argmax):
     return gx.view(grad_out.dtype)
 
 
+@functools.lru_cache(maxsize=64)
 def _resize_matrix(n_in, n_out, dtype):
-    """Row-stochastic (n_out, n_in) matrix of bilinear weights, half-pixel centers."""
+    """Row-stochastic (n_out, n_in) matrix of bilinear weights, half-pixel centers.
+
+    A model resizes between the same few grid sizes on every forward and
+    backward, so the matrices are cached by (n_in, n_out, dtype).  Every
+    caller shares the cached array, so it is read-only: a write through
+    one caller would change every later resize.
+    """
     d = np.arange(n_out, dtype=np.float64)
     s = (d + 0.5) * (n_in / n_out) - 0.5
     s = np.clip(s, 0.0, n_in - 1.0)
@@ -334,7 +343,9 @@ def _resize_matrix(n_in, n_out, dtype):
     rows = np.arange(n_out)
     np.add.at(m, (rows, i0), 1.0 - frac)
     np.add.at(m, (rows, i1), frac)
-    return m.astype(dtype)
+    m = m.astype(dtype)
+    m.flags.writeable = False
+    return m
 
 
 def bilinear_resize(x, out_h, out_w):

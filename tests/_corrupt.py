@@ -11,17 +11,33 @@ from nimbus import data as D
 from nimbus import optim as O
 
 
-def rewrite_checkpoint_header(path, edit, append=b""):
-    """Apply edit(header_dict) to a .smck file's JSON header in place,
-    keeping the magic, version and blob bytes and adding append after them."""
+def rewrite_checkpoint(path, edit):
+    """Apply edit(header_dict, data) to a .smck file in place, data being a
+    bytearray of everything after the JSON header; the magic and version
+    bytes stay."""
     with open(path, "rb") as fh:
         raw = fh.read()
     (header_len,) = struct.unpack_from("<I", raw, 6)
     header = json.loads(raw[10:10 + header_len].decode("utf-8"))
-    edit(header)
+    data = bytearray(raw[10 + header_len:])
+    edit(header, data)
     body = json.dumps(header).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(raw[:6] + struct.pack("<I", len(body)) + body + raw[10 + header_len:] + append)
+        fh.write(raw[:6] + struct.pack("<I", len(body)) + body + data)
+
+
+def rewrite_checkpoint_header(path, edit):
+    """Apply edit(header_dict) to a .smck file's JSON header in place,
+    keeping the magic, version and blob bytes."""
+    rewrite_checkpoint(path, _in_header(edit))
+
+
+def _in_header(edit, append=b""):
+    """A rewrite_checkpoint edit that applies edit(header) and appends bytes."""
+    def both(header, data):
+        edit(header)
+        data += append
+    return both
 
 
 def rewrite_tensor(path, dims):
@@ -149,17 +165,43 @@ def _shift_offsets(first, by):
     return edit
 
 
-# Malformed checkpoints as (test id, header edit, bytes appended after the
-# blobs, text the error must contain).  Each once loaded silently or, for
-# the list name, escaped as a bare TypeError.  A JSON false passed the old
+def poison_value(suffix, index, value):
+    """A rewrite_checkpoint edit that sets value `index` of the first entry
+    whose name ends with `suffix` to the float32 `value`."""
+    def edit(header, data):
+        entry = next(e for e in header["entries"] if e["name"].endswith(suffix))
+        struct.pack_into("<f", data, entry["offset"] + 4 * index, value)
+    return edit
+
+
+# Checkpoints with a malformed blob table as (test id, rewrite_checkpoint
+# edit, text the error must contain).  Each once loaded silently or, for the
+# list name, escaped as a bare TypeError.  A JSON false passed the old
 # isinstance(offset, int) check, as 0, which the first entry's offset is.
-BAD_CHECKPOINTS = [
-    ("appended-bytes", lambda header: None, bytes(700), "belong to no entry"),
-    ("gap-before-last", _shift_offsets(-1, 4), bytes(4), "belong to no entry"),
-    ("gap-before-first", _shift_offsets(0, 4), bytes(4), "belong to no entry"),
-    ("name-not-string", _setting("entries", 0, "name", value=["x"]), b"", "entries[0].name"),
-    ("offset-false", _setting("entries", 0, "offset", value=False), b"", "entries[0].offset"),
+BAD_BLOB_TABLES = [
+    ("appended-bytes", _in_header(lambda header: None, bytes(700)), "belong to no entry"),
+    ("gap-before-last", _in_header(_shift_offsets(-1, 4), bytes(4)), "belong to no entry"),
+    ("gap-before-first", _in_header(_shift_offsets(0, 4), bytes(4)), "belong to no entry"),
+    ("name-not-string", _in_header(_setting("entries", 0, "name", value=["x"])),
+     "entries[0].name"),
+    ("offset-false", _in_header(_setting("entries", 0, "offset", value=False)),
+     "entries[0].offset"),
 ]
+
+
+# Checkpoints holding a value that makes every forecast NaN, in the same
+# form; the error text goes on with the byte offset of the bad value.  Each
+# once loaded, and predict wrote forecasts that were NaN throughout.
+POISONED_VALUES = [
+    ("nan-weight", poison_value("pointwise.weight", 3, float("nan")),
+     "entry 'enc1.dsc1.pointwise.weight' holds a non-finite value, nan, at byte"),
+    ("inf-gamma", poison_value("gamma", 1, float("inf")),
+     "entry 'enc1.bn1.gamma' holds a non-finite value, inf, at byte"),
+    ("negative-running-var", poison_value("running_var", 0, -1.0),
+     "entry 'enc1.bn1.running_var' holds a negative running variance, -1.0, at byte"),
+]
+
+BAD_CHECKPOINTS = BAD_BLOB_TABLES + POISONED_VALUES
 
 
 # Run configs with a mistyped field as (test id, config document, the field

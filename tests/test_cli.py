@@ -11,9 +11,9 @@ import shutil
 import numpy as np
 import pytest
 
-from _corrupt import (BAD_CHECKPOINTS, BAD_CONFIGS, BAD_LATENT_DIMS, BAD_MANIFESTS,
-                      OVERSIZED_CONFIGS, oversize, poison_epoch, rewrite_checkpoint_header,
-                      rewrite_manifest, rewrite_tensor)
+from _corrupt import (BAD_BLOB_TABLES, BAD_CHECKPOINTS, BAD_CONFIGS, BAD_LATENT_DIMS,
+                      BAD_MANIFESTS, OVERSIZED_CONFIGS, oversize, poison_epoch, rewrite_checkpoint,
+                      rewrite_checkpoint_header, rewrite_manifest, rewrite_tensor)
 from nimbus import data as D
 from nimbus import metrics as M
 from nimbus.cli import main
@@ -357,10 +357,11 @@ class TestMalformedInputs:
         line = only_error_line(capsys)
         assert "eval.drop_bands" in line and "data.drop_bands" in line
 
-    def _evaluate_checkpoint(self, workspace, trained, tmp_path, edit, append=b""):
+    def _evaluate_checkpoint(self, workspace, trained, tmp_path, edit,
+                             rewrite=rewrite_checkpoint_header):
         path = str(tmp_path / "bad.smck")
         shutil.copyfile(trained, path)
-        rewrite_checkpoint_header(path, edit, append)
+        rewrite(path, edit)
         return main(["evaluate", "--checkpoint", path, "--config", workspace["config"],
                      "--manifest", workspace["manifest"], "--out", str(tmp_path / "rep")])
 
@@ -403,12 +404,26 @@ class TestMalformedInputs:
                      "--out", str(tmp_path / "pred")]) == 2
         assert f"config field '{field}'" in only_error_line(capsys)
 
-    @pytest.mark.parametrize("edit,append,text", [case[1:] for case in BAD_CHECKPOINTS],
-                             ids=[case[0] for case in BAD_CHECKPOINTS])
+    @pytest.mark.parametrize("edit,text", [case[1:] for case in BAD_BLOB_TABLES],
+                             ids=[case[0] for case in BAD_BLOB_TABLES])
     def test_malformed_blob_table_exits_two(self, workspace, trained, tmp_path, capsys,
-                                            edit, append, text):
-        assert self._evaluate_checkpoint(workspace, trained, tmp_path, edit, append) == 2
+                                            edit, text):
+        assert self._evaluate_checkpoint(workspace, trained, tmp_path, edit,
+                                         rewrite_checkpoint) == 2
         assert text in only_error_line(capsys)
+
+    @pytest.mark.parametrize("edit,text", [case[1:] for case in BAD_CHECKPOINTS],
+                             ids=[case[0] for case in BAD_CHECKPOINTS])
+    def test_malformed_checkpoint_predict_exits_two_and_writes_nothing(
+            self, workspace, trained, tmp_path, capsys, edit, text):
+        path = str(tmp_path / "bad.smck")
+        shutil.copyfile(trained, path)
+        rewrite_checkpoint(path, edit)
+        out = tmp_path / "pred"
+        assert main(["predict", "--checkpoint", path, "--manifest", workspace["manifest"],
+                     "--out", str(out)]) == 2
+        assert text in only_error_line(capsys)
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("dims", [case[1] for case in BAD_LATENT_DIMS],
                              ids=[case[0] for case in BAD_LATENT_DIMS])

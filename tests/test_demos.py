@@ -1,0 +1,26 @@
+"""Smoke tests: the quick demos run to completion and print something.
+
+Each demo runs in its own interpreter with src/ on PYTHONPATH, so no
+install is needed.  quickstart.py trains a model for about two minutes and
+is left out.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", ["parameter_audit.py", "attention_gates.py"])
+def test_demo_exits_zero_with_output(demo):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()

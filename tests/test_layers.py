@@ -12,6 +12,10 @@ from _oracles import (batch_norm_backward_ref, batch_norm_forward_ref, channel_a
                       spatial_attention_ref)
 
 GRAD_TOL = 1e-4
+# The folded eval forward against the unfolded reference, relative to the
+# output scale: the float32 bound is TestCheckpointVersion1.F32_TOL, a few
+# eps per batch norm; float64 gets the same margin over its own eps.
+EVAL_TOL = {np.float32: 2e-6, np.float64: 1e-12}
 
 
 @pytest.fixture
@@ -85,9 +89,21 @@ class TestDepthwiseSeparableConv:
 
 class TestBatchNorm:
     def test_eval_identity_with_unit_stats(self, rng):
+        """Fresh statistics fold to the scale 1/sqrt(1 + eps) and a zero
+        shift, an affine map that shrinks values only slightly."""
         bn = L.BatchNorm(3, dtype=np.float64)
+        scale, shift = bn.eval_affine()
+        assert scale.tobytes() == np.full(3, 1.0 / np.sqrt(1.0 + bn.eps)).tobytes()
+        assert shift.tobytes() == np.zeros(3).tobytes()
         x = rng.standard_normal((2, 3, 4, 4))
-        assert rel_err(bn.forward(x), x) < 1e-4  # eps shrinks values slightly
+        assert rel_err(scale[None, :, None, None] * x + shift[None, :, None, None], x) < 1e-4
+
+    def test_eval_forward_is_refused(self, rng):
+        """The eval-mode batch norm exists only folded into the conv before
+        it, so an eval call of forward is a caller's mistake."""
+        bn = L.BatchNorm(3)
+        with pytest.raises(StateError):
+            bn.forward(rng.standard_normal((2, 3, 4, 4)).astype(np.float32), train=False)
 
     def test_train_constant_input_gives_beta(self, rng):
         bn = L.BatchNorm(2, dtype=np.float64)
@@ -111,8 +127,8 @@ class TestBatchNorm:
         want_var = 0.9 * 1.0 + 0.1 * x.var(axis=(0, 2, 3))
         assert rel_err(bn.s["running_mean"], want_mean) < 1e-12
         assert rel_err(bn.s["running_var"], want_var) < 1e-12
-        y_eval = bn.forward(x)
-        assert y_eval.shape == x.shape
+        scale, shift = bn.eval_affine()
+        assert scale.shape == shift.shape == (2,)
 
     @staticmethod
     def _twins(rng, channels, dtype):
@@ -128,8 +144,11 @@ class TestBatchNorm:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_and_running_stats_bytes_equal_to_reference(self, rng, dtype):
-        """Train and eval outputs and the running statistics match the
-        earlier forward that also cached the centred input, byte for byte."""
+        """Train outputs and the running statistics match the earlier
+        forward that also cached the centred input, byte for byte.  The
+        eval affine map (scale, shift) applied to x matches the earlier
+        eval forward within EVAL_TOL: scale*x + shift rounds in another
+        order than gamma*((x - mean)*inv_std) + beta."""
         bn, ref = self._twins(rng, 5, dtype)
         for shape in [(4, 5, 6, 6), (2, 5, 17, 63)]:
             x = (3.0 * rng.standard_normal(shape) + 1.0).astype(dtype)
@@ -138,9 +157,11 @@ class TestBatchNorm:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             for name in ("running_mean", "running_var"):
                 assert bn.s[name].tobytes() == ref.s[name].tobytes(), name
-            got_eval = bn.forward(x)
+            scale, shift = bn.eval_affine()
+            assert scale.dtype == shift.dtype == dtype
+            got_eval = scale[None, :, None, None] * x + shift[None, :, None, None]
             want_eval, _ = batch_norm_forward_ref(ref, x)
-            assert got_eval.tobytes() == want_eval.tobytes()
+            assert rel_err(got_eval, want_eval) < EVAL_TOL[dtype]
 
     def test_three_term_backward_matches_reference(self, rng):
         """The three-term backward agrees with the earlier dvar/dmean form
@@ -280,6 +301,37 @@ class TestSpatialAttention:
             assert np.array_equal(arg, want_arg), c
             assert arg[0, 0, 0, 0] <= 1 and np.isnan(max_c[0, 0, 0, 0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 16, 64, 64), (1, 3, 8, 8), (2, 128, 4, 4)])
+    def test_eval_output_bytes_equal_to_train_output(self, rng, monkeypatch, dtype, shape):
+        """The eval gate takes only the channel max, never the argmax the
+        train backward needs, and gives the train output byte for byte:
+        values from {-1, -0, +0, 1} tie across channels, and some columns
+        are all zeros of mixed sign.  The gate's bias stays at its initial
+        zero, so a window of zeros reaches the sigmoid as a signed zero."""
+        att = L.SpatialAttention(rng, dtype=dtype)
+        x = rng.choice(np.array([-1.0, -0.0, 0.0, 1.0], dtype=dtype), size=shape)
+        x[:, :, 0, :] = rng.choice(np.array([-0.0, 0.0], dtype=dtype), size=shape[:2] + shape[3:])
+        want = att.forward(x, train=True)
+        monkeypatch.setattr(L, "_channel_max", None)
+        got = att.forward(x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_eval_output_of_nan_column_matches_train_output(self, rng, monkeypatch):
+        """A NaN in one column spreads through the 7x7 gate to the same
+        positions in eval as in train mode, and every other value agrees
+        byte for byte."""
+        att = L.SpatialAttention(rng)
+        x = rng.standard_normal((2, 4, 12, 12)).astype(np.float32)
+        x[1, 2, 5, 6] = np.nan
+        want = att.forward(x, train=True)
+        monkeypatch.setattr(L, "_channel_max", None)
+        got = att.forward(x)
+        nan = np.isnan(want)
+        assert nan.any() and not nan[0].any()
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
     def test_gradients(self, rng):
         att = L.SpatialAttention(rng, kernel=3, dtype=np.float64)
         x = rng.standard_normal((2, 3, 6, 6))
@@ -331,17 +383,44 @@ class TestDoubleConvDS:
 
     def test_forward_bytes_equal_to_reference(self, rng):
         """In-place ReLUs on the batch-norm outputs give the bytes of the
-        earlier out-of-place forward, in train and then in eval mode."""
+        earlier out-of-place forward in train mode; the folded eval forward
+        that follows stays within EVAL_TOL of the unfolded one."""
         seed = int(rng.integers(1 << 30))
         block = L.DoubleConvDS(6, 10, 2, np.random.default_rng(seed), c_mid=4)
         ref = L.DoubleConvDS(6, 10, 2, np.random.default_rng(seed), c_mid=4)
         x = rng.standard_normal((3, 6, 12, 10)).astype(np.float32)
-        for train in (True, False):
-            got = block.forward(x, train=train)
-            want = double_conv_forward_ref(ref, x, train=train)
-            assert got.tobytes() == want.tobytes(), train
+        got = block.forward(x, train=True)
+        want = double_conv_forward_ref(ref, x, train=True)
+        assert got.tobytes() == want.tobytes()
         for (name, got), (_, want) in zip(block.named_states(), ref.named_states()):
             assert got.tobytes() == want.tobytes(), name
+        got = block.forward(x, train=False)
+        want = double_conv_forward_ref(ref, x, train=False)
+        assert got.dtype == want.dtype and rel_err(got, want) < EVAL_TOL[np.float32]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_folded_eval_matches_unfolded_reference(self, rng, dtype, monkeypatch):
+        """The eval forward runs each batch norm folded into its pointwise
+        conv, never through BatchNorm.forward, and stays within EVAL_TOL of
+        conv, reference batch norm and ReLU, on running means up to +-3,
+        running variances from 1e-2 to 1e2 and non-trivial gamma and beta."""
+        block = L.DoubleConvDS(5, 8, 2, rng, c_mid=6, dtype=dtype)
+        for bn in (block.bn1, block.bn2):
+            c = bn.channels
+            bn.p["gamma"] = rng.uniform(-2.0, 2.0, c).astype(dtype)
+            bn.p["beta"] = rng.uniform(-1.5, 1.5, c).astype(dtype)
+            bn.s["running_mean"] = rng.uniform(-3.0, 3.0, c).astype(dtype)
+            bn.s["running_var"] = 10.0 ** rng.uniform(-2.0, 2.0, c).astype(dtype)
+        x = rng.standard_normal((3, 5, 9, 11)).astype(dtype)
+        want = double_conv_forward_ref(block, x)
+
+        def refuse(x, train=False):
+            raise AssertionError("eval forward called BatchNorm.forward")
+        for bn in (block.bn1, block.bn2):
+            monkeypatch.setattr(bn, "forward", refuse)
+        got = block.forward(x)
+        assert got.dtype == want.dtype and (got >= 0).all()
+        assert rel_err(got, want) < EVAL_TOL[dtype]
 
     def test_whole_block_gradient(self, rng):
         block = L.DoubleConvDS(2, 3, 1, rng, dtype=np.float64)

@@ -14,8 +14,8 @@ from nimbus.layers import DoubleConvDS
 from nimbus.model import (ModelConfig, architecture_size, baseline_reference_param_count,
                           build_model, load_checkpoint, save_checkpoint)
 
-from _corrupt import (BAD_CHECKPOINTS, OVERSIZED_CONFIGS, UNDECODABLE_JSON, oversize,
-                      rewrite_checkpoint_header)
+from _corrupt import (BAD_BLOB_TABLES, OVERSIZED_CONFIGS, POISONED_VALUES, UNDECODABLE_JSON,
+                      oversize, rewrite_checkpoint, rewrite_checkpoint_header)
 from _oracles import (batch_norm_forward_ref, conv2d_ref, fd_gradient, named_arrays_ref, rel_err,
                       richardson_fd, save_checkpoint_v1_ref)
 
@@ -381,14 +381,29 @@ class TestCheckpoint:
                            "overlaps entry " + re.escape(repr(names[0]))):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("edit,append,text", [case[1:] for case in BAD_CHECKPOINTS],
-                             ids=[case[0] for case in BAD_CHECKPOINTS])
-    def test_entries_must_tile_the_data_section(self, toy_model, tmp_path, edit, append, text):
+    @pytest.mark.parametrize("edit,text", [case[1:] for case in BAD_BLOB_TABLES],
+                             ids=[case[0] for case in BAD_BLOB_TABLES])
+    def test_entries_must_tile_the_data_section(self, toy_model, tmp_path, edit, text):
         path = tmp_path / "model.smck"
         save_checkpoint(toy_model, path)
-        rewrite_checkpoint_header(path, edit, append)
+        rewrite_checkpoint(path, edit)
         with pytest.raises(FormatError, match=re.escape(text)):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit,text", [case[1:] for case in POISONED_VALUES],
+                             ids=[case[0] for case in POISONED_VALUES])
+    def test_poisoned_value_is_format_error_naming_its_byte(self, toy_model, tmp_path,
+                                                             edit, text):
+        """NaN, Inf or a negative running variance is refused, and the
+        error's byte offset points at that very value in the file."""
+        path = tmp_path / "model.smck"
+        save_checkpoint(toy_model, path)
+        rewrite_checkpoint(path, edit)
+        with pytest.raises(FormatError, match=re.escape(text) + r" (\d+)$") as err:
+            load_checkpoint(path)
+        byte = int(re.search(r"at byte (\d+)$", str(err.value)).group(1))
+        (value,) = struct.unpack_from("<f", path.read_bytes(), byte)
+        assert not np.isfinite(value) or value < 0
 
     @pytest.mark.parametrize("field,value", [case[1:] for case in OVERSIZED_CONFIGS],
                              ids=[case[0] for case in OVERSIZED_CONFIGS])
@@ -502,20 +517,27 @@ class TestCheckpointVersion1:
 
     def test_desk_model_forward_survives_the_fold(self, tmp_path):
         """The whole desk model: the loaded model against the same weights
-        with each bias added back after its pointwise conv."""
+        run through the unfolded oracles, each double conv as its convs
+        with the bias added back after the pointwise one, the reference
+        batch norm on the file's running statistics, and ReLU."""
         rng = np.random.default_rng(22)
         model = build_model(ModelConfig(**DESK), seed=1)
         biases = _v1_state(model, rng, 0.5)
         save_checkpoint_v1_ref(model, tmp_path / "v1.smck", biases)
         loaded = load_checkpoint(tmp_path / "v1.smck")
 
-        def biased(forward, bias):
-            return lambda x, train=False: forward(x, train) + bias[None, :, None, None]
+        def unfolded(block, name):
+            def forward(x, train=False):
+                for k in (1, 2):
+                    dsc, bn = getattr(block, f"dsc{k}"), getattr(block, f"bn{k}")
+                    bias = biases[f"{name}.dsc{k}.pointwise.bias"]
+                    z = dsc.forward(x, train) + bias[None, :, None, None]
+                    x = np.maximum(batch_norm_forward_ref(bn, z)[0], 0)
+                return x
+            return forward
 
         for name, block in _double_convs(model):
-            for k in (1, 2):
-                dsc = getattr(block, f"dsc{k}")
-                dsc.forward = biased(dsc.forward, biases[f"{name}.dsc{k}.pointwise.bias"])
+            block.forward = unfolded(block, name)
         x = rng.standard_normal((2, 36, 64, 64)).astype(np.float32)
         want = model.forward(x)
         got = loaded.forward(x)

@@ -257,10 +257,25 @@ class TestTrainEpoch:
         assert losses[2] < losses[0]
 
     def test_eval_loss_scalar_equals_train_loss_scalar(self):
+        """On logits that do not depend on the mode, the eval loss, computed
+        without a gradient, is the train loss bit for bit."""
+        x, y = toy_batch(4)
+        logits = np.random.default_rng(5).normal(0, 3, (4, 16, 16, 16)).astype(np.float32)
+        model = FixedLogits(logits)
+        for loss in ("bce_logits", "mse"):
+            cfg = O.TrainConfig(batch_size=4, loss=loss)
+            train_value, g_logits = O.batch_loss(model, x, y, cfg, train=True)
+            eval_value, none = O.batch_loss(model, x, y, cfg, train=False)
+            assert g_logits is not None and none is None
+            assert np.float64(eval_value).tobytes() == np.float64(train_value).tobytes(), loss
+
+    def test_momentum_one_eval_loss_matches_train_loss(self):
         """With batch-norm momentum 1 a train-mode forward leaves the running
-        statistics equal to the batch ones, so the eval-mode forward repeats
-        it exactly; the eval loss, computed without a gradient, must then be
-        the train loss bit for bit."""
+        statistics equal to the batch ones, so the eval-mode forward, with
+        each batch norm folded into its pointwise conv, repeats it up to
+        rounding: the two losses agree within 1e-5 relative, a float32
+        model's eighteen folds at a few eps each with the margin that
+        TestCheckpointVersion1.F32_TOL keeps."""
         cfg = O.TrainConfig(batch_size=4)
         model = build_model(TOY_MODEL, seed=3)
         bns = [b for b in _blocks(model) if isinstance(b, L.BatchNorm)]
@@ -268,10 +283,9 @@ class TestTrainEpoch:
         for bn in bns:
             bn.momentum = 1.0
         x, y = toy_batch(4)
-        train_value, g_logits = O.batch_loss(model, x, y, cfg, train=True)
-        eval_value, none = O.batch_loss(model, x, y, cfg, train=False)
-        assert g_logits is not None and none is None
-        assert np.float64(eval_value).tobytes() == np.float64(train_value).tobytes()
+        train_value, _ = O.batch_loss(model, x, y, cfg, train=True)
+        eval_value, _ = O.batch_loss(model, x, y, cfg, train=False)
+        assert abs(eval_value - train_value) <= 1e-5 * abs(train_value)
 
     def test_empty_split_rejected(self):
         """An empty batch iterable cannot silently report a zero loss."""

@@ -521,6 +521,19 @@ class TestBilinearResize:
         with pytest.raises(SizeError):
             T.bilinear_resize(np.zeros((1, 1, 4, 4)), 0, 4)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_in,n_out", [(32, 64), (64, 32), (5, 13), (7, 7), (1, 3)])
+    def test_cached_matrix_is_read_only_and_equals_a_fresh_build(self, dtype, n_in, n_out):
+        """Every resize of one size pair shares one cached matrix, so it
+        must refuse writes; its bytes are those of a fresh build."""
+        T.bilinear_resize(np.zeros((1, 1, n_in, 2), dtype=dtype), n_out, 2)
+        cached = T._resize_matrix(n_in, n_out, np.dtype(dtype))
+        assert cached is T._resize_matrix(n_in, n_out, np.dtype(dtype))
+        with pytest.raises(ValueError):
+            cached[0, 0] = 2.0
+        fresh = T._resize_matrix.__wrapped__(n_in, n_out, np.dtype(dtype))
+        assert cached.dtype == fresh.dtype and cached.tobytes() == fresh.tobytes()
+
 
 class TestReflectPad:
     def test_pad_then_crop_roundtrips(self, rng):
