@@ -15,7 +15,7 @@ from nimbus.tensor import tensor_random
 def main():
     config = ModelConfig(in_channels=12, out_channels=4,
                          stage_widths=(8, 16, 32, 64, 128),
-                         depth_multiplier=1, cbam_reduction=4)
+                         depth_multiplier=1, cbam_reduction=2)
     model = build_model(config, seed=3).to_dtype(np.float64)
 
     stages = list(model.att)

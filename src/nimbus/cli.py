@@ -108,11 +108,7 @@ def cmd_synth(args):
                         regions=_comma_list(args.regions),
                         years=_comma_ints(args.years), seed=args.seed)
     path = D.synth_generate(cfg, args.out)
-    echo = dataclasses.asdict(cfg)
-    echo["bands"] = list(cfg.bands)
-    echo["regions"] = list(cfg.regions)
-    echo["years"] = list(cfg.years)
-    _write_json(os.path.join(args.out, "synth-config.json"), echo)
+    _write_json(os.path.join(args.out, "synth-config.json"), cfg.to_dict())
     log.info("wrote %d samples under %s (manifest %s)",
              cfg.n_train + cfg.n_val + cfg.n_test, args.out, path)
     return EXIT_OK
@@ -122,7 +118,7 @@ def cmd_train(args):
     config = _load_run_config(args)
     manifest = _manifest_from(args, config)
     os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "run-config.json"), config.to_json_dict())
+    _write_json(os.path.join(args.out, "run-config.json"), config.to_dict())
     if args.regions or args.years:
         regions = _comma_list(args.regions) if args.regions else \
             tuple(sorted({r for r, _ in manifest.region_years()}))
@@ -135,7 +131,7 @@ def cmd_train(args):
         report = {
             "jobs": [{"region": r, "year": y, "checkpoint": results.get((r, y)),
                       "error": failures.get((r, y))} for r, y in jobs],
-            "config": config.to_json_dict(),
+            "config": config.to_dict(),
         }
         _write_json(os.path.join(args.out, "train-report.json"), report)
         for job, err in failures.items():
@@ -160,7 +156,7 @@ def cmd_predict(args):
     paths = M.predict_to_files(model, manifest, args.split, args.out, eval_cfg)
     _write_json(os.path.join(args.out, "predictions-config.json"),
                 {"checkpoint": args.checkpoint, "split": args.split,
-                 "config": config.to_json_dict()})
+                 "config": config.to_dict()})
     log.info("wrote %d prediction files to %s", len(paths), args.out)
     return EXIT_OK
 
@@ -174,7 +170,7 @@ def cmd_evaluate(args):
     source = args.predictions if args.predictions else load_checkpoint(args.checkpoint)
     report = M.evaluate(source, manifest, args.split, eval_cfg)
     payload = report.to_json_dict()
-    payload["run_config"] = config.to_json_dict()
+    payload["run_config"] = config.to_dict()
     if not args.no_baselines:
         payload["baselines"] = M.trivial_baselines(manifest, args.split, eval_cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -197,7 +193,7 @@ def cmd_ensemble(args):
     written = M.ensemble_to_files(models, manifest, args.split, args.out, eval_cfg)
     _write_json(os.path.join(args.out, "predictions-config.json"),
                 {"checkpoints": list(paths), "split": args.split,
-                 "mode": "average", "config": config.to_json_dict()})
+                 "mode": "average", "config": config.to_dict()})
     log.info("wrote %d averaged prediction files to %s", len(written), args.out)
     return EXIT_OK
 

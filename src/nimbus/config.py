@@ -1,10 +1,12 @@
 """Run-level configuration: one JSON document with model, train, data,
 and eval sections.
 
-Every field is optional and falls back to the package defaults; unknown
-keys at any level are rejected so typos fail loudly.  The resolved
-document is echoed into the artifacts a run writes, making results
-self-describing.
+The run config is itself a schema.Section whose fields are the four
+sections, so one `from_dict` checks the whole document: every field is
+optional and falls back to the package defaults, and a non-object or an
+unknown key at any level is rejected so typos fail loudly.  `to_dict`
+gives the resolved document, which is echoed into the artifacts a run
+writes, making results self-describing.
 """
 
 from __future__ import annotations
@@ -34,33 +36,22 @@ class DataConfig(Section):
 
 
 @dataclasses.dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Section):
     model: ModelConfig = ModelConfig()
     train: TrainConfig = TrainConfig()
     eval: EvalConfig = EvalConfig()
     data: DataConfig = DataConfig()
 
+    section = "config"
+    what, keys = "config root", "config sections"
+
     def __post_init__(self):
+        super().__post_init__()
         # Checkpoints do not record bands: score a model on the bands it learnt from.
         train, scored = set(self.data.drop_bands), set(self.eval.drop_bands)
         if train and scored and train != scored:
             raise ConfigError(f"eval.drop_bands {sorted(scored)} differs from "
                               f"data.drop_bands {sorted(train)}")
-
-    @classmethod
-    def from_dict(cls, d):
-        if not isinstance(d, dict):
-            raise ConfigError(f"config root must be a JSON object, got {type(d).__name__}")
-        sections = {"model": ModelConfig, "train": TrainConfig,
-                    "eval": EvalConfig, "data": DataConfig}
-        unknown = set(d) - set(sections)
-        if unknown:
-            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-        kwargs = {}
-        for name, section_cls in sections.items():
-            if name in d:
-                kwargs[name] = section_cls.from_dict(d[name])
-        return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path):
@@ -70,16 +61,3 @@ class RunConfig:
             except (ValueError, RecursionError) as exc:   # bad UTF-8, syntax, huge ints, deep nesting
                 raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         return cls.from_dict(d)
-
-    def to_json_dict(self):
-        return {
-            "model": self.model.to_dict(),
-            "train": dataclasses.asdict(self.train),
-            "eval": {**dataclasses.asdict(self.eval),
-                     "drop_bands": list(self.eval.drop_bands)},
-            "data": {**dataclasses.asdict(self.data),
-                     "drop_bands": list(self.data.drop_bands)},
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"

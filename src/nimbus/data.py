@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, ShapeError
 from .model import _atomic_write
+from .schema import Section
 
 TENSOR_MAGIC = b"W4CL"
 TENSOR_VERSION = 1
@@ -240,6 +241,9 @@ def load_manifest(path):
     dims = _load_geometry(path, geom)
     if not isinstance(bands, list) or not all(isinstance(b, str) for b in bands):
         raise DataError(f"{path}: band_names must be a list of strings")
+    repeated = [b for i, b in enumerate(bands) if b in bands[:i]]
+    if repeated:
+        raise DataError(f"{path}: band_names repeats {repeated[0]!r}")
     bands = tuple(bands)
     stats = _load_stats(path, stats, bands)
     if not isinstance(raw_samples, list):
@@ -402,34 +406,59 @@ def compute_band_stats(manifest, samples):
 
 
 @dataclasses.dataclass(frozen=True)
-class SynthConfig:
-    """Knobs of the synthetic advected-rain generator."""
+class SynthConfig(Section):
+    """Knobs of the synthetic advected-rain generator.
+
+    A config section (see nimbus.schema): every field is checked against
+    its annotation, and a value the generator cannot render, such as more
+    bands than it has responses for or a repeated band name, is a
+    ConfigError naming `synth.<field>`.
+    """
     n_train: int = 256
     n_val: int = 64
     n_test: int = 64
     grid: int = 64                 # crop size; raw inputs are 2x, targets 2x
-    bands: tuple = DEFAULT_BAND_NAMES
+    bands: tuple[str, ...] = DEFAULT_BAND_NAMES
     t_in: int = 4
     t_out: int = 16
-    velocity: tuple | None = None  # fixed (vy, vx) fine px/frame, else per-sample
+    velocity: tuple[float, ...] | None = None  # fixed (vy, vx) fine px/frame, else per-sample
     v_max: float = 1.2
-    blob_count: tuple = (2, 4)
-    blob_scale: tuple = (8.0, 18.0)
-    blob_amp: tuple = (0.5, 3.0)
+    blob_count: tuple[int, ...] = (2, 4)       # (lo, hi) ranges drawn per sample
+    blob_scale: tuple[float, ...] = (8.0, 18.0)
+    blob_amp: tuple[float, ...] = (0.5, 3.0)
     noise_sigma: float = 0.05
-    regions: tuple = ("regionA",)
-    years: tuple = (2019,)
+    regions: tuple[str, ...] = ("regionA",)
+    years: tuple[int, ...] = (2019,)
     seed: int = 0
 
+    section = "synth"
+
     def __post_init__(self):
-        if min(self.n_train, self.n_val, self.n_test) < 1:
-            raise ConfigError("all split sizes must be >= 1")
-        if self.grid < 16 or self.grid % 16:
-            raise ConfigError(f"grid must be a positive multiple of 16, got {self.grid}")
-        if self.noise_sigma < 0 or self.v_max < 0:
-            raise ConfigError("noise_sigma and v_max must be >= 0")
-        if not self.regions or not self.years:
-            raise ConfigError("at least one region and year required")
+        super().__post_init__()
+
+        def span(pair):
+            return len(pair) == 2 and pair[0] <= pair[1]
+        bands = set(self.bands)
+        rules = {
+            **{f: (getattr(self, f) >= 1, "be >= 1")
+               for f in ("n_train", "n_val", "n_test", "t_in", "t_out")},
+            **{f: (getattr(self, f) >= 0, "be >= 0") for f in ("v_max", "noise_sigma")},
+            "grid": (self.grid >= 16 and self.grid % 16 == 0, "be a positive multiple of 16"),
+            "bands": (1 <= len(bands) == len(self.bands) <= len(_BAND_GAIN),
+                      f"hold 1 to {len(_BAND_GAIN)} distinct names"),
+            "velocity": (self.velocity is None or len(self.velocity) == 2,
+                         "be null or 2 values"),
+            "blob_count": (span(self.blob_count) and self.blob_count[0] >= 0,
+                           "be a (lo, hi) pair with 0 <= lo <= hi"),
+            "blob_scale": (span(self.blob_scale) and self.blob_scale[0] > 0,
+                           "be a (lo, hi) pair with 0 < lo <= hi"),
+            "blob_amp": (span(self.blob_amp), "be a (lo, hi) pair with lo <= hi"),
+            "regions": (len(self.regions) >= 1, "name at least one region"),
+            "years": (len(self.years) >= 1, "name at least one year"),
+        }
+        for field, (ok, rule) in rules.items():
+            if not ok:
+                raise ConfigError(f"synth.{field} must {rule}, got {getattr(self, field)!r}")
 
 
 # Fixed per-band affine responses mapping rain to pseudo-radiance.  Negative

@@ -122,10 +122,7 @@ class EvalReport:
             "counts_by_job": {f"{r}:{y}": c.to_dict()
                               for (r, y), c in sorted(self.counts_by_job.items())},
             "csi_by_lead": self.csi_by_lead(),
-            "config": {"threshold": self.config.threshold,
-                       "prob_threshold": self.config.prob_threshold,
-                       "prediction_kind": self.config.prediction_kind,
-                       "drop_bands": list(self.config.drop_bands)},
+            "config": {k: v for k, v in self.config.to_dict().items() if k != "batch_size"},
         }
 
     def to_json(self):

@@ -68,11 +68,6 @@ class ModelConfig(Section):
         if self.cbam_reduction < 1:
             raise ConfigError("cbam_reduction must be >= 1")
 
-    def to_dict(self):
-        d = dataclasses.asdict(self)
-        d["stage_widths"] = list(d["stage_widths"])
-        return d
-
 
 class Conv1x1(Block):
     """Pointwise conv with bias, used as the logit head."""

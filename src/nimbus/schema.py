@@ -2,11 +2,16 @@
 
 Each config section is a frozen dataclass whose field annotations declare
 the values it accepts: an integer (never a bool), a finite number, a bool,
-a string, a list or tuple of one of these (kept as a tuple), or `X | None`.
-Building a section checks every field against its annotation and raises a
-ConfigError naming the section and the field; `from_dict` also rejects
-unknown keys.  Range checks stay in each section's __post_init__, after
-the call to Section.__post_init__.
+a string, a list or tuple of one of these (kept as a tuple), another
+section, or `X | None`.  Sections nest: a field annotated with a section
+keeps an instance of it and builds one from a JSON object with that
+section's `from_dict`, so the run config is the section that holds the
+other four.  Building a section checks every field against its annotation
+and raises a ConfigError naming the section and the field; `from_dict`
+also rejects non-objects and unknown keys.  Range checks stay in each
+section's __post_init__, after the call to Section.__post_init__.
+`to_dict` gives the JSON form every config echo writes: the fields in
+declaration order, tuples as lists and nested sections as dicts.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ def _typed(name, kind, value):
         if value is None:
             return None
         (kind,) = [k for k in typing.get_args(kind) if k is not type(None)]
+    if isinstance(kind, type) and issubclass(kind, Section):
+        return value if isinstance(value, kind) else kind.from_dict(value)
     if typing.get_origin(kind) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{name} must be a list, got {value!r}")
@@ -55,11 +62,22 @@ def _typed(name, kind, value):
     return int(value) if kind is int else value
 
 
+def _plain(value):
+    if isinstance(value, Section):
+        return value.to_dict()
+    return list(value) if isinstance(value, tuple) else value
+
+
 class Section:
     """Base of the config sections; subclasses are frozen dataclasses that
-    set `section` to their key in the run config."""
+    set `section` to the name their errors give them, for a section of the
+    run config its key there."""
 
     section: typing.ClassVar[str]
+    # How errors name a document of this kind and its keys, if not as
+    # "<section> config" and "<section> config keys".
+    what: typing.ClassVar[str | None] = None
+    keys: typing.ClassVar[str | None] = None
 
     def __post_init__(self):
         kinds = typing.get_type_hints(type(self))
@@ -70,9 +88,13 @@ class Section:
 
     @classmethod
     def from_dict(cls, d):
+        what = cls.what or f"{cls.section} config"
         if not isinstance(d, dict):
-            raise ConfigError(f"{cls.section} config must be an object, got {type(d).__name__}")
+            raise ConfigError(f"{what} must be an object, got {type(d).__name__}")
         unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
-            raise ConfigError(f"unknown {cls.section} config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown {cls.keys or what + ' keys'}: {sorted(unknown)}")
         return cls(**d)
+
+    def to_dict(self):
+        return {f.name: _plain(getattr(self, f.name)) for f in dataclasses.fields(self)}

@@ -142,6 +142,7 @@ BAD_MANIFESTS = [
     ("t_in-digits", _setting("geometry", "t_in", value="4"), "t_in"),
     ("crop-padded-digits", _setting("geometry", "crop", value=" 16 "), "crop"),
     ("year-digits", _setting("samples", 0, "year", value="2019"), "year"),
+    ("band-repeated", _setting("band_names", 1, value="VIS006"), "band_names repeats 'VIS006'"),
 ]
 
 

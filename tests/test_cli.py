@@ -187,6 +187,20 @@ class TestSynth:
             echo = json.load(fh)
         assert echo["seed"] == 2 and echo["grid"] == 16
 
+    @pytest.mark.parametrize("argv,field", [
+        (["--bands", ""], "synth.bands"),
+        (["--bands", "A,B,C,D,E,F,G,H,I,J"], "synth.bands"),
+        (["--bands", "A,A,B"], "synth.bands"),
+        (["--n", "0"], "synth.n_train"),
+        (["--grid", "24"], "synth.grid"),
+    ])
+    def test_unrenderable_config_exits_one_and_writes_nothing(self, tmp_path, capsys,
+                                                              argv, field):
+        out = tmp_path / "d"
+        assert main(["synth", "--out", str(out), "--n", "2", "--grid", "16"] + argv) == 1
+        assert field in only_error_line(capsys)
+        assert not out.exists()
+
 
 class TestTrain:
     def test_single_run_writes_checkpoint_history_and_echo(self, workspace, trained):

@@ -1,12 +1,16 @@
-"""Run configuration: one typed schema for the four sections."""
+"""Run configuration: one typed schema for the four sections, the run
+config that nests them, and the synthetic-data config."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _corrupt import BAD_CONFIGS, UNDECODABLE_JSON
 from nimbus.config import DataConfig, RunConfig
+from nimbus.data import SynthConfig
 from nimbus.errors import ConfigError
 from nimbus.metrics import EvalConfig
 from nimbus.model import ModelConfig
@@ -38,7 +42,7 @@ def test_well_typed_document_roundtrips():
     assert config.model.stage_widths == (4, 8, 16, 32, 64)
     assert config.eval.drop_bands == ("VIS006",)
     assert config.train.lr == 1 and config.train.shuffle is False
-    assert RunConfig.from_dict(json.loads(config.to_json())) == config
+    assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
 
 def test_direct_construction_is_checked_too():
@@ -89,3 +93,66 @@ def test_differing_drop_lists_are_refused():
         config = RunConfig.from_dict({"data": {"drop_bands": data},
                                       "eval": {"drop_bands": scored}})
         assert config.eval.drop_bands == tuple(scored)
+
+
+def test_nested_section_is_taken_as_an_instance_or_an_object():
+    model = ModelConfig(cbam_reduction=4)
+    assert RunConfig(model=model).model is model
+    assert RunConfig(model={"cbam_reduction": 4}) == RunConfig(model=model)
+    with pytest.raises(ConfigError, match="model.cbam_reduction"):
+        RunConfig(model={"cbam_reduction": "4"})
+    with pytest.raises(ConfigError, match="unknown model config keys"):
+        RunConfig(train=TrainConfig(), model={"no_such_key": 1})
+    with pytest.raises(ConfigError, match="unknown config sections"):
+        RunConfig.from_dict({"synth": {}})
+
+
+SECTIONS = [
+    ModelConfig(stage_widths=(4, 8, 16, 32, 64), cbam_reduction=2, preset="single-frame"),
+    TrainConfig(lr=0.5, shuffle=False, loss="mse", seed=3),
+    EvalConfig(drop_bands=("VIS006",), prediction_kind="rate", batch_size=2),
+    DataConfig(manifest="data/manifest.json", filter_threshold=0.1, drop_bands=("IR134",)),
+    RunConfig(model=ModelConfig(cbam_reduction=4), data=DataConfig(drop_bands=("IR134",))),
+    SynthConfig(bands=("IR016", "VIS006"), velocity=(0.5, -1.0), blob_count=(0, 3),
+                years=(2019, 2020), regions=("north", "south")),
+]
+
+
+@pytest.mark.parametrize("section", SECTIONS, ids=lambda s: type(s).__name__)
+def test_every_section_roundtrips_through_its_json_echo(section):
+    echo = json.loads(json.dumps(section.to_dict()))
+    assert type(section).from_dict(echo) == section
+    assert list(echo) == [f.name for f in dataclasses.fields(section)]
+
+
+@pytest.mark.parametrize("kwargs,field", [
+    ({"grid": "64"}, "synth.grid"),
+    ({"n_train": 2.5}, "synth.n_train"),
+    ({"bands": "VIS006"}, "synth.bands"),
+    ({"bands": ["VIS006", 3]}, r"synth\.bands\[1\]"),
+    ({"velocity": "east"}, "synth.velocity"),
+    ({"blob_count": [1.5, 2]}, r"synth\.blob_count\[0\]"),
+    ({"noise_sigma": float("inf")}, "synth.noise_sigma"),
+    ({"v_max": None}, "synth.v_max"),
+    ({"seed": True}, "synth.seed"),
+    ({"years": ["2019"]}, r"synth\.years\[0\]"),
+])
+def test_mistyped_synth_field_is_config_error_naming_it(kwargs, field):
+    with pytest.raises(ConfigError, match=field):
+        SynthConfig(**kwargs)
+    with pytest.raises(ConfigError, match=field):
+        SynthConfig.from_dict(kwargs)
+
+
+def test_synth_config_rejects_unknown_keys_and_non_objects():
+    with pytest.raises(ConfigError, match="unknown synth config keys"):
+        SynthConfig.from_dict({"no_such_key": 1})
+    with pytest.raises(ConfigError, match="synth config must be an object"):
+        SynthConfig.from_dict([1])
+
+
+def test_readme_default_config_block_matches_the_defaults():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("The full default configuration is:\n\n```json\n", 1)[1]
+    block = block.split("```", 1)[0]
+    assert json.dumps(json.loads(block)) == json.dumps(RunConfig().to_dict())

@@ -225,6 +225,39 @@ class TestFilterNonRainy:
             D.filter_non_rainy(small_set, small_set.samples, -1.0)
 
 
+class TestSynthConfig:
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"bands": ()}, "synth.bands"),
+        ({"bands": tuple(f"B{i}" for i in range(10))}, "synth.bands"),
+        ({"bands": ("VIS006", "IR016", "VIS006")}, "synth.bands"),
+        ({"t_in": 0}, "synth.t_in"),
+        ({"t_out": 0}, "synth.t_out"),
+        ({"n_val": 0}, "synth.n_val"),
+        ({"grid": 24}, "synth.grid"),
+        ({"blob_count": (4, 2)}, "synth.blob_count"),
+        ({"blob_count": (-1, 2)}, "synth.blob_count"),
+        ({"blob_scale": (5.0,)}, "synth.blob_scale"),
+        ({"blob_scale": (0.0, 1.0)}, "synth.blob_scale"),
+        ({"blob_amp": (3.0, 1.0, 4.0)}, "synth.blob_amp"),
+        ({"velocity": (1.0,)}, "synth.velocity"),
+        ({"v_max": -0.1}, "synth.v_max"),
+        ({"regions": ()}, "synth.regions"),
+    ])
+    def test_unrenderable_config_is_config_error_naming_field(self, kwargs, field):
+        with pytest.raises(ConfigError, match=field):
+            D.SynthConfig(**kwargs)
+
+    def test_smallest_renderable_config_generates(self, tmp_path):
+        """One band, one frame each way and equal range ends all render."""
+        cfg = D.SynthConfig(n_train=1, n_val=1, n_test=1, grid=16, bands=("IR016",),
+                            t_in=1, t_out=1, blob_count=(0, 1), blob_scale=(2.0, 2.0),
+                            blob_amp=(1.0, 1.0), velocity=(0.0, 0.5), seed=4)
+        m = D.load_manifest(D.synth_generate(cfg, str(tmp_path / "min")))
+        x = D.read_tensor_file(m.resolve(m.samples[0].input_path))
+        y = D.read_tensor_file(m.resolve(m.samples[0].target_path))
+        assert x.shape == (1, 1, 32, 32) and y.shape == (1, 1, 32, 32)
+
+
 class TestSynthGenerate:
     def test_manifest_geometry_and_counts(self, small_set):
         assert small_set.h_raw == 32
