@@ -21,6 +21,7 @@ from .errors import ConfigError, DataError, ShapeError
 from .schema import Section
 
 PREDICTION_SUFFIX = ".pred.w4cl"
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclasses.dataclass
@@ -178,8 +179,10 @@ def _event_mask(pred, config):
 
 
 def _events(mask):
-    """Event count per (sample, lead) of a (batch, lead, H, W) mask."""
-    return np.count_nonzero(mask, axis=(2, 3))
+    """Event count per (sample, lead) of a (batch, lead, H, W) mask, one
+    axis-free count (NumPy's byte count) per contiguous plane."""
+    planes = np.ascontiguousarray(mask).reshape(mask.shape[0], mask.shape[1], -1)
+    return np.array([[np.count_nonzero(p) for p in row] for row in planes], np.intp)
 
 
 class _Tally:
@@ -222,33 +225,43 @@ def _chunks(records, batch_size):
         yield records[start:start + batch_size]
 
 
-def _load_predictions(pred_dir, records, manifest):
-    rows = []
+def _load_prediction(pred_dir, record, manifest, config):
+    """One scene's prediction file: finite values, probabilities in [0, 1]."""
+    path = prediction_path(pred_dir, record)
+    if not os.path.exists(path):
+        raise DataError(f"missing prediction file {path}")
+    p = D.read_tensor_file(path)
+    want = (1, manifest.t_out, manifest.crop, manifest.crop)
+    if p.shape != want:
+        raise DataError(f"{path}: dims {p.shape} != {want}")
+    lo, hi = (0.0, 1.0) if config.prediction_kind == "probability" else (-_F32_MAX, _F32_MAX)
+    if not (lo <= p.min() and p.max() <= hi):
+        index = int(np.flatnonzero(~((p >= lo) & (p <= hi)))[0])
+        raise DataError(f"{path}: value {p.flat[index]:g} at byte {8 + 4 * p.ndim + 4 * index} "
+                        f"is not a {'probability in [0, 1]' if hi == 1 else 'finite rate'}")
+    return p
+
+
+def _truths(manifest, records, config):
+    """(record, target event mask, its per-lead counts) one scene at a
+    time: the one target walk of file scoring and the baselines."""
     for record in records:
-        path = prediction_path(pred_dir, record)
-        if not os.path.exists(path):
-            raise DataError(f"missing prediction file {path}")
-        p = D.read_tensor_file(path)
-        want = (1, manifest.t_out, manifest.crop, manifest.crop)
-        if p.shape != want:
-            raise DataError(f"{path}: dims {p.shape} != {want}")
-        rows.append(p)
-    return np.concatenate(rows, axis=0)
+        true_event = binarize(D.load_sample_target(manifest, record), config.threshold)
+        yield record, true_event, _events(true_event)
 
 
 def _file_batches(pred_dir, manifest, split, config):
-    """(predictions, targets, records) batches read from prediction files;
-    no input file is opened."""
-    for chunk in _chunks(_split_records(manifest, split), config.batch_size):
-        y = np.concatenate([D.load_sample_target(manifest, r) for r in chunk])
-        pred = _load_predictions(pred_dir, chunk, manifest)
-        yield pred, y, chunk
+    """One scene at a time from prediction files; no input file is opened."""
+    for record, true_event, n_true in _truths(manifest, _split_records(manifest, split), config):
+        yield _load_prediction(pred_dir, record, manifest, config), true_event, n_true, [record]
 
 
 def _model_batches(model, manifest, split, config):
     for x, y, records in D.batch_iter(manifest, split, config.batch_size,
                                       seed=0, shuffle=False, drop=config.drop_bands):
-        yield model_probabilities(model, x, config.prediction_kind), y, records
+        true_event = binarize(y, config.threshold)
+        yield (model_probabilities(model, x, config.prediction_kind), true_event,
+               _events(true_event), records)
 
 
 def evaluate(source, manifest, split, config=EvalConfig()):
@@ -263,13 +276,11 @@ def evaluate(source, manifest, split, config=EvalConfig()):
     D.kept_bands(manifest.band_names, config.drop_bands)
     batches = _file_batches if isinstance(source, (str, os.PathLike)) else _model_batches
     tally = _Tally(manifest)
-    for pred, y, records in batches(source, manifest, split, config):
+    for pred, true_event, n_true, records in batches(source, manifest, split, config):
         pred_event = _event_mask(pred, config)
-        true_event = binarize(y, config.threshold)
         if pred_event.shape != true_event.shape:
             raise ShapeError(f"prediction {pred_event.shape} vs target {true_event.shape}")
-        tally.add(records, _events(pred_event & true_event), _events(pred_event),
-                  _events(true_event))
+        tally.add(records, _events(pred_event & true_event), _events(pred_event), n_true)
     return tally.report(split, config)
 
 
@@ -286,16 +297,12 @@ def trivial_baselines(manifest, split, config=EvalConfig()):
     records = _split_records(manifest, split)
     zeros, ones = _Tally(manifest), _Tally(manifest)
     persist = _Tally(manifest) if all(r.latent_path is not None for r in records) else None
-    for chunk in _chunks(records, config.batch_size):
-        y = np.concatenate([D.load_sample_target(manifest, r) for r in chunk])
-        true_event = binarize(y, config.threshold)
-        n_true = _events(true_event)
-        zeros.add(chunk, 0, 0, n_true)
-        ones.add(chunk, n_true, ones.frame_pixels, n_true)
+    for record, true_event, n_true in _truths(manifest, records, config):
+        zeros.add([record], 0, 0, n_true)
+        ones.add([record], n_true, ones.frame_pixels, n_true)
         if persist is not None:
-            latent = np.concatenate([D.load_sample_latent(manifest, r) for r in chunk])
-            latent_event = binarize(latent, config.threshold)
-            persist.add(chunk, _events(latent_event & true_event), _events(latent_event), n_true)
+            latent_event = binarize(D.load_sample_latent(manifest, record), config.threshold)
+            persist.add([record], _events(latent_event & true_event), _events(latent_event), n_true)
     return {"all_zeros": zeros.report(split, config).pooled_csi,
             "all_ones": ones.report(split, config).pooled_csi,
             "persistence": None if persist is None else persist.report(split, config).pooled_csi}

@@ -7,6 +7,9 @@ use a deliberately tiny model and dataset so the whole file stays fast.
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,8 @@ from _corrupt import (BAD_BLOB_TABLES, BAD_CHECKPOINTS, BAD_CONFIGS, BAD_LATENT_
 from nimbus import data as D
 from nimbus import metrics as M
 from nimbus.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SMALL_MODEL = {"in_channels": 8, "out_channels": 16,
                "stage_widths": [4, 8, 16, 32, 64],
@@ -108,6 +113,16 @@ class TestUsageAndExitCodes:
             main([cmd, "--help"])
         assert err.value.code == 0
         assert "default" in capsys.readouterr().out
+
+    def test_module_entry_point_runs_the_cli(self):
+        """`python3 -m nimbus` is the same command line as `nimbus`."""
+        env = dict(os.environ)
+        src = str(ROOT / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        done = subprocess.run([sys.executable, "-m", "nimbus", "--help"], env=env, cwd=ROOT,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: nimbus") and "evaluate" in done.stdout
 
     def test_invalid_log_level_exits_one(self, monkeypatch, capsys):
         monkeypatch.setenv("NIMBUS_LOG", "verbose")
@@ -458,6 +473,28 @@ class TestMalformedInputs:
                      "--manifest", os.path.join(data_dir, "manifest.json"),
                      "--out", str(tmp_path / "rep")]) == 2
         assert record.latent_path in only_error_line(capsys)
+
+    @pytest.mark.parametrize("value", [np.nan, 7.0, -3.0])
+    def test_prediction_value_outside_the_rule_exits_two(self, tmp_path, capsys, value):
+        data_dir = str(tmp_path / "data")
+        assert main(["synth", "--out", data_dir, "--n", "2", "--n-val", "1",
+                     "--n-test", "1", "--grid", "16", "--seed", "4"]) == 0
+        manifest = D.load_manifest(os.path.join(data_dir, "manifest.json"))
+        record = manifest.split_samples("test")[0]
+        pred_dir = str(tmp_path / "preds")
+        os.makedirs(pred_dir)
+        probs = np.full((1, manifest.t_out, manifest.crop, manifest.crop), 0.5, np.float32)
+        probs[0, 1, 2, 3] = value
+        D.write_tensor_file(M.prediction_path(pred_dir, record), probs)
+        capsys.readouterr()
+        assert main(["evaluate", "--predictions", pred_dir,
+                     "--manifest", os.path.join(data_dir, "manifest.json"),
+                     "--out", str(tmp_path / "rep")]) == 2
+        line = only_error_line(capsys)
+        index = np.ravel_multi_index((0, 1, 2, 3), probs.shape)
+        assert M.prediction_path(pred_dir, record) in line
+        assert f"at byte {8 + 4 * 4 + 4 * index} " in line
+        assert not os.path.exists(str(tmp_path / "rep"))
 
     def test_manifest_without_t_out_exits_two(self, tmp_path, capsys):
         data_dir = str(tmp_path / "data")

@@ -10,6 +10,7 @@ nearest-cell replication of the coarse mask.
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,37 @@ class TestEvaluateFromFiles:
         with pytest.raises(DataError):
             M.evaluate(pred_dir, manifest, "test")
 
+    @pytest.mark.parametrize("kind,value", [
+        ("probability", np.nan), ("probability", 7.0), ("probability", -3.0),
+        ("probability", np.inf), ("rate", np.nan), ("rate", np.inf), ("rate", -np.inf)])
+    def test_bad_prediction_value_is_data_error_naming_its_byte(self, micro, kind, value):
+        """Scoring refuses a value that is not finite or, for probabilities,
+        outside [0, 1]; the message names the byte of the first such value."""
+        manifest, pred_dir = micro
+        path = M.prediction_path(pred_dir, manifest.samples[1])
+        p = D.read_tensor_file(path)
+        p.flat[5:7] = value
+        D.write_tensor_file(path, p)
+        with pytest.raises(DataError, match=r"at byte (\d+) ") as err:
+            M.evaluate(pred_dir, manifest, "test", M.EvalConfig(prediction_kind=kind))
+        assert str(err.value).startswith(path)
+        offset = int(re.search(r"at byte (\d+) ", str(err.value)).group(1))
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        assert offset == 8 + 4 * p.ndim + 4 * 5
+        assert np.frombuffer(raw[offset:offset + 4], "<f4").tobytes() == p.flat[5:6].tobytes()
+
+    def test_rates_outside_the_unit_interval_are_scored(self, micro):
+        manifest, pred_dir = micro
+        path = M.prediction_path(pred_dir, manifest.samples[1])
+        p = D.read_tensor_file(path)
+        p.flat[0], p.flat[1] = -3.0, 7.0
+        D.write_tensor_file(path, p)
+        report = M.evaluate(pred_dir, manifest, "test", M.EvalConfig(prediction_kind="rate"))
+        assert report.n_samples == 3
+        with pytest.raises(DataError, match="not a probability"):
+            M.evaluate(pred_dir, manifest, "test")
+
     def test_report_serializes_to_json_and_tsv(self, micro):
         """The JSON dict survives a dumps/loads cycle; the TSV has one line
         per (region, year) plus a pooled line."""
@@ -453,6 +485,39 @@ class TestOneVerificationPath:
         assert len(files[0]) == 7
         assert files[1] == files[0] and files[2] == files[0]
         assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    def test_file_scores_and_baselines_do_not_depend_on_batch_size(self, jobs_set, tmp_path):
+        """Prediction files and baselines are scored one scene at a time, so
+        eval.batch_size changes none of their bytes."""
+        pred_dir = str(tmp_path / "preds")
+        M.predict_to_files(build_model(TOY_MODEL, seed=4), jobs_set, "test", pred_dir)
+        outputs = []
+        for batch_size in (1, 3, 8):
+            config = M.EvalConfig(batch_size=batch_size)
+            report = M.evaluate(pred_dir, jobs_set, "test", config)
+            outputs.append((report.to_json(), report.to_tsv(), report.to_json_dict(),
+                            all_counts(report), M.trivial_baselines(jobs_set, "test", config)))
+        assert outputs[0][4]["persistence"] is not None
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_scoring_files_holds_one_scene_not_a_batch(self, jobs_set, tmp_path):
+        """At batch size 8 every one of the 7 scenes would fit one batch; the
+        peak stays under 3 scenes' target and prediction bytes."""
+        pred_dir = str(tmp_path / "preds")
+        M.predict_to_files(build_model(TOY_MODEL, seed=4), jobs_set, "test", pred_dir)
+        config = M.EvalConfig(batch_size=8)
+        want = M.evaluate(pred_dir, jobs_set, "test", config)   # fills the resize cache
+        record = jobs_set.split_samples("test")[0]
+        scene = (D.load_sample_target(jobs_set, record).nbytes
+                 + D.read_tensor_file(M.prediction_path(pred_dir, record)).nbytes)
+        tracemalloc.start()
+        try:
+            got = M.evaluate(pred_dir, jobs_set, "test", config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.to_json() == want.to_json()
+        assert peak < 3 * scene, (peak, scene)
 
     def test_every_count_is_a_python_int(self, jobs_set):
         report = M.evaluate(build_model(TOY_MODEL, seed=4), jobs_set, "test",

@@ -2,7 +2,8 @@
 either reads, with dims that account for every byte, or fails with a
 FormatError naming a byte offset, never a bare builtin; and `nimbus
 evaluate --predictions` over such a prediction file exits 0 or 2, with one
-error line when it fails."""
+error line when it fails: 0 exactly when the file reads with the right dims
+and every value is a probability in [0, 1]."""
 
 import os
 import re
@@ -86,7 +87,9 @@ def test_mutated_prediction_file_exits_two_with_one_line(scored_set, capsys, mut
     try:
         got = _read_or_error(path)
         want = (1, manifest.t_out, manifest.crop, manifest.crop)
-        ok = isinstance(got, np.ndarray) and got.shape == want
+        # Scoring refuses a probability that is not finite or lies outside [0, 1].
+        ok = (isinstance(got, np.ndarray) and got.shape == want
+              and bool(np.all((got >= 0) & (got <= 1))))
         capsys.readouterr()
         rc = main(["evaluate", "--predictions", os.path.dirname(path),
                    "--manifest", manifest_path, "--out", str(root / "report")])
