@@ -21,7 +21,7 @@ from . import data as D
 from . import metrics as M
 from . import optim as O
 from .config import RunConfig
-from .errors import (ConfigError, NimbusError, ShapeError, SizeError,
+from .errors import (ConfigError, DataError, NimbusError, ShapeError, SizeError,
                      ValidationError)
 from .model import (ModelConfig, PRESETS, _atomic_write, architecture_size,
                     baseline_reference_param_count, load_checkpoint)
@@ -148,17 +148,41 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def cmd_predict(args):
+def _write_predictions(args, checkpoints, echo, what):
+    """The body of predict and ensemble: forecast files from the mean of
+    the checkpoints' predictions, then the predictions-config.json echo."""
     config = _load_run_config(args)
     manifest = _manifest_from(args, config)
-    model = load_checkpoint(args.checkpoint)
-    eval_cfg = _eval_config(config)
-    paths = M.predict_to_files(model, manifest, args.split, args.out, eval_cfg)
+    models = [load_checkpoint(p) for p in checkpoints]
+    written = M.ensemble_to_files(models, manifest, args.split, args.out, _eval_config(config))
     _write_json(os.path.join(args.out, "predictions-config.json"),
-                {"checkpoint": args.checkpoint, "split": args.split,
-                 "config": config.to_dict()})
-    log.info("wrote %d prediction files to %s", len(paths), args.out)
+                {**echo, "split": args.split, "config": config.to_dict()})
+    log.info("wrote %d %s to %s", len(written), what, args.out)
     return EXIT_OK
+
+
+def cmd_predict(args):
+    return _write_predictions(args, [args.checkpoint], {"checkpoint": args.checkpoint},
+                              "prediction files")
+
+
+def _check_prediction_kind(pred_dir, eval_cfg):
+    """Refuse prediction files whose predictions-config.json echo records
+    another eval.prediction_kind than the one they are scored under.  A
+    directory without an echo leaves the kind to the config."""
+    path = os.path.join(pred_dir, "predictions-config.json")
+    if not os.path.exists(path):
+        return
+    try:
+        with open(path, encoding="utf-8") as fh:
+            kind = json.load(fh)["config"]["eval"]["prediction_kind"]
+    except (OSError, ValueError, RecursionError, LookupError, TypeError) as exc:
+        raise DataError(f"{path}: unreadable prediction echo: {exc!r}") from exc
+    if kind not in ("probability", "rate"):
+        raise DataError(f"{path}: config.eval.prediction_kind {kind!r} is not a prediction kind")
+    if kind != eval_cfg.prediction_kind:
+        raise ConfigError(f"{path} says the files hold {kind!r} predictions, but "
+                          f"eval.prediction_kind is {eval_cfg.prediction_kind!r}")
 
 
 def cmd_evaluate(args):
@@ -167,6 +191,8 @@ def cmd_evaluate(args):
     eval_cfg = _eval_config(config)
     if bool(args.checkpoint) == bool(args.predictions):
         raise ValidationError("pass exactly one of --checkpoint or --predictions")
+    if args.predictions:
+        _check_prediction_kind(args.predictions, eval_cfg)
     source = args.predictions if args.predictions else load_checkpoint(args.checkpoint)
     report = M.evaluate(source, manifest, args.split, eval_cfg)
     payload = report.to_json_dict()
@@ -183,19 +209,11 @@ def cmd_evaluate(args):
 
 
 def cmd_ensemble(args):
-    config = _load_run_config(args)
-    manifest = _manifest_from(args, config)
     paths = _comma_list(args.checkpoints)
     if not paths:
         raise ValidationError("--checkpoints needs at least one path")
-    models = [load_checkpoint(p) for p in paths]
-    eval_cfg = _eval_config(config)
-    written = M.ensemble_to_files(models, manifest, args.split, args.out, eval_cfg)
-    _write_json(os.path.join(args.out, "predictions-config.json"),
-                {"checkpoints": list(paths), "split": args.split,
-                 "mode": "average", "config": config.to_dict()})
-    log.info("wrote %d averaged prediction files to %s", len(written), args.out)
-    return EXIT_OK
+    return _write_predictions(args, paths, {"checkpoints": list(paths), "mode": "average"},
+                              "averaged prediction files")
 
 
 def cmd_params(args):

@@ -186,43 +186,39 @@ def _events(mask):
 
 
 class _Tally:
-    """Confusion counts per (region, year) and per lead time, fed one batch
-    of per-(sample, lead) event counts at a time."""
+    """Per-scene, per-lead event counts, folded into confusion counts per
+    (region, year) and per lead time once, by report."""
 
     def __init__(self, manifest):
         self.frame_pixels = (2 * manifest.crop) ** 2
-        self.by_lead = np.zeros((manifest.t_out, 4), dtype=np.int64)
-        self.by_job = {}
-        self.n_samples = 0
+        self.t_out = manifest.t_out
+        self.scenes = []
 
-    def add(self, records, tp, n_pred, n_true):
-        """Add (batch, lead) counts; each argument may broadcast to that shape."""
-        tp, n_pred, n_true = np.broadcast_arrays(tp, n_pred, n_true)
-        fn = n_true - tp
-        counts = np.stack([tp, n_pred - tp, fn, self.frame_pixels - n_pred - fn], axis=-1)
-        self.by_lead += counts.sum(axis=0)
-        for record, row in zip(records, counts.sum(axis=1).tolist()):
-            job = (record.region, record.year)
-            self.by_job[job] = self.by_job.get(job, ConfusionCounts()) + ConfusionCounts(*row)
-        self.n_samples += len(records)
+    def add(self, record, tp, n_pred, n_true):
+        """One scene's per-lead counts; a scalar stands for every lead."""
+        self.scenes.append((record, tp, n_pred, n_true))
 
     def report(self, split, config):
-        if self.n_samples == 0:
+        if not self.scenes:
             raise DataError(f"split {split!r} has no samples to evaluate")
-        by_lead = [ConfusionCounts(*row) for row in self.by_lead.tolist()]
+        tp, n_pred, n_true = np.zeros((3, len(self.scenes), self.t_out), dtype=np.int64)
+        for i, (_, *counts) in enumerate(self.scenes):
+            tp[i], n_pred[i], n_true[i] = counts
+        fn = n_true - tp
+        counts = np.stack([tp, n_pred - tp, fn, self.frame_pixels - n_pred - fn], axis=-1)
+        by_lead = [ConfusionCounts(*row) for row in counts.sum(axis=0).tolist()]
+        by_job = {}
+        for (record, *_), row in zip(self.scenes, counts.sum(axis=1).tolist()):
+            job = (record.region, record.year)
+            by_job[job] = by_job.get(job, ConfusionCounts()) + ConfusionCounts(*row)
         return EvalReport(split=split if isinstance(split, str) else "custom",
-                          counts_by_job=self.by_job, counts_by_lead=by_lead,
+                          counts_by_job=by_job, counts_by_lead=by_lead,
                           pooled=sum(by_lead, ConfusionCounts()), config=config,
-                          n_samples=self.n_samples)
+                          n_samples=len(self.scenes))
 
 
 def _split_records(manifest, split):
     return manifest.split_samples(split) if isinstance(split, str) else list(split)
-
-
-def _chunks(records, batch_size):
-    for start in range(0, len(records), batch_size):
-        yield records[start:start + batch_size]
 
 
 def _load_prediction(pred_dir, record, manifest, config):
@@ -244,24 +240,22 @@ def _load_prediction(pred_dir, record, manifest, config):
 
 def _truths(manifest, records, config):
     """(record, target event mask, its per-lead counts) one scene at a
-    time: the one target walk of file scoring and the baselines."""
+    time: the one target walk of evaluate and the baselines."""
     for record in records:
         true_event = binarize(D.load_sample_target(manifest, record), config.threshold)
-        yield record, true_event, _events(true_event)
+        yield record, true_event, _events(true_event)[0]
 
 
-def _file_batches(pred_dir, manifest, split, config):
-    """One scene at a time from prediction files; no input file is opened."""
-    for record, true_event, n_true in _truths(manifest, _split_records(manifest, split), config):
-        yield _load_prediction(pred_dir, record, manifest, config), true_event, n_true, [record]
-
-
-def _model_batches(model, manifest, split, config):
-    for x, y, records in D.batch_iter(manifest, split, config.batch_size,
-                                      seed=0, shuffle=False, drop=config.drop_bands):
-        true_event = binarize(y, config.threshold)
-        yield (model_probabilities(model, x, config.prediction_kind), true_event,
-               _events(true_event), records)
+def _forecasts(models, manifest, records, config):
+    """(record, (1, t_out, crop, crop) forecast) one scene at a time: the
+    one path from a model's forward to forecasts.  Inputs run through
+    ensemble_predict eval.batch_size scenes at a time; no target is read."""
+    for start in range(0, len(records), config.batch_size):
+        chunk = records[start:start + config.batch_size]
+        x = np.concatenate([D.load_sample_input(manifest, r, config.drop_bands) for r in chunk])
+        probs = ensemble_predict(models, x, kind=config.prediction_kind)
+        for i, record in enumerate(chunk):
+            yield record, probs[i:i + 1]
 
 
 def evaluate(source, manifest, split, config=EvalConfig()):
@@ -269,18 +263,22 @@ def evaluate(source, manifest, split, config=EvalConfig()):
 
     source is either a model (anything with .forward) or the path of a
     directory holding <stem>.pred.w4cl files from predict_to_files; scoring
-    files reads only the targets and the prediction files.  Counts
-    accumulate per (region, year) and per lead time; the pooled CSI comes
-    from the pooled counts.
+    files reads only the targets and the prediction files.  Either way each
+    scene is scored on its own.  Counts accumulate per (region, year) and
+    per lead time; the pooled CSI comes from the pooled counts.
     """
     D.kept_bands(manifest.band_names, config.drop_bands)
-    batches = _file_batches if isinstance(source, (str, os.PathLike)) else _model_batches
+    records = _split_records(manifest, split)
+    if isinstance(source, (str, os.PathLike)):
+        preds = (_load_prediction(source, r, manifest, config) for r in records)
+    else:
+        preds = (forecast for _, forecast in _forecasts([source], manifest, records, config))
     tally = _Tally(manifest)
-    for pred, true_event, n_true, records in batches(source, manifest, split, config):
+    for (record, true_event, n_true), pred in zip(_truths(manifest, records, config), preds):
         pred_event = _event_mask(pred, config)
         if pred_event.shape != true_event.shape:
             raise ShapeError(f"prediction {pred_event.shape} vs target {true_event.shape}")
-        tally.add(records, _events(pred_event & true_event), _events(pred_event), n_true)
+        tally.add(record, _events(pred_event & true_event)[0], _events(pred_event)[0], n_true)
     return tally.report(split, config)
 
 
@@ -298,11 +296,12 @@ def trivial_baselines(manifest, split, config=EvalConfig()):
     zeros, ones = _Tally(manifest), _Tally(manifest)
     persist = _Tally(manifest) if all(r.latent_path is not None for r in records) else None
     for record, true_event, n_true in _truths(manifest, records, config):
-        zeros.add([record], 0, 0, n_true)
-        ones.add([record], n_true, ones.frame_pixels, n_true)
+        zeros.add(record, 0, 0, n_true)
+        ones.add(record, n_true, ones.frame_pixels, n_true)
         if persist is not None:
             latent_event = binarize(D.load_sample_latent(manifest, record), config.threshold)
-            persist.add([record], _events(latent_event & true_event), _events(latent_event), n_true)
+            persist.add(record, _events(latent_event & true_event)[0], _events(latent_event)[0],
+                        n_true)
     return {"all_zeros": zeros.report(split, config).pooled_csi,
             "all_ones": ones.report(split, config).pooled_csi,
             "persistence": None if persist is None else persist.report(split, config).pooled_csi}
@@ -331,11 +330,7 @@ def ensemble_to_files(models, manifest, split, out_dir, config=EvalConfig()):
     paths.  Only the input files are read, never a target."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for chunk in _chunks(_split_records(manifest, split), config.batch_size):
-        x = np.concatenate([D.load_sample_input(manifest, r, config.drop_bands) for r in chunk])
-        probs = ensemble_predict(models, x, kind=config.prediction_kind)
-        for i, record in enumerate(chunk):
-            path = prediction_path(out_dir, record)
-            D.write_tensor_file(path, probs[i:i + 1])
-            paths.append(path)
+    for record, forecast in _forecasts(models, manifest, _split_records(manifest, split), config):
+        paths.append(prediction_path(out_dir, record))
+        D.write_tensor_file(paths[-1], forecast)
     return paths

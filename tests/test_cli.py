@@ -20,6 +20,7 @@ from _corrupt import (BAD_BLOB_TABLES, BAD_CHECKPOINTS, BAD_CONFIGS, BAD_LATENT_
 from nimbus import data as D
 from nimbus import metrics as M
 from nimbus.cli import main
+from nimbus.config import RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,6 +61,16 @@ def only_error_line(capsys):
     return lines[0]
 
 
+def run_config_dict(path):
+    """The resolved run config of a config file, as its JSON echo reads back."""
+    return json.loads(json.dumps(RunConfig.from_file(path).to_dict()))
+
+
+def read_echo(pred_dir):
+    with open(os.path.join(pred_dir, "predictions-config.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One synthetic dataset plus a small-model config, shared read-only."""
@@ -86,6 +97,18 @@ def trained(workspace):
                "--manifest", workspace["manifest"], "--out", out])
     assert rc == 0
     return os.path.join(out, "model.smck")
+
+
+@pytest.fixture(scope="module")
+def rate_config(workspace):
+    """The workspace config, scoring predictions as rates."""
+    path = str(workspace["root"] / "rate.json")
+    with open(workspace["config"], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["eval"] = {"prediction_kind": "rate"}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path
 
 
 class TestUsageAndExitCodes:
@@ -285,6 +308,32 @@ class TestPredictEvaluate:
         assert len(files) == 4
         assert os.path.exists(os.path.join(out, "predictions-config.json"))
 
+    def test_predict_echo_holds_exactly_its_keys(self, workspace, trained, tmp_path):
+        out = str(tmp_path / "preds")
+        assert main(["predict", "--checkpoint", trained, "--config", workspace["config"],
+                     "--manifest", workspace["manifest"], "--split", "val", "--out", out]) == 0
+        assert read_echo(out) == {"checkpoint": trained, "split": "val",
+                                  "config": run_config_dict(workspace["config"])}
+
+    def test_checkpoint_and_prediction_files_write_the_same_report(self, workspace, trained,
+                                                                   tmp_path):
+        """evaluate --checkpoint and predict then evaluate --predictions
+        write byte-identical report.json (baselines and run_config
+        included) and report.tsv under one config."""
+        common = ["--config", workspace["config"], "--manifest", workspace["manifest"]]
+        preds = str(tmp_path / "preds")
+        assert main(["predict", "--checkpoint", trained, "--out", preds, *common]) == 0
+        reports = []
+        for source in (["--checkpoint", trained], ["--predictions", preds]):
+            out = tmp_path / f"rep{len(reports)}"
+            assert main(["evaluate", *source, "--out", str(out), *common]) == 0
+            reports.append(tree_bytes(out))
+        assert sorted(reports[0]) == ["report.json", "report.tsv"]
+        assert reports[1] == reports[0]
+        payload = json.loads(reports[0]["report.json"])
+        assert payload["baselines"]["persistence"] is not None
+        assert payload["run_config"] == run_config_dict(workspace["config"])
+
     def test_evaluate_predictions_writes_reports_idempotently(self, workspace,
                                                               trained, tmp_path):
         """Scoring twice produces byte-identical artifacts: nothing in the
@@ -344,6 +393,73 @@ class TestEnsemble:
                 a = D.read_tensor_file(os.path.join(solo, name))
                 b = D.read_tensor_file(os.path.join(ens, name))
                 assert np.max(np.abs(a - b)) <= 1e-6
+
+    def test_ensemble_echo_holds_exactly_its_keys(self, workspace, trained, tmp_path):
+        out = str(tmp_path / "ens")
+        assert main(["ensemble", "--checkpoints", f"{trained},{trained}", "--config",
+                     workspace["config"], "--manifest", workspace["manifest"],
+                     "--out", out]) == 0
+        assert read_echo(out) == {"checkpoints": [trained, trained], "mode": "average",
+                                  "split": "test",
+                                  "config": run_config_dict(workspace["config"])}
+
+
+class TestPredictionEcho:
+    """evaluate --predictions scores files as the kind their
+    predictions-config.json echo records, or refuses to."""
+
+    def _predict(self, workspace, trained, tmp_path, config):
+        out = str(tmp_path / "preds")
+        assert main(["predict", "--checkpoint", trained, "--config", config,
+                     "--manifest", workspace["manifest"], "--out", out]) == 0
+        return out
+
+    def _evaluate(self, workspace, preds, config, tmp_path):
+        return main(["evaluate", "--predictions", preds, "--config", config,
+                     "--manifest", workspace["manifest"], "--out", str(tmp_path / "rep")])
+
+    def test_rate_files_under_the_default_config_exit_one(self, workspace, trained, rate_config,
+                                                          tmp_path, capsys):
+        preds = self._predict(workspace, trained, tmp_path, rate_config)
+        capsys.readouterr()
+        assert self._evaluate(workspace, preds, workspace["config"], tmp_path) == 1
+        line = only_error_line(capsys)
+        assert os.path.join(preds, "predictions-config.json") in line
+        assert "'rate'" in line and "'probability'" in line
+        assert not (tmp_path / "rep").exists()
+
+    def test_probability_files_scored_as_rates_exit_one(self, workspace, trained, rate_config,
+                                                        tmp_path, capsys):
+        preds = self._predict(workspace, trained, tmp_path, workspace["config"])
+        capsys.readouterr()
+        assert self._evaluate(workspace, preds, rate_config, tmp_path) == 1
+        line = only_error_line(capsys)
+        assert os.path.join(preds, "predictions-config.json") in line
+        assert "'rate'" in line and "'probability'" in line
+
+    @pytest.mark.parametrize("scored_as", ["default", "rate"])
+    def test_without_an_echo_the_config_decides(self, workspace, trained, rate_config,
+                                                tmp_path, scored_as):
+        preds = self._predict(workspace, trained, tmp_path, workspace["config"])
+        os.remove(os.path.join(preds, "predictions-config.json"))
+        config = rate_config if scored_as == "rate" else workspace["config"]
+        assert self._evaluate(workspace, preds, config, tmp_path) == 0
+
+    @pytest.mark.parametrize("text", [
+        "{not json", "[]", '{"config": 5}', '{"config": {"eval": {}}}',
+        '{"config": {"eval": {"prediction_kind": "odds"}}}',
+        '{"config": {"eval": {"prediction_kind": ["rate"]}}}', "\xff"],
+        ids=["syntax", "list", "non-object-config", "no-kind", "unknown-kind",
+             "list-kind", "bad-utf8"])
+    def test_malformed_echo_exits_two_naming_it(self, workspace, trained, tmp_path, capsys,
+                                                text):
+        preds = self._predict(workspace, trained, tmp_path, workspace["config"])
+        echo = os.path.join(preds, "predictions-config.json")
+        with open(echo, "wb") as fh:
+            fh.write(text.encode("latin-1"))
+        capsys.readouterr()
+        assert self._evaluate(workspace, preds, workspace["config"], tmp_path) == 2
+        assert echo in only_error_line(capsys)
 
 
 class TestMalformedInputs:

@@ -7,6 +7,7 @@ of a {0,1} probability field binarized at 0.5 reproduces exactly the
 nearest-cell replication of the coarse mask.
 """
 
+import collections
 import json
 import os
 import re
@@ -415,8 +416,8 @@ def all_counts(report):
 
 
 class TestOneVerificationPath:
-    """The batch accumulator against the earlier per-(sample, lead) loops,
-    kept verbatim in _oracles."""
+    """The per-scene accumulator against the earlier per-(sample, lead)
+    loops, kept verbatim in _oracles."""
 
     @pytest.mark.parametrize("kind", ["probability", "rate"])
     def test_evaluate_counts_equal_the_per_lead_loop(self, jobs_set, tmp_path, kind):
@@ -458,6 +459,26 @@ class TestOneVerificationPath:
         M.trivial_baselines(jobs_set, "test", M.EvalConfig(batch_size=3))
         assert len(read) == 4 * 7
         assert not [name for name in read if name.endswith(".input.w4cl")]
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 8])
+    def test_scoring_a_model_reads_each_input_and_target_once(self, jobs_set, monkeypatch,
+                                                               batch_size):
+        """The forecast stream reads inputs and the target walk reads
+        targets, each file once, at every batch size; no prediction file."""
+        read = collections.Counter()
+        original = D.read_tensor_file
+
+        def counted_read(path):
+            read[path] += 1
+            return original(path)
+
+        monkeypatch.setattr(D, "read_tensor_file", counted_read)
+        M.evaluate(build_model(TOY_MODEL, seed=4), jobs_set, "test",
+                   M.EvalConfig(batch_size=batch_size))
+        records = jobs_set.split_samples("test")
+        assert dict(read) == {jobs_set.resolve(path): 1 for r in records
+                              for path in (r.input_path, r.target_path)}
+        assert not [path for path in read if path.endswith(M.PREDICTION_SUFFIX)]
 
     def test_unknown_drop_band_is_config_error_without_inputs(self, jobs_set, tmp_path):
         pred_dir = str(tmp_path / "preds")
