@@ -85,7 +85,8 @@ def _manifest_from(args, config):
         raise ValidationError("a manifest is required: pass --manifest or set data.manifest")
     manifest = D.load_manifest(path)
     if config.data.filter_threshold is not None:
-        manifest.filter_threshold = config.data.filter_threshold
+        manifest = dataclasses.replace(manifest, filter_threshold=config.data.filter_threshold,
+                                       root=manifest.root)
     return manifest
 
 

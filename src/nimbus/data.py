@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import struct
 import zlib
@@ -83,29 +82,101 @@ def read_tensor_file(path):
     return np.frombuffer(raw, dtype="<f4", offset=dims_end).reshape(dims)
 
 
-@dataclasses.dataclass
-class SampleRecord:
-    input_path: str
-    target_path: str
-    region: str
-    year: int
-    split: str
-    timestamp: str
-    latent_path: str | None = None
+class _ManifestSection(Section):
+    """A section of manifest.json: errors are data errors, and an integral
+    number such as 4.0 passes as an integer."""
+    error = DataError
+    integral_floats = True
 
 
-@dataclasses.dataclass
-class Manifest:
-    """Typed view of manifest.json; paths are resolved against its directory."""
-    band_names: tuple
+@dataclasses.dataclass(frozen=True, kw_only=True)
+class Geometry(_ManifestSection):
+    """Frame counts and grid sizes.  Grids are square: w_raw is written for
+    readers, and when given must equal h_raw."""
     t_in: int
     t_out: int
     h_raw: int
+    w_raw: int | None = None
     crop: int
-    stats: dict
-    samples: list
-    filter_threshold: float
-    root: str = "."
+
+    section = what = "geometry"
+
+    def __post_init__(self):
+        super().__post_init__()
+        for name in ("t_in", "t_out", "h_raw", "crop"):
+            if getattr(self, name) < 1:
+                raise DataError(f"geometry.{name} must be positive, got {getattr(self, name)}")
+        if self.crop > self.h_raw:
+            raise DataError(f"geometry.crop ({self.crop}) exceeds h_raw ({self.h_raw})")
+        if self.w_raw is None:
+            object.__setattr__(self, "w_raw", self.h_raw)
+        elif self.w_raw != self.h_raw:
+            raise DataError(f"geometry.w_raw ({self.w_raw}) differs from h_raw ({self.h_raw}); "
+                            f"only square grids are supported")
+
+
+@dataclasses.dataclass(frozen=True)
+class BandStats(_ManifestSection):
+    """One band's normalization statistics."""
+    mean: float
+    std: float
+
+    section = "stats"
+
+
+@dataclasses.dataclass(frozen=True, kw_only=True)
+class SampleRecord(_ManifestSection):
+    """One sample.  The file keys `input`, `target` and `latent` hold paths
+    relative to the manifest; the pipeline reads them as `*_path`."""
+    input: str
+    target: str
+    latent: str | None = None
+    region: str
+    year: int
+    split: str
+    timestamp: str = ""
+
+    section = "sample"
+
+    input_path = property(lambda self: self.input)
+    target_path = property(lambda self: self.target)
+    latent_path = property(lambda self: self.latent)
+
+
+@dataclasses.dataclass(frozen=True, kw_only=True)
+class Manifest(_ManifestSection):
+    """Typed view of manifest.json.  root, the directory sample paths resolve
+    against, is not part of the file: dataclasses.replace must pass it."""
+    version: int
+    band_names: tuple[str, ...]
+    geometry: Geometry
+    stats: dict[str, BandStats]
+    filter_threshold: float = 0.0
+    samples: tuple[SampleRecord, ...]
+    root: dataclasses.InitVar[str] = "."
+
+    section, what = "", "manifest"
+
+    def __post_init__(self, root):
+        super().__post_init__()
+        object.__setattr__(self, "root", root)
+        if self.version != MANIFEST_VERSION:
+            raise DataError(f"unsupported manifest version {self.version}")
+        repeated = [b for i, b in enumerate(self.band_names) if b in self.band_names[:i]]
+        if repeated:
+            raise DataError(f"band_names repeats {repeated[0]!r}")
+        for band, stats in self.stats.items():
+            if band not in self.band_names:
+                raise DataError(f"stats for unknown band {band!r}")
+            if not stats.std > 0:
+                raise DataError(f"stats.{band}.std must be positive, got {stats.std}")
+        if self.filter_threshold < 0:
+            raise DataError(f"filter_threshold must be >= 0, got {self.filter_threshold}")
+
+    t_in = property(lambda self: self.geometry.t_in)
+    t_out = property(lambda self: self.geometry.t_out)
+    h_raw = property(lambda self: self.geometry.h_raw)
+    crop = property(lambda self: self.geometry.crop)
 
     def resolve(self, rel):
         return os.path.join(self.root, rel)
@@ -116,107 +187,9 @@ class Manifest:
     def region_years(self):
         return sorted({(s.region, s.year) for s in self.samples})
 
-    def to_json_dict(self):
-        return {
-            "version": MANIFEST_VERSION,
-            "band_names": list(self.band_names),
-            "geometry": {"t_in": self.t_in, "t_out": self.t_out,
-                         "h_raw": self.h_raw, "w_raw": self.h_raw, "crop": self.crop},
-            "stats": {b: {"mean": float(v["mean"]), "std": float(v["std"])}
-                      for b, v in self.stats.items()},
-            "filter_threshold": self.filter_threshold,
-            "samples": [
-                {k: v for k, v in
-                 [("input", s.input_path), ("target", s.target_path),
-                  ("latent", s.latent_path), ("region", s.region),
-                  ("year", s.year), ("split", s.split), ("timestamp", s.timestamp)]
-                 if v is not None}
-                for s in self.samples],
-        }
-
 
 def save_manifest(manifest, path):
-    payload = json.dumps(manifest.to_json_dict(), indent=1).encode("utf-8")
-    _atomic_write(path, payload)
-
-
-def _int_field(path, where, value):
-    """int(value) for a manifest field, or DataError naming the field.  Integral
-    floats pass; booleans, strings and other numbers are refused, not converted."""
-    if isinstance(value, int) and not isinstance(value, bool) \
-            or isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise DataError(f"{path}: {where} must be an integer, got {value!r}")
-
-
-def _str_field(path, where, value):
-    if not isinstance(value, str):
-        raise DataError(f"{path}: {where} must be a string, got {value!r}")
-    return value
-
-
-def _load_geometry(path, geom):
-    if not isinstance(geom, dict):
-        raise DataError(f"{path}: geometry must be an object")
-    dims = {}
-    for key in ("t_in", "t_out", "h_raw", "crop"):
-        if key not in geom:
-            raise DataError(f"{path}: geometry missing field {key!r}")
-        dims[key] = _int_field(path, f"geometry field {key!r}", geom[key])
-        if dims[key] < 1:
-            raise DataError(f"{path}: geometry field {key!r} must be positive, got {dims[key]}")
-    if dims["crop"] > dims["h_raw"]:
-        raise DataError(f"{path}: geometry field 'crop' ({dims['crop']}) exceeds "
-                        f"h_raw ({dims['h_raw']})")
-    # Grids are square: w_raw is written for readers, and must agree.
-    if "w_raw" in geom:
-        w_raw = _int_field(path, "geometry field 'w_raw'", geom["w_raw"])
-        if w_raw != dims["h_raw"]:
-            raise DataError(f"{path}: geometry field 'w_raw' ({w_raw}) differs from "
-                            f"h_raw ({dims['h_raw']}); only square grids are supported")
-    return dims
-
-
-def _load_stats(path, stats, bands):
-    if not isinstance(stats, dict):
-        raise DataError(f"{path}: stats must be an object, got {type(stats).__name__}")
-    for band, st in stats.items():
-        if band not in bands:
-            raise DataError(f"{path}: stats for unknown band {band!r}")
-        if not isinstance(st, dict):
-            raise DataError(f"{path}: stats for band {band!r} must be an object")
-        for key in ("mean", "std"):
-            val = st.get(key)
-            if isinstance(val, bool) or not isinstance(val, (int, float)) \
-                    or not math.isfinite(val):
-                raise DataError(f"{path}: stats field {key!r} of band {band!r} must be "
-                                f"a finite number, got {val!r}")
-        if not st["std"] > 0:
-            raise DataError(f"{path}: band {band!r} has non-positive std")
-    return stats
-
-
-def _load_sample(path, root, i, s):
-    if not isinstance(s, dict):
-        raise DataError(f"{path}: sample {i} must be an object, got {s!r}")
-    try:
-        fields = {key: s[key] for key in ("input", "target", "region", "year", "split")}
-    except KeyError as exc:
-        raise DataError(f"{path}: sample {i} missing field {exc}") from exc
-    latent = s.get("latent")
-    rec = SampleRecord(
-        input_path=_str_field(path, f"sample {i} field 'input'", fields["input"]),
-        target_path=_str_field(path, f"sample {i} field 'target'", fields["target"]),
-        region=_str_field(path, f"sample {i} field 'region'", fields["region"]),
-        year=_int_field(path, f"sample {i} field 'year'", fields["year"]),
-        split=_str_field(path, f"sample {i} field 'split'", fields["split"]),
-        timestamp=_str_field(path, f"sample {i} field 'timestamp'", s.get("timestamp", "")),
-        latent_path=None if latent is None else _str_field(path, f"sample {i} field 'latent'",
-                                                           latent))
-    for rel in (rec.input_path, rec.target_path, rec.latent_path):
-        if rel is not None and not os.path.exists(os.path.join(root, rel)):
-            raise DataError(f"{path}: sample {i} references missing file {rel}")
-    return rec
+    _atomic_write(path, json.dumps(manifest.to_dict(), indent=1).encode("utf-8"))
 
 
 def load_manifest(path):
@@ -228,32 +201,15 @@ def load_manifest(path):
             doc = json.load(fh)
     except (ValueError, RecursionError) as exc:   # bad UTF-8, syntax, huge ints, deep nesting
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != MANIFEST_VERSION:
-        raise DataError(f"{path}: missing or unsupported manifest version")
-    root = os.path.dirname(os.path.abspath(path))
     try:
-        geom = doc["geometry"]
-        bands = doc["band_names"]
-        stats = doc["stats"]
-        raw_samples = doc["samples"]
-    except KeyError as exc:
-        raise DataError(f"{path}: manifest missing section {exc}") from exc
-    dims = _load_geometry(path, geom)
-    if not isinstance(bands, list) or not all(isinstance(b, str) for b in bands):
-        raise DataError(f"{path}: band_names must be a list of strings")
-    repeated = [b for i, b in enumerate(bands) if b in bands[:i]]
-    if repeated:
-        raise DataError(f"{path}: band_names repeats {repeated[0]!r}")
-    bands = tuple(bands)
-    stats = _load_stats(path, stats, bands)
-    if not isinstance(raw_samples, list):
-        raise DataError(f"{path}: samples must be a list, got {type(raw_samples).__name__}")
-    samples = [_load_sample(path, root, i, s) for i, s in enumerate(raw_samples)]
-    threshold = doc.get("filter_threshold", 0.0)
-    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
-        raise DataError(f"{path}: filter_threshold must be a number, got {threshold!r}")
-    return Manifest(band_names=bands, **dims, stats=stats, samples=samples,
-                    filter_threshold=float(threshold), root=root)
+        manifest = Manifest.from_dict(doc, root=os.path.dirname(os.path.abspath(path)))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    for i, s in enumerate(manifest.samples):
+        for rel in (s.input, s.target, s.latent):
+            if rel is not None and not os.path.exists(manifest.resolve(rel)):
+                raise DataError(f"{path}: samples[{i}] references missing file {rel}")
+    return manifest
 
 
 def center_crop(x, crop):
@@ -300,13 +256,13 @@ def _stat_vectors(x, band_names, stats, t_in):
     missing = [b for b in band_names if b not in stats]
     if missing:
         raise DataError(f"manifest stats missing bands {missing}")
-    bad = [b for b in band_names if not stats[b]["std"] > 0]
+    bad = [b for b in band_names if not stats[b].std > 0]
     if bad:
         raise DataError(f"non-positive std for bands {bad}")
     if x.shape[1] != t_in * len(band_names):
         raise ShapeError(f"expected {t_in}*{len(band_names)} channels, got {x.shape[1]}")
-    means = np.array([stats[b]["mean"] for b in band_names] * t_in, dtype=x.dtype)
-    stds = np.array([stats[b]["std"] for b in band_names] * t_in, dtype=x.dtype)
+    means = np.array([stats[b].mean for b in band_names] * t_in, dtype=x.dtype)
+    stds = np.array([stats[b].std for b in band_names] * t_in, dtype=x.dtype)
     return means[None, :, None, None], stds[None, :, None, None]
 
 
@@ -401,7 +357,7 @@ def compute_band_stats(manifest, samples):
         per_band = x.reshape(manifest.t_in, n_bands, -1)
         sq += ((per_band - means[None, :, None]) ** 2).sum(axis=(0, 2))
     stds = np.sqrt(sq / max(count, 1))
-    return {b: {"mean": float(means[i]), "std": float(stds[i])}
+    return {b: BandStats(mean=float(means[i]), std=float(stds[i]))
             for i, b in enumerate(manifest.band_names)}
 
 
@@ -538,16 +494,20 @@ def synth_generate(cfg, out_dir):
         hour = i % 24
         day = (i // 24) % 28
         records.append(SampleRecord(
-            input_path=names["input"], target_path=names["target"],
-            latent_path=names["latent"], region=region, year=year, split=split,
+            input=names["input"], target=names["target"], latent=names["latent"],
+            region=region, year=year, split=split,
             timestamp=f"{year}-01-{day + 1:02d}T{hour:02d}:00:00"))
         if split == "train":
             train_volumes.append(float(targets.sum()))
 
-    manifest = Manifest(band_names=tuple(cfg.bands), t_in=cfg.t_in, t_out=cfg.t_out,
-                        h_raw=2 * cfg.grid, crop=cfg.grid, stats={}, samples=records,
+    manifest = Manifest(version=MANIFEST_VERSION, band_names=cfg.bands,
+                        geometry=Geometry(t_in=cfg.t_in, t_out=cfg.t_out, h_raw=2 * cfg.grid,
+                                          crop=cfg.grid),
+                        stats={}, samples=records,
                         filter_threshold=float(np.median(train_volumes)), root=out_dir)
-    manifest.stats = compute_band_stats(manifest, manifest.split_samples("train"))
+    manifest = dataclasses.replace(
+        manifest, stats=compute_band_stats(manifest, manifest.split_samples("train")),
+        root=out_dir)
     path = os.path.join(out_dir, "manifest.json")
     save_manifest(manifest, path)
     return path

@@ -69,17 +69,6 @@ class Block:
         return ((prefix + key, block.g.get(key)) for prefix, block in self._walk()
                 for key in block.p)
 
-    def set_param(self, name, value):
-        for prefix, block in self._walk():
-            key = name[len(prefix):]
-            if name.startswith(prefix) and key in block.p:
-                if block.p[key].shape != value.shape:
-                    raise ShapeError(f"parameter {name}: shape {value.shape} != "
-                                     f"{block.p[key].shape}")
-                block.p[key] = value
-                return
-        raise KeyError(f"no parameter named {name!r}")
-
     def to_dtype(self, dtype):
         """Cast every parameter and state in place; clears stale caches."""
         for _, block in self._walk():

@@ -21,7 +21,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, FormatError, ShapeError
 from .layers import CBAM, Block, DoubleConvDS, _he_uniform
-from .schema import Section, is_int
+from .schema import Section
 
 CHECKPOINT_MAGIC = b"SMCK"
 CHECKPOINT_VERSION = 2
@@ -67,6 +67,35 @@ class ModelConfig(Section):
             raise ConfigError("depth_multiplier must be >= 1")
         if self.cbam_reduction < 1:
             raise ConfigError("cbam_reduction must be >= 1")
+
+
+@dataclasses.dataclass(frozen=True)
+class BlobEntry(Section):
+    """One array of a checkpoint's data section; offset counts from the end
+    of the header."""
+    name: str
+    dims: tuple[int, ...]
+    offset: int
+    length: int
+
+    section, error = "entry", FormatError
+
+
+@dataclasses.dataclass(frozen=True)
+class CheckpointHeader(Section):
+    """A checkpoint's JSON header: the model config and the blob table."""
+    config: ModelConfig
+    entries: tuple[BlobEntry, ...]
+
+    section, what, error = "", "checkpoint header", FormatError
+
+    def __post_init__(self):
+        super().__post_init__()
+        for i, entry in enumerate(self.entries):
+            for field in ("offset", "length"):
+                if getattr(entry, field) < 0:
+                    raise FormatError(f"entries[{i}].{field} must be a non-negative integer, "
+                                      f"got {getattr(entry, field)}")
 
 
 class Conv1x1(Block):
@@ -292,11 +321,10 @@ def save_checkpoint(model, path):
     offset = 0
     for name, arr in list(model.named_params()) + list(model.named_states()):
         blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        entries.append({"name": name, "dims": list(arr.shape),
-                        "offset": offset, "length": len(blob)})
+        entries.append(BlobEntry(name=name, dims=arr.shape, offset=offset, length=len(blob)))
         blobs.append(blob)
         offset += len(blob)
-    header = json.dumps({"config": model.config.to_dict(), "entries": entries},
+    header = json.dumps(CheckpointHeader(config=model.config, entries=entries).to_dict(),
                         separators=(",", ":")).encode("utf-8")
     payload = b"".join([CHECKPOINT_MAGIC, struct.pack("<H", CHECKPOINT_VERSION),
                         struct.pack("<I", len(header)), header] + blobs)
@@ -361,52 +389,34 @@ def load_checkpoint(path):
     if data_start > len(raw):
         raise FormatError(f"{path}: header length {header_len} at byte 6 exceeds file size")
     try:
-        header = json.loads(raw[10:data_start].decode("utf-8"))
+        doc = json.loads(raw[10:data_start].decode("utf-8"))
     except (ValueError, RecursionError) as exc:   # bad UTF-8, syntax, huge ints, deep nesting
         raise FormatError(f"{path}: unreadable JSON header at byte 10: {exc}") from exc
-    if not isinstance(header, dict) or "config" not in header or "entries" not in header:
-        raise FormatError(f"{path}: header at byte 10 missing config/entries")
     try:
-        config = ModelConfig.from_dict(header["config"])
+        header = CheckpointHeader.from_dict(doc)
         # The data section must hold every parameter and state the config
         # asks for; checking first keeps a corrupt config from allocating.
-        need = 4 * sum(architecture_size(config))
-        if need > len(raw) - data_start:
-            field, value = _largest_demand(config)
-            raise FormatError(
-                f"{path}: data section truncated at byte {len(raw)}: the header config needs "
-                f"{need} bytes from byte {data_start}, most of them for config field "
-                f"{field!r} = {value!r}")
-        model = build_model(config, seed=0)
+        need = 4 * sum(architecture_size(header.config))
     except ConfigError as exc:
         raise FormatError(f"{path}: invalid config in header at byte 10: {exc}") from exc
+    except FormatError as exc:
+        raise FormatError(f"{path}: header at byte 10: {exc}") from exc
+    if need > len(raw) - data_start:
+        field, value = _largest_demand(header.config)
+        raise FormatError(
+            f"{path}: data section truncated at byte {len(raw)}: the header config needs "
+            f"{need} bytes from byte {data_start}, most of them for config field "
+            f"{field!r} = {value!r}")
+    model = build_model(header.config, seed=0)
     wanted = dict(list(model.named_params()) + list(model.named_states()))
     folds = _v1_biases(model) if version == 1 else {}
     wanted.update({bias: np.empty_like(wanted[mean]) for bias, mean in folds.items()})
     seen = set()
     spans = []      # (first byte, end byte, name) of every entry's data
-    entries = header["entries"]
-    if not isinstance(entries, list):
-        raise FormatError(f"{path}: header field 'entries' at byte 10 must be a list")
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise FormatError(f"{path}: header field 'entries[{i}]' at byte 10 must be an "
-                              f"object, got {type(entry).__name__}")
-        name = entry.get("name")
-        if not isinstance(name, str):
-            raise FormatError(f"{path}: header field 'entries[{i}].name' at byte 10 must be a "
-                              f"string, got {type(name).__name__}")
+    for i, entry in enumerate(header.entries):
+        name, dims, offset, length = entry.name, entry.dims, entry.offset, entry.length
         if name not in wanted:
             raise FormatError(f"{path}: header entry {name!r} not part of this architecture")
-        dims = entry.get("dims")
-        if not isinstance(dims, list) or not all(is_int(d) for d in dims):
-            raise FormatError(f"{path}: entry {name!r} has malformed dims {dims!r}")
-        dims = tuple(dims)
-        offset, length = entry.get("offset"), entry.get("length")
-        for field, value in (("offset", offset), ("length", length)):
-            if not is_int(value) or value < 0:
-                raise FormatError(f"{path}: header field 'entries[{i}].{field}' at byte 10 must "
-                                  f"be a non-negative integer, got {value!r}")
         if name in seen:
             raise FormatError(f"{path}: entry {name!r} appears twice; entries[{i}] "
                               f"repeats it with data at byte {data_start + offset}")

@@ -127,12 +127,14 @@ def _setting(*path, value):
 
 # Malformed manifests as (test id, edit for rewrite_manifest, text the error
 # must contain).  Each once escaped load_manifest as a builtin exception or
-# was accepted silently.  VIS006 is the first band a synthesized set has.
+# was accepted silently: a NaN or negative filter_threshold turned rain
+# filtering off, and an infinite one emptied the training pools.  VIS006 is
+# the first band a synthesized set has.
 BAD_MANIFESTS = [
     ("stats-list", _setting("stats", value=[1.0, 2.0]), "stats"),
-    ("stats-entry-number", _setting("stats", "VIS006", value=5), "stats for band"),
+    ("stats-entry-number", _setting("stats", "VIS006", value=5), "stats.VIS006"),
     ("samples-number", _setting("samples", value=5), "samples"),
-    ("sample-string", _setting("samples", 0, value="s00000"), "sample 0"),
+    ("sample-string", _setting("samples", 0, value="s00000"), "samples[0]"),
     ("year-text", _setting("samples", 0, "year", value="abc"), "year"),
     ("t_out-fraction", _setting("geometry", "t_out", value=2.5), "t_out"),
     ("t_in-zero", _setting("geometry", "t_in", value=0), "t_in"),
@@ -143,6 +145,11 @@ BAD_MANIFESTS = [
     ("crop-padded-digits", _setting("geometry", "crop", value=" 16 "), "crop"),
     ("year-digits", _setting("samples", 0, "year", value="2019"), "year"),
     ("band-repeated", _setting("band_names", 1, value="VIS006"), "band_names repeats 'VIS006'"),
+    ("threshold-nan", _setting("filter_threshold", value=float("nan")), "filter_threshold"),
+    ("threshold-inf", _setting("filter_threshold", value=float("inf")), "filter_threshold"),
+    ("threshold-negative", _setting("filter_threshold", value=-1.0), "filter_threshold"),
+    ("sample-unknown-key", _setting("samples", 0, "input_path", value="x"),
+     "unknown samples[0] keys: ['input_path']"),
 ]
 
 
@@ -179,6 +186,7 @@ def poison_value(suffix, index, value):
 # edit, text the error must contain).  Each once loaded silently or, for the
 # list name, escaped as a bare TypeError.  A JSON false passed the old
 # isinstance(offset, int) check, as 0, which the first entry's offset is.
+# An unknown key in an entry was ignored.
 BAD_BLOB_TABLES = [
     ("appended-bytes", _in_header(lambda header: None, bytes(700)), "belong to no entry"),
     ("gap-before-last", _in_header(_shift_offsets(-1, 4), bytes(4)), "belong to no entry"),
@@ -187,6 +195,8 @@ BAD_BLOB_TABLES = [
      "entries[0].name"),
     ("offset-false", _in_header(_setting("entries", 0, "offset", value=False)),
      "entries[0].offset"),
+    ("entry-unknown-key", _in_header(_setting("entries", 1, "dtype", value="<f4")),
+     "unknown entries[1] keys: ['dtype']"),
 ]
 
 

@@ -114,12 +114,12 @@ def _check_block_gradients(block, x, tol):
     for name, param in list(block.named_params()):
         orig = param.copy()
 
-        def at_param(q, _name=name):
-            block.set_param(_name, q)
+        def at_param(q, _param=param):
+            _param[...] = q
             return float(np.sum(block.forward(x, train=True) * w))
 
         want = fd_gradient(at_param, orig)
-        block.set_param(name, orig)
+        param[...] = orig
         assert rel_err(got_p[name], want) <= tol, name
 
 
@@ -179,14 +179,12 @@ def _blocky_manifest(root, coarse_masks_by_sample, crop):
                                  np.ones((2, 2), np.float32))
                          for m in masks])[None]
         D.write_tensor_file(os.path.join(root, names["target"]), fine)
-        records.append(D.SampleRecord(input_path=names["input"],
-                                      target_path=names["target"],
-                                      region="r", year=2019, split="test",
-                                      timestamp=""))
-    return D.Manifest(band_names=("IR016",), t_in=1,
-                      t_out=len(coarse_masks_by_sample[0]), h_raw=2 * crop,
-                      crop=crop, stats={"IR016": {"mean": 0.0, "std": 1.0}},
-                      samples=records, filter_threshold=0.0, root=root)
+        records.append(D.SampleRecord(input=names["input"], target=names["target"],
+                                      region="r", year=2019, split="test"))
+    geometry = D.Geometry(t_in=1, t_out=len(coarse_masks_by_sample[0]), h_raw=2 * crop,
+                          crop=crop)
+    return D.Manifest(version=D.MANIFEST_VERSION, band_names=("IR016",), geometry=geometry,
+                      stats={"IR016": {"mean": 0.0, "std": 1.0}}, samples=records, root=root)
 
 
 def test_criterion_04_geometry_and_perfect_csi(tmp_path):
@@ -370,12 +368,12 @@ def test_criterion_09_pipeline_conformance(tmp_path):
                                 np.zeros((1, 1, 8, 8), np.float32))
             D.write_tensor_file(os.path.join(root, tp), y.reshape(1, 2, 8, 8))
             volumes.append(7.0 * i)
-            records.append(D.SampleRecord(input_path=ip, target_path=tp,
-                                          region="r", year=2019, split="train",
-                                          timestamp=""))
-        manifest = D.Manifest(band_names=("IR016",), t_in=1, t_out=2, h_raw=8,
-                              crop=4, stats={"IR016": {"mean": 0.0, "std": 1.0}},
-                              samples=records, filter_threshold=0.0, root=root)
+            records.append(D.SampleRecord(input=ip, target=tp, region="r", year=2019,
+                                          split="train"))
+        manifest = D.Manifest(version=D.MANIFEST_VERSION, band_names=("IR016",),
+                              geometry=D.Geometry(t_in=1, t_out=2, h_raw=8, crop=4),
+                              stats={"IR016": {"mean": 0.0, "std": 1.0}}, samples=records,
+                              root=root)
         for threshold in (0.0, 10.5, 35.0, 64.0):
             kept, report = D.filter_non_rainy(manifest, records, threshold)
             want = [r for r, v in zip(records, volumes) if v >= threshold]

@@ -10,10 +10,10 @@ import pytest
 
 from _corrupt import BAD_CONFIGS, UNDECODABLE_JSON
 from nimbus.config import DataConfig, RunConfig
-from nimbus.data import SynthConfig
-from nimbus.errors import ConfigError
+from nimbus.data import Geometry, SynthConfig
+from nimbus.errors import ConfigError, DataError, FormatError
 from nimbus.metrics import EvalConfig
-from nimbus.model import ModelConfig
+from nimbus.model import CheckpointHeader, ModelConfig
 from nimbus.optim import TrainConfig
 
 
@@ -105,6 +105,36 @@ def test_nested_section_is_taken_as_an_instance_or_an_object():
         RunConfig(train=TrainConfig(), model={"no_such_key": 1})
     with pytest.raises(ConfigError, match="unknown config sections"):
         RunConfig.from_dict({"synth": {}})
+
+
+def test_missing_required_key_raises_the_sections_error_naming_it():
+    with pytest.raises(DataError, match=r"missing geometry keys: \['crop'\]"):
+        Geometry.from_dict({"t_in": 4, "t_out": 16, "h_raw": 32})
+
+
+def _entries(n):
+    return [{"name": f"e{i}", "dims": [1], "offset": 4 * i, "length": 4} for i in range(n)]
+
+
+def test_error_inside_a_tuple_of_sections_names_the_index():
+    entries = _entries(8)
+    entries[7]["offset"] = "28"
+    with pytest.raises(FormatError, match=r"^entries\[7\]\.offset must be an integer"):
+        CheckpointHeader.from_dict({"config": {}, "entries": entries})
+    entries[7]["offset"] = -4
+    with pytest.raises(FormatError, match=r"^entries\[7\]\.offset must be a non-negative"):
+        CheckpointHeader.from_dict({"config": {}, "entries": entries})
+
+
+def test_integral_floats_pass_as_integers_only_where_the_section_allows():
+    geometry = Geometry.from_dict({"t_in": 4.0, "t_out": 16, "h_raw": 32, "crop": 16})
+    assert type(geometry.t_in) is int and geometry.t_in == 4
+    with pytest.raises(ConfigError, match="model.in_channels"):
+        ModelConfig.from_dict({"in_channels": 36.0})
+    entries = _entries(1)
+    entries[0]["length"] = 4.0
+    with pytest.raises(FormatError, match=r"entries\[0\]\.length"):
+        CheckpointHeader.from_dict({"config": {}, "entries": entries})
 
 
 SECTIONS = [

@@ -3,6 +3,7 @@ preprocessing steps, batching, and the synthetic generator."""
 
 import json
 import os
+import re
 import threading
 import types
 
@@ -174,7 +175,7 @@ class TestSelectBands:
 
 
 class TestNormalize:
-    STATS = {"a": {"mean": 2.0, "std": 4.0}, "b": {"mean": -1.0, "std": 0.5}}
+    STATS = {"a": D.BandStats(mean=2.0, std=4.0), "b": D.BandStats(mean=-1.0, std=0.5)}
 
     def test_constant_band_at_mean_is_zeroed(self):
         x = np.full((1, 4, 3, 3), 2.0, dtype=np.float32)
@@ -184,7 +185,7 @@ class TestNormalize:
         assert np.allclose(y, 0.0)
 
     def test_nonpositive_std_rejected(self):
-        bad = {"a": {"mean": 0.0, "std": 0.0}}
+        bad = {"a": D.BandStats(mean=0.0, std=0.0)}
         with pytest.raises(DataError):
             D.normalize(np.zeros((1, 1, 2, 2), dtype=np.float32), ("a",), bad, 1)
 
@@ -336,8 +337,8 @@ class TestSynthGenerate:
         held_out = m.split_samples("val") + m.split_samples("test")
         fresh = D.compute_band_stats(m, held_out)
         for band in m.band_names:
-            declared = m.stats[band]["std"]
-            assert abs(fresh[band]["std"] - declared) / declared < 0.2
+            declared = m.stats[band].std
+            assert abs(fresh[band].std - declared) / declared < 0.2
 
     def test_stats_match_independent_two_pass_script(self, small_set):
         """Straight-line two-pass mean/std, no shared code with the package."""
@@ -350,8 +351,8 @@ class TestSynthGenerate:
                     per_band[b].append(x[0, t * n_bands + b].reshape(-1))
         for b, name in enumerate(small_set.band_names):
             vals = np.concatenate(per_band[b])
-            assert abs(vals.mean() - small_set.stats[name]["mean"]) < 1e-9
-            assert abs(vals.std() - small_set.stats[name]["std"]) < 1e-9
+            assert abs(vals.mean() - small_set.stats[name].mean) < 1e-9
+            assert abs(vals.std() - small_set.stats[name].std) < 1e-9
 
 
 class TestManifest:
@@ -405,8 +406,15 @@ class TestManifest:
         cfg = D.SynthConfig(n_train=2, n_val=1, n_test=1, grid=16, seed=2)
         path = D.synth_generate(cfg, str(tmp_path / "ds5"))
         rewrite_manifest(path, edit)
-        with pytest.raises(DataError, match=field):
+        with pytest.raises(DataError, match=re.escape(field)):
             D.load_manifest(path)
+
+    def test_save_rewrites_a_synthesized_manifest_byte_for_byte(self, tmp_path):
+        cfg = D.SynthConfig(n_train=2, n_val=1, n_test=1, grid=16, seed=2)
+        path = D.synth_generate(cfg, str(tmp_path / "ds7"))
+        copy = str(tmp_path / "ds7" / "copy.json")
+        D.save_manifest(D.load_manifest(path), copy)
+        assert open(copy, "rb").read() == open(path, "rb").read()
 
     def test_integral_floats_load_as_integers(self, tmp_path):
         cfg = D.SynthConfig(n_train=2, n_val=1, n_test=1, grid=16, seed=2)

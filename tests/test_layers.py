@@ -485,8 +485,3 @@ class TestBlockPlumbing:
         block = L.CBAM(4, 2, rng)
         block.to_dtype(np.float64)
         assert all(v.dtype == np.float64 for _, v in block.named_params())
-
-    def test_set_param_checks_shape(self, rng):
-        block = L.DoubleConvDS(2, 3, 1, rng)
-        with pytest.raises(Exception):
-            block.set_param("bn1.gamma", np.zeros(5, dtype=np.float32))

@@ -15,7 +15,8 @@ from nimbus import data as D  # noqa: E402
 from nimbus.errors import NimbusError  # noqa: E402
 
 # Values of every JSON type, and numbers at the edges of what the fields take.
-VALUES = st.sampled_from([None, True, "abc", "", 0, -3, 2.5, 1e300, [], {}, [1, 2], {"a": 1}])
+VALUES = st.sampled_from([None, True, "abc", "", 0, -3, 2.5, 1e300, float("nan"), float("inf"),
+                          [], {}, [1, 2], {"a": 1}])
 
 MUTATION = st.one_of(
     st.tuples(st.just("drop"), st.integers(0, 1 << 20)),

@@ -8,6 +8,7 @@ nearest-cell replication of the coarse mask.
 """
 
 import collections
+import dataclasses
 import json
 import os
 import re
@@ -55,12 +56,11 @@ def micro_manifest(tmp_path, target_masks, regions, latent=False):
             D.write_tensor_file(os.path.join(root, names["latent"]),
                                 target[:, :1].copy())
         records.append(D.SampleRecord(
-            input_path=names["input"], target_path=names["target"],
-            latent_path=names["latent"] if latent else None,
-            region=region, year=2019, split="test", timestamp=""))
-    return D.Manifest(band_names=("IR016",), t_in=1, t_out=t_out, h_raw=4,
-                      crop=2, stats={"IR016": {"mean": 0.0, "std": 1.0}},
-                      samples=records, filter_threshold=0.0, root=root)
+            input=names["input"], target=names["target"],
+            latent=names["latent"] if latent else None, region=region, year=2019, split="test"))
+    return D.Manifest(version=D.MANIFEST_VERSION, band_names=("IR016",),
+                      geometry=D.Geometry(t_in=1, t_out=t_out, h_raw=4, crop=2),
+                      stats={"IR016": {"mean": 0.0, "std": 1.0}}, samples=records, root=root)
 
 
 MICRO_TARGETS = [
@@ -375,7 +375,10 @@ class TestTrivialBaselines:
     def test_persistence_absent_when_one_sample_lacks_its_latent(self, tmp_path):
         masks = [[[[1, 0], [0, 0]], [[0, 1], [0, 0]]]] * 2
         manifest = micro_manifest(tmp_path, masks, ["r1", "r2"], latent=True)
-        manifest.samples[1].latent_path = None
+        first, second = manifest.samples
+        manifest = dataclasses.replace(
+            manifest, samples=(first, dataclasses.replace(second, latent=None)),
+            root=manifest.root)
         assert M.trivial_baselines(manifest, "test")["persistence"] is None
 
     @pytest.mark.parametrize("dims", [case[1] for case in BAD_LATENT_DIMS],

@@ -300,6 +300,11 @@ class TestCheckpoint:
             assert np.array_equal(a, b), n1
         assert np.array_equal(loaded.forward(x), y1)
 
+    def test_save_rewrites_a_loaded_checkpoint_byte_for_byte(self, toy_model, tmp_path):
+        save_checkpoint(toy_model, tmp_path / "a.smck")
+        save_checkpoint(load_checkpoint(tmp_path / "a.smck"), tmp_path / "b.smck")
+        assert (tmp_path / "b.smck").read_bytes() == (tmp_path / "a.smck").read_bytes()
+
     def test_single_frame_checkpoint_reports_channels(self, tmp_path):
         cfg = ModelConfig(preset="single-frame", stage_widths=(8, 16, 32, 64, 128),
                           depth_multiplier=1, cbam_reduction=4)
