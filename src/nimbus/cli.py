@@ -90,10 +90,21 @@ def _manifest_from(args, config):
     return manifest
 
 
-def _eval_config(config):
-    if config.data.drop_bands and not config.eval.drop_bands:
-        return dataclasses.replace(config.eval, drop_bands=config.data.drop_bands)
-    return config.eval
+def _trained_as(config, drop, loss):
+    """config with the data.drop_bands and train.loss a model was trained with."""
+    return dataclasses.replace(config, data=dataclasses.replace(config.data, drop_bands=drop),
+                               train=dataclasses.replace(config.train, loss=loss))
+
+
+def _load_models(paths, config, manifest):
+    """The checkpoints' models and config as they were trained; config's
+    data.drop_bands and train.loss stand in where versions 1 and 2 lack them."""
+    models = [load_checkpoint(p) for p in paths]
+    for model in models:
+        model.bands = model.bands or D.kept_bands(manifest.band_names, config.data.drop_bands)
+        model.loss = model.loss or config.train.loss
+    drop = tuple(b for b in manifest.band_names if b not in models[0].bands)
+    return models, _trained_as(config, drop, models[0].loss)
 
 
 def _write_json(path, payload):
@@ -154,8 +165,8 @@ def _write_predictions(args, checkpoints, echo, what):
     the checkpoints' predictions, then the predictions-config.json echo."""
     config = _load_run_config(args)
     manifest = _manifest_from(args, config)
-    models = [load_checkpoint(p) for p in checkpoints]
-    written = M.ensemble_to_files(models, manifest, args.split, args.out, _eval_config(config))
+    models, config = _load_models(checkpoints, config, manifest)
+    written = M.ensemble_to_files(models, manifest, args.split, args.out, config.eval)
     _write_json(os.path.join(args.out, "predictions-config.json"),
                 {**echo, "split": args.split, "config": config.to_dict()})
     log.info("wrote %d %s to %s", len(written), what, args.out)
@@ -167,39 +178,35 @@ def cmd_predict(args):
                               "prediction files")
 
 
-def _check_prediction_kind(pred_dir, eval_cfg):
-    """Refuse prediction files whose predictions-config.json echo records
-    another eval.prediction_kind than the one they are scored under.  A
-    directory without an echo leaves the kind to the config."""
+def _echoed(pred_dir, config):
+    """config with the data.drop_bands and train.loss that the
+    predictions-config.json echo in pred_dir records, if there is one."""
     path = os.path.join(pred_dir, "predictions-config.json")
     if not os.path.exists(path):
-        return
+        return config
     try:
         with open(path, encoding="utf-8") as fh:
-            kind = json.load(fh)["config"]["eval"]["prediction_kind"]
-    except (OSError, ValueError, RecursionError, LookupError, TypeError) as exc:
-        raise DataError(f"{path}: unreadable prediction echo: {exc!r}") from exc
-    if kind not in ("probability", "rate"):
-        raise DataError(f"{path}: config.eval.prediction_kind {kind!r} is not a prediction kind")
-    if kind != eval_cfg.prediction_kind:
-        raise ConfigError(f"{path} says the files hold {kind!r} predictions, but "
-                          f"eval.prediction_kind is {eval_cfg.prediction_kind!r}")
+            echo = RunConfig.from_dict(json.load(fh)["config"])
+    except (OSError, ValueError, RecursionError, LookupError, TypeError, ConfigError) as exc:
+        raise DataError(f"{path}: unreadable prediction echo: {exc}") from exc
+    return _trained_as(config, echo.data.drop_bands, echo.train.loss)
 
 
 def cmd_evaluate(args):
     config = _load_run_config(args)
     manifest = _manifest_from(args, config)
-    eval_cfg = _eval_config(config)
     if bool(args.checkpoint) == bool(args.predictions):
         raise ValidationError("pass exactly one of --checkpoint or --predictions")
     if args.predictions:
-        _check_prediction_kind(args.predictions, eval_cfg)
-    source = args.predictions if args.predictions else load_checkpoint(args.checkpoint)
-    report = M.evaluate(source, manifest, args.split, eval_cfg)
+        source, config = args.predictions, _echoed(args.predictions, config)
+    else:
+        (source,), config = _load_models([args.checkpoint], config, manifest)
+    report = M.evaluate(source, manifest, args.split, config.eval,
+                        M.prediction_kind(config.train.loss))
     payload = report.to_json_dict()
     payload["run_config"] = config.to_dict()
     if not args.no_baselines:
-        payload["baselines"] = M.trivial_baselines(manifest, args.split, eval_cfg)
+        payload["baselines"] = M.trivial_baselines(manifest, args.split, config.eval)
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "report.json"), payload)
     _atomic_write(os.path.join(args.out, "report.tsv"),
@@ -218,15 +225,10 @@ def cmd_ensemble(args):
 
 
 def cmd_params(args):
-    if args.config:
-        model_cfg = RunConfig.from_file(args.config).model
-    else:
-        model_cfg = ModelConfig(preset=args.preset or "default")
+    model_cfg = _load_run_config(args).model
     total, _ = architecture_size(model_cfg)
     baseline = baseline_reference_param_count(model_cfg)
-    print(f"total_params {total}")
-    print(f"baseline_reference {baseline}")
-    print(f"ratio {total / baseline:.4f}")
+    print(f"total_params {total}\nbaseline_reference {baseline}\nratio {total / baseline:.4f}")
     return EXIT_OK
 
 
@@ -237,20 +239,14 @@ def dump_image(tensor_path, channel, frame, out_path):
     empty slice, or one holding NaN or Inf, has no such scale and is refused.
     """
     x = D.read_tensor_file(tensor_path)
-    if x.ndim == 2:
-        plane, where = x, "the whole tensor"
-    elif x.ndim == 3:
-        if not 0 <= channel < x.shape[0]:
-            raise ValidationError(f"channel {channel} out of range for dims {x.shape}")
-        plane, where = x[channel], f"channel {channel}"
-    elif x.ndim == 4:
-        if not 0 <= frame < x.shape[0]:
-            raise ValidationError(f"frame {frame} out of range for dims {x.shape}")
-        if not 0 <= channel < x.shape[1]:
-            raise ValidationError(f"channel {channel} out of range for dims {x.shape}")
-        plane, where = x[frame, channel], f"frame {frame}, channel {channel}"
-    else:
+    if not 2 <= x.ndim <= 4:
         raise ValidationError(f"cannot render a {x.ndim}-d tensor as an image")
+    index = [("frame", frame), ("channel", channel)][4 - x.ndim:]
+    for axis, (name, i) in enumerate(index):
+        if not 0 <= i < x.shape[axis]:
+            raise ValidationError(f"{name} {i} out of range for dims {x.shape}")
+    plane = x[tuple(i for _, i in index)]
+    where = ", ".join(f"{name} {i}" for name, i in index) or "the whole tensor"
     if plane.size == 0:
         raise ValidationError(f"{tensor_path}: slice ({where}) of dims {x.shape} is empty")
     if not np.isfinite(plane).all():

@@ -45,14 +45,6 @@ class RunConfig(Section):
     section = "config"
     what, keys = "config root", "config sections"
 
-    def __post_init__(self):
-        super().__post_init__()
-        # Checkpoints do not record bands: score a model on the bands it learnt from.
-        train, scored = set(self.data.drop_bands), set(self.eval.drop_bands)
-        if train and scored and train != scored:
-            raise ConfigError(f"eval.drop_bands {sorted(scored)} differs from "
-                              f"data.drop_bands {sorted(train)}")
-
     @classmethod
     def from_file(cls, path):
         with open(path, encoding="utf-8") as fh:

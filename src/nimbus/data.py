@@ -224,16 +224,16 @@ def center_crop(x, crop):
     return x[..., top:top + crop, left:left + crop]
 
 
-def select_bands(x, band_names, drop, t_in):
-    """Remove the named bands from every frame of a frame-major stack."""
-    kept = kept_bands(band_names, drop)
+def select_bands(x, band_names, bands, t_in):
+    """Gather bands, in their order, from every frame of a frame-major stack
+    of band_names; a name band_names lacks raises ConfigError."""
+    unknown = [b for b in bands if b not in band_names]
+    if unknown:
+        raise ConfigError(f"bands {unknown} are not among the manifest's {list(band_names)}")
     n_bands = len(band_names)
     if x.shape[1] != t_in * n_bands:
         raise ShapeError(f"expected {t_in}*{n_bands} channels, got {x.shape[1]}")
-    keep = [t * n_bands + b
-            for t in range(t_in)
-            for b, name in enumerate(band_names)
-            if name in kept]
+    keep = [t * n_bands + band_names.index(b) for t in range(t_in) for b in bands]
     return np.ascontiguousarray(x[:, keep])
 
 
@@ -248,11 +248,6 @@ def kept_bands(band_names, drop):
 
 def normalize(x, band_names, stats, t_in):
     """Per-band z-score with the same stats across all frames of a band."""
-    means, stds = _stat_vectors(x, band_names, stats, t_in)
-    return ((x - means) / stds).astype(x.dtype, copy=False)
-
-
-def _stat_vectors(x, band_names, stats, t_in):
     missing = [b for b in band_names if b not in stats]
     if missing:
         raise DataError(f"manifest stats missing bands {missing}")
@@ -263,7 +258,7 @@ def _stat_vectors(x, band_names, stats, t_in):
         raise ShapeError(f"expected {t_in}*{len(band_names)} channels, got {x.shape[1]}")
     means = np.array([stats[b].mean for b in band_names] * t_in, dtype=x.dtype)
     stds = np.array([stats[b].std for b in band_names] * t_in, dtype=x.dtype)
-    return means[None, :, None, None], stds[None, :, None, None]
+    return ((x - means[:, None, None]) / stds[:, None, None]).astype(x.dtype, copy=False)
 
 
 def filter_non_rainy(manifest, samples, volume_threshold):
@@ -288,19 +283,20 @@ def filter_non_rainy(manifest, samples, volume_threshold):
     return retained, report
 
 
-def load_sample_input(manifest, record, drop):
+def load_sample_input(manifest, record, bands=None):
     """Read one input file and run it through select_bands -> center_crop ->
-    normalize; returns a (1, T_in*B_kept, crop, crop) float32 batch row.
-    The band gather runs only when a band is dropped, and normalize reads
-    the crop window in place; neither changes a byte of the result."""
+    normalize: a (1, T_in*len(bands), crop, crop) float32 row.  bands are
+    the names to keep, in order, None meaning the manifest's list; only
+    another list runs the gather, and normalize reads the crop in place."""
     x = read_tensor_file(manifest.resolve(record.input_path))
     want = (1, manifest.t_in * len(manifest.band_names), manifest.h_raw, manifest.h_raw)
     if x.shape != want:
         raise DataError(f"sample {record.input_path}: dims {x.shape} != manifest {want}")
-    if drop:
-        x = select_bands(x, manifest.band_names, drop, manifest.t_in)
+    bands = manifest.band_names if bands is None else tuple(bands)
+    if bands != manifest.band_names:
+        x = select_bands(x, manifest.band_names, bands, manifest.t_in)
     x = center_crop(x, manifest.crop)
-    return normalize(x, kept_bands(manifest.band_names, drop), manifest.stats, manifest.t_in)
+    return normalize(x, bands, manifest.stats, manifest.t_in)
 
 
 def load_sample_target(manifest, record):
@@ -321,11 +317,11 @@ def load_sample_latent(manifest, record):
     return z
 
 
-def batch_iter(manifest, split, batch_size, seed, shuffle, drop=()):
+def batch_iter(manifest, split, batch_size, seed, shuffle, bands=None):
     """Yield (inputs, targets, records) batches for one split.
 
     Shuffling is a seeded permutation of the manifest order; the final short
-    batch is kept.  Inputs arrive fully preprocessed, targets as raw rates.
+    batch is kept.  Inputs of bands arrive fully preprocessed, targets as raw rates.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
@@ -335,7 +331,7 @@ def batch_iter(manifest, split, batch_size, seed, shuffle, drop=()):
         samples = [samples[i] for i in order]
     for start in range(0, len(samples), batch_size):
         chunk = samples[start:start + batch_size]
-        xs = [load_sample_input(manifest, s, drop) for s in chunk]
+        xs = [load_sample_input(manifest, s, bands) for s in chunk]
         ys = [load_sample_target(manifest, s) for s in chunk]
         yield np.concatenate(xs), np.concatenate(ys), chunk
 

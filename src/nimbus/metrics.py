@@ -47,9 +47,7 @@ class ConfusionCounts:
 class EvalConfig(Section):
     threshold: float = 0.2        # rain rate (mm/h) defining an event
     prob_threshold: float = 0.5   # probability cut for bce-trained models
-    prediction_kind: str = "probability"   # "rate" for mse-trained models
     batch_size: int = 8
-    drop_bands: tuple[str, ...] = ()
 
     section = "eval"
 
@@ -59,8 +57,6 @@ class EvalConfig(Section):
             raise ConfigError(f"threshold must be >= 0, got {self.threshold}")
         if not 0 < self.prob_threshold < 1:
             raise ConfigError("prob_threshold must lie in (0, 1)")
-        if self.prediction_kind not in ("probability", "rate"):
-            raise ConfigError(f"unknown prediction kind {self.prediction_kind!r}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
 
@@ -153,11 +149,26 @@ def prediction_path(pred_dir, record):
     return os.path.join(pred_dir, sample_stem(record) + PREDICTION_SUFFIX)
 
 
-def model_probabilities(model, x, kind="probability"):
+def prediction_kind(loss):
+    """What a model trained with loss forecasts: rates for mse, else probabilities."""
+    return "rate" if loss == "mse" else "probability"
+
+
+def _reads(models):
+    """The (bands, loss) all members of an ensemble must share: the input
+    bands they read, in order (None: the manifest's), and the training loss."""
+    facts = {(getattr(m, "bands", None), getattr(m, "loss", None)) for m in models}
+    if len(facts) != 1:
+        raise ConfigError(f"ensemble members must agree on (bands, loss), "
+                          f"got {sorted(facts, key=str)}")
+    return facts.pop()
+
+
+def model_probabilities(model, x):
     """Eval-mode forward at crop resolution: event probabilities, or the raw
-    rates of an mse-trained model when kind is "rate"."""
+    rates of an mse-trained model (see prediction_kind)."""
     out = model.forward(x, train=False)
-    return T.sigmoid(out) if kind == "probability" else out
+    return out if prediction_kind(getattr(model, "loss", None)) == "rate" else T.sigmoid(out)
 
 
 def predict_to_files(model, manifest, split, out_dir, config=EvalConfig()):
@@ -170,12 +181,10 @@ def predict_to_files(model, manifest, split, out_dir, config=EvalConfig()):
     return ensemble_to_files([model], manifest, split, out_dir, config)
 
 
-def _event_mask(pred, config):
-    """Upsample crop-resolution predictions 2x and binarize them."""
+def _event_mask(pred, config, kind):
+    """Upsample crop-resolution predictions of a kind 2x and binarize them."""
     up = T.bilinear_resize(pred, 2 * pred.shape[2], 2 * pred.shape[3])
-    cut = config.prob_threshold if config.prediction_kind == "probability" \
-        else config.threshold
-    return up >= cut
+    return up >= (config.prob_threshold if kind == "probability" else config.threshold)
 
 
 def _events(mask):
@@ -221,7 +230,7 @@ def _split_records(manifest, split):
     return manifest.split_samples(split) if isinstance(split, str) else list(split)
 
 
-def _load_prediction(pred_dir, record, manifest, config):
+def _load_prediction(pred_dir, record, manifest, kind):
     """One scene's prediction file: finite values, probabilities in [0, 1]."""
     path = prediction_path(pred_dir, record)
     if not os.path.exists(path):
@@ -230,7 +239,7 @@ def _load_prediction(pred_dir, record, manifest, config):
     want = (1, manifest.t_out, manifest.crop, manifest.crop)
     if p.shape != want:
         raise DataError(f"{path}: dims {p.shape} != {want}")
-    lo, hi = (0.0, 1.0) if config.prediction_kind == "probability" else (-_F32_MAX, _F32_MAX)
+    lo, hi = (0.0, 1.0) if kind == "probability" else (-_F32_MAX, _F32_MAX)
     if not (lo <= p.min() and p.max() <= hi):
         index = int(np.flatnonzero(~((p >= lo) & (p <= hi)))[0])
         raise DataError(f"{path}: value {p.flat[index]:g} at byte {8 + 4 * p.ndim + 4 * index} "
@@ -248,34 +257,37 @@ def _truths(manifest, records, config):
 
 def _forecasts(models, manifest, records, config):
     """(record, (1, t_out, crop, crop) forecast) one scene at a time: the
-    one path from a model's forward to forecasts.  Inputs run through
-    ensemble_predict eval.batch_size scenes at a time; no target is read."""
+    one path from models to forecasts.  Inputs of the bands they read run
+    through ensemble_predict eval.batch_size scenes at a time; no target."""
+    bands, _ = _reads(models)
     for start in range(0, len(records), config.batch_size):
         chunk = records[start:start + config.batch_size]
-        x = np.concatenate([D.load_sample_input(manifest, r, config.drop_bands) for r in chunk])
-        probs = ensemble_predict(models, x, kind=config.prediction_kind)
+        x = np.concatenate([D.load_sample_input(manifest, r, bands) for r in chunk])
+        probs = ensemble_predict(models, x)
         for i, record in enumerate(chunk):
             yield record, probs[i:i + 1]
 
 
-def evaluate(source, manifest, split, config=EvalConfig()):
+def evaluate(source, manifest, split, config=EvalConfig(), kind="probability"):
     """Score a model or a directory of prediction files against a split.
 
-    source is either a model (anything with .forward) or the path of a
-    directory holding <stem>.pred.w4cl files from predict_to_files; scoring
-    files reads only the targets and the prediction files.  Either way each
-    scene is scored on its own.  Counts accumulate per (region, year) and
-    per lead time; the pooled CSI comes from the pooled counts.
+    source is a model (anything with .forward), whose loss sets its kind of
+    forecast, or a directory of <stem>.pred.w4cl files of the given kind,
+    "probability" or "rate", from predict_to_files; scoring files reads only
+    them and the targets.  Each scene is scored on its own.  Counts add up
+    per (region, year) and per lead time; the pooled CSI is of pooled counts.
     """
-    D.kept_bands(manifest.band_names, config.drop_bands)
     records = _split_records(manifest, split)
     if isinstance(source, (str, os.PathLike)):
-        preds = (_load_prediction(source, r, manifest, config) for r in records)
+        if kind not in ("probability", "rate"):
+            raise ConfigError(f"unknown prediction kind {kind!r}")
+        preds = (_load_prediction(source, r, manifest, kind) for r in records)
     else:
+        kind = prediction_kind(_reads([source])[1])
         preds = (forecast for _, forecast in _forecasts([source], manifest, records, config))
     tally = _Tally(manifest)
     for (record, true_event, n_true), pred in zip(_truths(manifest, records, config), preds):
-        pred_event = _event_mask(pred, config)
+        pred_event = _event_mask(pred, config, kind)
         if pred_event.shape != true_event.shape:
             raise ShapeError(f"prediction {pred_event.shape} vs target {true_event.shape}")
         tally.add(record, _events(pred_event & true_event)[0], _events(pred_event)[0], n_true)
@@ -291,7 +303,6 @@ def trivial_baselines(manifest, split, config=EvalConfig()):
     Persistence repeats the last observed rain field across every lead; when
     any sample carries no such field the entry is None rather than an error.
     """
-    D.kept_bands(manifest.band_names, config.drop_bands)
     records = _split_records(manifest, split)
     zeros, ones = _Tally(manifest), _Tally(manifest)
     persist = _Tally(manifest) if all(r.latent_path is not None for r in records) else None
@@ -307,22 +318,14 @@ def trivial_baselines(manifest, split, config=EvalConfig()):
             "persistence": None if persist is None else persist.report(split, config).pooled_csi}
 
 
-def ensemble_predict(models, x, kind="probability"):
+def ensemble_predict(models, x):
     """Mean of per-model predictions (see model_probabilities) for one
-    input batch."""
-    if not models:
-        raise ConfigError("ensemble needs at least one model")
-    out = None
-    for model in models:
-        probs = model_probabilities(model, x, kind)
-        if out is None:
-            out = probs.astype(np.float64)
-        elif probs.shape != out.shape:
-            raise ShapeError(f"ensemble member output {probs.shape} != {out.shape}")
-        else:
-            out += probs
-    out /= len(models)
-    return out.astype(probs.dtype)
+    input batch, from members that record the same bands and loss."""
+    _reads(models)
+    preds = [model_probabilities(model, x) for model in models]
+    if len({p.shape for p in preds}) > 1:
+        raise ShapeError(f"ensemble member outputs differ in dims: {[p.shape for p in preds]}")
+    return (sum(preds[1:], preds[0].astype(np.float64)) / len(preds)).astype(preds[0].dtype)
 
 
 def ensemble_to_files(models, manifest, split, out_dir, config=EvalConfig()):

@@ -24,9 +24,10 @@ from .layers import CBAM, Block, DoubleConvDS, _he_uniform
 from .schema import Section
 
 CHECKPOINT_MAGIC = b"SMCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 PRESETS = ("default", "single-frame")
+LOSSES = ("bce_logits", "mse")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,14 +84,20 @@ class BlobEntry(Section):
 
 @dataclasses.dataclass(frozen=True)
 class CheckpointHeader(Section):
-    """A checkpoint's JSON header: the model config and the blob table."""
+    """A checkpoint's JSON header: model config, blob table, input bands and loss."""
     config: ModelConfig
     entries: tuple[BlobEntry, ...]
+    bands: tuple[str, ...] | None = None
+    loss: str | None = None
 
     section, what, error = "", "checkpoint header", FormatError
 
     def __post_init__(self):
         super().__post_init__()
+        if self.loss not in (None, *LOSSES):
+            raise FormatError(f"loss must be one of {LOSSES}, got {self.loss!r}")
+        if self.bands is not None and (not self.bands or len(set(self.bands)) < len(self.bands)):
+            raise FormatError(f"bands must name at least one band, none twice: {list(self.bands)}")
         for i, entry in enumerate(self.entries):
             for field in ("offset", "length"):
                 if getattr(entry, field) < 0:
@@ -128,6 +135,7 @@ class SmaAtUNet(Block):
     def __init__(self, config, seed):
         super().__init__()
         self.config = config
+        self.bands = self.loss = None   # input bands and loss, set by training
         rng = np.random.default_rng(seed)
         k = config.depth_multiplier
         r = config.cbam_reduction
@@ -309,10 +317,10 @@ def _atomic_write(path, payload):
 
 
 def save_checkpoint(model, path):
-    """Serialize params, batch-norm state, and config; write atomically.
+    """Serialize params, batch-norm state, config, bands and loss atomically.
 
-    Layout: magic "SMCK", u16 version (2), u32 header length, JSON header
-    {config, entries: [{name, dims, offset, length}]}, then the raw
+    Layout: magic "SMCK", u16 version (3), u32 header length, JSON header
+    {config, entries: [{name, dims, offset, length}], bands, loss}, then the raw
     float32 little-endian blobs back to back.  Offsets are relative to the
     end of the header.
     """
@@ -324,8 +332,9 @@ def save_checkpoint(model, path):
         entries.append(BlobEntry(name=name, dims=arr.shape, offset=offset, length=len(blob)))
         blobs.append(blob)
         offset += len(blob)
-    header = json.dumps(CheckpointHeader(config=model.config, entries=entries).to_dict(),
-                        separators=(",", ":")).encode("utf-8")
+    header = CheckpointHeader(config=model.config, entries=entries, bands=model.bands,
+                              loss=model.loss)
+    header = json.dumps(header.to_dict(), separators=(",", ":")).encode("utf-8")
     payload = b"".join([CHECKPOINT_MAGIC, struct.pack("<H", CHECKPOINT_VERSION),
                         struct.pack("<I", len(header)), header] + blobs)
     _atomic_write(path, payload)
@@ -367,7 +376,7 @@ def load_checkpoint(path):
 
     Every value must be finite and every running variance non-negative;
     otherwise the FormatError names the entry and the byte offset of its
-    first bad value.
+    first bad value.  Versions 1 and 2 record no bands or loss: both are None.
 
     Version 1 also stored a bias for every pointwise conv, each of which
     feeds a batch norm.  The batch norm takes running_mean off the biased
@@ -382,7 +391,7 @@ def load_checkpoint(path):
     if raw[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad magic at byte 0, expected {CHECKPOINT_MAGIC!r}")
     (version,) = struct.unpack_from("<H", raw, 4)
-    if version not in (1, CHECKPOINT_VERSION):
+    if version not in (1, 2, CHECKPOINT_VERSION):
         raise FormatError(f"{path}: unsupported version {version} at byte 4")
     (header_len,) = struct.unpack_from("<I", raw, 6)
     data_start = 10 + header_len
@@ -408,6 +417,7 @@ def load_checkpoint(path):
             f"{need} bytes from byte {data_start}, most of them for config field "
             f"{field!r} = {value!r}")
     model = build_model(header.config, seed=0)
+    model.bands, model.loss = header.bands, header.loss
     wanted = dict(list(model.named_params()) + list(model.named_states()))
     folds = _v1_biases(model) if version == 1 else {}
     wanted.update({bias: np.empty_like(wanted[mean]) for bias, mean in folds.items()})

@@ -19,7 +19,7 @@ import numpy as np
 from . import data as D
 from . import tensor as T
 from .errors import ConfigError, PoisonedGradientError, ShapeError, StateError
-from .model import _atomic_write, build_model, save_checkpoint
+from .model import LOSSES, _atomic_write, build_model, save_checkpoint
 from .schema import Section
 
 
@@ -47,7 +47,7 @@ class TrainConfig(Section):
             raise ConfigError("max_epochs, batch_size, and patience must be >= 1")
         if self.min_delta < 0 or self.lr < 0:
             raise ConfigError("min_delta and lr must be >= 0")
-        if self.loss not in ("bce_logits", "mse"):
+        if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
         # A beta of 1 zeroes Adam's bias correction and an eps of 0 divides
         # a zero gradient's 0 by 0: either makes the first step NaN.
@@ -240,7 +240,7 @@ def _write_history(path, history):
         _atomic_write(path, lines.encode("utf-8"))
 
 
-def _regional_loaders(manifest, samples, config, drop):
+def _regional_loaders(manifest, samples, config, bands):
     """Build train/val loader factories for one job's sample pool.
 
     When the pool has no explicit val split, 10% (at least one sample) is
@@ -264,10 +264,10 @@ def _regional_loaders(manifest, samples, config, drop):
 
     def train_batches(epoch_seed):
         return D.batch_iter(manifest, train, config.batch_size, epoch_seed,
-                            config.shuffle, drop)
+                            config.shuffle, bands)
 
     def val_batches():
-        return D.batch_iter(manifest, val, config.batch_size, 0, False, drop)
+        return D.batch_iter(manifest, val, config.batch_size, 0, False, bands)
 
     return train_batches, val_batches
 
@@ -276,7 +276,8 @@ def train_single(manifest, model_config, config, out_dir, drop=(), job=None):
     """Fit one model on a sample pool and write checkpoint plus history.
 
     `job` restricts the pool to one (region, year); None trains on all
-    samples.  Returns the checkpoint path.
+    samples.  Returns the checkpoint path, which records the bands left
+    after drop and the loss.
     """
     if job is None:
         samples = manifest.samples
@@ -290,12 +291,14 @@ def train_single(manifest, model_config, config, out_dir, drop=(), job=None):
         seed = D.derive_seed(config.seed, region, year)
         stem = f"model-{region}-{year}"
     job_config = dataclasses.replace(config, seed=seed)
-    train_batches, val_batches = _regional_loaders(manifest, samples, job_config, drop)
+    bands = D.kept_bands(manifest.band_names, drop)
+    train_batches, val_batches = _regional_loaders(manifest, samples, job_config, bands)
     model = build_model(model_config, seed)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{stem}.smck")
     model, _ = fit(model, train_batches, val_batches, job_config,
                    history_path=os.path.join(out_dir, f"{stem}.history.jsonl"))
+    model.bands, model.loss = bands, config.loss
     save_checkpoint(model, path)
     return path
 

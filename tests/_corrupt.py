@@ -2,7 +2,9 @@
 run, for error-path tests."""
 
 import copy
+import dataclasses
 import json
+import os
 import struct
 
 import numpy as np
@@ -66,6 +68,22 @@ def rewrite_manifest(path, edit):
     edit(doc)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
+
+
+def reorder_bands(manifest, out_dir):
+    """A copy of manifest that lists its bands in reverse, with every input
+    file's channels reversed within each frame to match."""
+    n = len(manifest.band_names)
+    for record in manifest.samples:
+        for rel in (record.input, record.target, record.latent):
+            os.makedirs(os.path.dirname(os.path.join(out_dir, rel)), exist_ok=True)
+            x = D.read_tensor_file(manifest.resolve(rel))
+            if rel == record.input:
+                x = x.reshape(1, -1, n, *x.shape[2:])[:, :, ::-1].reshape(x.shape)
+            D.write_tensor_file(os.path.join(out_dir, rel), x)
+    flipped = dataclasses.replace(manifest, band_names=manifest.band_names[::-1], root=out_dir)
+    D.save_manifest(flipped, os.path.join(out_dir, "manifest.json"))
+    return D.load_manifest(os.path.join(out_dir, "manifest.json"))
 
 
 def mutate_bytes(raw, mutations):
@@ -212,7 +230,22 @@ POISONED_VALUES = [
      "entry 'enc1.bn1.running_var' holds a negative running variance, -1.0, at byte"),
 ]
 
-BAD_CHECKPOINTS = BAD_BLOB_TABLES + POISONED_VALUES
+# Version-3 headers whose bands or loss are malformed, in the same form.  A
+# header that records a threshold is refused too: no reader would use it.
+BAD_READS = [
+    ("bands-string", _in_header(_setting("bands", value="VIS006")), "bands must be a list"),
+    ("bands-number", _in_header(_setting("bands", 1, value=3)), "bands[1] must be a string"),
+    ("bands-repeated", _in_header(_setting("bands", 1, value="VIS006")),
+     "bands must name at least one band, none twice: ['VIS006', 'VIS006']"),
+    ("bands-empty", _in_header(_setting("bands", value=[])),
+     "bands must name at least one band, none twice: []"),
+    ("loss-hinge", _in_header(_setting("loss", value="hinge")),
+     "loss must be one of ('bce_logits', 'mse'), got 'hinge'"),
+    ("header-unknown-key", _in_header(_setting("threshold", value=0.2)),
+     "unknown checkpoint header keys: ['threshold']"),
+]
+
+BAD_CHECKPOINTS = BAD_BLOB_TABLES + POISONED_VALUES + BAD_READS
 
 
 # Run configs with a mistyped field as (test id, config document, the field

@@ -357,11 +357,13 @@ def load_predictions_ref(pred_dir, records, manifest):
     return np.concatenate(rows, axis=0)
 
 
-def evaluate_ref(source, manifest, split, config=EvalConfig()):
+def evaluate_ref(source, manifest, split, config=EvalConfig(), kind="probability", bands=None):
     """Score a model or a directory of prediction files against a split.
 
     source is either a model (anything with .forward) or the path of a
-    directory holding <stem>.pred.w4cl files from predict_to_files.  Counts
+    directory holding <stem>.pred.w4cl files from predict_to_files.  kind
+    says whether the model or the files forecast probabilities or rates;
+    a model reads the inputs' bands (see D.load_sample_input).  Counts
     accumulate per (region, year) and per lead time; the pooled CSI comes
     from the pooled counts.
     """
@@ -370,16 +372,16 @@ def evaluate_ref(source, manifest, split, config=EvalConfig()):
     by_lead = None
     n_samples = 0
     for x, y, records in D.batch_iter(manifest, split, config.batch_size,
-                                      seed=0, shuffle=False, drop=config.drop_bands):
+                                      seed=0, shuffle=False, bands=bands):
         if from_files:
             pred = load_predictions_ref(source, records, manifest)
         else:
             pred = source.forward(x, train=False)
-            if config.prediction_kind == "probability":
+            if kind == "probability":
                 pred = T.sigmoid(pred)
         if by_lead is None:
             by_lead = [ConfusionCounts() for _ in range(y.shape[1])]
-        pred_event = _event_mask(pred, config)
+        pred_event = _event_mask(pred, config, kind)
         true_event = binarize(y, config.threshold)
         if pred_event.shape != true_event.shape:
             raise ShapeError(f"prediction {pred_event.shape} vs target {true_event.shape}")
@@ -407,7 +409,7 @@ def constant_report_ref(manifest, split, config, value):
     n_samples = 0
     pred_frame = None
     for _, y, records in D.batch_iter(manifest, split, config.batch_size,
-                                      seed=0, shuffle=False, drop=config.drop_bands):
+                                      seed=0, shuffle=False):
         if by_lead is None:
             by_lead = [ConfusionCounts() for _ in range(y.shape[1])]
         if pred_frame is None or pred_frame.shape != y.shape[2:]:
@@ -471,6 +473,22 @@ def trivial_baselines_ref(manifest, split, config=EvalConfig()):
     persist = persistence_report_ref(manifest, split, config)
     return {"all_zeros": zeros.pooled_csi, "all_ones": ones.pooled_csi,
             "persistence": None if persist is None else persist.pooled_csi}
+
+
+def save_checkpoint_v2_ref(model, path):
+    """Write model as a version-2 checkpoint, as the version-2 writer did:
+    its header holds the config and the blob table, and no bands or loss."""
+    entries, blobs, offset = [], [], 0
+    for name, arr in list(model.named_params()) + list(model.named_states()):
+        blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        entries.append({"name": name, "dims": list(arr.shape),
+                        "offset": offset, "length": len(blob)})
+        blobs.append(blob)
+        offset += len(blob)
+    header = json.dumps({"config": model.config.to_dict(), "entries": entries},
+                        separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"SMCK" + struct.pack("<HI", 2, len(header)) + header + b"".join(blobs))
 
 
 def save_checkpoint_v1_ref(model, path, biases):

@@ -396,7 +396,7 @@ def test_criterion_09_pipeline_conformance(tmp_path):
         wv = ("WV_062", "WV_073")
         x = np.arange(4 * 11 * 4, dtype=np.float32).reshape(1, 44, 2, 2)
         assert len(D.kept_bands(full_bands, wv)) == 9
-        out = D.select_bands(x, full_bands, wv, t_in=4)
+        out = D.select_bands(x, full_bands, D.kept_bands(full_bands, wv), t_in=4)
         assert out.shape == (1, 36, 2, 2)
         kept_idx = [t * 11 + b for t in range(4) for b in range(11)
                     if full_bands[b] not in wv]

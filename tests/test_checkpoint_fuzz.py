@@ -1,7 +1,8 @@
 """Property tests: a checkpoint with bytes overwritten, cut off or appended,
 or with a header field dropped or swapped for a value of another type or
 size, either loads or fails with a NimbusError subclass, never a bare
-builtin, in version 2 and in version 1 with its pointwise biases; and
+builtin, in version 3, whose header records bands and a loss, and in
+version 1 with its pointwise biases; and
 `nimbus predict` over such a checkpoint exits 0, or 1 or 2 with one error
 line."""
 
@@ -41,8 +42,10 @@ BYTE_MUTATION = st.one_of(
 HEADER_MUTATION = st.one_of(
     st.tuples(st.just("drop"), st.integers(0, 1 << 20)),
     st.tuples(st.just("swap"), st.integers(0, 1 << 20), VALUES),
-    # Config fields are few among the entries' paths, so aim at them too.
+    # Config fields, bands and loss are few among the entries' paths, so aim at them too.
     st.tuples(st.just("config"), st.sampled_from(sorted(MODEL.to_dict())), VALUES),
+    st.tuples(st.just("reads"), st.sampled_from(["bands", "loss"]),
+              st.one_of(VALUES, st.sampled_from([["VIS006", "VIS006"], ["IR016", 3], "mse"]))),
 )
 
 
@@ -51,7 +54,9 @@ def workspace(tmp_path_factory):
     """A valid checkpoint's bytes and a one-scene dataset it can predict."""
     root = tmp_path_factory.mktemp("ckfuzz")
     path = root / "model.smck"
-    save_checkpoint(build_model(MODEL, seed=3), path)
+    model = build_model(MODEL, seed=3)
+    model.bands, model.loss = ("VIS006", "IR016"), "mse"
+    save_checkpoint(model, path)
     cfg = D.SynthConfig(n_train=1, n_val=1, n_test=1, grid=16, bands=("VIS006", "IR016"),
                         seed=3)
     manifest = D.synth_generate(cfg, str(root / "data"))
@@ -79,6 +84,9 @@ def _mutate_header(raw, mutations):
         if mutation[0] == "config":
             if isinstance(header, dict) and isinstance(header.get("config"), dict):
                 header["config"][mutation[1]] = copy.deepcopy(mutation[2])
+        elif mutation[0] == "reads":
+            if isinstance(header, dict):
+                header[mutation[1]] = copy.deepcopy(mutation[2])
         else:
             header = mutate_document(header, mutation)
     body = json.dumps(header).encode("utf-8")

@@ -15,12 +15,15 @@ import numpy as np
 import pytest
 
 from _corrupt import (BAD_BLOB_TABLES, BAD_CHECKPOINTS, BAD_CONFIGS, BAD_LATENT_DIMS,
-                      BAD_MANIFESTS, OVERSIZED_CONFIGS, oversize, poison_epoch, rewrite_checkpoint,
-                      rewrite_checkpoint_header, rewrite_manifest, rewrite_tensor)
+                      BAD_MANIFESTS, OVERSIZED_CONFIGS, oversize, poison_epoch, reorder_bands,
+                      rewrite_checkpoint, rewrite_checkpoint_header, rewrite_manifest,
+                      rewrite_tensor)
+from _oracles import evaluate_ref, save_checkpoint_v2_ref
 from nimbus import data as D
 from nimbus import metrics as M
 from nimbus.cli import main
 from nimbus.config import RunConfig
+from nimbus.model import load_checkpoint
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -99,16 +102,36 @@ def trained(workspace):
     return os.path.join(out, "model.smck")
 
 
-@pytest.fixture(scope="module")
-def rate_config(workspace):
-    """The workspace config, scoring predictions as rates."""
-    path = str(workspace["root"] / "rate.json")
+def edited_config(workspace, name, **sections):
+    """A copy of the workspace config with the given sections merged in."""
     with open(workspace["config"], encoding="utf-8") as fh:
         doc = json.load(fh)
-    doc["eval"] = {"prediction_kind": "rate"}
+    for section, values in sections.items():
+        doc[section] = {**doc.get(section, {}), **values}
+    path = str(workspace["root"] / f"{name}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     return path
+
+
+@pytest.fixture(scope="module")
+def mse_config(workspace):
+    """The workspace config, training with the mse loss."""
+    return edited_config(workspace, "mse", train={"loss": "mse"})
+
+
+@pytest.fixture(scope="module")
+def mse_trained(workspace, mse_config):
+    """A pooled model trained with the mse loss, so it forecasts rates."""
+    out = str(workspace["root"] / "mse-run")
+    assert main(["train", "--config", mse_config, "--manifest", workspace["manifest"],
+                 "--out", out]) == 0
+    return os.path.join(out, "model.smck")
+
+
+def report_of(out):
+    with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 class TestUsageAndExitCodes:
@@ -181,6 +204,13 @@ class TestParams:
         assert main(["params", "--preset", "single-frame"]) == 0
         out = dict(line.split() for line in capsys.readouterr().out.splitlines())
         assert 3.5e6 <= int(out["total_params"]) <= 4.7e6
+
+    def test_preset_applies_over_a_config_file(self, workspace, capsys):
+        assert main(["params", "--preset", "single-frame"]) == 0
+        alone = capsys.readouterr().out
+        assert main(["params", "--config", workspace["config"], "--preset", "single-frame"]) == 0
+        assert capsys.readouterr().out == alone
+        assert dict(line.split() for line in alone.splitlines())["total_params"] == "4016758"
 
     def test_config_file_model_section_is_used(self, workspace, capsys):
         assert main(["params", "--config", workspace["config"]]) == 0
@@ -404,9 +434,96 @@ class TestEnsemble:
                                   "config": run_config_dict(workspace["config"])}
 
 
+class TestRecordedBandsAndLoss:
+    """A checkpoint records the bands its model reads and the loss it was
+    trained with; predict, ensemble and evaluate take both from it, and
+    the configs they echo record what ran."""
+
+    def _evaluate(self, checkpoint, config, manifest, out):
+        return main(["evaluate", "--checkpoint", checkpoint, "--config", config,
+                     "--manifest", manifest, "--out", str(out)])
+
+    def test_an_mse_model_is_scored_as_rates(self, workspace, mse_trained, mse_config,
+                                             tmp_path):
+        for name, config in (("own", mse_config), ("default", workspace["config"])):
+            assert self._evaluate(mse_trained, config, workspace["manifest"], tmp_path / name) == 0
+        assert tree_bytes(tmp_path / "own") == tree_bytes(tmp_path / "default")
+        report = report_of(tmp_path / "own")
+        assert report["run_config"] == run_config_dict(mse_config)
+        model, manifest = load_checkpoint(mse_trained), D.load_manifest(workspace["manifest"])
+        as_rates = evaluate_ref(model, manifest, "test", kind="rate")
+        assert report["pooled_counts"] == as_rates.pooled.to_dict()
+        assert report["pooled_csi"] == as_rates.pooled_csi
+        assert report["pooled_csi"] != evaluate_ref(model, manifest, "test").pooled_csi
+
+    def test_another_drop_list_scores_the_bands_the_model_learnt(self, workspace, tmp_path):
+        trained_cfg = edited_config(workspace, "drop-vis", model={"in_channels": 4},
+                                    data={"drop_bands": ["VIS006"]})
+        other_cfg = edited_config(workspace, "drop-ir", model={"in_channels": 4},
+                                  data={"drop_bands": ["IR016"]})
+        run = str(tmp_path / "run")
+        assert main(["train", "--config", trained_cfg, "--manifest", workspace["manifest"],
+                     "--out", run]) == 0
+        checkpoint = os.path.join(run, "model.smck")
+        assert load_checkpoint(checkpoint).bands == ("IR016",)
+        for name, config in (("own", trained_cfg), ("other", other_cfg)):
+            assert self._evaluate(checkpoint, config, workspace["manifest"], tmp_path / name) == 0
+        assert tree_bytes(tmp_path / "other") == tree_bytes(tmp_path / "own")
+        assert report_of(tmp_path / "own")["run_config"]["data"]["drop_bands"] == ["VIS006"]
+
+    def test_a_manifest_listing_the_bands_in_another_order_scores_the_same(
+            self, workspace, trained, tmp_path):
+        flipped = reorder_bands(D.load_manifest(workspace["manifest"]), str(tmp_path / "data"))
+        assert flipped.band_names == ("IR016", "VIS006")
+        for name, manifest in (("flipped", str(tmp_path / "data" / "manifest.json")),
+                               ("listed", workspace["manifest"])):
+            assert self._evaluate(trained, workspace["config"], manifest, tmp_path / name) == 0
+        assert tree_bytes(tmp_path / "flipped") == tree_bytes(tmp_path / "listed")
+
+    def test_ensemble_of_an_mse_and_a_bce_member_exits_one(self, workspace, trained,
+                                                           mse_trained, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["ensemble", "--checkpoints", f"{trained},{mse_trained}", "--config",
+                     workspace["config"], "--manifest", workspace["manifest"],
+                     "--out", str(tmp_path / "ens")]) == 1
+        line = only_error_line(capsys)
+        assert "'mse'" in line and "'bce_logits'" in line
+        assert not list((tmp_path / "ens").glob("*" + M.PREDICTION_SUFFIX))
+
+    def test_a_manifest_without_a_recorded_band_exits_one_naming_it(self, workspace, trained,
+                                                                   tmp_path, capsys):
+        data_dir = str(tmp_path / "data")
+        assert main(["synth", "--out", data_dir, "--n", "2", "--n-val", "1", "--n-test", "1",
+                     "--grid", "16", "--bands", "IR016,IR108", "--seed", "3"]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--checkpoint", trained, "--config", workspace["config"],
+                     "--manifest", os.path.join(data_dir, "manifest.json"),
+                     "--out", str(tmp_path / "preds")]) == 1
+        assert "'VIS006'" in only_error_line(capsys)
+
+    def test_a_version_2_checkpoint_takes_both_from_the_config(self, workspace, mse_trained,
+                                                              mse_config, tmp_path):
+        v2 = str(tmp_path / "v2.smck")
+        save_checkpoint_v2_ref(load_checkpoint(mse_trained), v2)
+        assert load_checkpoint(v2).loss is None
+        for name, config in (("v2", mse_config), ("bce", workspace["config"])):
+            assert self._evaluate(v2, config, workspace["manifest"], tmp_path / name) == 0
+        assert self._evaluate(mse_trained, workspace["config"], workspace["manifest"],
+                              tmp_path / "v3") == 0
+        assert tree_bytes(tmp_path / "v2") == tree_bytes(tmp_path / "v3")
+        bce = report_of(tmp_path / "bce")
+        assert bce["run_config"]["train"]["loss"] == "bce_logits"
+        assert bce["pooled_counts"] != report_of(tmp_path / "v3")["pooled_counts"]
+        preds = str(tmp_path / "preds")
+        assert main(["predict", "--checkpoint", v2, "--config", mse_config,
+                     "--manifest", workspace["manifest"], "--out", preds]) == 0
+        assert read_echo(preds)["config"] == run_config_dict(mse_config)
+
+
 class TestPredictionEcho:
     """evaluate --predictions scores files as the kind their
-    predictions-config.json echo records, or refuses to."""
+    predictions-config.json echo records: its train.loss decides, whatever
+    the evaluate-time config says, and without an echo the config does."""
 
     def _predict(self, workspace, trained, tmp_path, config):
         out = str(tmp_path / "preds")
@@ -414,42 +531,45 @@ class TestPredictionEcho:
                      "--manifest", workspace["manifest"], "--out", out]) == 0
         return out
 
-    def _evaluate(self, workspace, preds, config, tmp_path):
+    def _evaluate(self, workspace, preds, config, tmp_path, name="rep"):
         return main(["evaluate", "--predictions", preds, "--config", config,
-                     "--manifest", workspace["manifest"], "--out", str(tmp_path / "rep")])
+                     "--manifest", workspace["manifest"], "--out", str(tmp_path / name)])
 
-    def test_rate_files_under_the_default_config_exit_one(self, workspace, trained, rate_config,
-                                                          tmp_path, capsys):
-        preds = self._predict(workspace, trained, tmp_path, rate_config)
-        capsys.readouterr()
-        assert self._evaluate(workspace, preds, workspace["config"], tmp_path) == 1
-        line = only_error_line(capsys)
-        assert os.path.join(preds, "predictions-config.json") in line
-        assert "'rate'" in line and "'probability'" in line
-        assert not (tmp_path / "rep").exists()
+    @pytest.mark.parametrize("model", ["bce", "mse"])
+    def test_the_echo_decides_under_either_config(self, workspace, trained, mse_trained,
+                                                  mse_config, tmp_path, model):
+        """Files of either model score the same under the default and the
+        mse config, and as their model does from its checkpoint."""
+        checkpoint = mse_trained if model == "mse" else trained
+        preds = self._predict(workspace, checkpoint, tmp_path, workspace["config"])
+        assert read_echo(preds)["config"]["train"]["loss"] == load_checkpoint(checkpoint).loss
+        for name, config in (("default", workspace["config"]), ("mse", mse_config)):
+            assert self._evaluate(workspace, preds, config, tmp_path, name) == 0
+        assert main(["evaluate", "--checkpoint", checkpoint, "--config", workspace["config"],
+                     "--manifest", workspace["manifest"], "--out", str(tmp_path / "ck")]) == 0
+        reports = [tree_bytes(tmp_path / name) for name in ("default", "mse", "ck")]
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
-    def test_probability_files_scored_as_rates_exit_one(self, workspace, trained, rate_config,
-                                                        tmp_path, capsys):
-        preds = self._predict(workspace, trained, tmp_path, workspace["config"])
-        capsys.readouterr()
-        assert self._evaluate(workspace, preds, rate_config, tmp_path) == 1
-        line = only_error_line(capsys)
-        assert os.path.join(preds, "predictions-config.json") in line
-        assert "'rate'" in line and "'probability'" in line
-
-    @pytest.mark.parametrize("scored_as", ["default", "rate"])
-    def test_without_an_echo_the_config_decides(self, workspace, trained, rate_config,
+    @pytest.mark.parametrize("scored_as", ["default", "mse"])
+    def test_without_an_echo_the_config_decides(self, workspace, trained, mse_config,
                                                 tmp_path, scored_as):
         preds = self._predict(workspace, trained, tmp_path, workspace["config"])
         os.remove(os.path.join(preds, "predictions-config.json"))
-        config = rate_config if scored_as == "rate" else workspace["config"]
+        config = mse_config if scored_as == "mse" else workspace["config"]
         assert self._evaluate(workspace, preds, config, tmp_path) == 0
+        kind = "rate" if scored_as == "mse" else "probability"
+        manifest = D.load_manifest(workspace["manifest"])
+        want = M.evaluate(preds, manifest, "test", kind=kind).to_json_dict()
+        got = report_of(tmp_path / "rep")
+        assert got["pooled_counts"] == want["pooled_counts"]
+        assert got["run_config"] == run_config_dict(config)
 
     @pytest.mark.parametrize("text", [
-        "{not json", "[]", '{"config": 5}', '{"config": {"eval": {}}}',
+        "{not json", "[]", '{"config": 5}',
+        '{"config": {"eval": {"threshold": "abc"}, "modle": 1}}',
         '{"config": {"eval": {"prediction_kind": "odds"}}}',
         '{"config": {"eval": {"prediction_kind": ["rate"]}}}', "\xff"],
-        ids=["syntax", "list", "non-object-config", "no-kind", "unknown-kind",
+        ids=["syntax", "list", "non-object-config", "mistyped-and-unknown", "unknown-kind",
              "list-kind", "bad-utf8"])
     def test_malformed_echo_exits_two_naming_it(self, workspace, trained, tmp_path, capsys,
                                                 text):
@@ -491,16 +611,15 @@ class TestMalformedInputs:
         assert main(["params", "--config", path]) == 1
         assert f"train.{field}" in only_error_line(capsys)
 
-    def test_differing_drop_lists_exit_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key,value", [("drop_bands", ["IR134"]), ("prediction_kind", "rate")])
+    def test_eval_keys_that_checkpoints_record_exit_one(self, tmp_path, capsys, key, value):
         path = str(tmp_path / "bad.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"data": {"drop_bands": ["VIS006"]},
-                       "eval": {"drop_bands": ["IR134"]}}, fh)
+            json.dump({"data": {"drop_bands": ["VIS006"]}, "eval": {key: value}}, fh)
         assert main(["evaluate", "--config", path, "--predictions", str(tmp_path),
                      "--manifest", str(tmp_path / "manifest.json"),
                      "--out", str(tmp_path / "rep")]) == 1
-        line = only_error_line(capsys)
-        assert "eval.drop_bands" in line and "data.drop_bands" in line
+        assert f"unknown eval config keys: ['{key}']" in only_error_line(capsys)
 
     def _evaluate_checkpoint(self, workspace, trained, tmp_path, edit,
                              rewrite=rewrite_checkpoint_header):

@@ -36,11 +36,11 @@ def test_every_section_rejects_unknown_keys_and_non_objects(section, cls):
 def test_well_typed_document_roundtrips():
     doc = {"model": {"stage_widths": [4, 8, 16, 32, 64], "cbam_reduction": 4},
            "train": {"lr": 1, "shuffle": False, "loss": "mse"},
-           "eval": {"drop_bands": ["VIS006"], "threshold": 0.5},
-           "data": {"manifest": None, "filter_threshold": 0.1, "drop_bands": []}}
+           "eval": {"threshold": 0.5},
+           "data": {"manifest": None, "filter_threshold": 0.1, "drop_bands": ["VIS006"]}}
     config = RunConfig.from_dict(doc)
     assert config.model.stage_widths == (4, 8, 16, 32, 64)
-    assert config.eval.drop_bands == ("VIS006",)
+    assert config.data.drop_bands == ("VIS006",)
     assert config.train.lr == 1 and config.train.shuffle is False
     assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
@@ -50,7 +50,7 @@ def test_direct_construction_is_checked_too():
         TrainConfig(lr="abc")
     with pytest.raises(ConfigError, match="model.in_channels"):
         ModelConfig(in_channels=3.0)
-    assert EvalConfig(drop_bands=["VIS006"]).drop_bands == ("VIS006",)
+    assert DataConfig(drop_bands=["VIS006"]).drop_bands == ("VIS006",)
     assert type(ModelConfig(stage_widths=[np.int64(w) for w in (4, 8, 16, 32, 64)])
                 .stage_widths[0]) is int
 
@@ -58,7 +58,7 @@ def test_direct_construction_is_checked_too():
 @pytest.mark.parametrize("doc,field", [
     ({"train": {"shuffle": 1}}, "train.shuffle"),
     ({"train": {"lr": float("nan")}}, "train.lr"),
-    ({"eval": {"drop_bands": ["VIS006", 3]}}, "eval.drop_bands[1]"),
+    ({"data": {"drop_bands": ["VIS006", 3]}}, "data.drop_bands[1]"),
     ({"data": {"manifest": 7}}, "data.manifest"),
     ({"model": {"stage_widths": [4, 8, 16, 32.5, 64]}}, "model.stage_widths[3]"),
 ])
@@ -82,17 +82,13 @@ def test_undecodable_file_is_config_error(tmp_path, raw):
         RunConfig.from_file(str(path))
 
 
-def test_differing_drop_lists_are_refused():
-    """Checkpoints do not record their bands, so an eval drop list other
-    than the training one would feed the model the wrong bands."""
-    with pytest.raises(ConfigError, match=r"eval\.drop_bands .* data\.drop_bands"):
-        RunConfig.from_dict({"data": {"drop_bands": ["VIS006"]},
-                             "eval": {"drop_bands": ["IR134"]}})
-    for data, scored in ((["VIS006", "IR134"], ["IR134", "VIS006"]), (["VIS006"], []),
-                         ([], ["IR134"])):
-        config = RunConfig.from_dict({"data": {"drop_bands": data},
-                                      "eval": {"drop_bands": scored}})
-        assert config.eval.drop_bands == tuple(scored)
+@pytest.mark.parametrize("key,value", [("drop_bands", ["IR134"]), ("prediction_kind", "rate")])
+def test_eval_keys_that_checkpoints_record_are_unknown(key, value):
+    """A checkpoint records the bands its model reads and the loss it was
+    trained with, so the eval section has no copy of either."""
+    assert set(EvalConfig().to_dict()) == {"threshold", "prob_threshold", "batch_size"}
+    with pytest.raises(ConfigError, match=rf"unknown eval config keys: \['{key}'\]"):
+        RunConfig.from_dict({"data": {"drop_bands": ["VIS006"]}, "eval": {key: value}})
 
 
 def test_nested_section_is_taken_as_an_instance_or_an_object():
@@ -140,7 +136,7 @@ def test_integral_floats_pass_as_integers_only_where_the_section_allows():
 SECTIONS = [
     ModelConfig(stage_widths=(4, 8, 16, 32, 64), cbam_reduction=2, preset="single-frame"),
     TrainConfig(lr=0.5, shuffle=False, loss="mse", seed=3),
-    EvalConfig(drop_bands=("VIS006",), prediction_kind="rate", batch_size=2),
+    EvalConfig(threshold=0.5, prob_threshold=0.25, batch_size=2),
     DataConfig(manifest="data/manifest.json", filter_threshold=0.1, drop_bands=("IR134",)),
     RunConfig(model=ModelConfig(cbam_reduction=4), data=DataConfig(drop_bands=("IR134",))),
     SynthConfig(bands=("IR016", "VIS006"), velocity=(0.5, -1.0), blob_count=(0, 3),

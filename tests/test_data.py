@@ -154,24 +154,32 @@ class TestSelectBands:
     def test_drops_across_all_frames(self):
         t_in = 3
         x = np.arange(t_in * 4, dtype=np.float32).reshape(1, -1, 1, 1)
-        y = D.select_bands(x, self.BANDS, {"WV062", "WV073"}, t_in)
+        y = D.select_bands(x, self.BANDS, D.kept_bands(self.BANDS, {"WV062", "WV073"}), t_in)
         assert y.shape[1] == t_in * 2
         assert list(y.reshape(-1)) == [0, 2, 4, 6, 8, 10]
+
+    def test_gathers_in_the_order_asked(self):
+        t_in = 2
+        x = np.arange(t_in * 4, dtype=np.float32).reshape(1, -1, 1, 1)
+        y = D.select_bands(x, self.BANDS, ("WV073", "VIS006"), t_in)
+        assert list(y.reshape(-1)) == [3, 0, 7, 4]
 
     def test_eleven_band_wv_removal_yields_36(self):
         bands = tuple(f"B{i:02d}" for i in range(9)) + ("WV062", "WV073")
         x = np.zeros((1, 44, 2, 2), dtype=np.float32)
-        y = D.select_bands(x, bands, {"WV062", "WV073"}, 4)
+        y = D.select_bands(x, bands, D.kept_bands(bands, {"WV062", "WV073"}), 4)
         assert y.shape[1] == 36
 
     def test_empty_drop_is_identity(self):
         x = np.random.default_rng(0).standard_normal((1, 8, 2, 2)).astype(np.float32)
-        assert np.array_equal(D.select_bands(x, self.BANDS, set(), 2), x)
+        assert np.array_equal(D.select_bands(x, self.BANDS, D.kept_bands(self.BANDS, ()), 2), x)
 
     def test_unknown_band_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="IR999"):
             D.select_bands(np.zeros((1, 4, 1, 1), dtype=np.float32),
-                           self.BANDS, {"IR999"}, 1)
+                           self.BANDS, ("VIS006", "IR999"), 1)
+        with pytest.raises(ConfigError, match="IR999"):
+            D.kept_bands(self.BANDS, {"IR999"})
 
 
 class TestNormalize:
@@ -191,17 +199,21 @@ class TestNormalize:
 
 
 class TestLoadSampleInput:
-    @pytest.mark.parametrize("drop", [(), ("IR016",)])
-    def test_bytes_equal_to_the_three_steps(self, small_set, drop):
+    @pytest.mark.parametrize("pick", ["all", "drop", "reorder"])
+    def test_bytes_equal_to_the_three_steps(self, small_set, pick):
         """load_sample_input gives the bytes of read -> select_bands ->
-        center_crop -> normalize, whether or not a band is dropped."""
+        center_crop -> normalize, for every band in manifest order (None),
+        with a band dropped, or in another order."""
         m = small_set
+        bands = {"all": None, "drop": D.kept_bands(m.band_names, ("IR016",)),
+                 "reorder": m.band_names[::-1]}[pick]
+        kept = m.band_names if bands is None else bands
         for s in m.samples[:3]:
             x = D.read_tensor_file(m.resolve(s.input_path))
-            x = D.center_crop(D.select_bands(x, m.band_names, drop, m.t_in), m.crop)
-            want = D.normalize(x, D.kept_bands(m.band_names, drop), m.stats, m.t_in)
-            got = D.load_sample_input(m, s, drop)
-            assert got.shape == (1, m.t_in * (len(m.band_names) - len(drop)), m.crop, m.crop)
+            x = D.center_crop(D.select_bands(x, m.band_names, kept, m.t_in), m.crop)
+            want = D.normalize(x, kept, m.stats, m.t_in)
+            got = D.load_sample_input(m, s, bands)
+            assert got.shape == (1, m.t_in * len(kept), m.crop, m.crop)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert got.flags.c_contiguous
 
@@ -457,7 +469,7 @@ class TestBatchIter:
 
     def test_band_drop_changes_width(self, small_set):
         x, _, _ = next(D.batch_iter(small_set, "train", 2, seed=0, shuffle=False,
-                                    drop={"IR016"}))
+                                    bands=D.kept_bands(small_set.band_names, {"IR016"})))
         assert x.shape[1] == 4 * 8
 
     def test_dim_mismatch_names_sample(self, tmp_path):

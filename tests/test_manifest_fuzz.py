@@ -59,7 +59,7 @@ def test_mutated_manifest_fails_only_with_nimbus_errors(dataset, mutations):
     try:
         manifest = D.load_manifest(path)
         if manifest.samples:
-            D.load_sample_input(manifest, manifest.samples[0], ())
+            D.load_sample_input(manifest, manifest.samples[0])
             D.load_sample_target(manifest, manifest.samples[0])
     except NimbusError:
         pass

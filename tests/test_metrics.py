@@ -17,17 +17,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _corrupt import BAD_LATENT_DIMS, rewrite_tensor
+from _corrupt import BAD_LATENT_DIMS, reorder_bands, rewrite_tensor
 from _oracles import csi_ref, evaluate_ref, trivial_baselines_ref
 from nimbus import data as D
 from nimbus import metrics as M
+from nimbus import optim as O
 from nimbus import tensor as T
 from nimbus.errors import ConfigError, DataError, ShapeError
-from nimbus.model import ModelConfig, build_model
+from nimbus.model import ModelConfig, build_model, load_checkpoint
 
 TOY_MODEL = ModelConfig(in_channels=8, out_channels=16,
                         stage_widths=(4, 8, 16, 32, 64),
                         depth_multiplier=1, cbam_reduction=4)
+
+
+def trained_as(model, kind):
+    """model as if trained for forecasts of kind: mse for rates."""
+    model.loss = "mse" if kind == "rate" else "bce_logits"
+    return model
 
 
 def blocky(coarse):
@@ -188,7 +195,7 @@ class TestCountEvents:
 class TestEvalConfig:
     @pytest.mark.parametrize("bad", [
         {"threshold": -1.0}, {"prob_threshold": 0.0}, {"prob_threshold": 1.0},
-        {"prediction_kind": "logit"}, {"batch_size": 0},
+        {"batch_size": 0},
     ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -273,7 +280,7 @@ class TestEvaluateFromFiles:
         p.flat[5:7] = value
         D.write_tensor_file(path, p)
         with pytest.raises(DataError, match=r"at byte (\d+) ") as err:
-            M.evaluate(pred_dir, manifest, "test", M.EvalConfig(prediction_kind=kind))
+            M.evaluate(pred_dir, manifest, "test", kind=kind)
         assert str(err.value).startswith(path)
         offset = int(re.search(r"at byte (\d+) ", str(err.value)).group(1))
         with open(path, "rb") as fh:
@@ -287,10 +294,15 @@ class TestEvaluateFromFiles:
         p = D.read_tensor_file(path)
         p.flat[0], p.flat[1] = -3.0, 7.0
         D.write_tensor_file(path, p)
-        report = M.evaluate(pred_dir, manifest, "test", M.EvalConfig(prediction_kind="rate"))
+        report = M.evaluate(pred_dir, manifest, "test", kind="rate")
         assert report.n_samples == 3
         with pytest.raises(DataError, match="not a probability"):
             M.evaluate(pred_dir, manifest, "test")
+
+    def test_unknown_kind_is_config_error(self, micro):
+        manifest, pred_dir = micro
+        with pytest.raises(ConfigError, match="'logit'"):
+            M.evaluate(pred_dir, manifest, "test", kind="logit")
 
     def test_report_serializes_to_json_and_tsv(self, micro):
         """The JSON dict survives a dumps/loads cycle; the TSV has one line
@@ -424,13 +436,13 @@ class TestOneVerificationPath:
 
     @pytest.mark.parametrize("kind", ["probability", "rate"])
     def test_evaluate_counts_equal_the_per_lead_loop(self, jobs_set, tmp_path, kind):
-        config = M.EvalConfig(batch_size=3, prediction_kind=kind)
-        model = build_model(TOY_MODEL, seed=4)
+        config = M.EvalConfig(batch_size=3)
+        model = trained_as(build_model(TOY_MODEL, seed=4), kind)
         pred_dir = str(tmp_path / "preds")
         M.predict_to_files(model, jobs_set, "test", pred_dir, config)
         for source in (model, pred_dir):
-            got = M.evaluate(source, jobs_set, "test", config)
-            want = evaluate_ref(source, jobs_set, "test", config)
+            got = M.evaluate(source, jobs_set, "test", config, kind)
+            want = evaluate_ref(source, jobs_set, "test", config, kind)
             assert all_counts(got) == all_counts(want)
             assert len(got.counts_by_job) == 4 and got.n_samples == 7
             assert min(got.pooled.to_dict().values()) > 0
@@ -483,24 +495,16 @@ class TestOneVerificationPath:
                               for path in (r.input_path, r.target_path)}
         assert not [path for path in read if path.endswith(M.PREDICTION_SUFFIX)]
 
-    def test_unknown_drop_band_is_config_error_without_inputs(self, jobs_set, tmp_path):
-        pred_dir = str(tmp_path / "preds")
-        M.predict_to_files(build_model(TOY_MODEL, seed=4), jobs_set, "test", pred_dir)
-        config = M.EvalConfig(drop_bands=("WV062",))
-        with pytest.raises(ConfigError, match="WV062"):
-            M.evaluate(pred_dir, jobs_set, "test", config)
-        with pytest.raises(ConfigError, match="WV062"):
-            M.trivial_baselines(jobs_set, "test", config)
 
     @pytest.mark.parametrize("kind", ["probability", "rate"])
     def test_files_and_reports_do_not_depend_on_batch_size(self, jobs_set, tmp_path, kind):
         """A scene's forecast bytes do not depend on the batch it runs in, so
         prediction files and model reports are byte-identical at batch sizes
         1, 3 (batches of 3, 3 and 1) and 8 (one batch of all 7 scenes)."""
-        model = build_model(TOY_MODEL, seed=4)
+        model = trained_as(build_model(TOY_MODEL, seed=4), kind)
         files, reports = [], []
         for batch_size in (1, 3, 8):
-            config = M.EvalConfig(batch_size=batch_size, prediction_kind=kind)
+            config = M.EvalConfig(batch_size=batch_size)
             pred_dir = tmp_path / f"batch{batch_size}"
             M.predict_to_files(model, jobs_set, "test", str(pred_dir), config)
             files.append({p.name: p.read_bytes() for p in pred_dir.iterdir()})
@@ -560,7 +564,7 @@ class TestPredictToFiles:
         """Each file holds its scene's eval-forward bytes, through the
         sigmoid for probabilities, as a one-member ensemble; forecasting
         reads each input file once and never a target."""
-        model = build_model(TOY_MODEL, seed=4)
+        model = trained_as(build_model(TOY_MODEL, seed=4), kind)
         out_dir = str(tmp_path)
         want = {}
         for x, _, records in D.batch_iter(tiny_set, "test", 8, 0, False):
@@ -580,7 +584,7 @@ class TestPredictToFiles:
         monkeypatch.setattr(D, "read_tensor_file", counted_read)
         monkeypatch.setattr(D, "load_sample_target", no_target)
         paths = M.predict_to_files(model, tiny_set, "test", out_dir,
-                                   M.EvalConfig(batch_size=batch_size, prediction_kind=kind))
+                                   M.EvalConfig(batch_size=batch_size))
         assert sorted(paths) == sorted(want)
         assert sorted(reads) == sorted(tiny_set.resolve(r.input_path)
                                        for r in tiny_set.split_samples("test"))
@@ -637,3 +641,65 @@ class TestEnsemble:
         assert a.pooled.to_dict() == b.pooled.to_dict()
         assert [c.to_dict() for c in a.counts_by_lead] \
             == [c.to_dict() for c in b.counts_by_lead]
+
+
+def train_on(manifest, out_dir, loss="bce_logits", drop=()):
+    """A one-epoch toy model trained on manifest, back from its checkpoint."""
+    model_config = dataclasses.replace(
+        TOY_MODEL, in_channels=manifest.t_in * (len(manifest.band_names) - len(drop)))
+    config = O.TrainConfig(batch_size=4, max_epochs=1, patience=1, loss=loss)
+    return load_checkpoint(O.train_single(manifest, model_config, config, out_dir, drop=drop))
+
+
+class TestRecordedBandsAndLoss:
+    """A trained model records the bands it reads and the loss it was
+    trained with, and scoring takes both from the model alone."""
+
+    def test_an_mse_model_is_scored_as_rates(self, tiny_set, tmp_path):
+        model = train_on(tiny_set, str(tmp_path), loss="mse")
+        assert model.loss == "mse" and model.bands == tiny_set.band_names
+        got = M.evaluate(model, tiny_set, "test")
+        assert all_counts(got) == all_counts(evaluate_ref(model, tiny_set, "test", kind="rate"))
+        as_probabilities = evaluate_ref(model, tiny_set, "test", kind="probability")
+        assert all_counts(got) != all_counts(as_probabilities)
+
+    def test_a_model_reads_the_bands_it_was_trained_on(self, tiny_set, tmp_path):
+        model = train_on(tiny_set, str(tmp_path), drop=("VIS006",))
+        assert model.bands == ("IR016",) and model.loss == "bce_logits"
+        got = M.evaluate(model, tiny_set, "test")
+        want = evaluate_ref(model, tiny_set, "test", bands=("IR016",))
+        assert all_counts(got) == all_counts(want)
+        assert all_counts(got) != all_counts(
+            evaluate_ref(model, tiny_set, "test", bands=("VIS006",)))
+
+    def test_a_manifest_listing_the_bands_in_another_order_scores_the_same(self, tiny_set,
+                                                                           tmp_path):
+        model = train_on(tiny_set, str(tmp_path / "run"))
+        flipped = reorder_bands(tiny_set, str(tmp_path / "flipped"))
+        assert flipped.band_names == ("IR016", "VIS006")
+        for record in tiny_set.split_samples("test"):
+            assert D.load_sample_input(flipped, record, model.bands).tobytes() == \
+                D.load_sample_input(tiny_set, record).tobytes()
+        got, want = (M.evaluate(model, m, "test") for m in (flipped, tiny_set))
+        assert got.to_json() == want.to_json() and got.to_tsv() == want.to_tsv()
+
+    def test_a_band_the_manifest_lacks_is_config_error_naming_it(self, tiny_set, tmp_path):
+        model = build_model(TOY_MODEL, seed=4)
+        model.bands = ("VIS006", "WV062")
+        with pytest.raises(ConfigError, match="WV062"):
+            M.evaluate(model, tiny_set, "test")
+        with pytest.raises(ConfigError, match="WV062"):
+            M.predict_to_files(model, tiny_set, "test", str(tmp_path))
+
+    @pytest.mark.parametrize("fact,values", [("loss", ("bce_logits", "mse")),
+                                             ("bands", (("VIS006", "IR016"),
+                                                        ("IR016", "VIS006")))])
+    def test_ensemble_members_that_disagree_are_refused(self, tiny_set, tmp_path, fact,
+                                                        values):
+        models = [build_model(TOY_MODEL, seed=s) for s in (1, 2)]
+        for model, value in zip(models, values):
+            setattr(model, fact, value)
+        with pytest.raises(ConfigError, match="agree on") as err:
+            M.ensemble_to_files(models, tiny_set, "test", str(tmp_path))
+        assert all(repr(v) in str(err.value) for v in values)
+        assert not list(tmp_path.glob("*" + M.PREDICTION_SUFFIX))

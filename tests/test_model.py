@@ -14,10 +14,10 @@ from nimbus.layers import DoubleConvDS
 from nimbus.model import (ModelConfig, architecture_size, baseline_reference_param_count,
                           build_model, load_checkpoint, save_checkpoint)
 
-from _corrupt import (BAD_BLOB_TABLES, OVERSIZED_CONFIGS, POISONED_VALUES, UNDECODABLE_JSON,
-                      oversize, rewrite_checkpoint, rewrite_checkpoint_header)
+from _corrupt import (BAD_BLOB_TABLES, BAD_READS, OVERSIZED_CONFIGS, POISONED_VALUES,
+                      UNDECODABLE_JSON, oversize, rewrite_checkpoint, rewrite_checkpoint_header)
 from _oracles import (batch_norm_forward_ref, conv2d_ref, fd_gradient, named_arrays_ref, rel_err,
-                      richardson_fd, save_checkpoint_v1_ref)
+                      richardson_fd, save_checkpoint_v1_ref, save_checkpoint_v2_ref)
 
 TOY = dict(in_channels=4, out_channels=2, stage_widths=(8, 16, 32, 64, 128),
            depth_multiplier=1, cbam_reduction=4)
@@ -563,4 +563,52 @@ class TestCheckpointVersion1:
         raw[4:6] = struct.pack("<H", 2)
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="'enc1.dsc1.pointwise.bias' not part of this"):
+            load_checkpoint(path)
+
+
+def _blobs(path):
+    """The data section of a checkpoint: every byte after its JSON header."""
+    raw = path.read_bytes()
+    return raw[10 + struct.unpack_from("<I", raw, 6)[0]:]
+
+
+class TestCheckpointVersion3:
+    """Version 3 adds the input bands a model reads and the loss it was
+    trained with to the header; the data section is unchanged."""
+
+    def test_fresh_model_records_nothing_and_a_trained_one_round_trips(self, toy_model,
+                                                                       tmp_path):
+        assert toy_model.bands is None and toy_model.loss is None
+        save_checkpoint(toy_model, tmp_path / "fresh.smck")
+        fresh = load_checkpoint(tmp_path / "fresh.smck")
+        assert fresh.bands is None and fresh.loss is None
+        toy_model.bands, toy_model.loss = ("IR108", "VIS006"), "mse"
+        save_checkpoint(toy_model, tmp_path / "trained.smck")
+        trained = load_checkpoint(tmp_path / "trained.smck")
+        assert trained.bands == ("IR108", "VIS006") and trained.loss == "mse"
+        assert struct.unpack_from("<H", (tmp_path / "trained.smck").read_bytes(), 4) == (3,)
+
+    def test_version_2_file_loads_the_same_arrays_without_bands_or_loss(self, toy_model,
+                                                                        tmp_path):
+        toy_model.bands, toy_model.loss = ("IR108",), "bce_logits"
+        save_checkpoint_v2_ref(toy_model, tmp_path / "v2.smck")
+        save_checkpoint(toy_model, tmp_path / "v3.smck")
+        assert _blobs(tmp_path / "v3.smck") == _blobs(tmp_path / "v2.smck")
+        v2 = load_checkpoint(tmp_path / "v2.smck")
+        assert v2.bands is None and v2.loss is None
+        v3 = load_checkpoint(tmp_path / "v3.smck")
+        for got, want in ((v2.named_params(), v3.named_params()),
+                          (v2.named_states(), v3.named_states())):
+            got, want = dict(got), dict(want)
+            assert list(got) == list(want)
+            assert [got[n].tobytes() for n in want] == [want[n].tobytes() for n in want]
+
+    @pytest.mark.parametrize("edit,text", [case[1:] for case in BAD_READS],
+                             ids=[case[0] for case in BAD_READS])
+    def test_malformed_bands_or_loss_is_format_error(self, toy_model, tmp_path, edit, text):
+        toy_model.bands, toy_model.loss = ("VIS006", "IR016"), "bce_logits"
+        path = tmp_path / "bad.smck"
+        save_checkpoint(toy_model, path)
+        rewrite_checkpoint(path, edit)
+        with pytest.raises(FormatError, match=re.escape(text)):
             load_checkpoint(path)
