@@ -9,7 +9,6 @@ values near 0 suppress it.
 import numpy as np
 
 from nimbus.model import ModelConfig, build_model
-from nimbus.tensor import tensor_random
 
 
 def main():
@@ -22,7 +21,8 @@ def main():
     for cbam in stages:
         cbam.channel.record_scales = True
 
-    x = tensor_random((2, 12, 32, 32), "normal", 1.0, seed=3).astype(np.float64)
+    x = np.random.default_rng(3).normal(0.0, 1.0, (2, 12, 32, 32)).astype(np.float32)
+    x = x.astype(np.float64)
     model.forward(x, train=True)
 
     print("channel-gate statistics per encoder stage (train-mode forward):")

@@ -262,25 +262,11 @@ def normalize(x, band_names, stats, t_in):
 
 
 def filter_non_rainy(manifest, samples, volume_threshold):
-    """Retain samples whose target rain sums to at least the threshold.
-
-    Returns (retained samples, report), where the report counts retained and
-    removed per (region, year).  Order is preserved.
-    """
+    """The samples whose target rain sums to at least the threshold, in order."""
     if volume_threshold < 0:
         raise ConfigError(f"volume threshold must be >= 0, got {volume_threshold}")
-    retained = []
-    report = {}
-    for s in samples:
-        total = float(read_tensor_file(manifest.resolve(s.target_path)).sum())
-        key = (s.region, s.year)
-        entry = report.setdefault(key, {"retained": 0, "removed": 0})
-        if total >= volume_threshold:
-            retained.append(s)
-            entry["retained"] += 1
-        else:
-            entry["removed"] += 1
-    return retained, report
+    return [s for s in samples
+            if float(read_tensor_file(manifest.resolve(s.target_path)).sum()) >= volume_threshold]
 
 
 def load_sample_input(manifest, record, bands=None):

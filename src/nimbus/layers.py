@@ -24,13 +24,16 @@ from . import tensor as T
 from .errors import ConfigError, DegenerateBatchError, ShapeError, StateError
 
 
-def _he_uniform(rng, shape, fan_in, dtype):
+def _he_uniform(rng, shape, fan_in):
     bound = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape).astype(T.DTYPE)
 
 
 class Block:
     """Base for all layers: a parameter dict, a state dict, named children.
+
+    Parameters and state are built in float32; to_dtype casts a whole
+    block tree, which is how gradient checks get 64-bit blocks.
 
     A train-mode forward leaves the cache its backward needs in `_cache`;
     backward takes it through `_need_cache`, which clears `_cache`, so a
@@ -97,14 +100,14 @@ class DepthwiseSeparableConv(Block):
     knows nothing of it, so a train forward never takes one.
     """
 
-    def __init__(self, c_in, c_out, multiplier, rng, dtype=T.DTYPE):
+    def __init__(self, c_in, c_out, multiplier, rng):
         super().__init__()
         self.c_in = c_in
         self.c_out = c_out
         self.multiplier = multiplier
         mid = c_in * multiplier
-        self.p["depthwise.weight"] = _he_uniform(rng, (mid, 1, 3, 3), 9, dtype)
-        self.p["pointwise.weight"] = _he_uniform(rng, (c_out, mid, 1, 1), mid, dtype)
+        self.p["depthwise.weight"] = _he_uniform(rng, (mid, 1, 3, 3), 9)
+        self.p["pointwise.weight"] = _he_uniform(rng, (c_out, mid, 1, 1), mid)
 
     def forward(self, x, train=False, affine=None):
         if x.shape[1] != self.c_in:
@@ -141,15 +144,16 @@ class BatchNorm(Block):
     (see DoubleConvDS), so forward refuses eval mode.
     """
 
-    def __init__(self, channels, momentum=0.1, eps=1e-5, dtype=T.DTYPE):
+    momentum = 0.1
+    eps = 1e-5
+
+    def __init__(self, channels):
         super().__init__()
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
-        self.p["gamma"] = np.ones(channels, dtype=dtype)
-        self.p["beta"] = np.zeros(channels, dtype=dtype)
-        self.s["running_mean"] = np.zeros(channels, dtype=dtype)
-        self.s["running_var"] = np.ones(channels, dtype=dtype)
+        self.p["gamma"] = np.ones(channels, dtype=T.DTYPE)
+        self.p["beta"] = np.zeros(channels, dtype=T.DTYPE)
+        self.s["running_mean"] = np.zeros(channels, dtype=T.DTYPE)
+        self.s["running_var"] = np.ones(channels, dtype=T.DTYPE)
 
     def forward(self, x, train=False):
         if not train:
@@ -205,14 +209,14 @@ class ChannelAttention(Block):
     """CBAM channel gate: a shared two-layer bottleneck MLP (no biases) over
     the spatial average and spatial max descriptors, summed and squashed."""
 
-    def __init__(self, channels, reduction, rng, dtype=T.DTYPE):
+    def __init__(self, channels, reduction, rng):
         super().__init__()
         if channels % reduction:
             raise ConfigError(f"reduction {reduction} does not divide {channels} channels")
         self.channels = channels
         hidden = channels // reduction
-        self.p["w1"] = _he_uniform(rng, (hidden, channels), channels, dtype)
-        self.p["w2"] = _he_uniform(rng, (channels, hidden), hidden, dtype)
+        self.p["w1"] = _he_uniform(rng, (hidden, channels), channels)
+        self.p["w2"] = _he_uniform(rng, (channels, hidden), hidden)
         # diagnostics: when record_scales is set, forward keeps its last gate
         self.record_scales = False
         self.last_scale = None
@@ -294,13 +298,10 @@ class SpatialAttention(Block):
     either sign to 0.5 and NaN to NaN.
     """
 
-    def __init__(self, rng, kernel=7, dtype=T.DTYPE):
+    def __init__(self, rng):
         super().__init__()
-        if kernel % 2 == 0:
-            raise ConfigError(f"spatial attention kernel must be odd, got {kernel}")
-        self.kernel = kernel
-        self.p["conv.weight"] = _he_uniform(rng, (1, 2, kernel, kernel), 2 * kernel * kernel, dtype)
-        self.p["conv.bias"] = np.zeros(1, dtype=dtype)
+        self.p["conv.weight"] = _he_uniform(rng, (1, 2, 7, 7), 2 * 7 * 7)
+        self.p["conv.bias"] = np.zeros(1, dtype=T.DTYPE)
 
     def forward(self, x, train=False):
         mean_c = x.mean(axis=1, keepdims=True)
@@ -309,7 +310,7 @@ class SpatialAttention(Block):
         else:
             max_c = x.max(axis=1, keepdims=True)
         f = np.concatenate([mean_c, max_c], axis=1)
-        z = T.conv2d(f, self.p["conv.weight"], self.p["conv.bias"], padding=self.kernel // 2)
+        z = T.conv2d(f, self.p["conv.weight"], self.p["conv.bias"], padding=3)
         m = T.sigmoid(z)
         y = x * m
         self._cache = (x, f, arg, m) if train else None
@@ -321,7 +322,7 @@ class SpatialAttention(Block):
         gm = (grad_out * x).sum(axis=1, keepdims=True)
         gx = grad_out * m
         dz = gm * m * (1.0 - m)
-        gf, g_w, g_b = T.conv2d_backward(f, self.p["conv.weight"], dz, padding=self.kernel // 2)
+        gf, g_w, g_b = T.conv2d_backward(f, self.p["conv.weight"], dz, padding=3)
         self.g = {"conv.weight": g_w, "conv.bias": g_b}
         gx += gf[:, 0:1] / c
         scat = np.zeros_like(x)
@@ -333,10 +334,10 @@ class SpatialAttention(Block):
 class CBAM(Block):
     """Channel attention then spatial attention, as one refinement block."""
 
-    def __init__(self, channels, reduction, rng, dtype=T.DTYPE):
+    def __init__(self, channels, reduction, rng):
         super().__init__()
-        self.channel = self._child("channel", ChannelAttention(channels, reduction, rng, dtype))
-        self.spatial = self._child("spatial", SpatialAttention(rng, dtype=dtype))
+        self.channel = self._child("channel", ChannelAttention(channels, reduction, rng))
+        self.spatial = self._child("spatial", SpatialAttention(rng))
 
     def forward(self, x, train=False):
         return self.spatial.forward(self.channel.forward(x, train), train)
@@ -367,13 +368,13 @@ class DoubleConvDS(Block):
     by rounding only.
     """
 
-    def __init__(self, c_in, c_out, multiplier, rng, c_mid=None, dtype=T.DTYPE):
+    def __init__(self, c_in, c_out, multiplier, rng, c_mid=None):
         super().__init__()
         mid = c_out if c_mid is None else c_mid
-        self.dsc1 = self._child("dsc1", DepthwiseSeparableConv(c_in, mid, multiplier, rng, dtype))
-        self.bn1 = self._child("bn1", BatchNorm(mid, dtype=dtype))
-        self.dsc2 = self._child("dsc2", DepthwiseSeparableConv(mid, c_out, multiplier, rng, dtype))
-        self.bn2 = self._child("bn2", BatchNorm(c_out, dtype=dtype))
+        self.dsc1 = self._child("dsc1", DepthwiseSeparableConv(c_in, mid, multiplier, rng))
+        self.bn1 = self._child("bn1", BatchNorm(mid))
+        self.dsc2 = self._child("dsc2", DepthwiseSeparableConv(mid, c_out, multiplier, rng))
+        self.bn2 = self._child("bn2", BatchNorm(c_out))
 
     def forward(self, x, train=False):
         a1 = self._unit(self.dsc1, self.bn1, x, train)

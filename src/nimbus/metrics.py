@@ -10,7 +10,6 @@ come from pooled counts, never from averaging per-group scores.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 
 import numpy as np
@@ -122,9 +121,6 @@ class EvalReport:
             "config": {k: v for k, v in self.config.to_dict().items() if k != "batch_size"},
         }
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
     def to_tsv(self):
         """One diff-friendly line per (region, year): counts then CSI."""
         lines = []
@@ -208,8 +204,6 @@ class _Tally:
         self.scenes.append((record, tp, n_pred, n_true))
 
     def report(self, split, config):
-        if not self.scenes:
-            raise DataError(f"split {split!r} has no samples to evaluate")
         tp, n_pred, n_true = np.zeros((3, len(self.scenes), self.t_out), dtype=np.int64)
         for i, (_, *counts) in enumerate(self.scenes):
             tp[i], n_pred[i], n_true[i] = counts
@@ -227,7 +221,11 @@ class _Tally:
 
 
 def _split_records(manifest, split):
-    return manifest.split_samples(split) if isinstance(split, str) else list(split)
+    """The records of a split name or list; an empty split is a DataError."""
+    records = manifest.split_samples(split) if isinstance(split, str) else list(split)
+    if not records:
+        raise DataError(f"split {split!r} has no samples")
+    return records
 
 
 def _load_prediction(pred_dir, record, manifest, kind):
@@ -330,10 +328,12 @@ def ensemble_predict(models, x):
 
 def ensemble_to_files(models, manifest, split, out_dir, config=EvalConfig()):
     """Write averaged prediction files for a model ensemble; returns the
-    paths.  Only the input files are read, never a target."""
-    os.makedirs(out_dir, exist_ok=True)
+    paths.  Only the input files are read, never a target, and out_dir is
+    made only once the first forecast exists."""
     paths = []
     for record, forecast in _forecasts(models, manifest, _split_records(manifest, split), config):
+        if not paths:
+            os.makedirs(out_dir, exist_ok=True)
         paths.append(prediction_path(out_dir, record))
         D.write_tensor_file(paths[-1], forecast)
     return paths

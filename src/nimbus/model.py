@@ -108,10 +108,10 @@ class CheckpointHeader(Section):
 class Conv1x1(Block):
     """Pointwise conv with bias, used as the logit head."""
 
-    def __init__(self, c_in, c_out, rng, dtype=T.DTYPE):
+    def __init__(self, c_in, c_out, rng):
         super().__init__()
-        self.p["weight"] = _he_uniform(rng, (c_out, c_in, 1, 1), c_in, dtype)
-        self.p["bias"] = np.zeros(c_out, dtype=dtype)
+        self.p["weight"] = _he_uniform(rng, (c_out, c_in, 1, 1), c_in)
+        self.p["bias"] = np.zeros(c_out, dtype=T.DTYPE)
 
     def forward(self, x, train=False):
         self._cache = x if train else None

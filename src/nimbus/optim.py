@@ -254,8 +254,8 @@ def _regional_loaders(manifest, samples, config, bands):
         val = [train[i] for i in order[:n_val]]
         train = [train[i] for i in order[n_val:]]
     if manifest.filter_threshold > 0:
-        train, _ = D.filter_non_rainy(manifest, train, manifest.filter_threshold)
-        kept, _ = D.filter_non_rainy(manifest, val, manifest.filter_threshold)
+        train = D.filter_non_rainy(manifest, train, manifest.filter_threshold)
+        kept = D.filter_non_rainy(manifest, val, manifest.filter_threshold)
         # A small pool can lose every val sample to the filter; monitoring on
         # unfiltered val samples then beats not training at all.
         val = kept or val

@@ -17,39 +17,6 @@ from .errors import ShapeError, SizeError
 DTYPE = np.float32
 
 
-# Allocation guard: 2^40 elements is 4 TiB of float32, far past addressable
-# for this workload, so anything larger is treated as a size bug.
-MAX_ELEMENTS = 1 << 40
-
-
-def _checked_dims(dims):
-    dims = tuple(int(d) for d in dims)
-    if any(d < 0 for d in dims):
-        raise ShapeError(f"dimensions must be non-negative, got {dims}")
-    total = 1
-    for d in dims:
-        total *= d
-    if total > MAX_ELEMENTS:
-        raise SizeError(f"allocation of {total} elements exceeds the {MAX_ELEMENTS} cap")
-    return dims
-
-
-def tensor_random(dims, dist, scale, seed, dtype=DTYPE):
-    """Seeded random tensor: uniform(-scale, scale) or normal(0, scale).
-
-    Two calls with the same arguments produce identical bytes.
-    """
-    dims = _checked_dims(dims)
-    rng = np.random.default_rng(seed)
-    if dist == "uniform":
-        vals = rng.uniform(-scale, scale, size=dims)
-    elif dist == "normal":
-        vals = rng.normal(0.0, scale, size=dims)
-    else:
-        raise ShapeError(f"unknown distribution {dist!r}, expected 'uniform' or 'normal'")
-    return vals.astype(dtype)
-
-
 def check_nchw(x, name="tensor"):
     """Raise ShapeError unless x is a 4-D floating array."""
     if not isinstance(x, np.ndarray) or x.ndim != 4:
@@ -59,15 +26,15 @@ def check_nchw(x, name="tensor"):
         raise ShapeError(f"{name} must be floating point, got dtype={x.dtype}")
 
 
-def _conv_geometry(x, weight, stride, padding, groups):
+def _conv_geometry(x, weight, padding, groups):
     """Validate conv arguments; return (n, c_in, h, w, c_out, kh, kw, out_h, out_w)."""
     check_nchw(x, "input")
     if weight.ndim != 4:
         raise ShapeError(f"weight must be 4-D (C_out, C_in/groups, kh, kw), got ndim={weight.ndim}")
     n, c_in, h, w = x.shape
     c_out, c_per_group, kh, kw = weight.shape
-    if stride < 1 or padding < 0 or groups < 1:
-        raise ShapeError(f"bad conv arguments: stride={stride} padding={padding} groups={groups}")
+    if padding < 0 or groups < 1:
+        raise ShapeError(f"bad conv arguments: padding={padding} groups={groups}")
     if c_in % groups or c_out % groups:
         raise ShapeError(f"groups={groups} must divide C_in={c_in} and C_out={c_out}")
     if c_per_group != c_in // groups:
@@ -76,12 +43,12 @@ def _conv_geometry(x, weight, stride, padding, groups):
         )
     span_h = h + 2 * padding - kh
     span_w = w + 2 * padding - kw
-    if span_h < 0 or span_w < 0 or span_h % stride or span_w % stride:
+    if span_h < 0 or span_w < 0:
         raise ShapeError(
-            f"conv output size not integral: input {h}x{w}, kernel {kh}x{kw}, "
-            f"padding {padding}, stride {stride}"
+            f"kernel does not fit the padded input: input {h}x{w}, kernel {kh}x{kw}, "
+            f"padding {padding}"
         )
-    return n, c_in, h, w, c_out, kh, kw, span_h // stride + 1, span_w // stride + 1
+    return n, c_in, h, w, c_out, kh, kw, span_h + 1, span_w + 1
 
 
 def _flat_padded_samples(x, padding):
@@ -92,11 +59,7 @@ def _flat_padded_samples(x, padding):
     sample, so a caller that needs a sample after the next one is drawn
     must copy it.
     """
-    n, c, h, w = x.shape
-    if padding == 0:
-        for sample in x:
-            yield sample.reshape(c, h * w)
-        return
+    _, c, h, w = x.shape
     ph, pw = h + 2 * padding, w + 2 * padding
     buf = np.zeros((c, ph * pw), dtype=x.dtype)
     inner = buf.reshape(c, ph, pw)[:, padding:padding + h, padding:padding + w]
@@ -115,12 +78,11 @@ def _im2col(xf, cols, kw, pw):
         cols[:, t] = xf[:, off:off + span]
 
 
-def conv2d(x, weight, bias=None, *, stride=1, padding=0, groups=1):
+def conv2d(x, weight, bias=None, *, padding=0, groups=1):
     """Cross-correlate x (N, C_in, H, W) with weight (C_out, C_in/groups, kh, kw).
 
-    Zero padding, identical stride on both axes.  Output sizes must come out
-    integral, otherwise ShapeError: silent truncation is how off-by-one bugs
-    hide.  An unpadded 1x1 conv without groups is one matmul over the
+    Zero padding, unit stride.  A kernel larger than the padded input is a
+    ShapeError.  An unpadded 1x1 conv without groups is one matmul over the
     batch; every other conv, depthwise, grouped or dense, runs the kernel
     below.
 
@@ -133,37 +95,31 @@ def conv2d(x, weight, bias=None, *, stride=1, padding=0, groups=1):
     group.  The sample's output is one stacked matmul,
     (groups, mult, cg*kh*kw) @ cols with mult = C_out/groups: per group a
     GEMM whose inner dimension runs over the group's channels and taps.  A
-    depthwise conv is the case cg = 1.  The stride-1 output is computed on
-    rows of the padded width W+2p; the last kw-1 columns of each row are
-    junk, windows that wrap into the next row, and are dropped on the way
-    out.  Each kept column of cols holds exactly the window of its output
-    pixel, so the junk costs no exactness: every kept value is a dot
-    product of its cg*kh*kw products, rounded within the usual
-    (cg*kh*kw-1)*eps/2 of the exact sum.  A strided conv keeps every
-    stride-th row and column of the stride-1 result, which holds exactly
-    the strided windows; it therefore pays stride**2 times the
-    multiply-adds and accumulator memory of the strided output (no conv in
-    the model is strided).  Every sample runs the same GEMM shapes, so a
-    sample's output bytes do not depend on the batch it is in.
+    depthwise conv is the case cg = 1.  The output is computed on rows of
+    the padded width W+2p; the last kw-1 columns of each row are junk,
+    windows that wrap into the next row, and are dropped on the way out.
+    Each kept column of cols holds exactly the window of its output pixel,
+    so the junk costs no exactness: every kept value is a dot product of
+    its cg*kh*kw products, rounded within the usual (cg*kh*kw-1)*eps/2 of
+    the exact sum.  Every sample runs the same GEMM
+    shapes, so a sample's output bytes do not depend on the batch it is in.
     """
-    n, c_in, h, w, c_out, kh, kw, out_h, out_w = _conv_geometry(x, weight, stride, padding, groups)
+    n, c_in, h, w, c_out, kh, kw, out_h, out_w = _conv_geometry(x, weight, padding, groups)
     if bias is not None and bias.shape != (c_out,):
         raise ShapeError(f"bias must have shape ({c_out},), got {bias.shape}")
 
     if kh == 1 and kw == 1 and groups == 1 and padding == 0:
-        xs = x[:, :, ::stride, ::stride] if stride > 1 else x
-        y = np.matmul(weight.reshape(c_out, c_in), xs.reshape(n, c_in, out_h * out_w))
+        y = np.matmul(weight.reshape(c_out, c_in), x.reshape(n, c_in, h * w))
         y = y.reshape(n, c_out, out_h, out_w)
     else:
         cg, mult, taps = c_in // groups, c_out // groups, kh * kw
         wv = weight.reshape(groups, mult, cg * taps)
         pw = w + 2 * padding
-        full_h, full_w = h + 2 * padding - kh + 1, pw - kw + 1
-        span = full_h * pw - (kw - 1)
+        span = out_h * pw - (kw - 1)
         cols = np.empty((c_in, taps, span), dtype=x.dtype)
         gcols = cols.reshape(groups, cg * taps, span)
-        acc = np.empty((groups, mult, full_h * pw), dtype=x.dtype)
-        rows = acc.reshape(c_out, full_h, pw)[:, ::stride, :full_w:stride]
+        acc = np.empty((groups, mult, out_h * pw), dtype=x.dtype)
+        rows = acc.reshape(c_out, out_h, pw)[:, :, :out_w]
         y = np.empty((n, c_out, out_h, out_w), dtype=x.dtype)
         for yb, xf in zip(y, _flat_padded_samples(x, padding)):
             _im2col(xf, cols, kw, pw)
@@ -176,52 +132,48 @@ def conv2d(x, weight, bias=None, *, stride=1, padding=0, groups=1):
     return y
 
 
-def conv2d_backward(x, weight, grad_out, *, stride=1, padding=0, groups=1, has_bias=True):
+def conv2d_backward(x, weight, grad_out, *, padding=0, groups=1, has_bias=True):
     """Gradients of conv2d.  Returns (grad_x, grad_weight, grad_bias or None).
 
-    An unpadded, unstrided 1x1 conv without groups takes one matmul over
-    the batch for grad_x.  Its grad_w is a running sum over the samples in
-    batch order of one GEMM each, grad_out[i] @ x[i]^T, which BLAS reads
-    in place without transposed copies.  Every other conv runs one sample
-    at a time in the flat-row and im2col layout of conv2d, with
-    cg = C_in/groups and mult = C_out/groups.  The output gradient is
-    written into rows of the stride-1 output at the padded width W+2p, a
-    zeroed (groups, mult, span) buffer g: a stride-s conv writes its
-    gradient into every s-th row and column, the positions whose windows
-    it kept, and every other entry, the kw-1 junk columns included, stays
-    zero.  The sample's cols are rebuilt from the input.  The weight
-    gradient adds the stacked matmul g @ cols^T, (groups, mult, span) @
-    (groups, span, cg*kh*kw).
+    An unpadded 1x1 conv without groups takes one matmul over the batch
+    for grad_x.  Its grad_w is a running sum over the samples in batch
+    order of one GEMM each, grad_out[i] @ x[i]^T, which BLAS reads in place
+    without transposed copies.  Every other conv runs one sample at a time
+    in the flat-row and im2col layout of conv2d, with cg = C_in/groups and
+    mult = C_out/groups.  The output gradient is written into rows of the
+    padded width W+2p, a zeroed (groups, mult, span) buffer g whose kw-1
+    junk columns per row stay zero.  The sample's cols are rebuilt from the
+    input.  The weight gradient adds the stacked matmul g @ cols^T,
+    (groups, mult, span) @ (groups, span, cg*kh*kw).
 
-    A stride-1 conv with a square kernel, padding p < kh and fewer output
-    than input channels per group (mult < cg, as in the 7x7 attention
-    gate) takes its input gradient as a transposed conv (Dumoulin and
+    A conv with a square kernel, padding p < kh and fewer output than
+    input channels per group (mult < cg, as in the 7x7 attention gate)
+    takes its input gradient as a transposed conv (Dumoulin and
     Visin 2016, section 4): one conv2d of grad_out with the kernel rotated
     180 degrees, its two channel axes swapped within each group, and
     padding kh-1-p.  Per sample that is one GEMM with an inner dimension
     of mult*kh*kw in place of C_in*kh*kw tap rows and their sum.  Only the
-    shape picks the path.  Every other conv, depthwise (cg = 1) and
-    strided included, uses the stacked matmul w^T @ g,
-    (groups, cg, kh, kw, mult) @ (groups, 1, 1, mult, span), which gives
+    shape picks the path.  Every other conv, depthwise (cg = 1) included,
+    uses the stacked matmul w^T @ g, (groups, cg, kh, kw, mult) @
+    (groups, 1, 1, mult, span), which gives
     each channel's and tap's contribution to the input gradient; it writes
     tap t's row at the offset dy*(W+2p) + dx where the tap read its
     window, in a zeroed (C_in, kh*kw, (H+2p)(W+2p)) buffer, so col2im is
     one sum over the tap axis into the flat padded grad_x.
 
     With finite inputs the zeros of g and of the padding make every
-    wrapped-around or skipped term a +-0 product, which changes no nonzero
-    sum: grad_x and grad_w are those of a direct correlation up to
-    summation order, and like the forward they do not depend on the rest
-    of the batch.
+    wrapped-around term a +-0 product, which changes no nonzero sum: grad_x
+    and grad_w are those of a direct correlation up to summation order, and
+    like the forward they do not depend on the rest of the batch.
     """
-    n, c_in, h, w, c_out, kh, kw, out_h, out_w = _conv_geometry(x, weight, stride, padding, groups)
+    n, c_in, h, w, c_out, kh, kw, out_h, out_w = _conv_geometry(x, weight, padding, groups)
     if grad_out.shape != (n, c_out, out_h, out_w):
         raise ShapeError(
             f"grad_out must have shape {(n, c_out, out_h, out_w)}, got {grad_out.shape}"
         )
     grad_bias = grad_out.sum(axis=(0, 2, 3)) if has_bias else None
 
-    if kh == 1 and kw == 1 and groups == 1 and padding == 0 and stride == 1:
+    if kh == 1 and kw == 1 and groups == 1 and padding == 0:
         gof = grad_out.reshape(n, c_out, h * w)
         xf = x.reshape(n, c_in, h * w)
         grad_w = np.zeros((c_out, c_in), dtype=weight.dtype)
@@ -233,9 +185,8 @@ def conv2d_backward(x, weight, grad_out, *, stride=1, padding=0, groups=1, has_b
 
     cg, mult, taps = c_in // groups, c_out // groups, kh * kw
     ph, pw = h + 2 * padding, w + 2 * padding
-    full_h, full_w = ph - kh + 1, pw - kw + 1
-    span = full_h * pw - (kw - 1)
-    transposed = stride == 1 and mult < cg and kh == kw and padding < kh
+    span = out_h * pw - (kw - 1)
+    transposed = mult < cg and kh == kw and padding < kh
     if transposed:
         flipped = (weight.reshape(groups, mult, cg, kh, kw)[..., ::-1, ::-1]
                    .transpose(0, 2, 1, 3, 4))
@@ -256,8 +207,8 @@ def conv2d_backward(x, weight, grad_out, *, stride=1, padding=0, groups=1, has_b
         grad_x = np.empty(x.shape, dtype=x.dtype)
         gxp = np.empty((c_in, ph * pw), dtype=x.dtype)
         inner = gxp.reshape(c_in, ph, pw)[:, padding:padding + h, padding:padding + w]
-    gbuf = np.zeros((groups, mult, full_h * pw), dtype=grad_out.dtype)
-    grows = gbuf.reshape(groups, mult, full_h, pw)[..., ::stride, :full_w:stride]
+    gbuf = np.zeros((groups, mult, out_h * pw), dtype=grad_out.dtype)
+    grows = gbuf.reshape(groups, mult, out_h, pw)[..., :out_w]
     g = gbuf[:, :, :span]
     cols = np.empty((c_in, taps, span), dtype=x.dtype)
     gcols_t = cols.reshape(groups, cg * taps, span).transpose(0, 2, 1)

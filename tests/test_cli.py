@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from _corrupt import (BAD_BLOB_TABLES, BAD_CHECKPOINTS, BAD_CONFIGS, BAD_LATENT_
 from _oracles import evaluate_ref, save_checkpoint_v2_ref
 from nimbus import data as D
 from nimbus import metrics as M
-from nimbus.cli import main
+from nimbus import optim as O
+from nimbus.cli import _manifest_from, main
 from nimbus.config import RunConfig
 from nimbus.model import load_checkpoint
 
@@ -279,6 +281,25 @@ class TestTrain:
             echo = json.load(fh)
         assert echo["model"]["stage_widths"] == SMALL_MODEL["stage_widths"]
 
+    def test_filter_threshold_overrides_the_manifest_and_zero_keeps_every_sample(self,
+                                                                                 workspace):
+        """data.filter_threshold replaces the manifest's value in what train
+        reads; 0 keeps every train sample, where the manifest's own
+        threshold drops some."""
+        listed = D.load_manifest(workspace["manifest"])
+        train = [s for s in listed.samples if s.split == "train"]
+        kept = {}
+        for threshold in (None, 0.0):
+            config = RunConfig.from_dict({"data": {"filter_threshold": threshold}})
+            manifest = _manifest_from(SimpleNamespace(manifest=workspace["manifest"]), config)
+            assert manifest.filter_threshold == (listed.filter_threshold if threshold is None
+                                                 else threshold)
+            batches, _ = O._regional_loaders(manifest, manifest.samples,
+                                             O.TrainConfig(shuffle=False), None)
+            kept[threshold] = [r for _, _, chunk in batches(0) for r in chunk]
+        assert kept[0.0] == train
+        assert listed.filter_threshold > 0 and len(kept[None]) < len(train)
+
     def test_regional_run_trains_one_model_per_job(self, workspace, tmp_path):
         out = str(tmp_path / "regional")
         rc = main(["train", "--config", workspace["config"],
@@ -404,6 +425,21 @@ class TestPredictEvaluate:
         with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
             assert json.load(fh)["config"]["threshold"] == 0.5
 
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--split", "tset"],
+        ["ensemble", "--split", "Test"],
+        ["evaluate", "--split", "tset"],
+    ], ids=["predict", "ensemble", "evaluate"])
+    def test_a_split_with_no_samples_exits_two_and_writes_nothing(self, workspace, trained,
+                                                                  tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        flag = "--checkpoints" if argv[0] == "ensemble" else "--checkpoint"
+        capsys.readouterr()
+        assert main(argv + [flag, trained, "--config", workspace["config"],
+                            "--manifest", workspace["manifest"], "--out", str(out)]) == 2
+        assert f"split {argv[2]!r} has no samples" in only_error_line(capsys)
+        assert not out.exists()
+
 
 class TestEnsemble:
     def test_averaged_predictions_score_like_member_on_single_model(
@@ -488,7 +524,7 @@ class TestRecordedBandsAndLoss:
                      "--out", str(tmp_path / "ens")]) == 1
         line = only_error_line(capsys)
         assert "'mse'" in line and "'bce_logits'" in line
-        assert not list((tmp_path / "ens").glob("*" + M.PREDICTION_SUFFIX))
+        assert not (tmp_path / "ens").exists()
 
     def test_a_manifest_without_a_recorded_band_exits_one_naming_it(self, workspace, trained,
                                                                    tmp_path, capsys):
@@ -500,6 +536,7 @@ class TestRecordedBandsAndLoss:
                      "--manifest", os.path.join(data_dir, "manifest.json"),
                      "--out", str(tmp_path / "preds")]) == 1
         assert "'VIS006'" in only_error_line(capsys)
+        assert not (tmp_path / "preds").exists()
 
     def test_a_version_2_checkpoint_takes_both_from_the_config(self, workspace, mse_trained,
                                                               mse_config, tmp_path):

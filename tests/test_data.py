@@ -223,14 +223,12 @@ class TestFilterNonRainy:
         samples = small_set.samples
         sums = [D.read_tensor_file(small_set.resolve(s.target_path)).sum() for s in samples]
         threshold = float(np.median(sums))
-        retained, report = D.filter_non_rainy(small_set, samples, threshold)
+        retained = D.filter_non_rainy(small_set, samples, threshold)
         want = [s for s, v in zip(samples, sums) if v >= threshold]
         assert [s.input_path for s in retained] == [s.input_path for s in want]
-        totals = {k: v["retained"] + v["removed"] for k, v in report.items()}
-        assert sum(totals.values()) == len(samples)
 
     def test_zero_threshold_keeps_everything(self, small_set):
-        retained, _ = D.filter_non_rainy(small_set, small_set.samples, 0.0)
+        retained = D.filter_non_rainy(small_set, small_set.samples, 0.0)
         assert len(retained) == len(small_set.samples)
 
     def test_negative_threshold_rejected(self, small_set):

@@ -40,7 +40,7 @@ def param_fd(block, forward_loss, name, tol=GRAD_TOL):
 
 class TestDepthwiseSeparableConv:
     def test_identity_composition(self, rng):
-        layer = L.DepthwiseSeparableConv(1, 1, 1, rng, dtype=np.float64)
+        layer = L.DepthwiseSeparableConv(1, 1, 1, rng).to_dtype(np.float64)
         dw = np.zeros((1, 1, 3, 3))
         dw[0, 0, 1, 1] = 1.0
         layer.p["depthwise.weight"] = dw
@@ -56,7 +56,7 @@ class TestDepthwiseSeparableConv:
         assert 64 * 128 * 9 + 128 == 73856
 
     def test_equals_composed_conv_oracles(self, rng):
-        layer = L.DepthwiseSeparableConv(3, 4, 2, rng, dtype=np.float64)
+        layer = L.DepthwiseSeparableConv(3, 4, 2, rng).to_dtype(np.float64)
         x = rng.standard_normal((2, 3, 6, 6))
         mid = conv2d_ref(x, layer.p["depthwise.weight"], None, 1, 1, groups=3)
         want = conv2d_ref(mid, layer.p["pointwise.weight"])
@@ -68,7 +68,7 @@ class TestDepthwiseSeparableConv:
             layer.forward(np.zeros((1, 5, 4, 4), dtype=np.float32))
 
     def test_gradients(self, rng):
-        layer = L.DepthwiseSeparableConv(2, 3, 2, rng, dtype=np.float64)
+        layer = L.DepthwiseSeparableConv(2, 3, 2, rng).to_dtype(np.float64)
         x = rng.standard_normal((2, 2, 5, 5))
         probe = rng.standard_normal((2, 3, 5, 5))
 
@@ -91,7 +91,7 @@ class TestBatchNorm:
     def test_eval_identity_with_unit_stats(self, rng):
         """Fresh statistics fold to the scale 1/sqrt(1 + eps) and a zero
         shift, an affine map that shrinks values only slightly."""
-        bn = L.BatchNorm(3, dtype=np.float64)
+        bn = L.BatchNorm(3).to_dtype(np.float64)
         scale, shift = bn.eval_affine()
         assert scale.tobytes() == np.full(3, 1.0 / np.sqrt(1.0 + bn.eps)).tobytes()
         assert shift.tobytes() == np.zeros(3).tobytes()
@@ -106,21 +106,21 @@ class TestBatchNorm:
             bn.forward(rng.standard_normal((2, 3, 4, 4)).astype(np.float32), train=False)
 
     def test_train_constant_input_gives_beta(self, rng):
-        bn = L.BatchNorm(2, dtype=np.float64)
+        bn = L.BatchNorm(2).to_dtype(np.float64)
         bn.p["beta"] = np.array([1.5, -0.5])
         y = bn.forward(np.full((2, 2, 3, 3), 7.0), train=True)
         assert rel_err(y[:, 0], np.full((2, 3, 3), 1.5)) < 1e-10
         assert rel_err(y[:, 1], np.full((2, 3, 3), -0.5)) < 1e-10
 
     def test_train_output_is_standardized(self, rng):
-        bn = L.BatchNorm(4, dtype=np.float64)
+        bn = L.BatchNorm(4).to_dtype(np.float64)
         x = rng.standard_normal((4, 4, 8, 8)) * 3.0 + 1.0
         y = bn.forward(x, train=True)
         assert np.abs(y.mean(axis=(0, 2, 3))).max() < 1e-5
         assert np.abs(y.var(axis=(0, 2, 3)) - 1.0).max() < 1e-4
 
     def test_running_stats_blend(self, rng):
-        bn = L.BatchNorm(2, dtype=np.float64)
+        bn = L.BatchNorm(2).to_dtype(np.float64)
         x = rng.standard_normal((2, 2, 4, 4))
         bn.forward(x, train=True)
         want_mean = 0.1 * x.mean(axis=(0, 2, 3))
@@ -137,7 +137,7 @@ class TestBatchNorm:
         beta = rng.standard_normal(channels).astype(dtype)
         pair = []
         for _ in range(2):
-            bn = L.BatchNorm(channels, dtype=dtype)
+            bn = L.BatchNorm(channels).to_dtype(dtype)
             bn.p["gamma"], bn.p["beta"] = gamma.copy(), beta.copy()
             pair.append(bn)
         return pair
@@ -184,7 +184,7 @@ class TestBatchNorm:
             bn.forward(np.zeros((1, 3, 1, 1), dtype=np.float32), train=True)
 
     def test_gradients(self, rng):
-        bn = L.BatchNorm(3, dtype=np.float64)
+        bn = L.BatchNorm(3).to_dtype(np.float64)
         bn.p["gamma"] = rng.uniform(0.5, 1.5, 3)
         bn.p["beta"] = rng.standard_normal(3)
         x = rng.standard_normal((4, 3, 5, 5))
@@ -203,20 +203,20 @@ class TestBatchNorm:
 
 class TestChannelAttention:
     def test_zero_weights_halve_input(self, rng):
-        att = L.ChannelAttention(8, 4, rng, dtype=np.float64)
+        att = L.ChannelAttention(8, 4, rng).to_dtype(np.float64)
         att.p["w1"][:] = 0
         att.p["w2"][:] = 0
         x = rng.standard_normal((2, 8, 4, 4))
         assert rel_err(att.forward(x), 0.5 * x) < 1e-12
 
     def test_matches_formula_oracle(self, rng):
-        att = L.ChannelAttention(8, 2, rng, dtype=np.float64)
+        att = L.ChannelAttention(8, 2, rng).to_dtype(np.float64)
         x = rng.standard_normal((3, 8, 5, 6))
         want, _ = channel_attention_ref(x, att.p["w1"], att.p["w2"])
         assert rel_err(att.forward(x), want) < 1e-12
 
     def test_constant_channels_make_branches_equal(self, rng):
-        att = L.ChannelAttention(4, 2, rng, dtype=np.float64)
+        att = L.ChannelAttention(4, 2, rng).to_dtype(np.float64)
         levels = np.array([1.0, -2.0, 0.5, 3.0])
         x = np.broadcast_to(levels[None, :, None, None], (2, 4, 3, 3)).copy()
         _, scales = channel_attention_ref(x, att.p["w1"], att.p["w2"])
@@ -226,7 +226,7 @@ class TestChannelAttention:
         assert rel_err(att.forward(x)[0], x[0] * scales[0][:, None, None]) < 1e-12
 
     def test_scale_factors_strictly_inside_unit_interval(self, rng):
-        att = L.ChannelAttention(8, 4, rng, dtype=np.float64)
+        att = L.ChannelAttention(8, 4, rng).to_dtype(np.float64)
         x = rng.standard_normal((2, 8, 6, 6)) + 0.3
         y = att.forward(x)
         ratio = y[x != 0] / x[x != 0]
@@ -237,7 +237,7 @@ class TestChannelAttention:
             L.ChannelAttention(6, 4, rng)
 
     def test_gradients(self, rng):
-        att = L.ChannelAttention(6, 2, rng, dtype=np.float64)
+        att = L.ChannelAttention(6, 2, rng).to_dtype(np.float64)
         x = rng.standard_normal((2, 6, 4, 5))
         probe = rng.standard_normal(x.shape)
 
@@ -253,14 +253,14 @@ class TestChannelAttention:
 
 class TestSpatialAttention:
     def test_zero_weights_halve_input(self, rng):
-        att = L.SpatialAttention(rng, dtype=np.float64)
+        att = L.SpatialAttention(rng).to_dtype(np.float64)
         att.p["conv.weight"][:] = 0
         att.p["conv.bias"][:] = 0
         x = rng.standard_normal((2, 3, 8, 8))
         assert rel_err(att.forward(x), 0.5 * x) < 1e-12
 
     def test_matches_formula_oracle(self, rng):
-        att = L.SpatialAttention(rng, dtype=np.float64)
+        att = L.SpatialAttention(rng).to_dtype(np.float64)
         x = rng.standard_normal((2, 4, 8, 9))
         want, m = spatial_attention_ref(x, att.p["conv.weight"], att.p["conv.bias"])
         assert rel_err(att.forward(x), want) < 1e-12
@@ -309,7 +309,7 @@ class TestSpatialAttention:
         values from {-1, -0, +0, 1} tie across channels, and some columns
         are all zeros of mixed sign.  The gate's bias stays at its initial
         zero, so a window of zeros reaches the sigmoid as a signed zero."""
-        att = L.SpatialAttention(rng, dtype=dtype)
+        att = L.SpatialAttention(rng).to_dtype(dtype)
         x = rng.choice(np.array([-1.0, -0.0, 0.0, 1.0], dtype=dtype), size=shape)
         x[:, :, 0, :] = rng.choice(np.array([-0.0, 0.0], dtype=dtype), size=shape[:2] + shape[3:])
         want = att.forward(x, train=True)
@@ -333,7 +333,7 @@ class TestSpatialAttention:
         assert got[~nan].tobytes() == want[~nan].tobytes()
 
     def test_gradients(self, rng):
-        att = L.SpatialAttention(rng, kernel=3, dtype=np.float64)
+        att = L.SpatialAttention(rng).to_dtype(np.float64)
         x = rng.standard_normal((2, 3, 6, 6))
         probe = rng.standard_normal(x.shape)
 
@@ -349,7 +349,7 @@ class TestSpatialAttention:
 
 class TestCBAM:
     def test_gradient_through_both_gates(self, rng):
-        block = L.CBAM(4, 2, rng, dtype=np.float64)
+        block = L.CBAM(4, 2, rng).to_dtype(np.float64)
         x = rng.standard_normal((2, 4, 6, 6))
         probe = rng.standard_normal(x.shape)
 
@@ -375,7 +375,7 @@ class TestDoubleConvDS:
         assert block.dsc2.c_in == 3
 
     def test_zero_input_yields_relu_beta(self, rng):
-        block = L.DoubleConvDS(2, 3, 1, rng, dtype=np.float64)
+        block = L.DoubleConvDS(2, 3, 1, rng).to_dtype(np.float64)
         block.bn2.p["beta"] = np.array([0.7, -0.4, 0.0])
         y = block.forward(np.zeros((2, 2, 4, 4)), train=True)
         for ch, beta in enumerate([0.7, -0.4, 0.0]):
@@ -404,7 +404,7 @@ class TestDoubleConvDS:
         conv, never through BatchNorm.forward, and stays within EVAL_TOL of
         conv, reference batch norm and ReLU, on running means up to +-3,
         running variances from 1e-2 to 1e2 and non-trivial gamma and beta."""
-        block = L.DoubleConvDS(5, 8, 2, rng, c_mid=6, dtype=dtype)
+        block = L.DoubleConvDS(5, 8, 2, rng, c_mid=6).to_dtype(dtype)
         for bn in (block.bn1, block.bn2):
             c = bn.channels
             bn.p["gamma"] = rng.uniform(-2.0, 2.0, c).astype(dtype)
@@ -423,7 +423,7 @@ class TestDoubleConvDS:
         assert rel_err(got, want) < EVAL_TOL[dtype]
 
     def test_whole_block_gradient(self, rng):
-        block = L.DoubleConvDS(2, 3, 1, rng, dtype=np.float64)
+        block = L.DoubleConvDS(2, 3, 1, rng).to_dtype(np.float64)
         x = rng.standard_normal((3, 2, 5, 5))
         probe = rng.standard_normal((3, 3, 5, 5))
 

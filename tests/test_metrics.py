@@ -309,7 +309,7 @@ class TestEvaluateFromFiles:
         per (region, year) plus a pooled line."""
         manifest, pred_dir = micro
         report = M.evaluate(pred_dir, manifest, "test")
-        round_trip = json.loads(report.to_json())
+        round_trip = json.loads(json.dumps(report.to_json_dict()))
         assert round_trip["pooled_csi"] == report.pooled_csi
         assert round_trip["csi_by_job"] == {"r1:2019": 32 / 44, "r2:2019": 0.0}
         assert len(round_trip["csi_by_lead"]) == manifest.t_out
@@ -446,7 +446,7 @@ class TestOneVerificationPath:
             assert all_counts(got) == all_counts(want)
             assert len(got.counts_by_job) == 4 and got.n_samples == 7
             assert min(got.pooled.to_dict().values()) > 0
-            assert got.to_json() == want.to_json() and got.to_tsv() == want.to_tsv()
+            assert got.to_json_dict() == want.to_json_dict() and got.to_tsv() == want.to_tsv()
 
     @pytest.mark.parametrize("threshold", [0.2, 1.5])
     def test_baselines_equal_the_per_lead_loops(self, jobs_set, threshold):
@@ -509,7 +509,7 @@ class TestOneVerificationPath:
             M.predict_to_files(model, jobs_set, "test", str(pred_dir), config)
             files.append({p.name: p.read_bytes() for p in pred_dir.iterdir()})
             report = M.evaluate(model, jobs_set, "test", config)
-            reports.append((report.to_json(), report.to_tsv()))
+            reports.append((report.to_json_dict(), report.to_tsv()))
         assert len(files[0]) == 7
         assert files[1] == files[0] and files[2] == files[0]
         assert reports[1] == reports[0] and reports[2] == reports[0]
@@ -523,9 +523,9 @@ class TestOneVerificationPath:
         for batch_size in (1, 3, 8):
             config = M.EvalConfig(batch_size=batch_size)
             report = M.evaluate(pred_dir, jobs_set, "test", config)
-            outputs.append((report.to_json(), report.to_tsv(), report.to_json_dict(),
+            outputs.append((report.to_tsv(), report.to_json_dict(),
                             all_counts(report), M.trivial_baselines(jobs_set, "test", config)))
-        assert outputs[0][4]["persistence"] is not None
+        assert outputs[0][3]["persistence"] is not None
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_scoring_files_holds_one_scene_not_a_batch(self, jobs_set, tmp_path):
@@ -544,7 +544,7 @@ class TestOneVerificationPath:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert got.to_json() == want.to_json()
+        assert got.to_json_dict() == want.to_json_dict()
         assert peak < 3 * scene, (peak, scene)
 
     def test_every_count_is_a_python_int(self, jobs_set):
@@ -681,7 +681,7 @@ class TestRecordedBandsAndLoss:
             assert D.load_sample_input(flipped, record, model.bands).tobytes() == \
                 D.load_sample_input(tiny_set, record).tobytes()
         got, want = (M.evaluate(model, m, "test") for m in (flipped, tiny_set))
-        assert got.to_json() == want.to_json() and got.to_tsv() == want.to_tsv()
+        assert got.to_json_dict() == want.to_json_dict() and got.to_tsv() == want.to_tsv()
 
     def test_a_band_the_manifest_lacks_is_config_error_naming_it(self, tiny_set, tmp_path):
         model = build_model(TOY_MODEL, seed=4)

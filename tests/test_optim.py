@@ -474,6 +474,27 @@ def two_region_set(tmp_path_factory):
 REGIONAL_CFG = O.TrainConfig(batch_size=4, max_epochs=1, patience=1, seed=13)
 
 
+class TestRegionalLoaders:
+    def test_unshuffled_train_batches_follow_the_manifest_for_any_epoch_seed(self,
+                                                                            two_region_set):
+        """train.shuffle false gives the manifest order whatever the epoch
+        seed; shuffled, the same samples come in another order."""
+        manifest = dataclasses.replace(two_region_set, filter_threshold=0.0,
+                                       root=two_region_set.root)
+        train = [s for s in manifest.samples if s.split == "train"]
+
+        def order(shuffle, seed):
+            batches, _ = O._regional_loaders(
+                manifest, manifest.samples, O.TrainConfig(batch_size=5, shuffle=shuffle), None)
+            return [r for _, _, chunk in batches(seed) for r in chunk]
+
+        for seed in (0, 1, 12345):
+            assert order(False, seed) == train
+        shuffled = [order(True, seed) for seed in (0, 1)]
+        assert all(sorted(o, key=str) == sorted(train, key=str) for o in shuffled)
+        assert any(o != train for o in shuffled)
+
+
 class TestTrainRegional:
     def test_two_regions_yield_two_checkpoints_and_histories(self, two_region_set, tmp_path):
         """Each (region, year) job trains independently and leaves artifacts."""

@@ -18,28 +18,7 @@ def rng():
     return np.random.default_rng(20260823)
 
 
-class TestAllocation:
-    def test_zero_size_allowed_negative_rejected(self):
-        assert T.tensor_random((2, 0, 4, 4), "uniform", 1.0, seed=0).size == 0
-        with pytest.raises(ShapeError):
-            T.tensor_random((2, -1, 4, 4), "uniform", 1.0, seed=0)
-
-    def test_overflowing_allocation_is_size_error(self):
-        with pytest.raises(SizeError):
-            T.tensor_random((1 << 20, 1 << 20, 1 << 20, 1), "uniform", 1.0, seed=0)
-
-    def test_random_is_seed_deterministic(self):
-        a = T.tensor_random((2, 3, 4, 4), "normal", 1.0, seed=42)
-        b = T.tensor_random((2, 3, 4, 4), "normal", 1.0, seed=42)
-        assert np.array_equal(a, b)
-        assert a.dtype == np.float32
-
-    def test_uniform_respects_bound(self):
-        a = T.tensor_random((4, 4, 8, 8), "uniform", 0.25, seed=1)
-        assert np.all(np.abs(a) <= 0.25)
-        with pytest.raises(ShapeError):
-            T.tensor_random((1, 1, 1, 1), "cauchy", 1.0, seed=0)
-
+class TestCheckNchw:
     def test_check_nchw_rejects_wrong_rank(self):
         with pytest.raises(ShapeError):
             T.check_nchw(np.zeros((3, 4, 5), dtype=np.float32))
@@ -59,16 +38,14 @@ class TestConvForward:
         y = T.conv2d(x, w, padding=1)
         assert np.array_equal(y, 2.0 * x)
 
-    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
     @pytest.mark.parametrize("padding", [0, 1, 2])
-    def test_dense_matches_reference(self, rng, stride, padding):
+    def test_dense_matches_reference(self, rng, padding, kernel):
         x = rng.standard_normal((2, 3, 9, 11))
-        w = rng.standard_normal((4, 3, 3, 3))
+        w = rng.standard_normal((4, 3, kernel, kernel))
         b = rng.standard_normal(4)
-        if (9 + 2 * padding - 3) % stride or (11 + 2 * padding - 3) % stride:
-            pytest.skip("not an integral output size")
-        got = T.conv2d(x, w, b, stride=stride, padding=padding)
-        assert rel_err(got, conv2d_ref(x, w, b, stride, padding)) < 1e-12
+        got = T.conv2d(x, w, b, padding=padding)
+        assert rel_err(got, conv2d_ref(x, w, b, 1, padding)) < 1e-12
 
     def test_pointwise_matches_reference(self, rng):
         x = rng.standard_normal((2, 6, 5, 7))
@@ -80,7 +57,7 @@ class TestConvForward:
     def test_depthwise_matches_reference(self, rng, mult):
         x = rng.standard_normal((2, 5, 8, 8))
         w = rng.standard_normal((5 * mult, 1, 3, 3))
-        got = T.conv2d(x, w, stride=1, padding=1, groups=5)
+        got = T.conv2d(x, w, padding=1, groups=5)
         assert rel_err(got, conv2d_ref(x, w, None, 1, 1, 5)) < 1e-12
 
     def test_grouped_matches_reference(self, rng):
@@ -90,38 +67,33 @@ class TestConvForward:
         assert rel_err(got, conv2d_ref(x, w, None, 1, 1, 2)) < 1e-12
 
     def test_random_shape_sweep(self, rng):
-        """Thirty random shape/stride/padding/group draws against the oracle."""
+        """Thirty random shape/padding/group draws against the oracle."""
         for _ in range(30):
             n = int(rng.integers(1, 3))
             groups = int(rng.choice([1, 1, 2, 4]))
             cg = int(rng.integers(1, 4))
             og = int(rng.integers(1, 4))
             k = int(rng.choice([1, 3]))
-            stride = int(rng.choice([1, 2]))
             padding = int(rng.integers(0, 3))
             h = int(rng.integers(k, 11))
             w_ = int(rng.integers(k, 11))
-            span_h = h + 2 * padding - k
-            span_w = w_ + 2 * padding - k
-            h += (-span_h) % stride
-            w_ += (-span_w) % stride
             x = rng.standard_normal((n, groups * cg, h, w_))
             w = rng.standard_normal((groups * og, cg, k, k))
             b = rng.standard_normal(groups * og)
-            got = T.conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
-            want = conv2d_ref(x, w, b, stride, padding, groups)
-            assert rel_err(got, want) < 1e-11, (x.shape, w.shape, stride, padding, groups)
+            got = T.conv2d(x, w, b, padding=padding, groups=groups)
+            want = conv2d_ref(x, w, b, 1, padding, groups)
+            assert rel_err(got, want) < 1e-11, (x.shape, w.shape, padding, groups)
 
     def test_preserves_float32(self, rng):
         x = rng.standard_normal((1, 2, 4, 4)).astype(np.float32)
         w = rng.standard_normal((2, 2, 3, 3)).astype(np.float32)
         assert T.conv2d(x, w, padding=1).dtype == np.float32
 
-    def test_rejects_fractional_output(self):
-        x = np.zeros((1, 1, 5, 5), dtype=np.float32)
-        w = np.zeros((1, 1, 2, 2), dtype=np.float32)
-        with pytest.raises(ShapeError):
-            T.conv2d(x, w, stride=2)
+    def test_rejects_kernel_larger_than_padded_input(self):
+        x = np.zeros((1, 1, 2, 5), dtype=np.float32)
+        w = np.zeros((1, 1, 5, 5), dtype=np.float32)
+        with pytest.raises(ShapeError, match="does not fit"):
+            T.conv2d(x, w, padding=1)
 
     def test_rejects_group_mismatch(self):
         x = np.zeros((1, 6, 4, 4), dtype=np.float32)
@@ -140,12 +112,12 @@ class TestConvBackward:
     """Analytic conv gradients against central finite differences."""
 
     CASES = [
-        dict(n=2, groups=1, cg=3, og=4, k=3, stride=1, padding=1, h=6, w=6),
-        dict(n=1, groups=1, cg=2, og=3, k=3, stride=2, padding=1, h=7, w=7),
-        dict(n=2, groups=4, cg=1, og=2, k=3, stride=1, padding=1, h=5, w=5),
-        dict(n=1, groups=2, cg=2, og=2, k=3, stride=1, padding=0, h=6, w=6),
-        dict(n=2, groups=1, cg=4, og=3, k=1, stride=1, padding=0, h=5, w=5),
-        dict(n=1, groups=3, cg=2, og=1, k=3, stride=2, padding=1, h=5, w=5),
+        dict(n=2, groups=1, cg=3, og=4, k=3, padding=1, h=6, w=6),
+        dict(n=2, groups=4, cg=1, og=2, k=3, padding=1, h=5, w=5),
+        dict(n=1, groups=2, cg=2, og=2, k=3, padding=0, h=6, w=6),
+        dict(n=2, groups=1, cg=4, og=3, k=1, padding=0, h=5, w=5),
+        dict(n=1, groups=3, cg=1, og=2, k=3, padding=1, h=5, w=5),
+        dict(n=1, groups=1, cg=2, og=1, k=7, padding=3, h=8, w=8),
     ]
 
     @pytest.mark.parametrize("case", CASES)
@@ -155,14 +127,13 @@ class TestConvBackward:
         w = rng.standard_normal((c["groups"] * c["og"], c["cg"], c["k"], c["k"]))
         b = rng.standard_normal(c["groups"] * c["og"])
         probe = rng.standard_normal(
-            T.conv2d(x, w, b, stride=c["stride"], padding=c["padding"], groups=c["groups"]).shape)
+            T.conv2d(x, w, b, padding=c["padding"], groups=c["groups"]).shape)
 
         def loss(xx, ww, bb):
-            y = T.conv2d(xx, ww, bb, stride=c["stride"], padding=c["padding"], groups=c["groups"])
+            y = T.conv2d(xx, ww, bb, padding=c["padding"], groups=c["groups"])
             return float((y * probe).sum())
 
-        gx, gw, gb = T.conv2d_backward(x, w, probe, stride=c["stride"],
-                                       padding=c["padding"], groups=c["groups"])
+        gx, gw, gb = T.conv2d_backward(x, w, probe, padding=c["padding"], groups=c["groups"])
         assert rel_err(gx, fd_gradient(lambda a: loss(a, w, b), x)) < GRAD_TOL
         assert rel_err(gw, fd_gradient(lambda a: loss(x, a, b), w)) < GRAD_TOL
         assert rel_err(gb, fd_gradient(lambda a: loss(x, w, a), b)) < GRAD_TOL
@@ -205,18 +176,18 @@ class TestDepthwiseKernels:
     """
 
     SHAPES = [(4, 36, 64, 64), (3, 36, 48, 80), (2, 8, 17, 63)]
-    # (id, input shape, weight shape, groups, stride, padding): the desk's
-    # 7x7 spatial gate, the gate unpadded, a grouped conv, a strided dense
-    # one and a dense one with more output than input channels.
+    # (id, input shape, weight shape, groups, padding): the desk's 7x7
+    # spatial gate, the gate unpadded, a grouped conv, a dense one with
+    # more output than input channels and an unpadded 1x1 one.
     GENERAL = [
-        ("gate", (4, 2, 64, 64), (1, 2, 7, 7), 1, 1, 3),
-        ("unpadded-gate", (2, 2, 16, 16), (1, 2, 7, 7), 1, 1, 0),
-        ("grouped", (3, 12, 17, 23), (8, 3, 3, 3), 4, 1, 1),
-        ("strided", (2, 6, 17, 63), (4, 6, 3, 3), 1, 2, 1),
-        ("wide", (2, 3, 17, 23), (6, 3, 3, 3), 1, 1, 1),
+        ("gate", (4, 2, 64, 64), (1, 2, 7, 7), 1, 3),
+        ("unpadded-gate", (2, 2, 16, 16), (1, 2, 7, 7), 1, 0),
+        ("grouped", (3, 12, 17, 23), (8, 3, 3, 3), 4, 1),
+        ("wide", (2, 3, 17, 23), (6, 3, 3, 3), 1, 1),
+        ("pointwise", (2, 12, 17, 23), (4, 12, 1, 1), 1, 0),
     ]
-    # The stride-1 cases with fewer output than input channels per group,
-    # whose grad_x is a forward conv of grad_out.
+    # The cases with fewer output than input channels per group, whose
+    # grad_x is a forward conv of grad_out.
     TRANSPOSED = {"gate", "unpadded-gate", "grouped"}
     EPS = np.finfo(np.float32).eps
 
@@ -231,33 +202,33 @@ class TestDepthwiseKernels:
     def _depthwise(self, rng, mult, shape):
         return self._operands(rng, shape, (shape[1] * mult, 1, 3, 3))
 
-    def _assert_forward_within_bound(self, x, wt, b, stride, padding, groups):
-        got = T.conv2d(x, wt, stride=stride, padding=padding, groups=groups)
-        want = conv2d_window_ref(x, wt, stride=stride, padding=padding, groups=groups)
+    def _assert_forward_within_bound(self, x, wt, b, padding, groups):
+        got = T.conv2d(x, wt, padding=padding, groups=groups)
+        want = conv2d_window_ref(x, wt, padding=padding, groups=groups)
         assert got.dtype == np.float32 and got.shape == want.shape
         abs_sum = conv2d_window_ref(np.abs(x).astype(np.float64), np.abs(wt).astype(np.float64),
-                                    stride=stride, padding=padding, groups=groups)
+                                    padding=padding, groups=groups)
         _, cg, kh, kw = wt.shape
         bound = cg * kh * kw * self.EPS * abs_sum
         diff = np.abs(got.astype(np.float64) - want.astype(np.float64))
         assert np.all(diff <= bound), (x.shape, float((diff / np.maximum(bound, 1e-300)).max()))
         # The bias is one float32 add after the sum, the same add as before.
-        with_bias = T.conv2d(x, wt, b, stride=stride, padding=padding, groups=groups)
+        with_bias = T.conv2d(x, wt, b, padding=padding, groups=groups)
         assert with_bias.tobytes() == (got + b[None, :, None, None]).tobytes()
         return got
 
-    def _assert_backward_within_bound(self, rng, x, wt, stride, padding, groups):
-        y_shape = T.conv2d(x, wt, stride=stride, padding=padding, groups=groups).shape
+    def _assert_backward_within_bound(self, rng, x, wt, padding, groups):
+        y_shape = T.conv2d(x, wt, padding=padding, groups=groups).shape
         g = rng.standard_normal(y_shape).astype(np.float32)
-        gx, gw, gb = T.conv2d_backward(x, wt, g, stride=stride, padding=padding, groups=groups)
-        want_gx, want_gw = conv2d_backward_window_ref(x, wt, g, stride, padding, groups)
+        gx, gw, gb = T.conv2d_backward(x, wt, g, padding=padding, groups=groups)
+        want_gx, want_gw = conv2d_backward_window_ref(x, wt, g, 1, padding, groups)
 
         assert gx.dtype == np.float32 and gw.dtype == np.float32
         assert np.array_equal(gb, g.sum(axis=(0, 2, 3)))
 
         abs_gx, abs_gw = conv2d_backward_window_ref(
             np.abs(x).astype(np.float64), np.abs(wt).astype(np.float64),
-            np.abs(g).astype(np.float64), stride, padding, groups)
+            np.abs(g).astype(np.float64), 1, padding, groups)
         c_out, _, kh, kw = wt.shape
         bound = (c_out // groups) * kh * kw * self.EPS * abs_gx
         diff = np.abs(gx.astype(np.float64) - want_gx.astype(np.float64))
@@ -270,9 +241,8 @@ class TestDepthwiseKernels:
         assert gw.shape == wt.shape
         assert np.all(diff <= bound), (x.shape, float((diff / bound).max()))
 
-    def _assert_batch_of_eight_equals_eight_single_calls(self, rng, x, wt, b, stride, padding,
-                                                         groups):
-        args = dict(stride=stride, padding=padding, groups=groups)
+    def _assert_batch_of_eight_equals_eight_single_calls(self, rng, x, wt, b, padding, groups):
+        args = dict(padding=padding, groups=groups)
         y = T.conv2d(x, wt, b, **args)
         g = rng.standard_normal(y.shape).astype(np.float32)
         gx, _, _ = T.conv2d_backward(x, wt, g, **args)
@@ -282,9 +252,8 @@ class TestDepthwiseKernels:
             one, _, _ = T.conv2d_backward(x[i:i + 1], wt, g[i:i + 1], **args)
             assert one.tobytes() == gx[i:i + 1].tobytes(), i
 
-    def _assert_repeated_calls_give_identical_bytes(self, rng, x, wt, b, stride, padding,
-                                                    groups):
-        args = dict(stride=stride, padding=padding, groups=groups)
+    def _assert_repeated_calls_give_identical_bytes(self, rng, x, wt, b, padding, groups):
+        args = dict(padding=padding, groups=groups)
         y = T.conv2d(x, wt, b, **args)
         assert T.conv2d(x, wt, b, **args).tobytes() == y.tobytes()
         g = rng.standard_normal(y.shape).astype(np.float32)
@@ -298,58 +267,46 @@ class TestDepthwiseKernels:
     def test_forward_bitwise_equal_to_reference(self, rng, mult, padding):
         for shape in self.SHAPES:
             x, wt, b = self._depthwise(rng, mult, shape)
-            self._assert_forward_within_bound(x, wt, b, 1, padding, shape[1])
-
-    def test_strided_forward_bitwise_equal_to_reference(self, rng):
-        for shape in [(4, 36, 65, 65), (2, 8, 17, 63)]:
-            x, wt, b = self._depthwise(rng, 2, shape)
-            n, c, h, w = shape
-            got = self._assert_forward_within_bound(x, wt, b, 2, 1, c)
-            assert got.shape == (n, 2 * c, (h - 1) // 2 + 1, (w - 1) // 2 + 1)
+            self._assert_forward_within_bound(x, wt, b, padding, shape[1])
 
     @pytest.mark.parametrize("padding", [0, 1])
     @pytest.mark.parametrize("mult", [1, 2, 3])
     def test_backward_against_reference(self, rng, mult, padding):
         for shape in self.SHAPES:
             x, wt, _ = self._depthwise(rng, mult, shape)
-            self._assert_backward_within_bound(rng, x, wt, 1, padding, shape[1])
+            self._assert_backward_within_bound(rng, x, wt, padding, shape[1])
 
-    def test_strided_backward_against_reference(self, rng):
-        for shape in [(2, 12, 33, 33), (2, 8, 17, 63)]:
-            x, wt, _ = self._depthwise(rng, 2, shape)
-            self._assert_backward_within_bound(rng, x, wt, 2, 1, shape[1])
-
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_batch_of_eight_equals_eight_single_calls(self, rng, stride):
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_batch_of_eight_equals_eight_single_calls(self, rng, padding):
         x, wt, b = self._depthwise(rng, 2, (8, 12, 17, 23))
-        self._assert_batch_of_eight_equals_eight_single_calls(rng, x, wt, b, stride, 1, 12)
+        self._assert_batch_of_eight_equals_eight_single_calls(rng, x, wt, b, padding, 12)
 
     def test_repeated_calls_give_identical_bytes(self, rng):
         x, wt, b = self._depthwise(rng, 2, (3, 12, 17, 23))
-        self._assert_repeated_calls_give_identical_bytes(rng, x, wt, b, 1, 1, 12)
+        self._assert_repeated_calls_give_identical_bytes(rng, x, wt, b, 1, 12)
 
     @pytest.mark.parametrize("case", GENERAL, ids=[c[0] for c in GENERAL])
     def test_general_forward_within_bound(self, rng, case):
-        _, x_shape, w_shape, groups, stride, padding = case
+        _, x_shape, w_shape, groups, padding = case
         x, wt, b = self._operands(rng, x_shape, w_shape)
-        self._assert_forward_within_bound(x, wt, b, stride, padding, groups)
+        self._assert_forward_within_bound(x, wt, b, padding, groups)
 
     @pytest.mark.parametrize("case", GENERAL, ids=[c[0] for c in GENERAL])
     def test_general_backward_within_bound(self, rng, case):
-        _, x_shape, w_shape, groups, stride, padding = case
+        _, x_shape, w_shape, groups, padding = case
         x, wt, _ = self._operands(rng, x_shape, w_shape)
-        self._assert_backward_within_bound(rng, x, wt, stride, padding, groups)
+        self._assert_backward_within_bound(rng, x, wt, padding, groups)
 
     @pytest.mark.parametrize("case", GENERAL, ids=[c[0] for c in GENERAL])
     def test_general_backward_runs_a_forward_conv_only_when_narrowing(self, rng, case,
                                                                      monkeypatch):
-        """grad_x of a narrowing stride-1 conv is one conv2d of grad_out with
+        """grad_x of a narrowing conv is one conv2d of grad_out with
         the kernel rotated 180 degrees, its channel axes swapped per group
         and padding kh-1-p; every other conv runs no conv2d at all."""
-        name, x_shape, w_shape, groups, stride, padding = case
+        name, x_shape, w_shape, groups, padding = case
         x, wt, _ = self._operands(rng, x_shape, w_shape)
         g = rng.standard_normal(
-            T.conv2d(x, wt, stride=stride, padding=padding, groups=groups).shape
+            T.conv2d(x, wt, padding=padding, groups=groups).shape
         ).astype(np.float32)
         calls = []
         conv2d = T.conv2d
@@ -359,7 +316,7 @@ class TestDepthwiseKernels:
             return conv2d(inp, weight, bias, **kwargs)
 
         monkeypatch.setattr(T, "conv2d", spy)
-        gx, _, _ = T.conv2d_backward(x, wt, g, stride=stride, padding=padding, groups=groups)
+        gx, _, _ = T.conv2d_backward(x, wt, g, padding=padding, groups=groups)
         if name not in self.TRANSPOSED:
             assert calls == []
             return
@@ -386,20 +343,19 @@ class TestDepthwiseKernels:
             assert one_gx.tobytes() == gx[i:i + 1].tobytes(), i
             running += one_gw
         assert gw.dtype == np.float32 and gw.tobytes() == running.tobytes()
-        self._assert_backward_within_bound(rng, x, wt, 1, 0, 1)
+        self._assert_backward_within_bound(rng, x, wt, 0, 1)
 
     @pytest.mark.parametrize("case", GENERAL, ids=[c[0] for c in GENERAL])
     def test_general_batch_of_eight_equals_eight_single_calls(self, rng, case):
-        _, x_shape, w_shape, groups, stride, padding = case
+        _, x_shape, w_shape, groups, padding = case
         x, wt, b = self._operands(rng, (8,) + x_shape[1:], w_shape)
-        self._assert_batch_of_eight_equals_eight_single_calls(rng, x, wt, b, stride, padding,
-                                                              groups)
+        self._assert_batch_of_eight_equals_eight_single_calls(rng, x, wt, b, padding, groups)
 
     @pytest.mark.parametrize("case", GENERAL, ids=[c[0] for c in GENERAL])
     def test_general_repeated_calls_give_identical_bytes(self, rng, case):
-        _, x_shape, w_shape, groups, stride, padding = case
+        _, x_shape, w_shape, groups, padding = case
         x, wt, b = self._operands(rng, x_shape, w_shape)
-        self._assert_repeated_calls_give_identical_bytes(rng, x, wt, b, stride, padding, groups)
+        self._assert_repeated_calls_give_identical_bytes(rng, x, wt, b, padding, groups)
 
 
 class TestMaxPool:
