@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -119,10 +120,13 @@ def cmd_synth(args):
                         grid=args.grid, bands=_comma_list(args.bands),
                         regions=_comma_list(args.regions),
                         years=_comma_ints(args.years), seed=args.seed)
+    start = time.perf_counter()
     path = D.synth_generate(cfg, args.out)
+    seconds = time.perf_counter() - start
     _write_json(os.path.join(args.out, "synth-config.json"), cfg.to_dict())
-    log.info("wrote %d samples under %s (manifest %s)",
-             cfg.n_train + cfg.n_val + cfg.n_test, args.out, path)
+    n = cfg.n_train + cfg.n_val + cfg.n_test
+    log.info("wrote %d samples under %s in %.2f s (%.4f s per sample; manifest %s)",
+             n, args.out, seconds, seconds / n, path)
     return EXIT_OK
 
 

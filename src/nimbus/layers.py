@@ -98,6 +98,9 @@ class DepthwiseSeparableConv(Block):
     map to apply after the pointwise conv; it runs as that conv with its
     weights scaled by `scale` and `shift` as its bias.  The train backward
     knows nothing of it, so a train forward never takes one.
+
+    backward(input_grad=False), for a block that reads the network input,
+    returns None and leaves out the depthwise input gradient.
     """
 
     def __init__(self, c_in, c_out, multiplier, rng):
@@ -121,12 +124,13 @@ class DepthwiseSeparableConv(Block):
         self._cache = (x, mid) if train else None
         return y
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         x, mid = self._need_cache()
         g_mid, g_pw, _ = T.conv2d_backward(mid, self.p["pointwise.weight"], grad_out,
                                            has_bias=False)
         g_x, g_dw, _ = T.conv2d_backward(x, self.p["depthwise.weight"], g_mid,
-                                         padding=1, groups=self.c_in, has_bias=False)
+                                         padding=1, groups=self.c_in, has_bias=False,
+                                         input_grad=input_grad)
         self.g = {"depthwise.weight": g_dw, "pointwise.weight": g_pw}
         return g_x
 
@@ -390,8 +394,9 @@ class DoubleConvDS(Block):
             a = dsc.forward(x, affine=bn.eval_affine())
         return T.relu(a, out=a)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         a1, a2 = self._need_cache()
         g = self.dsc2.backward(self.bn2.backward(T.relu_backward(grad_out, a2)))
-        return self.dsc1.backward(self.bn1.backward(T.relu_backward(g, a1)))
+        return self.dsc1.backward(self.bn1.backward(T.relu_backward(g, a1)),
+                                  input_grad=input_grad)
 

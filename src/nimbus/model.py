@@ -210,7 +210,8 @@ class SmaAtUNet(Block):
         for i in reversed(range(4)):
             g = T.max_pool2_backward(g, cache["pools"][i])
             g = g + self.att[i].backward(skip_grads[i])
-            g = self.enc[i].backward(g)
+            # Nothing reads the gradient of the network input, so enc1 skips it.
+            g = self.enc[i].backward(g, input_grad=i > 0)
         return dict(self.named_grads())
 
     def count_params(self):

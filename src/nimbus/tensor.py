@@ -132,8 +132,11 @@ def conv2d(x, weight, bias=None, *, padding=0, groups=1):
     return y
 
 
-def conv2d_backward(x, weight, grad_out, *, padding=0, groups=1, has_bias=True):
+def conv2d_backward(x, weight, grad_out, *, padding=0, groups=1, has_bias=True,
+                    input_grad=True):
     """Gradients of conv2d.  Returns (grad_x, grad_weight, grad_bias or None).
+    With input_grad=False grad_x is None and none of its work is done: the
+    first conv of a network has no layer below to take it.
 
     An unpadded 1x1 conv without groups takes one matmul over the batch
     for grad_x.  Its grad_w is a running sum over the samples in batch
@@ -180,19 +183,22 @@ def conv2d_backward(x, weight, grad_out, *, padding=0, groups=1, has_bias=True):
         gw = np.empty_like(grad_w)
         for gob, xb in zip(gof, xf):
             grad_w += np.matmul(gob, xb.T, out=gw)
-        grad_x = np.matmul(weight.reshape(c_out, c_in).T, gof).reshape(x.shape)
+        grad_x = (np.matmul(weight.reshape(c_out, c_in).T, gof).reshape(x.shape)
+                  if input_grad else None)
         return grad_x, grad_w.reshape(weight.shape), grad_bias
 
     cg, mult, taps = c_in // groups, c_out // groups, kh * kw
     ph, pw = h + 2 * padding, w + 2 * padding
     span = out_h * pw - (kw - 1)
     transposed = mult < cg and kh == kw and padding < kh
-    if transposed:
+    col2im = input_grad and not transposed
+    grad_x = None
+    if input_grad and transposed:
         flipped = (weight.reshape(groups, mult, cg, kh, kw)[..., ::-1, ::-1]
                    .transpose(0, 2, 1, 3, 4))
         grad_x = conv2d(grad_out, flipped.reshape(c_in, mult, kh, kw),
                         padding=kh - 1 - padding, groups=groups)
-    else:
+    elif col2im:
         wt = np.ascontiguousarray(
             weight.reshape(groups, mult, cg, kh, kw).transpose(0, 2, 3, 4, 1))
         # Row t of shifted holds tap t's input-gradient row at the tap's
@@ -219,7 +225,7 @@ def conv2d_backward(x, weight, grad_out, *, padding=0, groups=1, has_bias=True):
         grows[...] = gob
         _im2col(xf, cols, kw, pw)
         grad_w += np.matmul(g, gcols_t, out=gw)
-        if not transposed:
+        if col2im:
             np.matmul(wt, g[:, None, None], out=tapview)
             np.add.reduce(shifted, axis=1, out=gxp)
             grad_x[i] = inner

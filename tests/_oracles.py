@@ -14,6 +14,9 @@ at once through a loss dispatcher, the per-method recursions that named
 parameters and states, and the verification loops that called
 count_events once per sample and lead, read every input file and read
 each target four times.
+The earlier synthetic generator, which rendered every field on the whole
+fine grid and cropped targets after, and its reshape-and-mean block
+average pin the windowed generator byte for byte.
 The version-1 checkpoint writer, whose pointwise convs carried biases,
 writes the files the version-2 reader must still load.
 """
@@ -513,3 +516,56 @@ def save_checkpoint_v1_ref(model, path, biases):
                         separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(b"SMCK" + struct.pack("<HI", 1, len(header)) + header + b"".join(blobs))
+
+
+def block_mean2_ref(field):
+    """The earlier 2x2 block mean: a reshape and a mean over the block axes."""
+    h, w = field.shape
+    return field.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
+
+
+def rain_field_ref(extent, centers, sigmas, amps, shift):
+    """The blob field on the whole extent x extent fine grid, as the
+    generator rendered it before it rendered windows."""
+    yy = np.arange(extent, dtype=np.float64)[:, None]
+    xx = np.arange(extent, dtype=np.float64)[None, :]
+    field = np.zeros((extent, extent), dtype=np.float64)
+    for (cy, cx), s, a in zip(centers, sigmas, amps):
+        field += a * np.exp(-(((yy - cy - shift[0]) ** 2) + ((xx - cx - shift[1]) ** 2))
+                            / (2.0 * s * s))
+    return field
+
+
+def synth_sample_ref(cfg, index):
+    """The earlier synthetic sample: every field rendered on the full fine
+    grid, targets and latent cropped after, and each frame's noise drawn
+    with Generator.normal and added to the band responses."""
+    rng = np.random.default_rng([cfg.seed, index])
+    extent = 4 * cfg.grid            # fine grid covering the full raw extent
+    n_blobs = int(rng.integers(cfg.blob_count[0], cfg.blob_count[1] + 1))
+    centers = rng.uniform(0.2 * extent, 0.8 * extent, size=(n_blobs, 2))
+    sigmas = rng.uniform(*cfg.blob_scale, size=n_blobs)
+    amps = rng.uniform(*cfg.blob_amp, size=n_blobs)
+    if cfg.velocity is not None:
+        vel = np.asarray(cfg.velocity, dtype=np.float64)
+    else:
+        vel = rng.uniform(-cfg.v_max, cfg.v_max, size=2)
+
+    gains = np.array(D._BAND_GAIN[:len(cfg.bands)])
+    offsets = np.array(D._BAND_OFFSET[:len(cfg.bands)])
+    frames = []
+    for t in range(-(cfg.t_in - 1), 1):
+        fine = rain_field_ref(extent, centers, sigmas, amps, vel * t)
+        coarse = block_mean2_ref(fine)
+        noise = rng.normal(0.0, cfg.noise_sigma, size=(len(cfg.bands),) + coarse.shape)
+        frames.append(gains[:, None, None] * coarse[None] + offsets[:, None, None] + noise)
+    inputs = np.concatenate(frames, axis=0)[None].astype(np.float32)
+
+    lo = extent // 4
+    hi = lo + 2 * cfg.grid           # central target window on the fine grid
+    targets = np.stack([
+        np.maximum(rain_field_ref(extent, centers, sigmas, amps, vel * t)[lo:hi, lo:hi], 0.0)
+        for t in range(1, cfg.t_out + 1)])[None].astype(np.float32)
+    latent = np.maximum(rain_field_ref(extent, centers, sigmas, amps, (0.0, 0.0))[lo:hi, lo:hi],
+                        0.0)[None, None].astype(np.float32)
+    return inputs, targets, latent

@@ -5,7 +5,9 @@ use a deliberately tiny model and dataset so the whole file stays fast.
 """
 
 import json
+import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -247,6 +249,18 @@ class TestSynth:
         manifest = D.load_manifest(os.path.join(out, "manifest.json"))
         counts = {s: len(manifest.split_samples(s)) for s in ("train", "val", "test")}
         assert counts == {"train": 64, "val": 16, "test": 16}
+
+    def test_logs_count_seconds_and_seconds_per_sample(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="nimbus")
+        out = str(tmp_path / "d")
+        assert main(["synth", "--out", out, "--n", "4", "--n-val", "2",
+                     "--n-test", "2", "--grid", "16", "--bands", "IR016"]) == 0
+        [line] = [r.getMessage() for r in caplog.records if "samples under" in r.getMessage()]
+        m = re.fullmatch(r"wrote 8 samples under (\S+) in (\d+\.\d\d) s "
+                         r"\((\d+\.\d{4}) s per sample; manifest (\S+)\)", line)
+        assert m, line
+        assert m[1] == out and m[4] == os.path.join(out, "manifest.json")
+        assert abs(float(m[3]) - float(m[2]) / 8) <= 1e-3  # both rounded
 
     def test_config_echo_written(self, tmp_path):
         out = str(tmp_path / "d")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from _corrupt import BAD_MANIFESTS, UNDECODABLE_JSON, rewrite_manifest
+from _oracles import block_mean2_ref, synth_sample_ref
 from nimbus import data as D
 from nimbus.errors import ConfigError, DataError, FormatError, ShapeError
 
@@ -253,6 +254,8 @@ class TestSynthConfig:
         ({"velocity": (1.0,)}, "synth.velocity"),
         ({"v_max": -0.1}, "synth.v_max"),
         ({"regions": ()}, "synth.regions"),
+        ({"blob_count": (0, 0), "noise_sigma": 0.0}, "synth.noise_sigma"),
+        ({"blob_amp": (0.0, 0.0), "noise_sigma": 0.0}, "synth.noise_sigma"),
     ])
     def test_unrenderable_config_is_config_error_naming_field(self, kwargs, field):
         with pytest.raises(ConfigError, match=field):
@@ -270,6 +273,41 @@ class TestSynthConfig:
 
 
 class TestSynthGenerate:
+    # Configs whose samples must be the bytes of the full-grid reference:
+    # a negative fixed velocity makes the t = 0 shift -0.0, and the
+    # noise-free and blob-free ones leave one term of each input pixel out.
+    REFERENCE_CONFIGS = {
+        "grid-16": {"grid": 16},
+        "grid-32": {"grid": 32},
+        "three-bands": {"grid": 16, "bands": ("IR108", "VIS006", "IR039")},
+        "negative-velocity": {"grid": 16, "velocity": (-0.75, -1.25)},
+        "no-blobs": {"grid": 16, "blob_count": (0, 0)},
+        "one-frame-each-way": {"grid": 16, "t_in": 1, "t_out": 1},
+        "no-noise": {"grid": 16, "noise_sigma": 0.0},
+    }
+
+    @pytest.mark.parametrize("side", [32, 64, 256])
+    def test_block_mean_bytes_equal_to_reshape_mean(self, side):
+        """Values over sixteen decades, signed and not, where the order of
+        a block's three adds decides the rounding."""
+        rng = np.random.default_rng(side)
+        field = rng.standard_normal((side, side)) * 10.0 ** rng.integers(-8, 8, (side, side))
+        for f in (field, np.abs(field)):
+            assert D._block_mean2(f).tobytes() == block_mean2_ref(f).tobytes()
+
+    @pytest.mark.parametrize("name", REFERENCE_CONFIGS)
+    def test_sample_bytes_equal_to_full_grid_reference(self, name):
+        """Targets and the latent rendered on their window alone, and
+        noise drawn into the frame buffer, give the earlier generator's
+        bytes, so datasets stay the same for the same seed."""
+        cfg = D.SynthConfig(seed=5, **self.REFERENCE_CONFIGS[name])
+        for index in range(3):
+            got = D._synth_sample(cfg, index)
+            want = synth_sample_ref(cfg, index)
+            for kind, a, b in zip(("inputs", "targets", "latent"), got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape, (kind, index)
+                assert a.tobytes() == b.tobytes(), (kind, index)
+
     def test_manifest_geometry_and_counts(self, small_set):
         assert small_set.h_raw == 32
         assert small_set.crop == 16

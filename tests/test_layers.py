@@ -422,6 +422,23 @@ class TestDoubleConvDS:
         assert got.dtype == want.dtype and (got >= 0).all()
         assert rel_err(got, want) < EVAL_TOL[dtype]
 
+    def test_backward_without_input_grad_keeps_every_parameter_grad(self, rng):
+        """backward(input_grad=False), which the model's first block takes,
+        returns None and leaves every parameter gradient at the bytes of
+        the full backward."""
+        block = L.DoubleConvDS(4, 6, 2, rng)
+        x = rng.standard_normal((3, 4, 9, 11)).astype(np.float32)
+        probe = rng.standard_normal((3, 6, 9, 11)).astype(np.float32)
+        block.forward(x, train=True)
+        block.backward(probe)
+        want = {name: g.copy() for name, g in block.named_grads()}
+        block.forward(x, train=True)
+        assert block.backward(probe, input_grad=False) is None
+        got = dict(block.named_grads())
+        assert got.keys() == want.keys()
+        for name, g in got.items():
+            assert g.tobytes() == want[name].tobytes(), name
+
     def test_whole_block_gradient(self, rng):
         block = L.DoubleConvDS(2, 3, 1, rng).to_dtype(np.float64)
         x = rng.standard_normal((3, 2, 5, 5))

@@ -329,6 +329,25 @@ class TestDepthwiseKernels:
         assert kwargs == dict(padding=kh - 1 - padding, groups=groups)
         assert gx.tobytes() == conv2d(g, want_w, **kwargs).tobytes()
 
+    @pytest.mark.parametrize("case", [("depthwise", (3, 36, 48, 80), (36, 1, 3, 3), 36, 1)]
+                             + GENERAL, ids=["depthwise"] + [c[0] for c in GENERAL])
+    def test_backward_without_input_grad_gives_the_same_weight_grads(self, rng, case,
+                                                                    monkeypatch):
+        """input_grad=False returns None for grad_x, runs no transposed
+        conv, and gives grad_w and grad_b the bytes of the full call."""
+        _, x_shape, w_shape, groups, padding = case
+        x, wt, _ = self._operands(rng, x_shape, w_shape)
+        args = dict(padding=padding, groups=groups)
+        g = rng.standard_normal(T.conv2d(x, wt, **args).shape).astype(np.float32)
+        _, want_gw, want_gb = T.conv2d_backward(x, wt, g, **args)
+
+        def refuse(*_, **__):
+            raise AssertionError("conv2d ran for an input gradient nobody reads")
+        monkeypatch.setattr(T, "conv2d", refuse)
+        gx, gw, gb = T.conv2d_backward(x, wt, g, input_grad=False, **args)
+        assert gx is None
+        assert gw.tobytes() == want_gw.tobytes() and gb.tobytes() == want_gb.tobytes()
+
     def test_pointwise_backward_sums_samples_in_order(self, rng):
         """An unpadded 1x1 conv's grad_x is one matmul per sample, so a batch
         gives the bytes of its per-sample calls; grad_w is the running sum of
