@@ -317,9 +317,10 @@ def batch_iter(manifest, split, batch_size, seed, shuffle, bands=None):
         samples = [samples[i] for i in order]
     for start in range(0, len(samples), batch_size):
         chunk = samples[start:start + batch_size]
-        xs = [load_sample_input(manifest, s, bands) for s in chunk]
-        ys = [load_sample_target(manifest, s) for s in chunk]
-        yield np.concatenate(xs), np.concatenate(ys), chunk
+        # The per-sample lists go unbound, so the suspended generator holds
+        # no second copy of the batch it yielded.
+        yield (np.concatenate([load_sample_input(manifest, s, bands) for s in chunk]),
+               np.concatenate([load_sample_target(manifest, s) for s in chunk]), chunk)
 
 
 def compute_band_stats(manifest, samples):

@@ -8,6 +8,21 @@ block's reference as it starts, so the saved activations are freed once the
 block's own backward returns, and each train forward allows exactly one
 backward.  Batch-norm running statistics move only in train mode.
 
+A train step holds each activation once, and a backward frees each one
+at its last read.  What each block caches:
+- DepthwiseSeparableConv: its input x and the depthwise output mid.  Only
+  the pointwise backward reads mid, so mid is freed before the depthwise
+  backward runs.
+- BatchNorm: the normalized input xhat and the per-channel 1/std.
+- ChannelAttention: its input x, the two descriptors, the max positions,
+  the MLP pre-activation and the gate s.
+- SpatialAttention: the pooled planes f, the channel-max positions and the
+  gate m, but not its input.  In CBAM that input is the channel gate's
+  output x * s, which the backward rebuilds from the channel gate's cache.
+- DoubleConvDS: the post-ReLU activations a1 and a2.  a1 is also dsc2's
+  cached input.  a2 is freed right after the backward's first ReLU mask,
+  its last read.
+
 Eval mode does only what an eval forward needs: it caches nothing, mutates
 nothing, and skips work whose only use is the backward.  Each batch norm
 runs folded into the pointwise conv before it (see DoubleConvDS), and the
@@ -81,11 +96,16 @@ class Block:
             block._cache = None
         return self
 
+    def _peek_cache(self):
+        """The train-mode cache, left in place for this block's own backward."""
+        if self._cache is None:
+            raise StateError(f"{type(self).__name__}.backward called without a cached forward")
+        return self._cache
+
     def _need_cache(self):
         """Hand the train-mode cache to backward and drop this block's hold on it."""
-        cache, self._cache = self._cache, None
-        if cache is None:
-            raise StateError(f"{type(self).__name__}.backward called without a cached forward")
+        cache = self._peek_cache()
+        self._cache = None
         return cache
 
 
@@ -128,6 +148,7 @@ class DepthwiseSeparableConv(Block):
         x, mid = self._need_cache()
         g_mid, g_pw, _ = T.conv2d_backward(mid, self.p["pointwise.weight"], grad_out,
                                            has_bias=False)
+        del mid     # its last read: free it before the depthwise backward
         g_x, g_dw, _ = T.conv2d_backward(x, self.p["depthwise.weight"], g_mid,
                                          padding=1, groups=self.c_in, has_bias=False,
                                          input_grad=input_grad)
@@ -300,6 +321,9 @@ class SpatialAttention(Block):
     two maxima can differ only in the sign of a zero or the bits of a NaN;
     the gate factor comes out the same, since the sigmoid maps a zero of
     either sign to 0.5 and NaN to NaN.
+
+    Train mode caches (f, arg, m) and not the input x, a full stage-sized
+    array: backward takes x from its caller, which in CBAM rebuilds it.
     """
 
     def __init__(self, rng):
@@ -317,11 +341,12 @@ class SpatialAttention(Block):
         z = T.conv2d(f, self.p["conv.weight"], self.p["conv.bias"], padding=3)
         m = T.sigmoid(z)
         y = x * m
-        self._cache = (x, f, arg, m) if train else None
+        self._cache = (f, arg, m) if train else None
         return y
 
-    def backward(self, grad_out):
-        x, f, arg, m = self._need_cache()
+    def backward(self, grad_out, x):
+        """x is the input of the train forward whose cache this consumes."""
+        f, arg, m = self._need_cache()
         c = x.shape[1]
         gm = (grad_out * x).sum(axis=1, keepdims=True)
         gx = grad_out * m
@@ -336,7 +361,12 @@ class SpatialAttention(Block):
 
 
 class CBAM(Block):
-    """Channel attention then spatial attention, as one refinement block."""
+    """Channel attention then spatial attention, as one refinement block.
+
+    The spatial gate keeps no copy of its input, the channel gate's output
+    x * s; backward rebuilds that product from the channel gate's cached x
+    and s, with the forward's expression, so its bytes are the forward's.
+    """
 
     def __init__(self, channels, reduction, rng):
         super().__init__()
@@ -347,7 +377,8 @@ class CBAM(Block):
         return self.spatial.forward(self.channel.forward(x, train), train)
 
     def backward(self, grad_out):
-        return self.channel.backward(self.spatial.backward(grad_out))
+        x, *_, s = self.channel._peek_cache()
+        return self.channel.backward(self.spatial.backward(grad_out, x * s[:, :, None, None]))
 
 
 class DoubleConvDS(Block):
@@ -396,7 +427,10 @@ class DoubleConvDS(Block):
 
     def backward(self, grad_out, input_grad=True):
         a1, a2 = self._need_cache()
-        g = self.dsc2.backward(self.bn2.backward(T.relu_backward(grad_out, a2)))
+        g = T.relu_backward(grad_out, a2)
+        del a2      # its last read: free it before the rest of the backward
+        g = self.bn2.backward(g)
+        g = self.dsc2.backward(g)
         return self.dsc1.backward(self.bn1.backward(T.relu_backward(g, a1)),
                                   input_grad=input_grad)
 

@@ -3,8 +3,10 @@ connections, a bilinear-upsampling decoder, and a 1x1 logit head.
 
 Spatial handling: inputs are reflect-padded up to the next multiple of 16
 (four poolings halve four times), run through the graph, and cropped back,
-so output spatial dims always equal input spatial dims.  The head emits
-logits; sigmoid is applied downstream at prediction and evaluation time.
+so output spatial dims always equal input spatial dims.  An input already
+at a multiple of 16 runs as it is: neither it nor the output gradient of
+its backward is copied.  The head emits logits; sigmoid is applied
+downstream at prediction and evaluation time.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ class ModelConfig(Section):
 
     The `single-frame` preset forces 11 input channels (one 11-band frame)
     and a single output frame; everything else keeps the defaults of
-    36 in (4 frames x 9 bands) and 16 lead times out.
+    36 in (4 frames x 9 bands) and 16 lead times out.  cbam_reduction
+    must divide every width a CBAM attends: the first four stage widths
+    and half the last.
     """
 
     in_channels: int = 36
@@ -68,6 +72,10 @@ class ModelConfig(Section):
             raise ConfigError("depth_multiplier must be >= 1")
         if self.cbam_reduction < 1:
             raise ConfigError("cbam_reduction must be >= 1")
+        attended = [c for _, c in _channel_plan(self)[0]]
+        if any(c % self.cbam_reduction for c in attended):
+            raise ConfigError(f"cbam_reduction {self.cbam_reduction} must divide every "
+                              f"attended width {attended}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -192,9 +200,12 @@ class SmaAtUNet(Block):
         hp, wp = cache["padded"]
         if grad_out.shape[2:] != (h, w):
             raise ShapeError(f"grad_out spatial {grad_out.shape[2:]} != forward output {(h, w)}")
-        top, left = (hp - h) // 2, (wp - w) // 2
-        g = np.zeros(grad_out.shape[:2] + (hp, wp), dtype=grad_out.dtype)
-        g[:, :, top:top + h, left:left + w] = grad_out
+        if (hp, wp) == (h, w):
+            g = grad_out
+        else:
+            top, left = (hp - h) // 2, (wp - w) // 2
+            g = np.zeros(grad_out.shape[:2] + (hp, wp), dtype=grad_out.dtype)
+            g[:, :, top:top + h, left:left + w] = grad_out
 
         g = self.head.backward(g)
         skip_grads = [None] * 4
@@ -246,9 +257,6 @@ def architecture_size(config):
     k = config.depth_multiplier
     r = config.cbam_reduction
     enc, dec = _channel_plan(config)
-    if any(c % r for _, c in enc):
-        raise ConfigError(f"cbam_reduction {r} must divide every attended width "
-                          f"{[c for _, c in enc]}")
     units = [(c_in, c_out, c_out) for c_in, c_out in enc]
     units += [(c_in, c_out, c_in // 2) for c_in, c_out in dec]
 

@@ -333,7 +333,8 @@ def bilinear_resize_backward(grad_out, in_h, in_w):
 
 def pad_reflect_to(x, target_h, target_w):
     """Reflect-pad spatial dims up to a target size, extra row/col on the
-    bottom/right when the difference is odd."""
+    bottom/right when the difference is odd.  When no padding is needed it
+    returns x itself, not a copy."""
     check_nchw(x, "input")
     _, _, h, w = x.shape
     dh = target_h - h
@@ -342,6 +343,8 @@ def pad_reflect_to(x, target_h, target_w):
         raise SizeError(f"cannot pad {h}x{w} down to {target_h}x{target_w}")
     if dh >= h or dw >= w:
         raise SizeError(f"reflect padding from {h}x{w} to {target_h}x{target_w} would repeat edges")
+    if dh == dw == 0:
+        return x
     top, left = dh // 2, dw // 2
     return np.pad(x, ((0, 0), (0, 0), (top, dh - top), (left, dw - left)), mode="reflect")
 

@@ -6,7 +6,8 @@ exceptions to "slow" are the package's earlier kernels.  The whole-batch
 sliding-window einsum conv and its backward are tolerance references for
 the im2col kernel, which adds the same products in another order.  The
 others are bitwise references for the current code: the reshape-and-argmax
-max pool, the argmax channel reduction of the spatial gate, the
+max pool, the argmax channel reduction of the spatial gate, the spatial
+gate's backward from a cache that held its own input, the
 mask-gathering sigmoid and the loss built on it, the batch norm and
 double-conv passes that cached the centred input and the pre-ReLU
 activations, the training loss that upsampled and scored the whole batch
@@ -328,6 +329,22 @@ def spatial_attention_ref(x, weight, bias):
     z = conv2d_ref(f, weight, bias, stride=1, padding=weight.shape[2] // 2)
     m = 1.0 / (1.0 + np.exp(-z))
     return x * m, m
+
+
+def spatial_attention_backward_ref(att, x, cache, grad_out):
+    """The earlier SpatialAttention.backward, which cached its input x next
+    to (f, arg, m).  Returns (grad_x, grad_weight, grad_bias)."""
+    f, arg, m = cache
+    c = x.shape[1]
+    gm = (grad_out * x).sum(axis=1, keepdims=True)
+    gx = grad_out * m
+    dz = gm * m * (1.0 - m)
+    gf, g_w, g_b = T.conv2d_backward(f, att.p["conv.weight"], dz, padding=3)
+    gx += gf[:, 0:1] / c
+    scat = np.zeros_like(x)
+    np.put_along_axis(scat, arg, gf[:, 1:2], axis=1)
+    gx += scat
+    return gx, g_w, g_b
 
 
 def csi_ref(pred, truth):

@@ -103,7 +103,8 @@ def _check_block_gradients(block, x, tol):
     rng = np.random.default_rng(77)
     out = block.forward(x, train=True)
     w = rng.normal(size=out.shape)
-    got_x = block.backward(w)
+    # The spatial gate keeps no copy of its input; its caller passes it.
+    got_x = block.backward(w, x) if isinstance(block, L.SpatialAttention) else block.backward(w)
     got_p = dict(block.named_grads())
 
     def project(z):

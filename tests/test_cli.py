@@ -644,6 +644,27 @@ class TestMalformedInputs:
         assert main(["params", "--config", path]) == 1
         assert "stage_widths" in only_error_line(capsys)
 
+    REDUCTION_ERROR = ("nimbus: error: cbam_reduction 16 must divide every attended width "
+                       "[8, 16, 32, 64, 64]")
+
+    def _indivisible_reduction(self, workspace, name):
+        return edited_config(workspace, name, model={**SMALL_MODEL, "cbam_reduction": 16,
+                                                     "stage_widths": [8, 16, 32, 64, 128]})
+
+    def test_indivisible_cbam_reduction_exits_one_from_params(self, workspace, capsys):
+        path = self._indivisible_reduction(workspace, "reduction-params")
+        assert main(["params", "--config", path]) == 1
+        assert only_error_line(capsys) == self.REDUCTION_ERROR
+
+    def test_indivisible_cbam_reduction_exits_one_before_train_writes(self, workspace, tmp_path,
+                                                                        capsys):
+        path = self._indivisible_reduction(workspace, "reduction-train")
+        out = tmp_path / "run"
+        assert main(["train", "--config", path, "--manifest", workspace["manifest"],
+                     "--out", str(out)]) == 1
+        assert only_error_line(capsys) == self.REDUCTION_ERROR
+        assert not out.exists()
+
     @pytest.mark.parametrize("doc,field", [case[1:] for case in BAD_CONFIGS],
                              ids=[case[0] for case in BAD_CONFIGS])
     def test_mistyped_config_field_exits_one(self, tmp_path, capsys, doc, field):

@@ -51,8 +51,8 @@ def test_direct_construction_is_checked_too():
     with pytest.raises(ConfigError, match="model.in_channels"):
         ModelConfig(in_channels=3.0)
     assert DataConfig(drop_bands=["VIS006"]).drop_bands == ("VIS006",)
-    assert type(ModelConfig(stage_widths=[np.int64(w) for w in (4, 8, 16, 32, 64)])
-                .stage_widths[0]) is int
+    assert type(ModelConfig(stage_widths=[np.int64(w) for w in (4, 8, 16, 32, 64)],
+                            cbam_reduction=4).stage_widths[0]) is int
 
 
 @pytest.mark.parametrize("doc,field", [

@@ -341,7 +341,7 @@ class TestSpatialAttention:
             return float((att.forward(x, train=True) * probe).sum())
 
         run()
-        gx = att.backward(probe)
+        gx = att.backward(probe, x)
         assert rel_err(gx, fd_gradient(lambda a: float((att.forward(a) * probe).sum()), x)) < GRAD_TOL
         for name in att.p:
             param_fd(att, run, name)
@@ -474,14 +474,16 @@ class TestBackwardConsumesCache:
         train forward allows one more."""
         block = BLOCKS[kind](rng)
         x = rng.standard_normal((2, 4, 8, 8)).astype(np.float32)
+        # The spatial gate keeps no copy of its input; its caller passes it.
+        inputs = (x,) if kind == "SpatialAttention" else ()
         y = block.forward(x, train=True)
-        block.backward(np.ones_like(y))
+        block.backward(np.ones_like(y), *inputs)
         for b in _blocks(block):
             assert b._cache is None, type(b).__name__
         with pytest.raises(StateError):
-            block.backward(np.ones_like(y))
+            block.backward(np.ones_like(y), *inputs)
         block.forward(x, train=True)
-        block.backward(np.ones_like(y))
+        block.backward(np.ones_like(y), *inputs)
 
 
 def _blocks(block):

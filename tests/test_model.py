@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from nimbus import tensor as T
+from nimbus.config import RunConfig
 from nimbus.errors import ConfigError, FormatError, ShapeError, StateError
 from nimbus.layers import DoubleConvDS
 from nimbus.model import (ModelConfig, architecture_size, baseline_reference_param_count,
@@ -77,6 +78,17 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig.from_dict({"in_channels": 4, "dropout": 0.5})
 
+    def test_refuses_a_reduction_the_widths_do_not_take(self):
+        """The config checks the rule once, when it is made: the reduction
+        divides every width a CBAM attends, the bottleneck's half width too."""
+        want = r"^cbam_reduction 16 must divide every attended width \[8, 16, 32, 64, 64\]$"
+        with pytest.raises(ConfigError, match=want):
+            ModelConfig(stage_widths=(8, 16, 32, 64, 128))
+        with pytest.raises(ConfigError, match=want):
+            RunConfig.from_dict({"model": {"stage_widths": [8, 16, 32, 64, 128]}})
+        with pytest.raises(ConfigError, match=r"^cbam_reduction 8 .* \[8, 16, 32, 64, 36\]$"):
+            ModelConfig(stage_widths=(8, 16, 32, 64, 72), cbam_reduction=8)
+
     def test_dict_roundtrip(self):
         cfg = ModelConfig(**TOY)
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
@@ -115,10 +127,6 @@ class TestParameterBudget:
         model = build_model(cfg, seed=0)
         states = sum(v.size for _, v in model.named_states())
         assert architecture_size(cfg) == (model.count_params(), states)
-
-    def test_architecture_size_rejects_a_reduction_the_widths_do_not_take(self):
-        with pytest.raises(ConfigError, match="cbam_reduction"):
-            architecture_size(ModelConfig(**{**TOY, "cbam_reduction": 3}))
 
 
 @pytest.mark.parametrize("cfg", [TOY, DESK], ids=["toy", "desk"])
