@@ -99,7 +99,7 @@ def _trained_as(config, drop, loss):
 
 def _load_models(paths, config, manifest):
     """The checkpoints' models and config as they were trained; config's
-    data.drop_bands and train.loss stand in where versions 1 and 2 lack them."""
+    data.drop_bands and train.loss stand in for a model saved untrained."""
     models = [load_checkpoint(p) for p in paths]
     for model in models:
         model.bands = model.bands or D.kept_bands(manifest.band_names, config.data.drop_bands)

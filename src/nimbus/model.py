@@ -349,18 +349,6 @@ def save_checkpoint(model, path):
     _atomic_write(path, payload)
 
 
-def _v1_biases(model):
-    """Map each pointwise-bias entry of a version-1 checkpoint to the
-    running mean of the batch norm it feeds: `<blk>.dscK.pointwise.bias`
-    to `<blk>.bnK.running_mean`."""
-    folds = {}
-    for name, _ in model.named_states():
-        block, bn, stat = name.rsplit(".", 2)
-        if stat == "running_mean":
-            folds[f"{block}.dsc{bn.removeprefix('bn')}.pointwise.bias"] = name
-    return folds
-
-
 def _check_values(path, name, values, start):
     """Refuse an entry holding NaN or Inf, or a negative running variance.
 
@@ -385,13 +373,8 @@ def load_checkpoint(path):
 
     Every value must be finite and every running variance non-negative;
     otherwise the FormatError names the entry and the byte offset of its
-    first bad value.  Versions 1 and 2 record no bands or loss: both are None.
-
-    Version 1 also stored a bias for every pointwise conv, each of which
-    feeds a batch norm.  The batch norm takes running_mean off the biased
-    conv output, (x + b) - running_mean, so such a file loads with
-    running_mean - b as its running mean, which changes eval outputs by
-    rounding only.
+    first bad value.  Any version but 3 is refused at byte 4.  A model
+    saved before training records no bands or loss: both load as None.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -400,7 +383,7 @@ def load_checkpoint(path):
     if raw[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad magic at byte 0, expected {CHECKPOINT_MAGIC!r}")
     (version,) = struct.unpack_from("<H", raw, 4)
-    if version not in (1, 2, CHECKPOINT_VERSION):
+    if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported version {version} at byte 4")
     (header_len,) = struct.unpack_from("<I", raw, 6)
     data_start = 10 + header_len
@@ -428,8 +411,6 @@ def load_checkpoint(path):
     model = build_model(header.config, seed=0)
     model.bands, model.loss = header.bands, header.loss
     wanted = dict(list(model.named_params()) + list(model.named_states()))
-    folds = _v1_biases(model) if version == 1 else {}
-    wanted.update({bias: np.empty_like(wanted[mean]) for bias, mean in folds.items()})
     seen = set()
     spans = []      # (first byte, end byte, name) of every entry's data
     for i, entry in enumerate(header.entries):
@@ -475,6 +456,4 @@ def load_checkpoint(path):
                           f"belong to no entry")
     for lo, _, name in spans:
         _check_values(path, name, wanted[name].reshape(-1), lo)
-    for bias, mean in folds.items():
-        wanted[mean] -= wanted[bias]
     return model

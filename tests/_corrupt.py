@@ -204,7 +204,8 @@ def poison_value(suffix, index, value):
 # edit, text the error must contain).  Each once loaded silently or, for the
 # list name, escaped as a bare TypeError.  A JSON false passed the old
 # isinstance(offset, int) check, as 0, which the first entry's offset is.
-# An unknown key in an entry was ignored.
+# An unknown key in an entry was ignored.  The last two name an array the
+# architecture lacks and leave one out.
 BAD_BLOB_TABLES = [
     ("appended-bytes", _in_header(lambda header: None, bytes(700)), "belong to no entry"),
     ("gap-before-last", _in_header(_shift_offsets(-1, 4), bytes(4)), "belong to no entry"),
@@ -215,6 +216,11 @@ BAD_BLOB_TABLES = [
      "entries[0].offset"),
     ("entry-unknown-key", _in_header(_setting("entries", 1, "dtype", value="<f4")),
      "unknown entries[1] keys: ['dtype']"),
+    ("entry-unknown-name", _in_header(_setting("entries", 0, "name",
+                                               value="enc1.dsc1.pointwise.bias")),
+     "entry 'enc1.dsc1.pointwise.bias' not part of this architecture"),
+    ("entry-dropped", _in_header(lambda header: header["entries"].pop()),
+     "header omits 1 blocks"),
 ]
 
 

@@ -18,13 +18,9 @@ each target four times.
 The earlier synthetic generator, which rendered every field on the whole
 fine grid and cropped targets after, and its reshape-and-mean block
 average pin the windowed generator byte for byte.
-The version-1 checkpoint writer, whose pointwise convs carried biases,
-writes the files the version-2 reader must still load.
 """
 
-import json
 import os
-import struct
 
 import numpy as np
 
@@ -493,46 +489,6 @@ def trivial_baselines_ref(manifest, split, config=EvalConfig()):
     persist = persistence_report_ref(manifest, split, config)
     return {"all_zeros": zeros.pooled_csi, "all_ones": ones.pooled_csi,
             "persistence": None if persist is None else persist.pooled_csi}
-
-
-def save_checkpoint_v2_ref(model, path):
-    """Write model as a version-2 checkpoint, as the version-2 writer did:
-    its header holds the config and the blob table, and no bands or loss."""
-    entries, blobs, offset = [], [], 0
-    for name, arr in list(model.named_params()) + list(model.named_states()):
-        blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        entries.append({"name": name, "dims": list(arr.shape),
-                        "offset": offset, "length": len(blob)})
-        blobs.append(blob)
-        offset += len(blob)
-    header = json.dumps({"config": model.config.to_dict(), "entries": entries},
-                        separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(b"SMCK" + struct.pack("<HI", 2, len(header)) + header + b"".join(blobs))
-
-
-def save_checkpoint_v1_ref(model, path, biases):
-    """Write model as a version-1 checkpoint, whose every pointwise conv
-    also had a bias: `biases` maps `<blk>.dscK.pointwise.bias` to its
-    array, written right after that conv's weight as the version-1 writer
-    did.  A bias left out of `biases` is left out of the file."""
-    named = []
-    for name, arr in model.named_params():
-        named.append((name, arr))
-        bias = name.replace(".pointwise.weight", ".pointwise.bias")
-        if bias in biases:
-            named.append((bias, biases[bias]))
-    entries, blobs, offset = [], [], 0
-    for name, arr in named + list(model.named_states()):
-        blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        entries.append({"name": name, "dims": list(arr.shape),
-                        "offset": offset, "length": len(blob)})
-        blobs.append(blob)
-        offset += len(blob)
-    header = json.dumps({"config": model.config.to_dict(), "entries": entries},
-                        separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(b"SMCK" + struct.pack("<HI", 1, len(header)) + header + b"".join(blobs))
 
 
 def block_mean2_ref(field):

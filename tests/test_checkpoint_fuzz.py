@@ -1,23 +1,20 @@
 """Property tests: a checkpoint with bytes overwritten, cut off or appended,
 or with a header field dropped or swapped for a value of another type or
 size, either loads or fails with a NimbusError subclass, never a bare
-builtin, in version 3, whose header records bands and a loss, and in
-version 1 with its pointwise biases; and
-`nimbus predict` over such a checkpoint exits 0, or 1 or 2 with one error
-line."""
+builtin; and `nimbus predict` over such a checkpoint exits 0, or 1 or 2
+with one error line.  The checkpoint is version 3, the only one that
+loads, and its header records bands and a loss."""
 
 import copy
 import json
 import struct
 
-import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from _corrupt import mutate_bytes, mutate_document  # noqa: E402
-from _oracles import save_checkpoint_v1_ref  # noqa: E402
 from nimbus import data as D  # noqa: E402
 from nimbus.cli import main  # noqa: E402
 from nimbus.errors import NimbusError  # noqa: E402
@@ -63,18 +60,6 @@ def workspace(tmp_path_factory):
     return root, path.read_bytes(), manifest
 
 
-@pytest.fixture(scope="module")
-def v1_raw(tmp_path_factory):
-    """A valid version-1 checkpoint's bytes, with nonzero pointwise biases."""
-    model = build_model(MODEL, seed=3)
-    biases = {name.replace(".running_mean", ".pointwise.bias").replace(".bn", ".dsc"):
-              np.full(arr.shape, 0.25, np.float32)
-              for name, arr in model.named_states() if name.endswith(".running_mean")}
-    path = tmp_path_factory.mktemp("ckfuzz1") / "v1.smck"
-    save_checkpoint_v1_ref(model, path, biases)
-    return path.read_bytes()
-
-
 def _mutate_header(raw, mutations):
     """Rewrite the JSON header with the mutations applied, keeping the
     blobs after it."""
@@ -115,20 +100,6 @@ def test_header_mutated_checkpoint_fails_only_with_nimbus_errors(workspace, muta
     root, raw, _ = workspace
     path = root / "header.smck"
     path.write_bytes(_mutate_header(raw, mutations))
-    _loads_or_fails_cleanly(path)
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(mutations=st.one_of(st.lists(HEADER_MUTATION, min_size=1, max_size=3).map(
-    lambda m: ("header", m)), st.lists(BYTE_MUTATION, min_size=1, max_size=3).map(
-    lambda m: ("bytes", m))))
-def test_mutated_version_1_checkpoint_fails_only_with_nimbus_errors(workspace, v1_raw,
-                                                                    mutations):
-    root = workspace[0]
-    kind, edits = mutations
-    path = root / "v1.smck"
-    path.write_bytes(_mutate_header(v1_raw, edits) if kind == "header" else
-                     mutate_bytes(v1_raw, edits))
     _loads_or_fails_cleanly(path)
 
 

@@ -9,6 +9,7 @@ import logging
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -21,13 +22,13 @@ from _corrupt import (BAD_BLOB_TABLES, BAD_CHECKPOINTS, BAD_CONFIGS, BAD_LATENT_
                       BAD_MANIFESTS, OVERSIZED_CONFIGS, oversize, poison_epoch, reorder_bands,
                       rewrite_checkpoint, rewrite_checkpoint_header, rewrite_manifest,
                       rewrite_tensor)
-from _oracles import evaluate_ref, save_checkpoint_v2_ref
+from _oracles import evaluate_ref
 from nimbus import data as D
 from nimbus import metrics as M
 from nimbus import optim as O
 from nimbus.cli import _manifest_from, main
 from nimbus.config import RunConfig
-from nimbus.model import load_checkpoint
+from nimbus.model import load_checkpoint, save_checkpoint
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -552,21 +553,24 @@ class TestRecordedBandsAndLoss:
         assert "'VIS006'" in only_error_line(capsys)
         assert not (tmp_path / "preds").exists()
 
-    def test_a_version_2_checkpoint_takes_both_from_the_config(self, workspace, mse_trained,
-                                                              mse_config, tmp_path):
-        v2 = str(tmp_path / "v2.smck")
-        save_checkpoint_v2_ref(load_checkpoint(mse_trained), v2)
-        assert load_checkpoint(v2).loss is None
-        for name, config in (("v2", mse_config), ("bce", workspace["config"])):
-            assert self._evaluate(v2, config, workspace["manifest"], tmp_path / name) == 0
+    def test_a_checkpoint_without_bands_or_loss_takes_both_from_the_config(
+            self, workspace, mse_trained, mse_config, tmp_path):
+        """A model saved before training records neither; the config stands in."""
+        bare = str(tmp_path / "bare.smck")
+        model = load_checkpoint(mse_trained)
+        model.bands = model.loss = None
+        save_checkpoint(model, bare)
+        assert load_checkpoint(bare).loss is None
+        for name, config in (("bare", mse_config), ("bce", workspace["config"])):
+            assert self._evaluate(bare, config, workspace["manifest"], tmp_path / name) == 0
         assert self._evaluate(mse_trained, workspace["config"], workspace["manifest"],
-                              tmp_path / "v3") == 0
-        assert tree_bytes(tmp_path / "v2") == tree_bytes(tmp_path / "v3")
+                              tmp_path / "recorded") == 0
+        assert tree_bytes(tmp_path / "bare") == tree_bytes(tmp_path / "recorded")
         bce = report_of(tmp_path / "bce")
         assert bce["run_config"]["train"]["loss"] == "bce_logits"
-        assert bce["pooled_counts"] != report_of(tmp_path / "v3")["pooled_counts"]
+        assert bce["pooled_counts"] != report_of(tmp_path / "recorded")["pooled_counts"]
         preds = str(tmp_path / "preds")
-        assert main(["predict", "--checkpoint", v2, "--config", mse_config,
+        assert main(["predict", "--checkpoint", bare, "--config", mse_config,
                      "--manifest", workspace["manifest"], "--out", preds]) == 0
         assert read_echo(preds)["config"] == run_config_dict(mse_config)
 
@@ -728,6 +732,19 @@ class TestMalformedInputs:
         assert self._evaluate_checkpoint(workspace, trained, tmp_path, edit) == 2
         line = only_error_line(capsys)
         assert "overlaps entry" in line and "at byte" in line
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_retired_checkpoint_version_exits_two_and_writes_nothing(
+            self, workspace, trained, tmp_path, capsys, version):
+        path = tmp_path / "old.smck"
+        raw = bytearray(Path(trained).read_bytes())
+        raw[4:6] = struct.pack("<H", version)
+        path.write_bytes(bytes(raw))
+        out = tmp_path / "rep"
+        assert main(["evaluate", "--checkpoint", str(path), "--config", workspace["config"],
+                     "--manifest", workspace["manifest"], "--out", str(out)]) == 2
+        assert only_error_line(capsys).endswith(f"unsupported version {version} at byte 4")
+        assert not out.exists()
 
     @pytest.mark.parametrize("field,value", [case[1:] for case in OVERSIZED_CONFIGS],
                              ids=[case[0] for case in OVERSIZED_CONFIGS])

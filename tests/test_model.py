@@ -11,14 +11,13 @@ import pytest
 from nimbus import tensor as T
 from nimbus.config import RunConfig
 from nimbus.errors import ConfigError, FormatError, ShapeError, StateError
-from nimbus.layers import DoubleConvDS
-from nimbus.model import (ModelConfig, architecture_size, baseline_reference_param_count,
-                          build_model, load_checkpoint, save_checkpoint)
+from nimbus.model import (CHECKPOINT_VERSION, ModelConfig, architecture_size,
+                          baseline_reference_param_count, build_model, load_checkpoint,
+                          save_checkpoint)
 
 from _corrupt import (BAD_BLOB_TABLES, BAD_READS, OVERSIZED_CONFIGS, POISONED_VALUES,
                       UNDECODABLE_JSON, oversize, rewrite_checkpoint, rewrite_checkpoint_header)
-from _oracles import (batch_norm_forward_ref, conv2d_ref, fd_gradient, named_arrays_ref, rel_err,
-                      richardson_fd, save_checkpoint_v1_ref, save_checkpoint_v2_ref)
+from _oracles import named_arrays_ref, rel_err, richardson_fd
 
 TOY = dict(in_channels=4, out_channels=2, stage_widths=(8, 16, 32, 64, 128),
            depth_multiplier=1, cbam_reduction=4)
@@ -332,13 +331,16 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="byte 0"):
             load_checkpoint(path)
 
-    def test_bad_version_is_format_error(self, toy_model, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2, 4, 99])
+    def test_bad_version_is_format_error(self, toy_model, tmp_path, version):
+        """Only version 3 loads; the retired versions 1 and 2 are refused
+        like any other."""
         path = tmp_path / "model.smck"
         save_checkpoint(toy_model, path)
         raw = bytearray(path.read_bytes())
-        raw[4] = 99
+        raw[4:6] = struct.pack("<H", version)
         path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="version"):
+        with pytest.raises(FormatError, match=f"unsupported version {version} at byte 4$"):
             load_checkpoint(path)
 
     def test_corrupt_header_json_is_format_error(self, toy_model, tmp_path):
@@ -449,7 +451,7 @@ class TestCheckpoint:
                              ids=[case[0] for case in UNDECODABLE_JSON])
     def test_undecodable_header_is_format_error(self, tmp_path, header):
         path = tmp_path / "model.smck"
-        path.write_bytes(b"SMCK" + struct.pack("<HI", 1, len(header)) + header)
+        path.write_bytes(b"SMCK" + struct.pack("<HI", CHECKPOINT_VERSION, len(header)) + header)
         with pytest.raises(FormatError, match="byte 10"):
             load_checkpoint(path)
 
@@ -461,123 +463,6 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="header length"):
             load_checkpoint(path)
-
-
-def _double_convs(model):
-    return [(name, block) for name, block in model._children.items()
-            if isinstance(block, DoubleConvDS)]
-
-
-def _v1_state(model, rng, bias_scale):
-    """Give model's batch norms running statistics away from their (0, 1)
-    start, and return pointwise biases of the given scale for a version-1
-    file, keyed by entry name."""
-    for name, arr in model.named_states():
-        if name.endswith("running_mean"):
-            arr[...] = rng.normal(0, 0.5, arr.shape)
-        else:
-            arr[...] = rng.uniform(0.5, 2.0, arr.shape)
-    return {f"{name}.dsc{k}.pointwise.bias":
-            (bias_scale * rng.normal(0, 1, getattr(block, f"bn{k}").channels)).astype(np.float32)
-            for name, block in _double_convs(model) for k in (1, 2)}
-
-
-class TestCheckpointVersion1:
-    """Version-1 files stored a bias for every pointwise conv, which the
-    batch norm after it cancels; they load with each bias folded into that
-    batch norm's running mean."""
-
-    # Both sides round in float32 (eps 1.2e-7), in another order: the
-    # reference adds each bias before the running mean is taken off, the
-    # fold takes it off the running mean first.  One double conv stays
-    # within 16 eps of its output scale (3.3e-7 measured); the 18 batch
-    # norms of the desk model within about 170 (3.5e-6 measured).
-    F32_TOL = 2e-6
-    DESK_TOL = 2e-5
-
-    def test_zero_biases_load_bitwise_as_version_2(self, toy_model, tmp_path):
-        biases = _v1_state(toy_model, np.random.default_rng(20), 0.0)
-        save_checkpoint_v1_ref(toy_model, tmp_path / "v1.smck", biases)
-        save_checkpoint(toy_model, tmp_path / "v2.smck")
-        v1 = load_checkpoint(tmp_path / "v1.smck")
-        v2 = load_checkpoint(tmp_path / "v2.smck")
-        for got, want in ((v1.named_params(), v2.named_params()),
-                          (v1.named_states(), v2.named_states())):
-            got, want = dict(got), dict(want)
-            assert list(got) == list(want)
-            for name in want:
-                assert got[name].tobytes() == want[name].tobytes(), name
-
-    def test_each_double_conv_matches_the_biased_reference(self, toy_model, tmp_path):
-        """Eval forward of every loaded DoubleConvDS against conv2d_ref with
-        the bias added, then the reference batch norm on the file's running
-        statistics, then ReLU."""
-        rng = np.random.default_rng(21)
-        biases = _v1_state(toy_model, rng, 0.5)
-        save_checkpoint_v1_ref(toy_model, tmp_path / "v1.smck", biases)
-        loaded = load_checkpoint(tmp_path / "v1.smck")
-        for name, block in _double_convs(loaded):
-            ref = toy_model._children[name]
-            x = rng.standard_normal((2, ref.dsc1.c_in, 4, 4)).astype(np.float32)
-            want = x
-            for k in (1, 2):
-                dsc, bn = getattr(ref, f"dsc{k}"), getattr(ref, f"bn{k}")
-                mid = conv2d_ref(want, dsc.p["depthwise.weight"], padding=1, groups=dsc.c_in)
-                z = conv2d_ref(mid, dsc.p["pointwise.weight"],
-                               biases[f"{name}.dsc{k}.pointwise.bias"])
-                want = np.maximum(batch_norm_forward_ref(bn, z.astype(np.float32))[0], 0)
-            assert rel_err(block.forward(x), want) < self.F32_TOL, name
-
-    def test_desk_model_forward_survives_the_fold(self, tmp_path):
-        """The whole desk model: the loaded model against the same weights
-        run through the unfolded oracles, each double conv as its convs
-        with the bias added back after the pointwise one, the reference
-        batch norm on the file's running statistics, and ReLU."""
-        rng = np.random.default_rng(22)
-        model = build_model(ModelConfig(**DESK), seed=1)
-        biases = _v1_state(model, rng, 0.5)
-        save_checkpoint_v1_ref(model, tmp_path / "v1.smck", biases)
-        loaded = load_checkpoint(tmp_path / "v1.smck")
-
-        def unfolded(block, name):
-            def forward(x, train=False):
-                for k in (1, 2):
-                    dsc, bn = getattr(block, f"dsc{k}"), getattr(block, f"bn{k}")
-                    bias = biases[f"{name}.dsc{k}.pointwise.bias"]
-                    z = dsc.forward(x, train) + bias[None, :, None, None]
-                    x = np.maximum(batch_norm_forward_ref(bn, z)[0], 0)
-                return x
-            return forward
-
-        for name, block in _double_convs(model):
-            block.forward = unfolded(block, name)
-        x = rng.standard_normal((2, 36, 64, 64)).astype(np.float32)
-        want = model.forward(x)
-        got = loaded.forward(x)
-        assert np.abs(got - want).max() <= self.DESK_TOL * np.abs(want).max()
-
-    def test_missing_bias_is_format_error(self, toy_model, tmp_path):
-        biases = _v1_state(toy_model, np.random.default_rng(23), 0.5)
-        del biases["dec2.dsc1.pointwise.bias"]
-        save_checkpoint_v1_ref(toy_model, tmp_path / "v1.smck", biases)
-        with pytest.raises(FormatError, match="omits 1 blocks, e.g. 'dec2.dsc1.pointwise.bias'"):
-            load_checkpoint(tmp_path / "v1.smck")
-
-    def test_bias_in_a_version_2_file_is_format_error(self, toy_model, tmp_path):
-        path = tmp_path / "v1.smck"
-        biases = _v1_state(toy_model, np.random.default_rng(24), 0.5)
-        save_checkpoint_v1_ref(toy_model, path, biases)
-        raw = bytearray(path.read_bytes())
-        raw[4:6] = struct.pack("<H", 2)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="'enc1.dsc1.pointwise.bias' not part of this"):
-            load_checkpoint(path)
-
-
-def _blobs(path):
-    """The data section of a checkpoint: every byte after its JSON header."""
-    raw = path.read_bytes()
-    return raw[10 + struct.unpack_from("<I", raw, 6)[0]:]
 
 
 class TestCheckpointVersion3:
@@ -595,21 +480,6 @@ class TestCheckpointVersion3:
         trained = load_checkpoint(tmp_path / "trained.smck")
         assert trained.bands == ("IR108", "VIS006") and trained.loss == "mse"
         assert struct.unpack_from("<H", (tmp_path / "trained.smck").read_bytes(), 4) == (3,)
-
-    def test_version_2_file_loads_the_same_arrays_without_bands_or_loss(self, toy_model,
-                                                                        tmp_path):
-        toy_model.bands, toy_model.loss = ("IR108",), "bce_logits"
-        save_checkpoint_v2_ref(toy_model, tmp_path / "v2.smck")
-        save_checkpoint(toy_model, tmp_path / "v3.smck")
-        assert _blobs(tmp_path / "v3.smck") == _blobs(tmp_path / "v2.smck")
-        v2 = load_checkpoint(tmp_path / "v2.smck")
-        assert v2.bands is None and v2.loss is None
-        v3 = load_checkpoint(tmp_path / "v3.smck")
-        for got, want in ((v2.named_params(), v3.named_params()),
-                          (v2.named_states(), v3.named_states())):
-            got, want = dict(got), dict(want)
-            assert list(got) == list(want)
-            assert [got[n].tobytes() for n in want] == [want[n].tobytes() for n in want]
 
     @pytest.mark.parametrize("edit,text", [case[1:] for case in BAD_READS],
                              ids=[case[0] for case in BAD_READS])

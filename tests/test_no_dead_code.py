@@ -6,6 +6,10 @@ scan reads the source with ast and resolves no types, so a reference is
 by name: any `.forward` or `forward(...)` counts for every definition
 named forward.  Dunder methods are called by the language, not by name,
 and are exempt from the reference check.
+
+The test helpers in tests/_oracles.py and tests/_corrupt.py are held to
+the same rule against the test modules: each must be reached from some
+test module, directly or through another helper that is.
 """
 
 import ast
@@ -14,6 +18,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "nimbus"
 PROGRAM_DIRS = ("src", "demos", "benchmarks")
+TESTS = ROOT / "tests"
+HELPERS = ("_oracles.py", "_corrupt.py")
 
 
 def _trees():
@@ -46,22 +52,27 @@ def _walk(node, enclosing=()):
         yield from _walk(child, inner)
 
 
+def _name_of(node):
+    """The name a Name, Attribute or string constant refers to (the last
+    segment of a dotted string, as tracers patch by name), else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value.rsplit(".", 1)[-1]
+    return None
+
+
 def _references():
     """name -> list of (path, the definitions around the use), for every
-    Name, Attribute and string constant (the last segment of a dotted
-    one, as tracers patch by name) in the programs."""
+    Name, Attribute and string constant in the programs."""
     refs = {}
     for path, tree in _trees():
         for node, enclosing in _walk(tree):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                name = node.value.rsplit(".", 1)[-1]
-            else:
-                continue
-            refs.setdefault(name, []).append((path, enclosing))
+            name = _name_of(node)
+            if name is not None:
+                refs.setdefault(name, []).append((path, enclosing))
     return refs
 
 
@@ -92,6 +103,39 @@ def test_every_definition_is_referenced_outside_itself():
         if not any(p != path or own not in enclosing for p, enclosing in refs.get(node.name, [])):
             unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert unused == [], unused
+
+
+def _names_in(node):
+    return {name for child in ast.walk(node) if (name := _name_of(child)) is not None}
+
+
+def test_every_test_helper_is_reached_from_a_test_module():
+    """Reachability over the helpers' top-level statements: a function or
+    class is reached by its name, a table such as BAD_CHECKPOINTS by the
+    name it assigns, and a reached statement reaches every name in it.  A
+    use inside a helper's own body reaches nothing, because the walk only
+    enters a statement once it is reached from outside."""
+    defines = {}    # helper name -> (file, line, the top-level statement defining it)
+    for helper in HELPERS:
+        for stmt in ast.parse((TESTS / helper).read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defines[stmt.name] = (helper, stmt.lineno, stmt)
+            elif isinstance(stmt, ast.Assign):
+                for target in stmt.targets:
+                    if isinstance(target, ast.Name):
+                        defines[target.id] = (helper, stmt.lineno, stmt)
+    pending = set()
+    for path in sorted(TESTS.glob("test_*.py")):
+        pending |= _names_in(ast.parse(path.read_text(encoding="utf-8")))
+    reached = set()
+    while pending:
+        name = pending.pop()
+        if name in defines and name not in reached:
+            reached.add(name)
+            pending |= _names_in(defines[name][2])
+    unreached = [f"tests/{helper}:{line} {name}" for name, (helper, line, stmt) in defines.items()
+                 if name not in reached and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))]
+    assert unreached == [], unreached
 
 
 def _defaulted(func, owner):
