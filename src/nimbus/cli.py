@@ -22,10 +22,11 @@ from . import data as D
 from . import metrics as M
 from . import optim as O
 from .config import RunConfig
+from .data import _atomic_write
 from .errors import (ConfigError, DataError, NimbusError, ShapeError, SizeError,
                      ValidationError)
-from .model import (ModelConfig, PRESETS, _atomic_write, architecture_size,
-                    baseline_reference_param_count, load_checkpoint)
+from .model import (ModelConfig, PRESETS, architecture_size, baseline_reference_param_count,
+                    load_checkpoint)
 
 log = logging.getLogger("nimbus")
 
@@ -240,8 +241,8 @@ def dump_image(tensor_path, channel, frame, out_path):
     """Write one (H, W) slice of a tensor file as a binary P5 graymap.
 
     Values are min-max scaled to 0..255; a constant slice maps to 128.  An
-    empty slice, or one holding NaN or Inf, has no such scale and is refused.
-    """
+    empty slice has no such scale and is refused, and so would be NaN or
+    Inf, which read_tensor_file refuses first."""
     x = D.read_tensor_file(tensor_path)
     if not 2 <= x.ndim <= 4:
         raise ValidationError(f"cannot render a {x.ndim}-d tensor as an image")
@@ -253,9 +254,6 @@ def dump_image(tensor_path, channel, frame, out_path):
     where = ", ".join(f"{name} {i}" for name, i in index) or "the whole tensor"
     if plane.size == 0:
         raise ValidationError(f"{tensor_path}: slice ({where}) of dims {x.shape} is empty")
-    if not np.isfinite(plane).all():
-        raise ValidationError(f"{tensor_path}: slice ({where}) of dims {x.shape} holds "
-                              f"non-finite values")
     lo = float(plane.min())
     hi = float(plane.max())
     if hi > lo:

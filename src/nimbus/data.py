@@ -19,12 +19,12 @@ import dataclasses
 import json
 import os
 import struct
+import tempfile
 import zlib
 
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, ShapeError
-from .model import _atomic_write
 from .schema import Section
 
 TENSOR_MAGIC = b"W4CL"
@@ -35,6 +35,20 @@ MANIFEST_VERSION = 1
 DEFAULT_BAND_NAMES = ("VIS006", "VIS008", "IR016", "IR039", "IR087",
                       "IR097", "IR108", "IR120", "IR134")
 SYNTH_EPOCH = "2019-01-01T00:00:00"
+
+
+def _atomic_write(path, payload):
+    """Write payload to path by way of a temporary file: no reader sees a part."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def write_tensor_file(path, tensor):
@@ -50,10 +64,10 @@ def write_tensor_file(path, tensor):
 def read_tensor_file(path):
     """Read a tensor file: magic "W4CL", version u8, dtype u8 (1 = float32
     little-endian), ndim u8, one pad byte, ndim u32 little-endian dims, then
-    raw row-major data.  Malformed files raise FormatError with the byte
-    offset of the problem.  The file is read once into a buffer that the
-    returned array views, so the array is writable and shares its memory
-    with nothing else."""
+    raw row-major data, every value finite.  A malformed file, NaN or Inf
+    included, raises FormatError with the byte offset of the problem.  The
+    file is read once into a buffer that the returned array views, so the
+    array is writable and shares its memory with nothing else."""
     with open(path, "rb") as fh:
         raw = bytearray(os.fstat(fh.fileno()).st_size)
         del raw[fh.readinto(raw):]  # short if the file shrank after fstat
@@ -79,7 +93,13 @@ def read_tensor_file(path):
         raise FormatError(
             f"{path}: payload of {len(raw) - dims_end} bytes at byte {dims_end} "
             f"does not match dims {list(dims)} ({want} bytes)")
-    return np.frombuffer(raw, dtype="<f4", offset=dims_end).reshape(dims)
+    x = np.frombuffer(raw, dtype="<f4", offset=dims_end).reshape(dims)
+    # min and max pass a NaN on and allocate nothing; an empty array has neither.
+    if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
+        index = int(np.flatnonzero(~np.isfinite(x))[0])
+        raise FormatError(f"{path}: value {x.flat[index]:g} at byte {dims_end + 4 * index} "
+                          f"is not finite")
+    return x
 
 
 class _ManifestSection(Section):
@@ -266,7 +286,15 @@ def filter_non_rainy(manifest, samples, volume_threshold):
     if volume_threshold < 0:
         raise ConfigError(f"volume threshold must be >= 0, got {volume_threshold}")
     return [s for s in samples
-            if float(read_tensor_file(manifest.resolve(s.target_path)).sum()) >= volume_threshold]
+            if float(load_sample_target(manifest, s).sum()) >= volume_threshold]
+
+
+def _read_sample(manifest, rel, want):
+    """Read the sample file at rel, which must have the dims want."""
+    x = read_tensor_file(manifest.resolve(rel))
+    if x.shape != want:
+        raise DataError(f"sample {rel}: dims {x.shape} != manifest {want}")
+    return x
 
 
 def load_sample_input(manifest, record, bands=None):
@@ -274,10 +302,8 @@ def load_sample_input(manifest, record, bands=None):
     normalize: a (1, T_in*len(bands), crop, crop) float32 row.  bands are
     the names to keep, in order, None meaning the manifest's list; only
     another list runs the gather, and normalize reads the crop in place."""
-    x = read_tensor_file(manifest.resolve(record.input_path))
-    want = (1, manifest.t_in * len(manifest.band_names), manifest.h_raw, manifest.h_raw)
-    if x.shape != want:
-        raise DataError(f"sample {record.input_path}: dims {x.shape} != manifest {want}")
+    x = _read_sample(manifest, record.input_path,
+                     (1, manifest.t_in * len(manifest.band_names), manifest.h_raw, manifest.h_raw))
     bands = manifest.band_names if bands is None else tuple(bands)
     if bands != manifest.band_names:
         x = select_bands(x, manifest.band_names, bands, manifest.t_in)
@@ -286,21 +312,14 @@ def load_sample_input(manifest, record, bands=None):
 
 
 def load_sample_target(manifest, record):
-    y = read_tensor_file(manifest.resolve(record.target_path))
-    want = (1, manifest.t_out, 2 * manifest.crop, 2 * manifest.crop)
-    if y.shape != want:
-        raise DataError(f"sample {record.target_path}: dims {y.shape} != manifest {want}")
-    return y
+    return _read_sample(manifest, record.target_path,
+                        (1, manifest.t_out, 2 * manifest.crop, 2 * manifest.crop))
 
 
 def load_sample_latent(manifest, record):
     """Read one sample's last observed rain field, (1, 1, 2*crop, 2*crop):
     the frame the persistence baseline repeats across every lead."""
-    z = read_tensor_file(manifest.resolve(record.latent_path))
-    want = (1, 1, 2 * manifest.crop, 2 * manifest.crop)
-    if z.shape != want:
-        raise DataError(f"sample {record.latent_path}: dims {z.shape} != manifest {want}")
-    return z
+    return _read_sample(manifest, record.latent_path, (1, 1, 2 * manifest.crop, 2 * manifest.crop))
 
 
 def batch_iter(manifest, split, batch_size, seed, shuffle, bands=None):

@@ -20,7 +20,6 @@ from .errors import ConfigError, DataError, ShapeError
 from .schema import Section
 
 PREDICTION_SUFFIX = ".pred.w4cl"
-_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclasses.dataclass
@@ -196,17 +195,14 @@ class _Tally:
 
     def __init__(self, manifest):
         self.frame_pixels = (2 * manifest.crop) ** 2
-        self.t_out = manifest.t_out
         self.scenes = []
 
     def add(self, record, tp, n_pred, n_true):
-        """One scene's per-lead counts; a scalar stands for every lead."""
+        """One scene's per-lead counts."""
         self.scenes.append((record, tp, n_pred, n_true))
 
     def report(self, split, config):
-        tp, n_pred, n_true = np.zeros((3, len(self.scenes), self.t_out), dtype=np.int64)
-        for i, (_, *counts) in enumerate(self.scenes):
-            tp[i], n_pred[i], n_true[i] = counts
+        tp, n_pred, n_true = np.moveaxis(np.array([c for _, *c in self.scenes], np.int64), 1, 0)
         fn = n_true - tp
         counts = np.stack([tp, n_pred - tp, fn, self.frame_pixels - n_pred - fn], axis=-1)
         by_lead = [ConfusionCounts(*row) for row in counts.sum(axis=0).tolist()]
@@ -229,7 +225,7 @@ def _split_records(manifest, split):
 
 
 def _load_prediction(pred_dir, record, manifest, kind):
-    """One scene's prediction file: finite values, probabilities in [0, 1]."""
+    """One scene's prediction file; probabilities must lie in [0, 1]."""
     path = prediction_path(pred_dir, record)
     if not os.path.exists(path):
         raise DataError(f"missing prediction file {path}")
@@ -237,11 +233,10 @@ def _load_prediction(pred_dir, record, manifest, kind):
     want = (1, manifest.t_out, manifest.crop, manifest.crop)
     if p.shape != want:
         raise DataError(f"{path}: dims {p.shape} != {want}")
-    lo, hi = (0.0, 1.0) if kind == "probability" else (-_F32_MAX, _F32_MAX)
-    if not (lo <= p.min() and p.max() <= hi):
-        index = int(np.flatnonzero(~((p >= lo) & (p <= hi)))[0])
+    if kind == "probability" and not (0 <= p.min() and p.max() <= 1):
+        index = int(np.flatnonzero((p < 0) | (p > 1))[0])
         raise DataError(f"{path}: value {p.flat[index]:g} at byte {8 + 4 * p.ndim + 4 * index} "
-                        f"is not a {'probability in [0, 1]' if hi == 1 else 'finite rate'}")
+                        f"is not a probability in [0, 1]")
     return p
 
 
@@ -297,22 +292,21 @@ def trivial_baselines(manifest, split, config=EvalConfig()):
 
     One pass reads each target once, and each latent rain field once.
     Because 0 < prob_threshold < 1, all-zeros never predicts an event and
-    all-ones always does, so both come from the observed-event counts alone.
+    scores 0; all-ones always does and scores the share of event pixels.
     Persistence repeats the last observed rain field across every lead; when
     any sample carries no such field the entry is None rather than an error.
     """
     records = _split_records(manifest, split)
-    zeros, ones = _Tally(manifest), _Tally(manifest)
     persist = _Tally(manifest) if all(r.latent_path is not None for r in records) else None
+    observed = 0
     for record, true_event, n_true in _truths(manifest, records, config):
-        zeros.add(record, 0, 0, n_true)
-        ones.add(record, n_true, ones.frame_pixels, n_true)
+        observed += int(n_true.sum())
         if persist is not None:
             latent_event = binarize(D.load_sample_latent(manifest, record), config.threshold)
-            persist.add(record, _events(latent_event & true_event)[0], _events(latent_event)[0],
-                        n_true)
-    return {"all_zeros": zeros.report(split, config).pooled_csi,
-            "all_ones": ones.report(split, config).pooled_csi,
+            persist.add(record, _events(latent_event & true_event)[0],
+                        _events(latent_event)[0].repeat(manifest.t_out), n_true)
+    return {"all_zeros": 0.0,
+            "all_ones": observed / (len(records) * manifest.t_out * (2 * manifest.crop) ** 2),
             "persistence": None if persist is None else persist.report(split, config).pooled_csi}
 
 

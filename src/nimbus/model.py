@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import struct
-import tempfile
 import types
 
 import numpy as np
 
 from . import tensor as T
+from .data import _atomic_write
 from .errors import ConfigError, FormatError, ShapeError
 from .layers import CBAM, Block, DoubleConvDS, _he_uniform
 from .schema import Section
@@ -310,19 +309,6 @@ def baseline_reference_param_count(config):
         carry = dec_out[i]
     total += dec_out[3] * config.out_channels + config.out_channels
     return total
-
-
-def _atomic_write(path, payload):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def save_checkpoint(model, path):

@@ -18,8 +18,9 @@ import numpy as np
 
 from . import data as D
 from . import tensor as T
+from .data import _atomic_write
 from .errors import ConfigError, PoisonedGradientError, ShapeError, StateError
-from .model import LOSSES, _atomic_write, build_model, save_checkpoint
+from .model import LOSSES, build_model, save_checkpoint
 from .schema import Section
 
 

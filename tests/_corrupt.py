@@ -10,6 +10,7 @@ import struct
 import numpy as np
 
 from nimbus import data as D
+from nimbus import metrics as M
 from nimbus import optim as O
 
 
@@ -45,6 +46,35 @@ def _in_header(edit, append=b""):
 def rewrite_tensor(path, dims):
     """Replace a tensor file in place with a well-formed one of other dims."""
     D.write_tensor_file(path, np.ones(dims, np.float32))
+
+
+def poison_tensor(path, index, value):
+    """Set the float32 at a multi-index of a tensor file in place, every
+    other byte unchanged; returns that value's byte offset."""
+    with open(path, "r+b") as fh:
+        ndim = fh.read(8)[6]
+        dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+        offset = 8 + 4 * ndim + 4 * int(np.ravel_multi_index(index, dims))
+        fh.seek(offset)
+        fh.write(struct.pack("<f", value))
+    return offset
+
+
+def poison_file_of(manifest, record, kind, value, pred_dir):
+    """Set the middle value of record's file of a kind (see
+    NON_FINITE_FILES) in place; returns (its path, the value's byte
+    offset).  The middle of an input lies inside its crop window.  For the
+    kind "prediction", pred_dir first gets an all-zero prediction file for
+    every test record."""
+    if kind == "prediction":
+        zeros = np.zeros((1, manifest.t_out, manifest.crop, manifest.crop), np.float32)
+        for r in manifest.split_samples("test"):
+            D.write_tensor_file(M.prediction_path(pred_dir, r), zeros)
+        path = M.prediction_path(pred_dir, record)
+    else:
+        path = manifest.resolve(getattr(record, f"{kind}_path"))
+    middle = tuple(d // 2 for d in D.read_tensor_file(path).shape)
+    return path, poison_tensor(path, middle, value)
 
 
 def poison_epoch(monkeypatch, epoch):
@@ -181,6 +211,17 @@ BAD_LATENT_DIMS = [
     ("other-grid", lambda c: (1, 1, 8, 8)),
     ("two-frames", lambda c: (2, 1, 2 * c, 2 * c)),
 ]
+
+
+# Tensor files holding a value no tensor file may hold, as (test id, file
+# kind, value).  Each once read silently: a NaN input pixel made predict
+# write that scene's forecast all NaN and moved the pooled CSI, a NaN target
+# or latent pixel counted as no event, and a NaN train target summed to NaN
+# and dropped its sample from training.
+NON_FINITE_FILES = [(f"{kind}-{name}", kind, value)
+                    for kind in ("input", "target", "latent", "prediction")
+                    for name, value in (("nan", float("nan")), ("inf", float("inf")),
+                                        ("minus-inf", float("-inf")))]
 
 
 def _shift_offsets(first, by):

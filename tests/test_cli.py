@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from _corrupt import (BAD_BLOB_TABLES, BAD_CHECKPOINTS, BAD_CONFIGS, BAD_LATENT_DIMS,
-                      BAD_MANIFESTS, OVERSIZED_CONFIGS, oversize, poison_epoch, reorder_bands,
+                      BAD_MANIFESTS, NON_FINITE_FILES, OVERSIZED_CONFIGS, oversize,
+                      poison_epoch, poison_file_of, poison_tensor, reorder_bands,
                       rewrite_checkpoint, rewrite_checkpoint_header, rewrite_manifest,
                       rewrite_tensor)
 from _oracles import evaluate_ref
@@ -820,6 +821,65 @@ class TestMalformedInputs:
         assert f"at byte {8 + 4 * 4 + 4 * index} " in line
         assert not os.path.exists(str(tmp_path / "rep"))
 
+    @staticmethod
+    def _data_copy(workspace, tmp_path):
+        """A private copy of the workspace dataset and its manifest path."""
+        shutil.copytree(os.path.dirname(workspace["manifest"]), tmp_path / "data")
+        path = str(tmp_path / "data" / "manifest.json")
+        return D.load_manifest(path), path
+
+    @staticmethod
+    def _not_finite_line(path, value, offset):
+        return f"nimbus: error: {path}: value {value:g} at byte {offset} is not finite"
+
+    @pytest.mark.parametrize("kind,value", [case[1:] for case in NON_FINITE_FILES],
+                             ids=[case[0] for case in NON_FINITE_FILES])
+    def test_non_finite_value_exits_two_naming_file_and_byte(self, workspace, trained, tmp_path,
+                                                            capsys, kind, value):
+        """predict reads inputs, evaluate --checkpoint targets and then
+        latents for the baselines, and evaluate --predictions its files."""
+        manifest, manifest_path = self._data_copy(workspace, tmp_path)
+        pred_dir = tmp_path / "preds"
+        pred_dir.mkdir()
+        path, offset = poison_file_of(manifest, manifest.split_samples("test")[0], kind, value,
+                                      str(pred_dir))
+        command = {"input": ["predict", "--checkpoint", trained],
+                   "target": ["evaluate", "--checkpoint", trained],
+                   "latent": ["evaluate", "--checkpoint", trained],
+                   "prediction": ["evaluate", "--predictions", str(pred_dir)]}[kind]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(command + ["--config", workspace["config"], "--manifest", manifest_path,
+                               "--out", str(out)]) == 2
+        assert only_error_line(capsys) == self._not_finite_line(path, value, offset)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_nan_input_outside_the_crop_window_exits_two(self, workspace, trained, tmp_path,
+                                                         capsys, command):
+        manifest, manifest_path = self._data_copy(workspace, tmp_path)
+        path = manifest.resolve(manifest.split_samples("test")[1].input_path)
+        offset = poison_tensor(path, (0, 0, 0, 0), float("nan"))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, "--checkpoint", trained, "--config", workspace["config"],
+                     "--manifest", manifest_path, "--out", str(out)]) == 2
+        assert only_error_line(capsys) == self._not_finite_line(path, float("nan"), offset)
+        assert not out.exists()
+
+    def test_nan_train_target_exits_two(self, workspace, tmp_path, capsys):
+        """Such a sample once left training without a word: the rain filter
+        compared its NaN sum False with the threshold."""
+        manifest, manifest_path = self._data_copy(workspace, tmp_path)
+        path = manifest.resolve(manifest.split_samples("train")[0].target_path)
+        offset = poison_tensor(path, (0, 2, 3, 4), float("nan"))
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["train", "--config", workspace["config"], "--manifest", manifest_path,
+                     "--out", str(out)]) == 2
+        assert only_error_line(capsys) == self._not_finite_line(path, float("nan"), offset)
+        assert not (out / "model.smck").exists()
+
     def test_manifest_without_t_out_exits_two(self, tmp_path, capsys):
         data_dir = str(tmp_path / "data")
         assert main(["synth", "--out", data_dir, "--n", "2", "--n-val", "1",
@@ -871,24 +931,32 @@ class TestDumpImage:
         got = np.frombuffer(read_pgm(out)[2], np.uint8).reshape(4, 4)
         np.testing.assert_array_equal(got, (mask * 255).astype(np.uint8))
 
-    @pytest.mark.parametrize("dims,frame,value,text", [
-        ((2, 0), 0, 0.0, "(the whole tensor) of dims (2, 0) is empty"),
-        ((3, 0, 4), 0, 0.0, "(channel 0) of dims (3, 0, 4) is empty"),
-        ((2, 1, 4, 4), 1, np.inf, "(frame 1, channel 0) of dims (2, 1, 4, 4) holds non-finite"),
-        ((2, 1, 4, 4), 1, -np.inf, "(frame 1, channel 0)"),
-        ((2, 1, 4, 4), 1, np.nan, "(frame 1, channel 0)"),
-    ], ids=["empty-2d", "empty-3d", "inf", "minus-inf", "nan"])
-    def test_unscalable_slice_exits_one(self, tmp_path, capsys, dims, frame, value, text):
-        """An empty slice once escaped as a ValueError traceback, one with
-        Inf was written as garbage and one with NaN as all 128."""
-        x = np.zeros(dims, np.float32)
-        if x.size:
-            x[frame, 0, 1, 2] = value
+    @pytest.mark.parametrize("dims,text", [
+        ((2, 0), "(the whole tensor) of dims (2, 0) is empty"),
+        ((3, 0, 4), "(channel 0) of dims (3, 0, 4) is empty"),
+    ], ids=["empty-2d", "empty-3d"])
+    def test_unscalable_slice_exits_one(self, tmp_path, capsys, dims, text):
+        """An empty slice once escaped as a ValueError traceback."""
+        path = str(tmp_path / "t.w4cl")
+        D.write_tensor_file(path, np.zeros(dims, np.float32))
+        out = str(tmp_path / "t.pgm")
+        assert main(["dump-image", "--input", path, "--out", out]) == 1
+        assert text in only_error_line(capsys)
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "minus-inf", "nan"])
+    def test_non_finite_value_exits_two_naming_its_byte(self, tmp_path, capsys, value):
+        """A slice with Inf was once written as garbage and one with NaN as
+        all 128; now the file does not read, in any slice."""
+        x = np.zeros((2, 1, 4, 4), np.float32)
+        x[1, 0, 1, 2] = value
         path = str(tmp_path / "t.w4cl")
         D.write_tensor_file(path, x)
         out = str(tmp_path / "t.pgm")
-        assert main(["dump-image", "--input", path, "--frame", str(frame), "--out", out]) == 1
-        assert text in only_error_line(capsys)
+        assert main(["dump-image", "--input", path, "--frame", "0", "--out", out]) == 2
+        offset = 8 + 4 * 4 + 4 * int(np.ravel_multi_index((1, 0, 1, 2), x.shape))
+        assert only_error_line(capsys) == (f"nimbus: error: {path}: value {value:g} at byte "
+                                           f"{offset} is not finite")
         assert not os.path.exists(out)
 
     def test_out_of_range_indices_exit_one(self, tmp_path):

@@ -10,9 +10,11 @@ import types
 import numpy as np
 import pytest
 
-from _corrupt import BAD_MANIFESTS, UNDECODABLE_JSON, rewrite_manifest
+from _corrupt import (BAD_MANIFESTS, NON_FINITE_FILES, UNDECODABLE_JSON, poison_file_of,
+                      poison_tensor, rewrite_manifest)
 from _oracles import block_mean2_ref, synth_sample_ref
 from nimbus import data as D
+from nimbus import metrics as M
 from nimbus.errors import ConfigError, DataError, FormatError, ShapeError
 
 SMALL = dict(n_train=6, n_val=2, n_test=2, grid=16, noise_sigma=0.02, seed=5)
@@ -116,6 +118,67 @@ class TestTensorFile:
         p.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="version"):
             D.read_tensor_file(p)
+
+
+class TestNonFiniteValues:
+    """read_tensor_file refuses NaN and Inf anywhere in a file, so the
+    reader of every file kind refuses them, naming the file and the byte."""
+
+    @pytest.fixture
+    def fresh_set(self, tmp_path):
+        return D.load_manifest(D.synth_generate(D.SynthConfig(**SMALL), str(tmp_path)))
+
+    @staticmethod
+    def message(path, value, offset):
+        return f"{path}: value {value:g} at byte {offset} is not finite"
+
+    @pytest.mark.parametrize("kind,value", [case[1:] for case in NON_FINITE_FILES],
+                             ids=[case[0] for case in NON_FINITE_FILES])
+    def test_reader_of_each_kind_names_file_and_byte(self, fresh_set, tmp_path, kind, value):
+        record = fresh_set.split_samples("test")[0]
+        path, offset = poison_file_of(fresh_set, record, kind, value, str(tmp_path))
+        read = {"input": D.load_sample_input, "target": D.load_sample_target,
+                "latent": D.load_sample_latent,
+                "prediction": lambda manifest, r: M.evaluate(str(tmp_path), manifest, [r])}[kind]
+        with pytest.raises(FormatError) as err:
+            read(fresh_set, record)
+        assert str(err.value) == self.message(path, value, offset)
+
+    def test_nan_outside_the_input_crop_window_is_refused(self, fresh_set):
+        """The crop never reads the corner, but band statistics read the
+        whole grid: the whole file is checked."""
+        record = fresh_set.split_samples("test")[0]
+        path = fresh_set.resolve(record.input_path)
+        offset = poison_tensor(path, (0, 0, 0, 0), float("nan"))
+        assert offset == 8 + 4 * 4
+        with pytest.raises(FormatError) as err:
+            D.load_sample_input(fresh_set, record)
+        assert str(err.value) == self.message(path, float("nan"), offset)
+
+    def test_nan_train_target_is_refused_not_filtered_out(self, fresh_set):
+        """A NaN target once summed to NaN, compared False with the
+        threshold and silently left training."""
+        train = fresh_set.split_samples("train")
+        path = fresh_set.resolve(train[2].target_path)
+        offset = poison_tensor(path, (0, 3, 5, 7), float("nan"))
+        with pytest.raises(FormatError) as err:
+            D.filter_non_rainy(fresh_set, train, fresh_set.filter_threshold)
+        assert str(err.value) == self.message(path, float("nan"), offset)
+
+    def test_first_non_finite_value_is_named(self, tmp_path):
+        x = np.zeros(10, np.float32)
+        x[[3, 7]] = [-np.inf, np.nan]
+        path = tmp_path / "t.w4cl"
+        D.write_tensor_file(path, x)
+        with pytest.raises(FormatError, match=r": value -inf at byte 24 is not finite$"):
+            D.read_tensor_file(path)
+
+    def test_extreme_finite_values_read(self, tmp_path):
+        f32 = np.finfo(np.float32)
+        x = np.array([f32.max, -f32.max, f32.smallest_subnormal, -0.0], np.float32)
+        path = tmp_path / "t.w4cl"
+        D.write_tensor_file(path, x)
+        assert D.read_tensor_file(path).tobytes() == x.tobytes()
 
 
 class TestCenterCrop:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nimbus import layers as L
-from nimbus import tensor as T
 from nimbus.errors import ConfigError, DegenerateBatchError, StateError
 
 from _oracles import (batch_norm_backward_ref, batch_norm_forward_ref, channel_attention_ref,

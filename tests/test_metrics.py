@@ -23,7 +23,7 @@ from nimbus import data as D
 from nimbus import metrics as M
 from nimbus import optim as O
 from nimbus import tensor as T
-from nimbus.errors import ConfigError, DataError, ShapeError
+from nimbus.errors import ConfigError, DataError, FormatError, ShapeError
 from nimbus.model import ModelConfig, build_model, load_checkpoint
 
 TOY_MODEL = ModelConfig(in_channels=8, out_channels=16,
@@ -271,15 +271,17 @@ class TestEvaluateFromFiles:
     @pytest.mark.parametrize("kind,value", [
         ("probability", np.nan), ("probability", 7.0), ("probability", -3.0),
         ("probability", np.inf), ("rate", np.nan), ("rate", np.inf), ("rate", -np.inf)])
-    def test_bad_prediction_value_is_data_error_naming_its_byte(self, micro, kind, value):
-        """Scoring refuses a value that is not finite or, for probabilities,
-        outside [0, 1]; the message names the byte of the first such value."""
+    def test_bad_prediction_value_is_refused_naming_its_byte(self, micro, kind, value):
+        """Scoring refuses a value that is not finite (read_tensor_file's
+        FormatError) or, for probabilities, outside [0, 1] (DataError); the
+        message names the byte of the first such value."""
         manifest, pred_dir = micro
         path = M.prediction_path(pred_dir, manifest.samples[1])
         p = D.read_tensor_file(path)
         p.flat[5:7] = value
         D.write_tensor_file(path, p)
-        with pytest.raises(DataError, match=r"at byte (\d+) ") as err:
+        error = DataError if np.isfinite(value) else FormatError
+        with pytest.raises(error, match=r"at byte (\d+) ") as err:
             M.evaluate(pred_dir, manifest, "test", kind=kind)
         assert str(err.value).startswith(path)
         offset = int(re.search(r"at byte (\d+) ", str(err.value)).group(1))

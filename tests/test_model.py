@@ -8,7 +8,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nimbus import tensor as T
 from nimbus.config import RunConfig
 from nimbus.errors import ConfigError, FormatError, ShapeError, StateError
 from nimbus.model import (CHECKPOINT_VERSION, ModelConfig, architecture_size,

@@ -9,7 +9,8 @@ and are exempt from the reference check.
 
 The test helpers in tests/_oracles.py and tests/_corrupt.py are held to
 the same rule against the test modules: each must be reached from some
-test module, directly or through another helper that is.
+test module, directly or through another helper that is.  And no module
+of the programs or the tests imports a name it never uses.
 """
 
 import ast
@@ -136,6 +137,25 @@ def test_every_test_helper_is_reached_from_a_test_module():
     unreached = [f"tests/{helper}:{line} {name}" for name, (helper, line, stmt) in defines.items()
                  if name not in reached and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))]
     assert unreached == [], unreached
+
+
+def test_every_top_level_import_is_used():
+    """A name that a module-level import binds must be read somewhere in
+    the module; `from __future__` imports bind nothing."""
+    unused = []
+    for top in PROGRAM_DIRS + ("tests",):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for stmt in tree.body:
+                if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                    continue
+                if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                    for alias in stmt.names:
+                        name = alias.asname or alias.name.split(".")[0]
+                        if name not in read:
+                            unused.append(f"{path.relative_to(ROOT)}:{stmt.lineno} {name}")
+    assert unused == [], unused
 
 
 def _defaulted(func, owner):

@@ -1,9 +1,9 @@
 """Property tests: a tensor file with bytes overwritten, cut off or appended
-either reads, with dims that account for every byte, or fails with a
-FormatError naming a byte offset, never a bare builtin; and `nimbus
-evaluate --predictions` over such a prediction file exits 0 or 2, with one
-error line when it fails: 0 exactly when the file reads with the right dims
-and every value is a probability in [0, 1]."""
+either reads, with dims that account for every byte and every value
+finite, or fails with a FormatError naming a byte offset, never a bare
+builtin; and `nimbus evaluate --predictions` over such a prediction file
+exits 0 or 2, with one error line when it fails: 0 exactly when the file
+reads with the right dims and every value is a probability in [0, 1]."""
 
 import os
 import re
@@ -54,6 +54,7 @@ def test_mutated_tensor_file_reads_or_names_a_byte(tmp_path_factory, mutations):
     if isinstance(got, np.ndarray):
         assert 8 + 4 * got.ndim + got.nbytes == len(raw)
         assert got.flags.writeable and got.dtype == np.dtype("<f4")
+        assert np.isfinite(got).all()
 
 
 @pytest.fixture(scope="module")
