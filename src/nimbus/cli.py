@@ -134,9 +134,9 @@ def cmd_synth(args):
 def cmd_train(args):
     config = _load_run_config(args)
     manifest = _manifest_from(args, config)
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "run-config.json"), config.to_dict())
     if args.regions or args.years:
+        os.makedirs(args.out, exist_ok=True)
+        _write_json(os.path.join(args.out, "run-config.json"), config.to_dict())
         regions = _comma_list(args.regions) if args.regions else \
             tuple(sorted({r for r, _ in manifest.region_years()}))
         years = _comma_ints(args.years) if args.years else \
@@ -159,8 +159,12 @@ def cmd_train(args):
             return EXIT_RUNTIME
         log.info("trained %d regional models into %s", len(results), args.out)
         return EXIT_OK
-    path = O.train_single(manifest, config.model, config.train, args.out,
-                          drop=config.data.drop_bands)
+    try:
+        path = O.train_single(manifest, config.model, config.train, args.out,
+                              drop=config.data.drop_bands)
+    finally:    # --out exists once the rain filter has read every train target
+        if os.path.isdir(args.out):
+            _write_json(os.path.join(args.out, "run-config.json"), config.to_dict())
     log.info("trained model: %s", path)
     return EXIT_OK
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import tempfile
@@ -88,7 +89,7 @@ def read_tensor_file(path):
     if len(raw) < dims_end:
         raise FormatError(f"{path}: dims truncated at byte {len(raw)}")
     dims = struct.unpack_from(f"<{ndim}I", raw, 8)
-    want = int(np.prod(dims, dtype=np.int64)) * 4
+    want = math.prod(dims) * 4     # exact: a fixed-width product can wrap
     if len(raw) - dims_end != want:
         raise FormatError(
             f"{path}: payload of {len(raw) - dims_end} bytes at byte {dims_end} "

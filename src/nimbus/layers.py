@@ -10,9 +10,8 @@ backward.  Batch-norm running statistics move only in train mode.
 
 A train step holds each activation once, and a backward frees each one
 at its last read.  What each block caches:
-- DepthwiseSeparableConv: its input x and the depthwise output mid.  Only
-  the pointwise backward reads mid, so mid is freed before the depthwise
-  backward runs.
+- DepthwiseSeparableConv: its input x only.  The backward recomputes each
+  sample's depthwise output, which never exists at batch size.
 - BatchNorm: the normalized input xhat and the per-channel 1/std.
 - ChannelAttention: its input x, the two descriptors, the max positions,
   the MLP pre-activation and the gate s.
@@ -20,13 +19,13 @@ at its last read.  What each block caches:
   gate m, but not its input.  In CBAM that input is the channel gate's
   output x * s, which the backward rebuilds from the channel gate's cache.
 - DoubleConvDS: the post-ReLU activations a1 and a2.  a1 is also dsc2's
-  cached input.  a2 is freed right after the backward's first ReLU mask,
-  its last read.
+  cached input.  Each is freed right after the backward's ReLU mask that
+  is its last read.
 
 Eval mode does only what an eval forward needs: it caches nothing, mutates
 nothing, and skips work whose only use is the backward.  Each batch norm
 runs folded into the pointwise conv before it (see DoubleConvDS), and the
-spatial gate takes its channel max without the argmax.
+attention gates take their maxima without the argmax.
 """
 
 from __future__ import annotations
@@ -113,6 +112,7 @@ class DepthwiseSeparableConv(Block):
     """3x3 depthwise conv (multiplier k) followed by a 1x1 pointwise conv,
     neither with a bias: every one feeds a batch norm, whose mean
     subtraction would cancel it.  Parameter count is 9k*C_in + k*C_in*C_out.
+    Both run fused in tensor.separable_conv2d; train mode caches only x.
 
     An eval forward may pass affine=(scale, shift), a per-output-channel
     map to apply after the pointwise conv; it runs as that conv with its
@@ -127,7 +127,6 @@ class DepthwiseSeparableConv(Block):
         super().__init__()
         self.c_in = c_in
         self.c_out = c_out
-        self.multiplier = multiplier
         mid = c_in * multiplier
         self.p["depthwise.weight"] = _he_uniform(rng, (mid, 1, 3, 3), 9)
         self.p["pointwise.weight"] = _he_uniform(rng, (c_out, mid, 1, 1), mid)
@@ -135,23 +134,17 @@ class DepthwiseSeparableConv(Block):
     def forward(self, x, train=False, affine=None):
         if x.shape[1] != self.c_in:
             raise ShapeError(f"expected {self.c_in} input channels, got {x.shape[1]}")
-        mid = T.conv2d(x, self.p["depthwise.weight"], padding=1, groups=self.c_in)
-        if affine is None:
-            y = T.conv2d(mid, self.p["pointwise.weight"])
-        else:
+        pointwise, shift = self.p["pointwise.weight"], None
+        if affine is not None:
             scale, shift = affine
-            y = T.conv2d(mid, self.p["pointwise.weight"] * scale[:, None, None, None], shift)
-        self._cache = (x, mid) if train else None
-        return y
+            pointwise = pointwise * scale[:, None, None, None]
+        self._cache = x if train else None
+        return T.separable_conv2d(x, self.p["depthwise.weight"], pointwise, shift)
 
     def backward(self, grad_out, input_grad=True):
-        x, mid = self._need_cache()
-        g_mid, g_pw, _ = T.conv2d_backward(mid, self.p["pointwise.weight"], grad_out,
-                                           has_bias=False)
-        del mid     # its last read: free it before the depthwise backward
-        g_x, g_dw, _ = T.conv2d_backward(x, self.p["depthwise.weight"], g_mid,
-                                         padding=1, groups=self.c_in, has_bias=False,
-                                         input_grad=input_grad)
+        g_x, g_dw, g_pw = T.separable_conv2d_backward(
+            self._need_cache(), self.p["depthwise.weight"], self.p["pointwise.weight"],
+            grad_out, input_grad)
         self.g = {"depthwise.weight": g_dw, "pointwise.weight": g_pw}
         return g_x
 
@@ -232,7 +225,8 @@ class BatchNorm(Block):
 
 class ChannelAttention(Block):
     """CBAM channel gate: a shared two-layer bottleneck MLP (no biases) over
-    the spatial average and spatial max descriptors, summed and squashed."""
+    the spatial average and spatial max descriptors, summed and squashed.
+    Eval mode takes the plain max, without the positions, as SpatialAttention does."""
 
     def __init__(self, channels, reduction, rng):
         super().__init__()
@@ -252,13 +246,13 @@ class ChannelAttention(Block):
             raise ShapeError(f"expected {self.channels} channels, got {c}")
         w1, w2 = self.p["w1"], self.p["w2"]
         flat = x.reshape(n, c, h * w)
-        arg = flat.argmax(axis=2)
+        arg = flat.argmax(axis=2)[:, :, None] if train else None
         # The two descriptors of each sample side by side, (n, c, 2).  The
         # MLP is one small stacked matmul per sample, whose bytes do not
         # depend on the batch; one GEMM over the batch rows would let BLAS
         # pick its kernel by row count.
-        desc = np.stack([flat.mean(axis=2),
-                         np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]], axis=2)
+        desc = np.stack([flat.mean(axis=2), flat.max(axis=2) if arg is None else
+                         np.take_along_axis(flat, arg, axis=2)[:, :, 0]], axis=2)
         pre = w1 @ desc
         z = (w2 @ np.maximum(pre, 0)).sum(axis=2)
         s = T.sigmoid(z)
@@ -284,7 +278,7 @@ class ChannelAttention(Block):
         davg, dmx = ddesc[:, :, 0], ddesc[:, :, 1]
         gx += davg[:, :, None, None] / (h * w)
         scat = np.zeros((n, c, h * w), dtype=grad_out.dtype)
-        np.put_along_axis(scat, arg[:, :, None], dmx[:, :, None], axis=2)
+        np.put_along_axis(scat, arg, dmx[:, :, None], axis=2)
         gx += scat.reshape(n, c, h, w)
         return gx
 
@@ -430,7 +424,7 @@ class DoubleConvDS(Block):
         g = T.relu_backward(grad_out, a2)
         del a2      # its last read: free it before the rest of the backward
         g = self.bn2.backward(g)
-        g = self.dsc2.backward(g)
-        return self.dsc1.backward(self.bn1.backward(T.relu_backward(g, a1)),
-                                  input_grad=input_grad)
+        g = T.relu_backward(self.dsc2.backward(g), a1)
+        del a1      # likewise, before batch norm and the conv below it
+        return self.dsc1.backward(self.bn1.backward(g), input_grad=input_grad)
 

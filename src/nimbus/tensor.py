@@ -51,31 +51,37 @@ def _conv_geometry(x, weight, padding, groups):
     return n, c_in, h, w, c_out, kh, kw, span_h + 1, span_w + 1
 
 
-def _flat_padded_samples(x, padding):
-    """Yield each sample of x zero-padded and flattened to (C, (H+2p)(W+2p)).
+class _Im2col:
+    """The im2col of one conv in conv2d's flat-row layout: iterating fills
+    cols with each sample's tap windows in turn, and product() is then that
+    sample's stacked GEMM as a (C_out, out_h, out_w) view of a reused buffer."""
 
-    In this flat-row layout the window of tap (dy, dx) is the contiguous
-    slice that starts at dy*(W+2p) + dx.  One buffer is reused for every
-    sample, so a caller that needs a sample after the next one is drawn
-    must copy it.
-    """
-    _, c, h, w = x.shape
-    ph, pw = h + 2 * padding, w + 2 * padding
-    buf = np.zeros((c, ph * pw), dtype=x.dtype)
-    inner = buf.reshape(c, ph, pw)[:, padding:padding + h, padding:padding + w]
-    for sample in x:
-        inner[...] = sample
-        yield buf
+    def __init__(self, x, weight, padding, groups):
+        self.geometry = _conv_geometry(x, weight, padding, groups)
+        _, c_in, h, w, c_out, kh, kw, out_h, out_w = self.geometry
+        self.x, self.padding, self.pw = x, padding, w + 2 * padding
+        self.wv = weight.reshape(groups, c_out // groups, -1)
+        self.span = out_h * self.pw - (kw - 1)
+        self.cols = np.empty((c_in, kh * kw, self.span), dtype=x.dtype)
+        self.gcols = self.cols.reshape(groups, -1, self.span)
+        self.acc = np.empty((groups, c_out // groups, out_h * self.pw), dtype=x.dtype)
+        self.rows = self.acc.reshape(c_out, out_h, self.pw)[:, :, :out_w]
 
+    def __iter__(self):
+        _, c, h, w = self.x.shape
+        p, pw, kw, span = self.padding, self.pw, self.geometry[6], self.span
+        buf = np.zeros((c, (h + 2 * p) * pw), dtype=self.x.dtype)
+        inner = buf.reshape(c, h + 2 * p, pw)[:, p:p + h, p:p + w]
+        for sample in self.x:
+            inner[...] = sample
+            for t in range(self.cols.shape[1]):
+                off = (t // kw) * pw + t % kw
+                self.cols[:, t] = buf[:, off:off + span]
+            yield
 
-def _im2col(xf, cols, kw, pw):
-    """Fill cols (C, kh*kw, span) with the tap windows of one flat padded
-    sample xf (C, (H+2p)*pw): tap t = (dy, dx) is the contiguous slice of
-    xf that starts at dy*pw + dx."""
-    span = cols.shape[2]
-    for t in range(cols.shape[1]):
-        off = (t // kw) * pw + t % kw
-        cols[:, t] = xf[:, off:off + span]
+    def product(self):
+        np.matmul(self.wv, self.gcols, out=self.acc[:, :, :self.span])
+        return self.rows
 
 
 def conv2d(x, weight, bias=None, *, padding=0, groups=1):
@@ -101,8 +107,8 @@ def conv2d(x, weight, bias=None, *, padding=0, groups=1):
     Each kept column of cols holds exactly the window of its output pixel,
     so the junk costs no exactness: every kept value is a dot product of
     its cg*kh*kw products, rounded within the usual (cg*kh*kw-1)*eps/2 of
-    the exact sum.  Every sample runs the same GEMM
-    shapes, so a sample's output bytes do not depend on the batch it is in.
+    the exact sum.  Every sample runs the same GEMM shapes, so a sample's
+    output bytes do not depend on the batch it is in.
     """
     n, c_in, h, w, c_out, kh, kw, out_h, out_w = _conv_geometry(x, weight, padding, groups)
     if bias is not None and bias.shape != (c_out,):
@@ -112,19 +118,10 @@ def conv2d(x, weight, bias=None, *, padding=0, groups=1):
         y = np.matmul(weight.reshape(c_out, c_in), x.reshape(n, c_in, h * w))
         y = y.reshape(n, c_out, out_h, out_w)
     else:
-        cg, mult, taps = c_in // groups, c_out // groups, kh * kw
-        wv = weight.reshape(groups, mult, cg * taps)
-        pw = w + 2 * padding
-        span = out_h * pw - (kw - 1)
-        cols = np.empty((c_in, taps, span), dtype=x.dtype)
-        gcols = cols.reshape(groups, cg * taps, span)
-        acc = np.empty((groups, mult, out_h * pw), dtype=x.dtype)
-        rows = acc.reshape(c_out, out_h, pw)[:, :, :out_w]
+        im = _Im2col(x, weight, padding, groups)
         y = np.empty((n, c_out, out_h, out_w), dtype=x.dtype)
-        for yb, xf in zip(y, _flat_padded_samples(x, padding)):
-            _im2col(xf, cols, kw, pw)
-            np.matmul(wv, gcols, out=acc[:, :, :span])
-            yb[...] = rows
+        for yb, _ in zip(y, im):
+            yb[...] = im.product()
 
     y = np.ascontiguousarray(y, dtype=x.dtype)
     if bias is not None:
@@ -132,11 +129,9 @@ def conv2d(x, weight, bias=None, *, padding=0, groups=1):
     return y
 
 
-def conv2d_backward(x, weight, grad_out, *, padding=0, groups=1, has_bias=True,
-                    input_grad=True):
-    """Gradients of conv2d.  Returns (grad_x, grad_weight, grad_bias or None).
-    With input_grad=False grad_x is None and none of its work is done: the
-    first conv of a network has no layer below to take it.
+def conv2d_backward(x, weight, grad_out, *, padding=0):
+    """Gradients of conv2d.  Returns (grad_x, grad_weight, grad_bias).  The
+    groups are those the weight's shape implies, C_in / weight.shape[1].
 
     An unpadded 1x1 conv without groups takes one matmul over the batch
     for grad_x.  Its grad_w is a running sum over the samples in batch
@@ -158,23 +153,24 @@ def conv2d_backward(x, weight, grad_out, *, padding=0, groups=1, has_bias=True,
     of mult*kh*kw in place of C_in*kh*kw tap rows and their sum.  Only the
     shape picks the path.  Every other conv, depthwise (cg = 1) included,
     uses the stacked matmul w^T @ g, (groups, cg, kh, kw, mult) @
-    (groups, 1, 1, mult, span), which gives
-    each channel's and tap's contribution to the input gradient; it writes
-    tap t's row at the offset dy*(W+2p) + dx where the tap read its
-    window, in a zeroed (C_in, kh*kw, (H+2p)(W+2p)) buffer, so col2im is
-    one sum over the tap axis into the flat padded grad_x.
+    (groups, 1, 1, mult, span), which gives each channel's and tap's
+    contribution to the input gradient; it writes tap t's row at the
+    offset dy*(W+2p) + dx where the tap read its window, in a zeroed
+    (C_in, kh*kw, (H+2p)(W+2p)) buffer, so col2im is one sum over the tap
+    axis into the flat padded grad_x.
 
     With finite inputs the zeros of g and of the padding make every
     wrapped-around term a +-0 product, which changes no nonzero sum: grad_x
     and grad_w are those of a direct correlation up to summation order, and
     like the forward they do not depend on the rest of the batch.
     """
+    groups = x.shape[1] // max(weight.shape[1], 1) if np.ndim(x) == np.ndim(weight) == 4 else 1
     n, c_in, h, w, c_out, kh, kw, out_h, out_w = _conv_geometry(x, weight, padding, groups)
     if grad_out.shape != (n, c_out, out_h, out_w):
         raise ShapeError(
             f"grad_out must have shape {(n, c_out, out_h, out_w)}, got {grad_out.shape}"
         )
-    grad_bias = grad_out.sum(axis=(0, 2, 3)) if has_bias else None
+    grad_bias = grad_out.sum(axis=(0, 2, 3))
 
     if kh == 1 and kw == 1 and groups == 1 and padding == 0:
         gof = grad_out.reshape(n, c_out, h * w)
@@ -183,24 +179,34 @@ def conv2d_backward(x, weight, grad_out, *, padding=0, groups=1, has_bias=True,
         gw = np.empty_like(grad_w)
         for gob, xb in zip(gof, xf):
             grad_w += np.matmul(gob, xb.T, out=gw)
-        grad_x = (np.matmul(weight.reshape(c_out, c_in).T, gof).reshape(x.shape)
-                  if input_grad else None)
+        grad_x = np.matmul(weight.reshape(c_out, c_in).T, gof).reshape(x.shape)
         return grad_x, grad_w.reshape(weight.shape), grad_bias
 
-    cg, mult, taps = c_in // groups, c_out // groups, kh * kw
-    ph, pw = h + 2 * padding, w + 2 * padding
-    span = out_h * pw - (kw - 1)
+    cg, mult = c_in // groups, c_out // groups
     transposed = mult < cg and kh == kw and padding < kh
-    col2im = input_grad and not transposed
-    grad_x = None
-    if input_grad and transposed:
+    go = grad_out.reshape(n, groups, mult, out_h, out_w)
+    grad_x, grad_w = _im2col_backward(_Im2col(x, weight, padding, groups), not transposed,
+                                      go.__getitem__)
+    if transposed:
         flipped = (weight.reshape(groups, mult, cg, kh, kw)[..., ::-1, ::-1]
                    .transpose(0, 2, 1, 3, 4))
         grad_x = conv2d(grad_out, flipped.reshape(c_in, mult, kh, kw),
                         padding=kh - 1 - padding, groups=groups)
-    elif col2im:
+    return grad_x, grad_w.reshape(weight.shape), grad_bias
+
+
+def _im2col_backward(im, col2im, sample_grad):
+    """conv2d_backward's per-sample loop over im.  sample_grad(i), called once
+    sample i's cols are filled, gives its (groups, mult, out_h, out_w) output
+    gradient.  Returns grad_x (None without col2im) and grad_w as wv is."""
+    x, padding, pw, span = im.x, im.padding, im.pw, im.span
+    _, c_in, h, w, c_out, kh, kw, out_h, out_w = im.geometry
+    groups, mult, _ = im.wv.shape
+    cg, taps, ph = c_in // groups, kh * kw, h + 2 * padding
+    grad_x = None
+    if col2im:
         wt = np.ascontiguousarray(
-            weight.reshape(groups, mult, cg, kh, kw).transpose(0, 2, 3, 4, 1))
+            im.wv.reshape(groups, mult, cg, kh, kw).transpose(0, 2, 3, 4, 1))
         # Row t of shifted holds tap t's input-gradient row at the tap's
         # offset into the flat padded sample and zeros elsewhere; tapview is
         # the (groups, cg, kh, kw, span) window of those rows that the
@@ -213,23 +219,68 @@ def conv2d_backward(x, weight, grad_out, *, padding=0, groups=1, has_bias=True,
         grad_x = np.empty(x.shape, dtype=x.dtype)
         gxp = np.empty((c_in, ph * pw), dtype=x.dtype)
         inner = gxp.reshape(c_in, ph, pw)[:, padding:padding + h, padding:padding + w]
-    gbuf = np.zeros((groups, mult, out_h * pw), dtype=grad_out.dtype)
+    gbuf = np.zeros((groups, mult, out_h * pw), dtype=x.dtype)
     grows = gbuf.reshape(groups, mult, out_h, pw)[..., :out_w]
     g = gbuf[:, :, :span]
-    cols = np.empty((c_in, taps, span), dtype=x.dtype)
-    gcols_t = cols.reshape(groups, cg * taps, span).transpose(0, 2, 1)
-    grad_w = np.zeros((groups, mult, cg * taps), dtype=weight.dtype)
+    gcols_t = im.gcols.transpose(0, 2, 1)
+    grad_w = np.zeros(im.wv.shape, dtype=im.wv.dtype)
     gw = np.empty_like(grad_w)
-    go = grad_out.reshape(n, groups, mult, out_h, out_w)
-    for i, (gob, xf) in enumerate(zip(go, _flat_padded_samples(x, padding))):
-        grows[...] = gob
-        _im2col(xf, cols, kw, pw)
+    for i, _ in enumerate(im):
+        grows[...] = sample_grad(i)
         grad_w += np.matmul(g, gcols_t, out=gw)
         if col2im:
             np.matmul(wt, g[:, None, None], out=tapview)
             np.add.reduce(shifted, axis=1, out=gxp)
             grad_x[i] = inner
-    return grad_x, grad_w.reshape(weight.shape), grad_bias
+    return grad_x, grad_w
+
+
+def _separable_im2col(x, depthwise_w, pointwise_w):
+    """Check the arguments; return (_Im2col, pointwise matrix, mid buffer)."""
+    im = _Im2col(x, depthwise_w, 1, x.shape[1])
+    c_mid = im.geometry[4]
+    if pointwise_w.shape[1:] != (c_mid, 1, 1):
+        raise ShapeError(f"pointwise weight {pointwise_w.shape} is not (C_out, {c_mid}, 1, 1)")
+    mid = np.empty(im.rows.shape, x.dtype).reshape(c_mid, -1)
+    return im, pointwise_w.reshape(-1, c_mid), mid
+
+
+def separable_conv2d(x, depthwise_w, pointwise_w, bias):
+    """conv2d(x, depthwise_w, padding=1, groups=C_in), then the 1x1 conv2d
+    with pointwise_w and bias (or None), one sample at a time: the same
+    GEMMs, so the same bytes, but the depthwise output mid is copied out of
+    its GEMM into one reused (k*C_in, H*W) buffer, never at batch size."""
+    im, wp, mid = _separable_im2col(x, depthwise_w, pointwise_w)
+    y = np.empty((len(x), len(wp)) + x.shape[2:], dtype=x.dtype)
+    for yb, _ in zip(y, im):
+        mid.reshape(im.rows.shape)[...] = im.product()
+        np.matmul(wp, mid, out=yb.reshape(len(wp), -1))
+    if bias is not None:
+        y += bias.astype(x.dtype, copy=False)[None, :, None, None]
+    return y
+
+
+def separable_conv2d_backward(x, depthwise_w, pointwise_w, grad_out, input_grad):
+    """Gradients of a bias-free separable_conv2d, (grad_x or None without
+    input_grad, grad_depthwise_w, grad_pointwise_w), with the bytes of the
+    two conv2d_backward calls.  Per sample, mid is recomputed from the
+    im2col that the depthwise grad_w needs anyway, grad_out[i] @ mid^T adds
+    to grad_pointwise_w in batch order and Wp^T @ grad_out[i] goes on."""
+    im, wp, mid = _separable_im2col(x, depthwise_w, pointwise_w)
+    n, c_in, h, w = x.shape
+    if grad_out.shape != (n, len(wp), h, w):
+        raise ShapeError(f"grad_out must have shape {(n, len(wp), h, w)}, got {grad_out.shape}")
+    gof = grad_out.reshape(n, len(wp), h * w)
+    grad_pw = np.zeros(wp.shape, dtype=wp.dtype)
+    gw = np.empty_like(grad_pw)
+
+    def mid_grad(i):
+        mid.reshape(im.rows.shape)[...] = im.product()
+        np.add(grad_pw, np.matmul(gof[i], mid.T, out=gw), out=grad_pw)
+        return np.matmul(wp.T, gof[i], out=mid).reshape(c_in, -1, h, w)
+
+    grad_x, grad_dw = _im2col_backward(im, input_grad, mid_grad)
+    return grad_x, grad_dw.reshape(depthwise_w.shape), grad_pw.reshape(pointwise_w.shape)
 
 
 def max_pool2(x):

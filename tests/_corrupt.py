@@ -224,6 +224,21 @@ NON_FINITE_FILES = [(f"{kind}-{name}", kind, value)
                                         ("minus-inf", float("-inf")))]
 
 
+# Tensor files whose dims multiply past 64 bits, as (test id, file bytes,
+# the error text after the path).  The product once wrapped: (65536,)*4
+# gave 0 bytes, which the empty payload matched, and reshape escaped as a
+# bare ValueError; (2**32-1,)*2 named a negative size.
+BAD_TENSOR_FILES = [
+    ("dims-product-wraps-to-zero", b"W4CL\x01\x01\x04\x00" + struct.pack("<4I", *[65536] * 4),
+     "payload of 0 bytes at byte 24 does not match dims [65536, 65536, 65536, 65536] "
+     "(73786976294838206464 bytes)"),
+    ("dims-product-wraps-negative",
+     b"W4CL\x01\x01\x02\x00" + struct.pack("<2I", 2**32 - 1, 2**32 - 1) + bytes(4),
+     "payload of 4 bytes at byte 16 does not match dims [4294967295, 4294967295] "
+     "(73786976260478468100 bytes)"),
+]
+
+
 def _shift_offsets(first, by):
     """A header edit that moves the data of entries[first:] by `by` bytes."""
     def edit(header):

@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from _corrupt import (BAD_BLOB_TABLES, BAD_CHECKPOINTS, BAD_CONFIGS, BAD_LATENT_DIMS,
-                      BAD_MANIFESTS, NON_FINITE_FILES, OVERSIZED_CONFIGS, oversize,
-                      poison_epoch, poison_file_of, poison_tensor, reorder_bands,
+                      BAD_MANIFESTS, BAD_TENSOR_FILES, NON_FINITE_FILES, OVERSIZED_CONFIGS,
+                      oversize, poison_epoch, poison_file_of, poison_tensor, reorder_bands,
                       rewrite_checkpoint, rewrite_checkpoint_header, rewrite_manifest,
                       rewrite_tensor)
 from _oracles import evaluate_ref
@@ -867,18 +867,27 @@ class TestMalformedInputs:
         assert only_error_line(capsys) == self._not_finite_line(path, float("nan"), offset)
         assert not out.exists()
 
-    def test_nan_train_target_exits_two(self, workspace, tmp_path, capsys):
-        """Such a sample once left training without a word: the rain filter
-        compared its NaN sum False with the threshold."""
+    @pytest.mark.parametrize("bad", ["nan", "wrong-dims"])
+    def test_bad_train_target_exits_two_leaving_no_out(self, workspace, tmp_path, capsys, bad):
+        """A NaN sample once left training without a word: the rain filter
+        compared its NaN sum False with the threshold.  The refusal comes
+        before training writes anything, and --out, which once held the
+        run-config.json echo alone, is not made."""
         manifest, manifest_path = self._data_copy(workspace, tmp_path)
-        path = manifest.resolve(manifest.split_samples("train")[0].target_path)
-        offset = poison_tensor(path, (0, 2, 3, 4), float("nan"))
+        rel = manifest.split_samples("train")[-1].target_path
+        path = manifest.resolve(rel)
+        if bad == "nan":
+            line = self._not_finite_line(path, float("nan"),
+                                         poison_tensor(path, (0, 2, 3, 4), float("nan")))
+        else:
+            rewrite_tensor(path, (1, 1, 4, 4))
+            line = f"nimbus: error: sample {rel}: dims (1, 1, 4, 4) != manifest "
         out = tmp_path / "run"
         capsys.readouterr()
         assert main(["train", "--config", workspace["config"], "--manifest", manifest_path,
                      "--out", str(out)]) == 2
-        assert only_error_line(capsys) == self._not_finite_line(path, float("nan"), offset)
-        assert not (out / "model.smck").exists()
+        assert only_error_line(capsys).startswith(line)
+        assert not out.exists()
 
     def test_manifest_without_t_out_exits_two(self, tmp_path, capsys):
         data_dir = str(tmp_path / "data")
@@ -957,6 +966,18 @@ class TestDumpImage:
         offset = 8 + 4 * 4 + 4 * int(np.ravel_multi_index((1, 0, 1, 2), x.shape))
         assert only_error_line(capsys) == (f"nimbus: error: {path}: value {value:g} at byte "
                                            f"{offset} is not finite")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("raw,text", [case[1:] for case in BAD_TENSOR_FILES],
+                             ids=[case[0] for case in BAD_TENSOR_FILES])
+    def test_dims_too_large_for_64_bits_exit_two(self, tmp_path, capsys, raw, text):
+        """The wrapped product once let such a file through to a ValueError
+        traceback (exit 1)."""
+        path = tmp_path / "t.w4cl"
+        path.write_bytes(raw)
+        out = str(tmp_path / "t.pgm")
+        assert main(["dump-image", "--input", str(path), "--out", out]) == 2
+        assert only_error_line(capsys) == f"nimbus: error: {path}: {text}"
         assert not os.path.exists(out)
 
     def test_out_of_range_indices_exit_one(self, tmp_path):

@@ -10,8 +10,8 @@ import types
 import numpy as np
 import pytest
 
-from _corrupt import (BAD_MANIFESTS, NON_FINITE_FILES, UNDECODABLE_JSON, poison_file_of,
-                      poison_tensor, rewrite_manifest)
+from _corrupt import (BAD_MANIFESTS, BAD_TENSOR_FILES, NON_FINITE_FILES, UNDECODABLE_JSON,
+                      poison_file_of, poison_tensor, rewrite_manifest)
 from _oracles import block_mean2_ref, synth_sample_ref
 from nimbus import data as D
 from nimbus import metrics as M
@@ -104,6 +104,15 @@ class TestTensorFile:
             fh.write(b"\0" * 4)
         with pytest.raises(FormatError, match="payload of 28 bytes at byte 12"):
             D.read_tensor_file(p)
+
+    @pytest.mark.parametrize("raw,text", [case[1:] for case in BAD_TENSOR_FILES],
+                             ids=[case[0] for case in BAD_TENSOR_FILES])
+    def test_dims_too_large_for_64_bits_name_the_exact_payload(self, tmp_path, raw, text):
+        p = tmp_path / "t.w4cl"
+        p.write_bytes(raw)
+        with pytest.raises(FormatError) as err:
+            D.read_tensor_file(p)
+        assert str(err.value) == f"{p}: {text}"
 
     def test_zero_size_tensor_roundtrips(self, tmp_path):
         p = tmp_path / "t.w4cl"

@@ -237,6 +237,27 @@ class TestChannelAttention:
         with pytest.raises(ConfigError):
             L.ChannelAttention(6, 4, rng)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 16, 64, 64), (3, 8, 5, 7), (2, 128, 4, 4)])
+    def test_eval_output_bytes_equal_to_train_output(self, rng, monkeypatch, dtype, shape):
+        """The eval gate takes the plain spatial max, never the argmax the
+        train backward needs, and gives the train output byte for byte:
+        values from {-1, -0, +0, 1} tie within every plane, some channels
+        are all zeros of mixed sign, and the last sample is, so its MLP
+        sees nothing but signed zeros."""
+        att = L.ChannelAttention(shape[1], 4, rng).to_dtype(dtype)
+        x = rng.choice(np.array([-1.0, -0.0, 0.0, 1.0], dtype=dtype), size=shape)
+        zeros = np.array([-0.0, 0.0], dtype=dtype)
+        x[:, ::3] = rng.choice(zeros, size=x[:, ::3].shape)
+        x[-1] = rng.choice(zeros, size=shape[1:])
+        want = att.forward(x, train=True)
+
+        def refuse(*_, **__):
+            raise AssertionError("the eval forward gathered at the max positions")
+        monkeypatch.setattr(np, "take_along_axis", refuse)
+        got = att.forward(x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_gradients(self, rng):
         att = L.ChannelAttention(6, 2, rng).to_dtype(np.float64)
         x = rng.standard_normal((2, 6, 4, 5))

@@ -5,6 +5,7 @@ tracemalloc sees every NumPy data buffer, so these tests count the bytes a
 step holds, at toy sizes.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -49,13 +50,27 @@ def test_unpadded_model_holds_the_callers_batch_and_output_gradient(rng, monkeyp
     model = build_model(TOY, seed=0)
     x = rng.standard_normal((2, 4, 16, 32)).astype(np.float32)
     y = model.forward(x, train=True)
-    assert model.enc[0].dsc1._cache[0] is x
+    assert model.enc[0].dsc1._cache is x
     seen = []
     head_backward = model.head.backward
     monkeypatch.setattr(model.head, "backward", lambda g: seen.append(g) or head_backward(g))
     grad_out = np.ones_like(y)
     model.backward(grad_out)
     assert seen[0] is grad_out
+
+
+def test_separable_convs_cache_no_depthwise_output(rng):
+    """Each separable conv caches its input alone: the backward recomputes
+    the depthwise output one sample at a time, so no array of the
+    depthwise width outlives the train forward."""
+    model = build_model(dataclasses.replace(TOY, depth_multiplier=2), seed=0)
+    model.forward(rng.standard_normal((2, 4, 32, 32)).astype(np.float32), train=True)
+    convs = [b for _, b in model._walk() if isinstance(b, L.DepthwiseSeparableConv)]
+    assert len(convs) == 18
+    for conv in convs:
+        width = conv.p["depthwise.weight"].shape[0]
+        assert width == 2 * conv.c_in
+        assert [a.shape[1] for a in _arrays(conv._cache)] == [conv.c_in]
 
 
 def test_suspended_batch_iter_holds_only_the_batch(tmp_path):

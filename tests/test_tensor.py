@@ -133,17 +133,10 @@ class TestConvBackward:
             y = T.conv2d(xx, ww, bb, padding=c["padding"], groups=c["groups"])
             return float((y * probe).sum())
 
-        gx, gw, gb = T.conv2d_backward(x, w, probe, padding=c["padding"], groups=c["groups"])
+        gx, gw, gb = T.conv2d_backward(x, w, probe, padding=c["padding"])
         assert rel_err(gx, fd_gradient(lambda a: loss(a, w, b), x)) < GRAD_TOL
         assert rel_err(gw, fd_gradient(lambda a: loss(x, a, b), w)) < GRAD_TOL
         assert rel_err(gb, fd_gradient(lambda a: loss(x, w, a), b)) < GRAD_TOL
-
-    def test_no_bias_returns_none(self, rng):
-        x = rng.standard_normal((1, 2, 4, 4))
-        w = rng.standard_normal((2, 2, 3, 3))
-        g = rng.standard_normal((1, 2, 4, 4))
-        _, _, gb = T.conv2d_backward(x, w, g, padding=1, has_bias=False)
-        assert gb is None
 
     def test_rejects_wrong_grad_shape(self, rng):
         x = rng.standard_normal((1, 2, 4, 4))
@@ -220,7 +213,7 @@ class TestDepthwiseKernels:
     def _assert_backward_within_bound(self, rng, x, wt, padding, groups):
         y_shape = T.conv2d(x, wt, padding=padding, groups=groups).shape
         g = rng.standard_normal(y_shape).astype(np.float32)
-        gx, gw, gb = T.conv2d_backward(x, wt, g, padding=padding, groups=groups)
+        gx, gw, gb = T.conv2d_backward(x, wt, g, padding=padding)
         want_gx, want_gw = conv2d_backward_window_ref(x, wt, g, 1, padding, groups)
 
         assert gx.dtype == np.float32 and gw.dtype == np.float32
@@ -242,23 +235,21 @@ class TestDepthwiseKernels:
         assert np.all(diff <= bound), (x.shape, float((diff / bound).max()))
 
     def _assert_batch_of_eight_equals_eight_single_calls(self, rng, x, wt, b, padding, groups):
-        args = dict(padding=padding, groups=groups)
-        y = T.conv2d(x, wt, b, **args)
+        y = T.conv2d(x, wt, b, padding=padding, groups=groups)
         g = rng.standard_normal(y.shape).astype(np.float32)
-        gx, _, _ = T.conv2d_backward(x, wt, g, **args)
+        gx, _, _ = T.conv2d_backward(x, wt, g, padding=padding)
         for i in range(8):
-            one = T.conv2d(x[i:i + 1], wt, b, **args)
+            one = T.conv2d(x[i:i + 1], wt, b, padding=padding, groups=groups)
             assert one.tobytes() == y[i:i + 1].tobytes(), i
-            one, _, _ = T.conv2d_backward(x[i:i + 1], wt, g[i:i + 1], **args)
+            one, _, _ = T.conv2d_backward(x[i:i + 1], wt, g[i:i + 1], padding=padding)
             assert one.tobytes() == gx[i:i + 1].tobytes(), i
 
     def _assert_repeated_calls_give_identical_bytes(self, rng, x, wt, b, padding, groups):
-        args = dict(padding=padding, groups=groups)
-        y = T.conv2d(x, wt, b, **args)
-        assert T.conv2d(x, wt, b, **args).tobytes() == y.tobytes()
+        y = T.conv2d(x, wt, b, padding=padding, groups=groups)
+        assert T.conv2d(x, wt, b, padding=padding, groups=groups).tobytes() == y.tobytes()
         g = rng.standard_normal(y.shape).astype(np.float32)
-        first = T.conv2d_backward(x, wt, g, **args)
-        second = T.conv2d_backward(x, wt, g, **args)
+        first = T.conv2d_backward(x, wt, g, padding=padding)
+        second = T.conv2d_backward(x, wt, g, padding=padding)
         for a, b2 in zip(first, second):
             assert a.tobytes() == b2.tobytes()
 
@@ -316,7 +307,7 @@ class TestDepthwiseKernels:
             return conv2d(inp, weight, bias, **kwargs)
 
         monkeypatch.setattr(T, "conv2d", spy)
-        gx, _, _ = T.conv2d_backward(x, wt, g, padding=padding, groups=groups)
+        gx, _, _ = T.conv2d_backward(x, wt, g, padding=padding)
         if name not in self.TRANSPOSED:
             assert calls == []
             return
@@ -328,25 +319,6 @@ class TestDepthwiseKernels:
         assert inp is g and np.array_equal(weight, want_w)
         assert kwargs == dict(padding=kh - 1 - padding, groups=groups)
         assert gx.tobytes() == conv2d(g, want_w, **kwargs).tobytes()
-
-    @pytest.mark.parametrize("case", [("depthwise", (3, 36, 48, 80), (36, 1, 3, 3), 36, 1)]
-                             + GENERAL, ids=["depthwise"] + [c[0] for c in GENERAL])
-    def test_backward_without_input_grad_gives_the_same_weight_grads(self, rng, case,
-                                                                    monkeypatch):
-        """input_grad=False returns None for grad_x, runs no transposed
-        conv, and gives grad_w and grad_b the bytes of the full call."""
-        _, x_shape, w_shape, groups, padding = case
-        x, wt, _ = self._operands(rng, x_shape, w_shape)
-        args = dict(padding=padding, groups=groups)
-        g = rng.standard_normal(T.conv2d(x, wt, **args).shape).astype(np.float32)
-        _, want_gw, want_gb = T.conv2d_backward(x, wt, g, **args)
-
-        def refuse(*_, **__):
-            raise AssertionError("conv2d ran for an input gradient nobody reads")
-        monkeypatch.setattr(T, "conv2d", refuse)
-        gx, gw, gb = T.conv2d_backward(x, wt, g, input_grad=False, **args)
-        assert gx is None
-        assert gw.tobytes() == want_gw.tobytes() and gb.tobytes() == want_gb.tobytes()
 
     def test_pointwise_backward_sums_samples_in_order(self, rng):
         """An unpadded 1x1 conv's grad_x is one matmul per sample, so a batch
@@ -375,6 +347,65 @@ class TestDepthwiseKernels:
         _, x_shape, w_shape, groups, padding = case
         x, wt, b = self._operands(rng, x_shape, w_shape)
         self._assert_repeated_calls_give_identical_bytes(rng, x, wt, b, padding, groups)
+
+
+class TestSeparableConv:
+    """separable_conv2d and its backward against the two calls they fuse,
+    a depthwise conv2d and then a 1x1 conv2d, and their two
+    conv2d_backward calls, byte for byte: per sample they run the same
+    GEMMs in the same order."""
+
+    @staticmethod
+    def _operands(rng, dtype, n, h, w, mult, c_in=6, c_out=5):
+        x = rng.standard_normal((n, c_in, h, w)).astype(dtype)
+        x[x < 0.0] = 0.0
+        dw = (0.3 * rng.standard_normal((c_in * mult, 1, 3, 3))).astype(dtype)
+        pw = (0.3 * rng.standard_normal((c_out, c_in * mult, 1, 1))).astype(dtype)
+        return x, dw, pw, rng.standard_normal(c_out).astype(dtype)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("mult", [1, 2])
+    @pytest.mark.parametrize("hw", [(16, 32), (17, 63)], ids=["16x32", "17x63"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_to_the_two_conv2d_calls(self, rng, dtype, hw, mult, n):
+        x, dw, pw, bias = self._operands(rng, dtype, n, *hw, mult)
+        mid = T.conv2d(x, dw, padding=1, groups=x.shape[1])
+        for b in (None, bias):      # the train forward, then the eval fold's bias
+            want = T.conv2d(mid, pw, b)
+            got = T.separable_conv2d(x, dw, pw, b)
+            assert got.dtype == dtype and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+        g = rng.standard_normal(want.shape).astype(dtype)
+        g_mid, want_gpw, _ = T.conv2d_backward(mid, pw, g)
+        want_gx, want_gdw, _ = T.conv2d_backward(x, dw, g_mid, padding=1)
+        for input_grad in (True, False):
+            gx, gdw, gpw = T.separable_conv2d_backward(x, dw, pw, g, input_grad)
+            if input_grad:
+                assert gx.dtype == dtype and gx.tobytes() == want_gx.tobytes()
+            else:
+                assert gx is None
+            assert gdw.dtype == dtype and gdw.tobytes() == want_gdw.tobytes()
+            assert gpw.dtype == dtype and gpw.tobytes() == want_gpw.tobytes()
+
+    def test_batch_of_eight_equals_eight_single_calls(self, rng):
+        x, dw, pw, bias = self._operands(rng, np.float32, 8, 17, 23, 2)
+        y = T.separable_conv2d(x, dw, pw, bias)
+        g = rng.standard_normal(y.shape).astype(np.float32)
+        gx, _, _ = T.separable_conv2d_backward(x, dw, pw, g, True)
+        for i in range(8):
+            one = T.separable_conv2d(x[i:i + 1], dw, pw, bias)
+            assert one.tobytes() == y[i:i + 1].tobytes(), i
+            one, _, _ = T.separable_conv2d_backward(x[i:i + 1], dw, pw, g[i:i + 1], True)
+            assert one.tobytes() == gx[i:i + 1].tobytes(), i
+
+    def test_rejects_mismatched_pointwise_weight_and_grad(self, rng):
+        x, dw, pw, _ = self._operands(rng, np.float32, 2, 8, 8, 2)
+        with pytest.raises(ShapeError, match="pointwise weight"):
+            T.separable_conv2d(x, dw, pw[:, :-1], None)
+        with pytest.raises(ShapeError, match="pointwise weight"):
+            T.separable_conv2d_backward(x, dw, pw[:, :-1], np.zeros((2, 5, 8, 8)), True)
+        with pytest.raises(ShapeError, match="grad_out"):
+            T.separable_conv2d_backward(x, dw, pw, np.zeros((2, 5, 8, 7), np.float32), True)
 
 
 class TestMaxPool:
