@@ -23,8 +23,8 @@ from . import metrics as M
 from . import optim as O
 from .config import RunConfig
 from .data import _atomic_write
-from .errors import (ConfigError, DataError, NimbusError, ShapeError, SizeError,
-                     ValidationError)
+from .errors import (ConfigError, DataError, NimbusError, PoisonedGradientError, ShapeError,
+                     SizeError, ValidationError)
 from .model import (ModelConfig, PRESETS, architecture_size, baseline_reference_param_count,
                     load_checkpoint)
 
@@ -162,9 +162,10 @@ def cmd_train(args):
     try:
         path = O.train_single(manifest, config.model, config.train, args.out,
                               drop=config.data.drop_bands)
-    finally:    # --out exists once the rain filter has read every train target
-        if os.path.isdir(args.out):
-            _write_json(os.path.join(args.out, "run-config.json"), config.to_dict())
+    except PoisonedGradientError:   # fit has written the history into --out
+        _write_json(os.path.join(args.out, "run-config.json"), config.to_dict())
+        raise
+    _write_json(os.path.join(args.out, "run-config.json"), config.to_dict())
     log.info("trained model: %s", path)
     return EXIT_OK
 

@@ -225,8 +225,7 @@ class BatchNorm(Block):
 
 class ChannelAttention(Block):
     """CBAM channel gate: a shared two-layer bottleneck MLP (no biases) over
-    the spatial average and spatial max descriptors, summed and squashed.
-    Eval mode takes the plain max, without the positions, as SpatialAttention does."""
+    the spatial average and spatial max descriptors, summed and squashed."""
 
     def __init__(self, channels, reduction, rng):
         super().__init__()

@@ -235,8 +235,9 @@ def fit(model, train_batches, val_batches, config, history_path=None):
 
 
 def _write_history(path, history):
-    """Write the epoch records as JSON lines when a path is given."""
+    """Write the epoch records as JSON lines, making the directory, when a path is given."""
     if path is not None:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         lines = "".join(json.dumps(rec) + "\n" for rec in history)
         _atomic_write(path, lines.encode("utf-8"))
 
@@ -295,7 +296,6 @@ def train_single(manifest, model_config, config, out_dir, drop=(), job=None):
     bands = D.kept_bands(manifest.band_names, drop)
     train_batches, val_batches = _regional_loaders(manifest, samples, job_config, bands)
     model = build_model(model_config, seed)
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{stem}.smck")
     model, _ = fit(model, train_batches, val_batches, job_config,
                    history_path=os.path.join(out_dir, f"{stem}.history.jsonl"))

@@ -130,8 +130,8 @@ def conv2d(x, weight, bias=None, *, padding=0, groups=1):
 
 
 def conv2d_backward(x, weight, grad_out, *, padding=0):
-    """Gradients of conv2d.  Returns (grad_x, grad_weight, grad_bias).  The
-    groups are those the weight's shape implies, C_in / weight.shape[1].
+    """Gradients of conv2d.  Returns (grad_x, grad_weight, grad_bias).  Its
+    groups are C_in / weight.shape[1]; a weight implying none is refused.
 
     An unpadded 1x1 conv without groups takes one matmul over the batch
     for grad_x.  Its grad_w is a running sum over the samples in batch
@@ -164,7 +164,8 @@ def conv2d_backward(x, weight, grad_out, *, padding=0):
     and grad_w are those of a direct correlation up to summation order, and
     like the forward they do not depend on the rest of the batch.
     """
-    groups = x.shape[1] // max(weight.shape[1], 1) if np.ndim(x) == np.ndim(weight) == 4 else 1
+    cg = np.shape(weight)[1] if np.ndim(x) == np.ndim(weight) == 4 else 0
+    groups = x.shape[1] // cg if 0 < cg <= x.shape[1] and x.shape[1] % cg == 0 else 1
     n, c_in, h, w, c_out, kh, kw, out_h, out_w = _conv_geometry(x, weight, padding, groups)
     if grad_out.shape != (n, c_out, out_h, out_w):
         raise ShapeError(
@@ -186,7 +187,7 @@ def conv2d_backward(x, weight, grad_out, *, padding=0):
     transposed = mult < cg and kh == kw and padding < kh
     go = grad_out.reshape(n, groups, mult, out_h, out_w)
     grad_x, grad_w = _im2col_backward(_Im2col(x, weight, padding, groups), not transposed,
-                                      go.__getitem__)
+                                      go.__getitem__, grad_out.dtype)
     if transposed:
         flipped = (weight.reshape(groups, mult, cg, kh, kw)[..., ::-1, ::-1]
                    .transpose(0, 2, 1, 3, 4))
@@ -195,15 +196,15 @@ def conv2d_backward(x, weight, grad_out, *, padding=0):
     return grad_x, grad_w.reshape(weight.shape), grad_bias
 
 
-def _im2col_backward(im, col2im, sample_grad):
+def _im2col_backward(im, col2im, sample_grad, grad_dtype):
     """conv2d_backward's per-sample loop over im.  sample_grad(i), called once
     sample i's cols are filled, gives its (groups, mult, out_h, out_w) output
-    gradient.  Returns grad_x (None without col2im) and grad_w as wv is."""
+    gradient in grad_dtype.  Returns grad_x (None without col2im), grad_w as wv."""
     x, padding, pw, span = im.x, im.padding, im.pw, im.span
     _, c_in, h, w, c_out, kh, kw, out_h, out_w = im.geometry
     groups, mult, _ = im.wv.shape
     cg, taps, ph = c_in // groups, kh * kw, h + 2 * padding
-    grad_x = None
+    grad_x = np.empty(x.shape, dtype=x.dtype) if col2im else None
     if col2im:
         wt = np.ascontiguousarray(
             im.wv.reshape(groups, mult, cg, kh, kw).transpose(0, 2, 3, 4, 1))
@@ -216,10 +217,9 @@ def _im2col_backward(im, col2im, sample_grad):
         tapview = np.lib.stride_tricks.as_strided(
             shifted, (groups, cg, kh, kw, span),
             (cg * chan, chan, kw * step + pw * item, step + item, item))
-        grad_x = np.empty(x.shape, dtype=x.dtype)
         gxp = np.empty((c_in, ph * pw), dtype=x.dtype)
         inner = gxp.reshape(c_in, ph, pw)[:, padding:padding + h, padding:padding + w]
-    gbuf = np.zeros((groups, mult, out_h * pw), dtype=x.dtype)
+    gbuf = np.zeros((groups, mult, out_h * pw), dtype=grad_dtype)
     grows = gbuf.reshape(groups, mult, out_h, pw)[..., :out_w]
     g = gbuf[:, :, :span]
     gcols_t = im.gcols.transpose(0, 2, 1)
@@ -279,7 +279,7 @@ def separable_conv2d_backward(x, depthwise_w, pointwise_w, grad_out, input_grad)
         np.add(grad_pw, np.matmul(gof[i], mid.T, out=gw), out=grad_pw)
         return np.matmul(wp.T, gof[i], out=mid).reshape(c_in, -1, h, w)
 
-    grad_x, grad_dw = _im2col_backward(im, input_grad, mid_grad)
+    grad_x, grad_dw = _im2col_backward(im, input_grad, mid_grad, mid.dtype)
     return grad_x, grad_dw.reshape(depthwise_w.shape), grad_pw.reshape(pointwise_w.shape)
 
 

@@ -356,6 +356,7 @@ class TestTrain:
         with open(os.path.join(out, "model.history.jsonl"), encoding="utf-8") as fh:
             assert [json.loads(line)["epoch"] for line in fh] == [1]
         assert not os.path.exists(os.path.join(out, "model.smck"))
+        assert sorted(os.listdir(out)) == ["model.history.jsonl", "run-config.json"]
 
     def test_all_jobs_failing_is_runtime_exit(self, workspace, tmp_path):
         rc = main(["train", "--config", workspace["config"],
@@ -867,26 +868,35 @@ class TestMalformedInputs:
         assert only_error_line(capsys) == self._not_finite_line(path, float("nan"), offset)
         assert not out.exists()
 
-    @pytest.mark.parametrize("bad", ["nan", "wrong-dims"])
-    def test_bad_train_target_exits_two_leaving_no_out(self, workspace, tmp_path, capsys, bad):
+    @pytest.mark.parametrize("threshold", [None, 0.0], ids=["filter-on", "filter-off"])
+    @pytest.mark.parametrize("bad", ["nan-target", "wrong-dims-target", "nan-input",
+                                     "nan-val-target"])
+    def test_bad_train_file_exits_two_leaving_no_out(self, workspace, tmp_path, capsys, bad,
+                                                     threshold):
         """A NaN sample once left training without a word: the rain filter
-        compared its NaN sum False with the threshold.  The refusal comes
-        before training writes anything, and --out, which once held the
-        run-config.json echo alone, is not made."""
+        compared its NaN sum False with the threshold.  With the filter on
+        (the manifest's threshold) it refuses a bad train target; with it
+        off (threshold 0), and for inputs and val files either way, the
+        first epoch does.  Training writes nothing before its history, so
+        --out, which once held the run-config.json echo alone, is not made."""
         manifest, manifest_path = self._data_copy(workspace, tmp_path)
-        rel = manifest.split_samples("train")[-1].target_path
+        record = manifest.split_samples("val" if bad == "nan-val-target" else "train")[-1]
+        rel = record.input_path if bad == "nan-input" else record.target_path
         path = manifest.resolve(rel)
-        if bad == "nan":
-            line = self._not_finite_line(path, float("nan"),
-                                         poison_tensor(path, (0, 2, 3, 4), float("nan")))
-        else:
+        if bad == "wrong-dims-target":
+            want = D.read_tensor_file(path).shape
             rewrite_tensor(path, (1, 1, 4, 4))
-            line = f"nimbus: error: sample {rel}: dims (1, 1, 4, 4) != manifest "
+            line = f"nimbus: error: sample {rel}: dims (1, 1, 4, 4) != manifest {want}"
+        else:
+            line = self._not_finite_line(path, float("nan"),
+                                         poison_tensor(path, (0, 1, 3, 4), float("nan")))
+        config = (workspace["config"] if threshold is None else
+                  edited_config(workspace, "filter-off", data={"filter_threshold": threshold}))
         out = tmp_path / "run"
         capsys.readouterr()
-        assert main(["train", "--config", workspace["config"], "--manifest", manifest_path,
+        assert main(["train", "--config", config, "--manifest", manifest_path,
                      "--out", str(out)]) == 2
-        assert only_error_line(capsys).startswith(line)
+        assert only_error_line(capsys) == line
         assert not out.exists()
 
     def test_manifest_without_t_out_exits_two(self, tmp_path, capsys):

@@ -144,6 +144,17 @@ class TestConvBackward:
         with pytest.raises(ShapeError):
             T.conv2d_backward(x, w, np.zeros((1, 2, 3, 3)), padding=1)
 
+    @pytest.mark.parametrize("w_shape", [(4, 3, 3, 3), (4, 8, 3, 3), (4, 0, 3, 3)])
+    def test_refuses_a_weight_that_implies_no_groups(self, rng, w_shape):
+        """The groups are C_in / weight.shape[1].  A weight whose channels
+        per group do not divide C_in gets conv2d's refusal, not a grouped
+        gradient or an error naming groups the caller never passed."""
+        x = rng.standard_normal((1, 4, 4, 4))
+        w = np.ones(w_shape)
+        with pytest.raises(ShapeError, match=f"^weight expects {w_shape[1]} channels per group, "
+                                             "input has 4$"):
+            T.conv2d_backward(x, w, np.zeros((1, 4, 4, 4)), padding=1)
+
 
 class TestDepthwiseKernels:
     """The im2col conv kernel against the earlier whole-batch window-einsum
