@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import logging
 import os
@@ -109,6 +110,14 @@ def _load_models(paths, config, manifest):
     return models, _trained_as(config, drop, models[0].loss)
 
 
+def _check_out_dir(path):
+    """Refuse an --out that exists and is not a directory, before any sample
+    is read; otherwise the command would do all its work and then fail to
+    make the directory.  Creates nothing."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+
+
 def _write_json(path, payload):
     _atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n")
                   .encode("utf-8"))
@@ -132,6 +141,7 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
+    _check_out_dir(args.out)
     config = _load_run_config(args)
     manifest = _manifest_from(args, config)
     if args.regions or args.years:
@@ -173,6 +183,7 @@ def cmd_train(args):
 def _write_predictions(args, checkpoints, echo, what):
     """The body of predict and ensemble: forecast files from the mean of
     the checkpoints' predictions, then the predictions-config.json echo."""
+    _check_out_dir(args.out)
     config = _load_run_config(args)
     manifest = _manifest_from(args, config)
     models, config = _load_models(checkpoints, config, manifest)
@@ -203,6 +214,7 @@ def _echoed(pred_dir, config):
 
 
 def cmd_evaluate(args):
+    _check_out_dir(args.out)
     config = _load_run_config(args)
     manifest = _manifest_from(args, config)
     if bool(args.checkpoint) == bool(args.predictions):

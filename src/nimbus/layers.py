@@ -126,7 +126,6 @@ class DepthwiseSeparableConv(Block):
     def __init__(self, c_in, c_out, multiplier, rng):
         super().__init__()
         self.c_in = c_in
-        self.c_out = c_out
         mid = c_in * multiplier
         self.p["depthwise.weight"] = _he_uniform(rng, (mid, 1, 3, 3), 9)
         self.p["pointwise.weight"] = _he_uniform(rng, (c_out, mid, 1, 1), mid)

@@ -88,11 +88,8 @@ def conv2d(x, weight, bias=None, *, padding=0, groups=1):
     """Cross-correlate x (N, C_in, H, W) with weight (C_out, C_in/groups, kh, kw).
 
     Zero padding, unit stride.  A kernel larger than the padded input is a
-    ShapeError.  An unpadded 1x1 conv without groups is one matmul over the
-    batch; every other conv, depthwise, grouped or dense, runs the kernel
-    below.
-
-    The kernel works on one sample at a time in a flat-row layout: the
+    ShapeError.  Every conv, depthwise, grouped, dense or 1x1, runs one
+    kernel, which works on one sample at a time in a flat-row layout: the
     sample is padded to (C_in, H+2p, W+2p) and viewed as
     (C_in, (H+2p)(W+2p)), so the window of tap (dy, dx) is the contiguous
     slice at offset dy*(W+2p) + dx.  The kh*kw tap slices are copied into
@@ -110,20 +107,13 @@ def conv2d(x, weight, bias=None, *, padding=0, groups=1):
     the exact sum.  Every sample runs the same GEMM shapes, so a sample's
     output bytes do not depend on the batch it is in.
     """
-    n, c_in, h, w, c_out, kh, kw, out_h, out_w = _conv_geometry(x, weight, padding, groups)
+    im = _Im2col(x, weight, padding, groups)
+    c_out = len(im.rows)
     if bias is not None and bias.shape != (c_out,):
         raise ShapeError(f"bias must have shape ({c_out},), got {bias.shape}")
-
-    if kh == 1 and kw == 1 and groups == 1 and padding == 0:
-        y = np.matmul(weight.reshape(c_out, c_in), x.reshape(n, c_in, h * w))
-        y = y.reshape(n, c_out, out_h, out_w)
-    else:
-        im = _Im2col(x, weight, padding, groups)
-        y = np.empty((n, c_out, out_h, out_w), dtype=x.dtype)
-        for yb, _ in zip(y, im):
-            yb[...] = im.product()
-
-    y = np.ascontiguousarray(y, dtype=x.dtype)
+    y = np.empty((len(x),) + im.rows.shape, dtype=x.dtype)
+    for yb, _ in zip(y, im):
+        yb[...] = im.product()
     if bias is not None:
         y += bias.astype(x.dtype, copy=False)[None, :, None, None]
     return y
@@ -133,26 +123,23 @@ def conv2d_backward(x, weight, grad_out, *, padding=0):
     """Gradients of conv2d.  Returns (grad_x, grad_weight, grad_bias).  Its
     groups are C_in / weight.shape[1]; a weight implying none is refused.
 
-    An unpadded 1x1 conv without groups takes one matmul over the batch
-    for grad_x.  Its grad_w is a running sum over the samples in batch
-    order of one GEMM each, grad_out[i] @ x[i]^T, which BLAS reads in place
-    without transposed copies.  Every other conv runs one sample at a time
-    in the flat-row and im2col layout of conv2d, with cg = C_in/groups and
-    mult = C_out/groups.  The output gradient is written into rows of the
-    padded width W+2p, a zeroed (groups, mult, span) buffer g whose kw-1
-    junk columns per row stay zero.  The sample's cols are rebuilt from the
-    input.  The weight gradient adds the stacked matmul g @ cols^T,
-    (groups, mult, span) @ (groups, span, cg*kh*kw).
+    Every conv runs one kernel, one sample at a time in the flat-row and
+    im2col layout of conv2d, with cg = C_in/groups and mult = C_out/groups.
+    The output gradient is written into rows of the padded width W+2p, a
+    zeroed (groups, mult, span) buffer g whose kw-1 junk columns per row
+    stay zero.  The sample's cols are rebuilt from the input.  The weight
+    gradient adds the stacked matmul g @ cols^T,
+    (groups, mult, span) @ (groups, span, cg*kh*kw), in batch order.
 
     A conv with a square kernel, padding p < kh and fewer output than
-    input channels per group (mult < cg, as in the 7x7 attention gate)
-    takes its input gradient as a transposed conv (Dumoulin and
-    Visin 2016, section 4): one conv2d of grad_out with the kernel rotated
-    180 degrees, its two channel axes swapped within each group, and
-    padding kh-1-p.  Per sample that is one GEMM with an inner dimension
-    of mult*kh*kw in place of C_in*kh*kw tap rows and their sum.  Only the
-    shape picks the path.  Every other conv, depthwise (cg = 1) included,
-    uses the stacked matmul w^T @ g, (groups, cg, kh, kw, mult) @
+    input channels per group (mult < cg, as in the 7x7 attention gate or
+    a 1x1 conv that narrows) takes its input gradient as a transposed conv
+    (Dumoulin and Visin 2016, section 4): one conv2d of grad_out with the
+    kernel rotated 180 degrees, its two channel axes swapped within each
+    group, and padding kh-1-p.  Per sample that is one GEMM with an inner
+    dimension of mult*kh*kw in place of C_in*kh*kw tap rows and their sum.
+    Only the shape picks the path.  Every other conv, depthwise (cg = 1)
+    included, uses the stacked matmul w^T @ g, (groups, cg, kh, kw, mult) @
     (groups, 1, 1, mult, span), which gives each channel's and tap's
     contribution to the input gradient; it writes tap t's row at the
     offset dy*(W+2p) + dx where the tap read its window, in a zeroed
@@ -166,28 +153,17 @@ def conv2d_backward(x, weight, grad_out, *, padding=0):
     """
     cg = np.shape(weight)[1] if np.ndim(x) == np.ndim(weight) == 4 else 0
     groups = x.shape[1] // cg if 0 < cg <= x.shape[1] and x.shape[1] % cg == 0 else 1
-    n, c_in, h, w, c_out, kh, kw, out_h, out_w = _conv_geometry(x, weight, padding, groups)
+    im = _Im2col(x, weight, padding, groups)
+    n, c_in, _, _, c_out, kh, kw, out_h, out_w = im.geometry
     if grad_out.shape != (n, c_out, out_h, out_w):
         raise ShapeError(
             f"grad_out must have shape {(n, c_out, out_h, out_w)}, got {grad_out.shape}"
         )
     grad_bias = grad_out.sum(axis=(0, 2, 3))
-
-    if kh == 1 and kw == 1 and groups == 1 and padding == 0:
-        gof = grad_out.reshape(n, c_out, h * w)
-        xf = x.reshape(n, c_in, h * w)
-        grad_w = np.zeros((c_out, c_in), dtype=weight.dtype)
-        gw = np.empty_like(grad_w)
-        for gob, xb in zip(gof, xf):
-            grad_w += np.matmul(gob, xb.T, out=gw)
-        grad_x = np.matmul(weight.reshape(c_out, c_in).T, gof).reshape(x.shape)
-        return grad_x, grad_w.reshape(weight.shape), grad_bias
-
     cg, mult = c_in // groups, c_out // groups
     transposed = mult < cg and kh == kw and padding < kh
     go = grad_out.reshape(n, groups, mult, out_h, out_w)
-    grad_x, grad_w = _im2col_backward(_Im2col(x, weight, padding, groups), not transposed,
-                                      go.__getitem__, grad_out.dtype)
+    grad_x, grad_w = _im2col_backward(im, not transposed, go.__getitem__, grad_out.dtype)
     if transposed:
         flipped = (weight.reshape(groups, mult, cg, kh, kw)[..., ::-1, ::-1]
                    .transpose(0, 2, 1, 3, 4))

@@ -197,6 +197,31 @@ class TestUsageAndExitCodes:
         assert main(args + ["--checkpoint", trained,
                             "--predictions", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("command", ["train", "predict", "ensemble", "evaluate"])
+    def test_an_out_that_is_a_file_exits_two_before_reading_a_sample(
+            self, workspace, trained, tmp_path, capsys, monkeypatch, command):
+        """A regular file as --out once failed only when the directory was
+        made, after every epoch, the whole split or a forecast batch; it is
+        refused before the first sample is read, and left as it was."""
+        out = tmp_path / "out"
+        out.write_bytes(b"not a directory")
+        reads = []
+        read = D.read_tensor_file
+
+        def counted_read(*args, **kwargs):
+            reads.append(args)
+            return read(*args, **kwargs)
+
+        monkeypatch.setattr(D, "read_tensor_file", counted_read)
+        source = {"train": [], "ensemble": ["--checkpoints", trained]}.get(
+            command, ["--checkpoint", trained])
+        capsys.readouterr()
+        assert main([command, *source, "--config", workspace["config"],
+                     "--manifest", workspace["manifest"], "--out", str(out)]) == 2
+        assert only_error_line(capsys) == f"nimbus: error: [Errno 20] Not a directory: '{out}'"
+        assert reads == []
+        assert out.read_bytes() == b"not a directory"
+
 
 class TestParams:
     def test_default_preset_prints_budget_and_ratio(self, capsys):

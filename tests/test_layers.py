@@ -393,7 +393,7 @@ class TestDoubleConvDS:
         block = L.DoubleConvDS(6, 10, 2, rng, c_mid=3)
         x = rng.standard_normal((2, 6, 8, 8)).astype(np.float32)
         assert block.forward(x).shape == (2, 10, 8, 8)
-        assert block.dsc1.c_out == 3
+        assert block.dsc1.p["pointwise.weight"].shape[0] == 3
         assert block.dsc2.c_in == 3
 
     def test_zero_input_yields_relu_beta(self, rng):

@@ -106,6 +106,24 @@ def test_every_definition_is_referenced_outside_itself():
     assert unused == [], unused
 
 
+def test_every_instance_attribute_is_read():
+    """Each attribute the package stores on self must be read somewhere in
+    the programs, as a loaded attribute or a string constant (getattr and
+    the tracers reach attributes by name); a store alone, plain or
+    augmented, is not a read."""
+    read = {_name_of(node) for _, tree in _trees() for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            or isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"
+                    and node.attr not in read):
+                unread.append(f"{path.relative_to(ROOT)}:{node.lineno} self.{node.attr}")
+    assert unread == [], unread
+
+
 def _names_in(node):
     return {name for child in ast.walk(node) if (name := _name_of(child)) is not None}
 

@@ -182,17 +182,19 @@ class TestDepthwiseKernels:
     SHAPES = [(4, 36, 64, 64), (3, 36, 48, 80), (2, 8, 17, 63)]
     # (id, input shape, weight shape, groups, padding): the desk's 7x7
     # spatial gate, the gate unpadded, a grouped conv, a dense one with
-    # more output than input channels and an unpadded 1x1 one.
+    # more output than input channels, an unpadded 1x1 one that narrows and
+    # the desk's 16 -> 16 logit head, a 1x1 one that does not.
     GENERAL = [
         ("gate", (4, 2, 64, 64), (1, 2, 7, 7), 1, 3),
         ("unpadded-gate", (2, 2, 16, 16), (1, 2, 7, 7), 1, 0),
         ("grouped", (3, 12, 17, 23), (8, 3, 3, 3), 4, 1),
         ("wide", (2, 3, 17, 23), (6, 3, 3, 3), 1, 1),
         ("pointwise", (2, 12, 17, 23), (4, 12, 1, 1), 1, 0),
+        ("head", (2, 16, 17, 23), (16, 16, 1, 1), 1, 0),
     ]
     # The cases with fewer output than input channels per group, whose
     # grad_x is a forward conv of grad_out.
-    TRANSPOSED = {"gate", "unpadded-gate", "grouped"}
+    TRANSPOSED = {"gate", "unpadded-gate", "grouped", "pointwise"}
     EPS = np.finfo(np.float32).eps
 
     def _operands(self, rng, x_shape, w_shape):
@@ -332,10 +334,10 @@ class TestDepthwiseKernels:
         assert gx.tobytes() == conv2d(g, want_w, **kwargs).tobytes()
 
     def test_pointwise_backward_sums_samples_in_order(self, rng):
-        """An unpadded 1x1 conv's grad_x is one matmul per sample, so a batch
-        gives the bytes of its per-sample calls; grad_w is the running sum of
-        the per-sample products in batch order, which the bitwise rerun of
-        a training relies on."""
+        """An unpadded 1x1 conv runs the per-sample kernel like every other
+        conv, so a batch's grad_x has the bytes of its per-sample calls;
+        grad_w is the running sum of the per-sample products in batch order,
+        which the bitwise rerun of a training relies on."""
         x, wt, _ = self._operands(rng, (4, 72, 32, 32), (16, 72, 1, 1))
         g = rng.standard_normal((4, 16, 32, 32)).astype(np.float32)
         gx, gw, _ = T.conv2d_backward(x, wt, g)
