@@ -26,8 +26,7 @@ from .config import RunConfig
 from .data import _atomic_write
 from .errors import (ConfigError, DataError, NimbusError, PoisonedGradientError, ShapeError,
                      SizeError, ValidationError)
-from .model import (ModelConfig, PRESETS, architecture_size, baseline_reference_param_count,
-                    load_checkpoint)
+from .model import architecture_size, baseline_reference_param_count, load_checkpoint
 
 log = logging.getLogger("nimbus")
 
@@ -69,8 +68,6 @@ def _comma_ints(text):
 
 def _load_run_config(args):
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if getattr(args, "preset", None):
-        config = dataclasses.replace(config, model=ModelConfig(preset=args.preset))
     if getattr(args, "seed", None) is not None:
         config = dataclasses.replace(
             config, train=dataclasses.replace(config.train, seed=args.seed))
@@ -93,21 +90,36 @@ def _manifest_from(args, config):
     return manifest
 
 
-def _trained_as(config, drop, loss):
-    """config with the data.drop_bands and train.loss a model was trained with."""
-    return dataclasses.replace(config, data=dataclasses.replace(config.data, drop_bands=drop),
+def _trained_as(config, model, drop, loss):
+    """config with the model, data.drop_bands and train.loss a model was trained with."""
+    return dataclasses.replace(config, model=model,
+                               data=dataclasses.replace(config.data, drop_bands=drop),
                                train=dataclasses.replace(config.train, loss=loss))
 
 
 def _load_models(paths, config, manifest):
-    """The checkpoints' models and config as they were trained; config's
-    data.drop_bands and train.loss stand in for a model saved untrained."""
+    """The checkpoints' models and config as they were trained: the model
+    config their headers hold, and config's data.drop_bands and train.loss
+    standing in for a model saved untrained."""
     models = [load_checkpoint(p) for p in paths]
     for model in models:
         model.bands = model.bands or D.kept_bands(manifest.band_names, config.data.drop_bands)
         model.loss = model.loss or config.train.loss
     drop = tuple(b for b in manifest.band_names if b not in models[0].bands)
-    return models, _trained_as(config, drop, models[0].loss)
+    return models, _trained_as(config, models[0].config, drop, models[0].loss)
+
+
+def _check_ends(model, manifest, drop):
+    """Refuse a model config whose ends do not match the data: in_channels
+    must be t_in times the bands kept and out_channels t_out.  The error
+    names the field and the value the data implies."""
+    bands = len(D.kept_bands(manifest.band_names, drop))
+    ends = {"in_channels": (manifest.t_in * bands, f"{manifest.t_in} frames x {bands} bands"),
+            "out_channels": (manifest.t_out, "lead times")}
+    for field, (want, why) in ends.items():
+        if getattr(model, field) != want:
+            raise ConfigError(f"model.{field} is {getattr(model, field)}, "
+                              f"but the data gives {want} ({why})")
 
 
 def _check_out_dir(path):
@@ -144,13 +156,14 @@ def cmd_train(args):
     _check_out_dir(args.out)
     config = _load_run_config(args)
     manifest = _manifest_from(args, config)
+    _check_ends(config.model, manifest, config.data.drop_bands)
     if args.regions or args.years:
-        os.makedirs(args.out, exist_ok=True)
-        _write_json(os.path.join(args.out, "run-config.json"), config.to_dict())
         regions = _comma_list(args.regions) if args.regions else \
             tuple(sorted({r for r, _ in manifest.region_years()}))
         years = _comma_ints(args.years) if args.years else \
             tuple(sorted({y for _, y in manifest.region_years()}))
+        os.makedirs(args.out, exist_ok=True)
+        _write_json(os.path.join(args.out, "run-config.json"), config.to_dict())
         jobs = [(r, y) for r in regions for y in years]
         results, failures = O.train_regional(manifest, jobs, config.model,
                                              config.train, args.out,
@@ -200,8 +213,8 @@ def cmd_predict(args):
 
 
 def _echoed(pred_dir, config):
-    """config with the data.drop_bands and train.loss that the
-    predictions-config.json echo in pred_dir records, if there is one."""
+    """config with the model config, data.drop_bands and train.loss that
+    the predictions-config.json echo in pred_dir records, if there is one."""
     path = os.path.join(pred_dir, "predictions-config.json")
     if not os.path.exists(path):
         return config
@@ -210,7 +223,7 @@ def _echoed(pred_dir, config):
             echo = RunConfig.from_dict(json.load(fh)["config"])
     except (OSError, ValueError, RecursionError, LookupError, TypeError, ConfigError) as exc:
         raise DataError(f"{path}: unreadable prediction echo: {exc}") from exc
-    return _trained_as(config, echo.data.drop_bands, echo.train.loss)
+    return _trained_as(config, echo.model, echo.data.drop_bands, echo.train.loss)
 
 
 def cmd_evaluate(args):
@@ -316,9 +329,6 @@ def build_parser():
     p.add_argument("--manifest", help="dataset manifest path")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="seed override (default 0)")
-    p.add_argument("--preset", choices=PRESETS,
-                   help="model preset: default (36 in / 16 out) or "
-                        "single-frame (11 in / 1 out)")
     p.add_argument("--threshold", type=float, default=None,
                    help="rain-rate event threshold in mm/h (default 0.2)")
     p.add_argument("--regions", default="",
@@ -358,9 +368,7 @@ def build_parser():
     p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("params", help="parameter audit vs the standard-conv reference")
-    p.add_argument("--config", help="RunConfig JSON path")
-    p.add_argument("--preset", choices=PRESETS,
-                   help="model preset (default: default)")
+    p.add_argument("--config", help="RunConfig JSON path (default: every field at its default)")
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("dump-image", help="render a tensor slice as a P5 graymap")

@@ -150,11 +150,12 @@ def prediction_kind(loss):
 
 
 def _reads(models):
-    """The (bands, loss) all members of an ensemble must share: the input
-    bands they read, in order (None: the manifest's), and the training loss."""
-    facts = {(getattr(m, "bands", None), getattr(m, "loss", None)) for m in models}
+    """The (bands, loss, config) all members of an ensemble must share: the input
+    bands they read, in order (None: the manifest's), training loss and model config."""
+    facts = {(getattr(m, "bands", None), getattr(m, "loss", None), getattr(m, "config", None))
+             for m in models}
     if len(facts) != 1:
-        raise ConfigError(f"ensemble members must agree on (bands, loss), "
+        raise ConfigError(f"ensemble members must agree on (bands, loss, config), "
                           f"got {sorted(facts, key=str)}")
     return facts.pop()
 
@@ -252,7 +253,7 @@ def _forecasts(models, manifest, records, config):
     """(record, (1, t_out, crop, crop) forecast) one scene at a time: the
     one path from models to forecasts.  Inputs of the bands they read run
     through ensemble_predict eval.batch_size scenes at a time; no target."""
-    bands, _ = _reads(models)
+    bands = _reads(models)[0]
     for start in range(0, len(records), config.batch_size):
         chunk = records[start:start + config.batch_size]
         x = np.concatenate([D.load_sample_input(manifest, r, bands) for r in chunk])
@@ -312,7 +313,7 @@ def trivial_baselines(manifest, split, config=EvalConfig()):
 
 def ensemble_predict(models, x):
     """Mean of per-model predictions (see model_probabilities) for one
-    input batch, from members that record the same bands and loss."""
+    input batch, from members that record the same bands, loss and config."""
     _reads(models)
     preds = [model_probabilities(model, x) for model in models]
     if len({p.shape for p in preds}) > 1:

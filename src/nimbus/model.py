@@ -25,9 +25,8 @@ from .layers import CBAM, Block, DoubleConvDS, _he_uniform
 from .schema import Section
 
 CHECKPOINT_MAGIC = b"SMCK"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
-PRESETS = ("default", "single-frame")
 LOSSES = ("bce_logits", "mse")
 
 
@@ -35,11 +34,9 @@ LOSSES = ("bce_logits", "mse")
 class ModelConfig(Section):
     """Architecture hyperparameters.
 
-    The `single-frame` preset forces 11 input channels (one 11-band frame)
-    and a single output frame; everything else keeps the defaults of
-    36 in (4 frames x 9 bands) and 16 lead times out.  cbam_reduction
-    must divide every width a CBAM attends: the first four stage widths
-    and half the last.
+    The defaults take 36 channels in (4 frames x 9 bands) and give 16
+    lead times out.  cbam_reduction must divide every width a CBAM
+    attends: the first four stage widths and half the last.
     """
 
     in_channels: int = 36
@@ -47,17 +44,11 @@ class ModelConfig(Section):
     stage_widths: tuple[int, ...] = (64, 128, 256, 512, 1024)
     depth_multiplier: int = 2
     cbam_reduction: int = 16
-    preset: str = "default"
 
     section = "model"
 
     def __post_init__(self):
         super().__post_init__()
-        if self.preset not in PRESETS:
-            raise ConfigError(f"unknown preset {self.preset!r}, expected one of {PRESETS}")
-        if self.preset == "single-frame":
-            object.__setattr__(self, "in_channels", 11)
-            object.__setattr__(self, "out_channels", 1)
         widths = self.stage_widths
         if len(widths) != 5:
             raise ConfigError(f"exactly 5 stage widths required, got {len(widths)}")
@@ -314,7 +305,7 @@ def baseline_reference_param_count(config):
 def save_checkpoint(model, path):
     """Serialize params, batch-norm state, config, bands and loss atomically.
 
-    Layout: magic "SMCK", u16 version (3), u32 header length, JSON header
+    Layout: magic "SMCK", u16 version (4), u32 header length, JSON header
     {config, entries: [{name, dims, offset, length}], bands, loss}, then the raw
     float32 little-endian blobs back to back.  Offsets are relative to the
     end of the header.
@@ -359,7 +350,7 @@ def load_checkpoint(path):
 
     Every value must be finite and every running variance non-negative;
     otherwise the FormatError names the entry and the byte offset of its
-    first bad value.  Any version but 3 is refused at byte 4.  A model
+    first bad value.  Any version but 4 is refused at byte 4.  A model
     saved before training records no bands or loss: both load as None.
     """
     with open(path, "rb") as fh:

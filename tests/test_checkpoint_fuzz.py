@@ -2,7 +2,7 @@
 or with a header field dropped or swapped for a value of another type or
 size, either loads or fails with a NimbusError subclass, never a bare
 builtin; and `nimbus predict` over such a checkpoint exits 0, or 1 or 2
-with one error line.  The checkpoint is version 3, the only one that
+with one error line.  The checkpoint is version 4, the only one that
 loads, and its header records bands and a loss."""
 
 import copy

@@ -178,8 +178,17 @@ class TestUsageAndExitCodes:
 
     def test_invalid_log_level_exits_one(self, monkeypatch, capsys):
         monkeypatch.setenv("NIMBUS_LOG", "verbose")
-        assert main(["params", "--preset", "default"]) == 1
+        assert main(["params"]) == 1
         assert "NIMBUS_LOG" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", [["params"], ["train", "--out", "unused"]],
+                             ids=["params", "train"])
+    def test_preset_is_an_unrecognized_argument(self, capsys, cmd):
+        """The model is set by its config fields alone; --preset is gone."""
+        with pytest.raises(SystemExit) as err:
+            main([*cmd, "--preset", "default"])
+        assert err.value.code == 1
+        assert "unrecognized arguments: --preset default" in capsys.readouterr().err
 
     def test_missing_manifest_flag_is_validation_error(self, workspace):
         assert main(["predict", "--checkpoint", "x.smck", "--out",
@@ -224,24 +233,20 @@ class TestUsageAndExitCodes:
 
 
 class TestParams:
-    def test_default_preset_prints_budget_and_ratio(self, capsys):
-        assert main(["params", "--preset", "default"]) == 0
+    def test_default_model_prints_budget_and_ratio(self, capsys):
+        assert main(["params"]) == 0
         out = dict(line.split() for line in capsys.readouterr().out.splitlines())
         assert int(out["total_params"]) == 4021383
         assert int(out["baseline_reference"]) == 24035216
         assert float(out["ratio"]) <= 0.25
 
-    def test_single_frame_preset_stays_in_budget(self, capsys):
-        assert main(["params", "--preset", "single-frame"]) == 0
+    def test_single_frame_model_stays_in_budget(self, tmp_path, capsys):
+        """One 11-band frame in and one lead time out, by the model's fields."""
+        config = tmp_path / "single-frame.json"
+        config.write_text(json.dumps({"model": {"in_channels": 11, "out_channels": 1}}))
+        assert main(["params", "--config", str(config)]) == 0
         out = dict(line.split() for line in capsys.readouterr().out.splitlines())
-        assert 3.5e6 <= int(out["total_params"]) <= 4.7e6
-
-    def test_preset_applies_over_a_config_file(self, workspace, capsys):
-        assert main(["params", "--preset", "single-frame"]) == 0
-        alone = capsys.readouterr().out
-        assert main(["params", "--config", workspace["config"], "--preset", "single-frame"]) == 0
-        assert capsys.readouterr().out == alone
-        assert dict(line.split() for line in alone.splitlines())["total_params"] == "4016758"
+        assert int(out["total_params"]) == 4016758
 
     def test_config_file_model_section_is_used(self, workspace, capsys):
         assert main(["params", "--config", workspace["config"]]) == 0
@@ -389,6 +394,56 @@ class TestTrain:
                    "--out", str(tmp_path / "none"), "--regions", "atlantis"])
         assert rc == 2
 
+    def test_regional_run_with_unparsable_years_exits_one_leaving_no_out(
+            self, workspace, tmp_path, capsys):
+        """--regions and --years are parsed before --out and its echo are made."""
+        out = tmp_path / "regional"
+        capsys.readouterr()
+        assert main(["train", "--config", workspace["config"], "--manifest",
+                     workspace["manifest"], "--out", str(out), "--regions", "north",
+                     "--years", "abc"]) == 1
+        assert "'abc'" in only_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("regional", [False, True], ids=["single", "regional"])
+    @pytest.mark.parametrize("case", ["three-bands", "drop-vis", "eight-leads"])
+    def test_a_model_whose_ends_the_data_cannot_feed_exits_one_naming_the_field(
+            self, workspace, tmp_path, capsys, monkeypatch, case, regional):
+        """The model's channels are checked against the data before any
+        sample is read or --out is made; the error names the config field
+        and the value the data implies."""
+        manifest = workspace["manifest"]
+        if case == "three-bands":
+            config = str(tmp_path / "default.json")
+            Path(config).write_text("{}")
+            data_dir = str(tmp_path / "data")
+            assert main(["synth", "--out", data_dir, "--n", "2", "--n-val", "1",
+                         "--n-test", "1", "--grid", "16", "--bands", "IR016,IR039,IR108",
+                         "--seed", "3"]) == 0
+            manifest = os.path.join(data_dir, "manifest.json")
+            line = "model.in_channels is 36, but the data gives 12 (4 frames x 3 bands)"
+        elif case == "drop-vis":
+            config = edited_config(workspace, "ends-drop", data={"drop_bands": ["VIS006"]})
+            line = "model.in_channels is 8, but the data gives 4 (4 frames x 1 bands)"
+        else:
+            config = edited_config(workspace, "ends-out", model={"out_channels": 8})
+            line = "model.out_channels is 8, but the data gives 16 (lead times)"
+        reads = []
+        read = D.read_tensor_file
+
+        def counted_read(*args, **kwargs):
+            reads.append(args)
+            return read(*args, **kwargs)
+
+        monkeypatch.setattr(D, "read_tensor_file", counted_read)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["train", "--config", config, "--manifest", manifest, "--out", str(out),
+                     *(["--regions", "north"] if regional else [])]) == 1
+        assert only_error_line(capsys) == f"nimbus: error: {line}"
+        assert reads == []
+        assert not out.exists()
+
 
 class TestPredictEvaluate:
     def test_predict_writes_one_file_per_test_sample(self, workspace, trained, tmp_path):
@@ -481,6 +536,21 @@ class TestPredictEvaluate:
                             "--manifest", workspace["manifest"], "--out", str(out)]) == 2
         assert f"split {argv[2]!r} has no samples" in only_error_line(capsys)
         assert not out.exists()
+
+    def test_echoes_name_the_model_of_the_checkpoint(self, workspace, trained, tmp_path):
+        """Scored without --config, whose model section is the default, the
+        echoes hold the model the checkpoint records."""
+        want = load_checkpoint(trained).config.to_dict()
+        assert want["stage_widths"] == SMALL_MODEL["stage_widths"]
+        common = ["--manifest", workspace["manifest"]]
+        preds = str(tmp_path / "preds")
+        assert main(["predict", "--checkpoint", trained, "--out", preds, *common]) == 0
+        assert read_echo(preds)["config"]["model"] == want
+        for name, flag, source in (("ck", "--checkpoint", trained),
+                                   ("pred", "--predictions", preds)):
+            assert main(["evaluate", flag, source, "--out", str(tmp_path / name), *common]) == 0
+            assert report_of(tmp_path / name)["run_config"]["model"] == want
+        assert tree_bytes(tmp_path / "pred") == tree_bytes(tmp_path / "ck")
 
 
 class TestEnsemble:
@@ -646,6 +716,20 @@ class TestPredictionEcho:
         assert got["pooled_counts"] == want["pooled_counts"]
         assert got["run_config"] == run_config_dict(config)
 
+    def test_an_echo_holding_a_preset_exits_two_naming_it(self, workspace, trained, tmp_path,
+                                                          capsys):
+        """An echo written before the preset was deleted no longer reads."""
+        preds = self._predict(workspace, trained, tmp_path, workspace["config"])
+        echo = os.path.join(preds, "predictions-config.json")
+        doc = read_echo(preds)
+        doc["config"]["model"]["preset"] = "default"
+        Path(echo).write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self._evaluate(workspace, preds, workspace["config"], tmp_path) == 2
+        line = only_error_line(capsys)
+        assert echo in line and "'preset'" in line
+        assert not (tmp_path / "rep").exists()
+
     @pytest.mark.parametrize("text", [
         "{not json", "[]", '{"config": 5}',
         '{"config": {"eval": {"threshold": "abc"}, "modle": 1}}',
@@ -667,6 +751,17 @@ class TestPredictionEcho:
 class TestMalformedInputs:
     """Each malformed file gives one error line naming the field, never a
     traceback: exit 1 for a configuration file, 2 for corrupt data."""
+
+    @pytest.mark.parametrize("cmd", ["params", "train"])
+    def test_a_run_config_holding_model_preset_exits_one_naming_it(self, workspace, tmp_path,
+                                                                   capsys, cmd):
+        config = edited_config(workspace, "preset", model={"preset": "default"})
+        out = tmp_path / "run"
+        capsys.readouterr()
+        argv = ["--manifest", workspace["manifest"], "--out", str(out)] if cmd == "train" else []
+        assert main([cmd, "--config", config, *argv]) == 1
+        assert only_error_line(capsys) == "nimbus: error: unknown model config keys: ['preset']"
+        assert not out.exists()
 
     def test_non_list_stage_widths_in_config_exits_one(self, tmp_path, capsys):
         path = str(tmp_path / "bad.json")
@@ -760,7 +855,7 @@ class TestMalformedInputs:
         line = only_error_line(capsys)
         assert "overlaps entry" in line and "at byte" in line
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_retired_checkpoint_version_exits_two_and_writes_nothing(
             self, workspace, trained, tmp_path, capsys, version):
         path = tmp_path / "old.smck"

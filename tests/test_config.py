@@ -134,7 +134,7 @@ def test_integral_floats_pass_as_integers_only_where_the_section_allows():
 
 
 SECTIONS = [
-    ModelConfig(stage_widths=(4, 8, 16, 32, 64), cbam_reduction=2, preset="single-frame"),
+    ModelConfig(in_channels=11, out_channels=1, stage_widths=(4, 8, 16, 32, 64), cbam_reduction=2),
     TrainConfig(lr=0.5, shuffle=False, loss="mse", seed=3),
     EvalConfig(threshold=0.5, prob_threshold=0.25, batch_size=2),
     DataConfig(manifest="data/manifest.json", filter_threshold=0.1, drop_bands=("IR134",)),

@@ -695,7 +695,9 @@ class TestRecordedBandsAndLoss:
 
     @pytest.mark.parametrize("fact,values", [("loss", ("bce_logits", "mse")),
                                              ("bands", (("VIS006", "IR016"),
-                                                        ("IR016", "VIS006")))])
+                                                        ("IR016", "VIS006"))),
+                                             ("config", (TOY_MODEL, dataclasses.replace(
+                                                 TOY_MODEL, depth_multiplier=2)))])
     def test_ensemble_members_that_disagree_are_refused(self, tiny_set, tmp_path, fact,
                                                         values):
         models = [build_model(TOY_MODEL, seed=s) for s in (1, 2)]

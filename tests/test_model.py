@@ -1,6 +1,7 @@
 """Whole-network tests: configuration, parameter budget, geometry,
 full-graph gradients, and checkpoint serialization."""
 
+import json
 import re
 import struct
 import tracemalloc
@@ -61,11 +62,6 @@ class TestModelConfig:
         assert cfg.out_channels == 16
         assert cfg.stage_widths == (64, 128, 256, 512, 1024)
 
-    def test_single_frame_preset_forces_channels(self):
-        cfg = ModelConfig(preset="single-frame")
-        assert cfg.in_channels == 11
-        assert cfg.out_channels == 1
-
     @pytest.mark.parametrize("widths", [(64, 128, 256, 512), (64, 64, 128, 256, 512),
                                         (128, 64, 256, 512, 1024), (63, 128, 256, 512, 1024)])
     def test_bad_widths_rejected(self, widths):
@@ -117,7 +113,7 @@ class TestParameterBudget:
         assert toy_model.count_params() == sum(v.size for _, v in toy_model.named_params())
 
     @pytest.mark.parametrize("cfg", [
-        ModelConfig(), ModelConfig(preset="single-frame"), ModelConfig(**TOY),
+        ModelConfig(), ModelConfig(in_channels=11, out_channels=1), ModelConfig(**TOY),
         ModelConfig(in_channels=3, out_channels=5, stage_widths=(6, 12, 18, 24, 36),
                     depth_multiplier=3, cbam_reduction=3),
     ], ids=["default", "single-frame", "toy", "odd-widths"])
@@ -312,7 +308,7 @@ class TestCheckpoint:
         assert (tmp_path / "b.smck").read_bytes() == (tmp_path / "a.smck").read_bytes()
 
     def test_single_frame_checkpoint_reports_channels(self, tmp_path):
-        cfg = ModelConfig(preset="single-frame", stage_widths=(8, 16, 32, 64, 128),
+        cfg = ModelConfig(in_channels=11, out_channels=1, stage_widths=(8, 16, 32, 64, 128),
                           depth_multiplier=1, cbam_reduction=4)
         model = build_model(cfg, seed=1)
         path = tmp_path / "sf.smck"
@@ -330,10 +326,10 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="byte 0"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 4, 99])
+    @pytest.mark.parametrize("version", [1, 2, 3, 5, 99])
     def test_bad_version_is_format_error(self, toy_model, tmp_path, version):
-        """Only version 3 loads; the retired versions 1 and 2 are refused
-        like any other."""
+        """Only version 4 loads; the retired versions 1, 2 and 3 are
+        refused like any other."""
         path = tmp_path / "model.smck"
         save_checkpoint(toy_model, path)
         raw = bytearray(path.read_bytes())
@@ -464,9 +460,9 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
-class TestCheckpointVersion3:
-    """Version 3 adds the input bands a model reads and the loss it was
-    trained with to the header; the data section is unchanged."""
+class TestCheckpointBandsAndLoss:
+    """The version 4 header holds the model config, the input bands a model
+    reads and the loss it was trained with."""
 
     def test_fresh_model_records_nothing_and_a_trained_one_round_trips(self, toy_model,
                                                                        tmp_path):
@@ -478,7 +474,12 @@ class TestCheckpointVersion3:
         save_checkpoint(toy_model, tmp_path / "trained.smck")
         trained = load_checkpoint(tmp_path / "trained.smck")
         assert trained.bands == ("IR108", "VIS006") and trained.loss == "mse"
-        assert struct.unpack_from("<H", (tmp_path / "trained.smck").read_bytes(), 4) == (3,)
+        raw = (tmp_path / "trained.smck").read_bytes()
+        assert struct.unpack_from("<H", raw, 4) == (4,)
+        (header_len,) = struct.unpack_from("<I", raw, 6)
+        header = json.loads(raw[10:10 + header_len])
+        assert list(header["config"]) == ["in_channels", "out_channels", "stage_widths",
+                                          "depth_multiplier", "cbam_reduction"]
 
     @pytest.mark.parametrize("edit,text", [case[1:] for case in BAD_READS],
                              ids=[case[0] for case in BAD_READS])
