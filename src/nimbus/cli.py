@@ -152,16 +152,28 @@ def cmd_synth(args):
     return EXIT_OK
 
 
+def _held(flag, values, held):
+    """values, once each of them is held by some manifest sample; otherwise
+    a ConfigError naming the others and what the manifest holds."""
+    unknown = [v for v in values if v not in held]
+    if unknown:
+        raise ConfigError(f"{flag} names {', '.join(map(repr, unknown))}, which no sample "
+                          f"holds; the manifest's {flag[2:]} are {', '.join(map(repr, held))}")
+    return values
+
+
 def cmd_train(args):
     _check_out_dir(args.out)
     config = _load_run_config(args)
     manifest = _manifest_from(args, config)
     _check_ends(config.model, manifest, config.data.drop_bands)
     if args.regions or args.years:
-        regions = _comma_list(args.regions) if args.regions else \
-            tuple(sorted({r for r, _ in manifest.region_years()}))
-        years = _comma_ints(args.years) if args.years else \
-            tuple(sorted({y for _, y in manifest.region_years()}))
+        held_regions = sorted({r for r, _ in manifest.region_years()})
+        held_years = sorted({y for _, y in manifest.region_years()})
+        regions = _held("--regions", _comma_list(args.regions), held_regions) \
+            if args.regions else held_regions
+        years = _held("--years", _comma_ints(args.years), held_years) \
+            if args.years else held_years
         os.makedirs(args.out, exist_ok=True)
         _write_json(os.path.join(args.out, "run-config.json"), config.to_dict())
         jobs = [(r, y) for r in regions for y in years]

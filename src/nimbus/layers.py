@@ -2,25 +2,34 @@
 norm, CBAM channel/spatial attention, and the double-conv unit.
 
 Each block owns its parameters (`p`), non-trainable state (`s`), and after a
-backward pass its gradients (`g`).  Forward in train mode caches whatever the
-analytic backward needs, and backward consumes that cache: it drops the
-block's reference as it starts, so the saved activations are freed once the
-block's own backward returns, and each train forward allows exactly one
-backward.  Batch-norm running statistics move only in train mode.
+backward pass its gradients (`g`).  Forward in train mode caches what the
+analytic backward needs and its caller cannot hand it, and backward consumes
+that cache: it drops the block's reference as it starts, so the saved
+activations are freed once the block's own backward returns, and each train
+forward allows exactly one backward.  A block whose backward needs only its
+input caches nothing and takes that input as an argument.  Batch-norm
+running statistics move only in train mode.
 
 A train step holds each activation once, and a backward frees each one
-at its last read.  What each block caches:
-- DepthwiseSeparableConv: its input x only.  The backward recomputes each
-  sample's depthwise output, which never exists at batch size.
+at its last read.  The full-size arrays a double conv keeps are its input
+and its batch norms' normalized inputs; everything else of that size is
+a cheap function of them, rebuilt in the backward with the forward's own
+expression, so its bytes are the forward's.  What each block caches:
+- DepthwiseSeparableConv: nothing.  Its backward takes the input x from
+  its caller and recomputes each sample's depthwise output, which never
+  exists at batch size.
 - BatchNorm: the normalized input xhat and the per-channel 1/std.
-- ChannelAttention: its input x, the two descriptors, the max positions,
-  the MLP pre-activation and the gate s.
+- ChannelAttention: the two descriptors, the max positions, the MLP
+  pre-activation and the gate s, but not its input.
 - SpatialAttention: the pooled planes f, the channel-max positions and the
-  gate m, but not its input.  In CBAM that input is the channel gate's
-  output x * s, which the backward rebuilds from the channel gate's cache.
-- DoubleConvDS: the post-ReLU activations a1 and a2.  a1 is also dsc2's
-  cached input.  Each is freed right after the backward's ReLU mask that
-  is its last read.
+  gate m, but not its input.
+- CBAM: nothing of its own.  Its caller passes the input x; the backward
+  rebuilds the spatial gate's input, x * s, from x and the channel gate's
+  cache.
+- DoubleConvDS: its input x, for dsc1's backward.  The ReLU outputs a1 and
+  a2 are rebuilt from the batch norms' caches (`output`), each freed right
+  after its last read; a1 is dsc2's input, and a2, the block's output, is
+  what the model passes to the CBAM or head that read it.
 
 Eval mode does only what an eval forward needs: it caches nothing, mutates
 nothing, and skips work whose only use is the backward.  Each batch norm
@@ -98,7 +107,8 @@ class Block:
     def _peek_cache(self):
         """The train-mode cache, left in place for this block's own backward."""
         if self._cache is None:
-            raise StateError(f"{type(self).__name__}.backward called without a cached forward")
+            raise StateError(f"{type(self).__name__} holds no train forward: each one "
+                             "allows one backward")
         return self._cache
 
     def _need_cache(self):
@@ -112,7 +122,10 @@ class DepthwiseSeparableConv(Block):
     """3x3 depthwise conv (multiplier k) followed by a 1x1 pointwise conv,
     neither with a bias: every one feeds a batch norm, whose mean
     subtraction would cancel it.  Parameter count is 9k*C_in + k*C_in*C_out.
-    Both run fused in tensor.separable_conv2d; train mode caches only x.
+    Both run fused in tensor.separable_conv2d.  The conv caches nothing:
+    backward(grad_out, x) takes the forward's input from its caller, which
+    in DoubleConvDS is the block's cached input or the rebuilt a1, so
+    `train` changes nothing here.
 
     An eval forward may pass affine=(scale, shift), a per-output-channel
     map to apply after the pointwise conv; it runs as that conv with its
@@ -137,13 +150,12 @@ class DepthwiseSeparableConv(Block):
         if affine is not None:
             scale, shift = affine
             pointwise = pointwise * scale[:, None, None, None]
-        self._cache = x if train else None
         return T.separable_conv2d(x, self.p["depthwise.weight"], pointwise, shift)
 
-    def backward(self, grad_out, input_grad=True):
+    def backward(self, grad_out, x, input_grad=True):
+        """x is the input of the forward whose output grad_out is for."""
         g_x, g_dw, g_pw = T.separable_conv2d_backward(
-            self._need_cache(), self.p["depthwise.weight"], self.p["pointwise.weight"],
-            grad_out, input_grad)
+            x, self.p["depthwise.weight"], self.p["pointwise.weight"], grad_out, input_grad)
         self.g = {"depthwise.weight": g_dw, "pointwise.weight": g_pw}
         return g_x
 
@@ -154,7 +166,8 @@ class BatchNorm(Block):
     Train mode normalizes with the biased batch variance and blends the same
     statistics into the running buffers (momentum weight on the new value).
     It caches (xhat, inv_std), the normalized input and the per-channel
-    1/sqrt(var + eps); the backward needs nothing else.
+    1/sqrt(var + eps); the backward needs nothing else, and `output`
+    rebuilds the forward's output from xhat until the backward runs.
 
     In eval mode a batch norm is the fixed per-channel affine map that
     eval_affine returns, and it runs only folded into the conv before it
@@ -192,10 +205,19 @@ class BatchNorm(Block):
         self.s["running_var"] = (1 - mom) * self.s["running_var"] + mom * var
         inv_std = 1.0 / np.sqrt(var + x.dtype.type(self.eps))
         xhat *= inv_std[None, :, None, None]
-        np.multiply(xhat, self.p["gamma"][None, :, None, None], out=y)
-        y += self.p["beta"][None, :, None, None]
         self._cache = (xhat, inv_std)
-        return y.astype(x.dtype, copy=False)
+        return self._scale_shift(xhat, out=y)
+
+    def output(self):
+        """The last train forward's output, gamma*xhat + beta, rebuilt from
+        the cache with the forward's expression, so with its bytes."""
+        xhat = self._peek_cache()[0]
+        return self._scale_shift(xhat, out=np.empty_like(xhat))
+
+    def _scale_shift(self, xhat, out):
+        np.multiply(xhat, self.p["gamma"][None, :, None, None], out=out)
+        out += self.p["beta"][None, :, None, None]
+        return out
 
     def eval_affine(self):
         """The eval-mode batch norm as (scale, shift), y = scale*x + shift per
@@ -224,7 +246,11 @@ class BatchNorm(Block):
 
 class ChannelAttention(Block):
     """CBAM channel gate: a shared two-layer bottleneck MLP (no biases) over
-    the spatial average and spatial max descriptors, summed and squashed."""
+    the spatial average and spatial max descriptors, summed and squashed.
+
+    Train mode caches (desc, arg, pre, s), all of descriptor size, and not
+    the input x: backward(grad_out, x) takes x from its caller.
+    """
 
     def __init__(self, channels, reduction, rng):
         super().__init__()
@@ -257,11 +283,12 @@ class ChannelAttention(Block):
         y = x * s[:, :, None, None]
         if self.record_scales:
             self.last_scale = s
-        self._cache = (x, desc, arg, pre, s) if train else None
+        self._cache = (desc, arg, pre, s) if train else None
         return y
 
-    def backward(self, grad_out):
-        x, desc, arg, pre, s = self._need_cache()
+    def backward(self, grad_out, x):
+        """x is the input of the train forward whose cache this consumes."""
+        desc, arg, pre, s = self._need_cache()
         n, c, h, w = x.shape
         w1, w2 = self.p["w1"], self.p["w2"]
         gs = (grad_out * x).sum(axis=(2, 3))
@@ -355,9 +382,11 @@ class SpatialAttention(Block):
 class CBAM(Block):
     """Channel attention then spatial attention, as one refinement block.
 
-    The spatial gate keeps no copy of its input, the channel gate's output
-    x * s; backward rebuilds that product from the channel gate's cached x
-    and s, with the forward's expression, so its bytes are the forward's.
+    Neither gate keeps a copy of its input.  backward(grad_out, x) takes
+    the block's input x from its caller, which in the model rebuilds it as
+    the stage output (DoubleConvDS.output), and rebuilds the spatial gate's
+    input x * s from x and the channel gate's cached s, with the forward's
+    expression, so its bytes are the forward's.
     """
 
     def __init__(self, channels, reduction, rng):
@@ -368,9 +397,11 @@ class CBAM(Block):
     def forward(self, x, train=False):
         return self.spatial.forward(self.channel.forward(x, train), train)
 
-    def backward(self, grad_out):
-        x, *_, s = self.channel._peek_cache()
-        return self.channel.backward(self.spatial.backward(grad_out, x * s[:, :, None, None]))
+    def backward(self, grad_out, x):
+        """x is the input of the train forward whose caches this consumes."""
+        s = self.channel._peek_cache()[-1]
+        return self.channel.backward(
+            self.spatial.backward(grad_out, x * s[:, :, None, None]), x)
 
 
 class DoubleConvDS(Block):
@@ -379,9 +410,12 @@ class DoubleConvDS(Block):
     The first unit maps c_in to c_mid, the second c_mid to c_out; c_mid
     defaults to c_out.  Decoder stages pass a halved c_mid to keep the
     parameter budget down, mirroring the up-path blocks this design borrows.
-    ReLU runs in place on each batch-norm output.  Train mode caches the two
-    post-ReLU activations (a1, a2), whose positive entries are the ReLU
-    masks; a1 is also the input that dsc2 caches, so it costs no copy.
+    ReLU runs in place on each batch-norm output.  Train mode caches only
+    the block's input x, which dsc1's backward reads.  The two post-ReLU
+    activations a1 and a2, whose positive entries are the ReLU masks, are
+    rebuilt from the batch norms' caches when the backward needs them;
+    `output` rebuilds a2, the block's output, for the caller of backward
+    that reads it (the model's CBAMs and head).
 
     In eval mode each batch norm is a fixed affine map right after a
     bias-free pointwise conv W, so it folds into that conv (Jacob et al.
@@ -405,24 +439,36 @@ class DoubleConvDS(Block):
 
     def forward(self, x, train=False):
         a1 = self._unit(self.dsc1, self.bn1, x, train)
-        a2 = self._unit(self.dsc2, self.bn2, a1, train)
-        self._cache = (a1, a2) if train else None
-        return a2
+        self._cache = x if train else None
+        return self._unit(self.dsc2, self.bn2, a1, train)
 
     @staticmethod
     def _unit(dsc, bn, x, train):
         if train:
-            a = bn.forward(dsc.forward(x, True), True)
+            a = bn.forward(dsc.forward(x), True)
         else:
             a = dsc.forward(x, affine=bn.eval_affine())
         return T.relu(a, out=a)
 
+    @staticmethod
+    def _relu_output(bn):
+        a = bn.output()
+        return T.relu(a, out=a)
+
+    def output(self):
+        """The last train forward's output, rebuilt: the bytes it returned."""
+        self._peek_cache()  # an eval forward since then leaves the batch norms stale
+        return self._relu_output(self.bn2)
+
     def backward(self, grad_out, input_grad=True):
-        a1, a2 = self._need_cache()
-        g = T.relu_backward(grad_out, a2)
-        del a2      # its last read: free it before the rest of the backward
-        g = self.bn2.backward(g)
-        g = T.relu_backward(self.dsc2.backward(g), a1)
-        del a1      # likewise, before batch norm and the conv below it
-        return self.dsc1.backward(self.bn1.backward(g), input_grad=input_grad)
+        x = self._need_cache()
+        # Each rebuilt activation is freed right after its last read.  The
+        # ReLU mask of a2 needs no ReLU: relu(v) > 0 exactly where v > 0.
+        g = self.bn2.backward(T.relu_backward(grad_out, self.bn2.output()))
+        a1 = self._relu_output(self.bn1)
+        g = self.dsc2.backward(g, a1)
+        g = T.relu_backward(g, a1)
+        del a1
+        g = self.bn1.backward(g)
+        return self.dsc1.backward(g, x, input_grad=input_grad)
 

@@ -104,7 +104,12 @@ class CheckpointHeader(Section):
 
 
 class Conv1x1(Block):
-    """Pointwise conv with bias, used as the logit head."""
+    """Pointwise conv with bias, used as the logit head.
+
+    It caches nothing: backward(grad_out, x) takes the forward's input from
+    its caller, which in the model rebuilds it as the last decoder stage's
+    output (DoubleConvDS.output), so `train` changes nothing here.
+    """
 
     def __init__(self, c_in, c_out, rng):
         super().__init__()
@@ -112,11 +117,10 @@ class Conv1x1(Block):
         self.p["bias"] = np.zeros(c_out, dtype=T.DTYPE)
 
     def forward(self, x, train=False):
-        self._cache = x if train else None
         return T.conv2d(x, self.p["weight"], self.p["bias"])
 
-    def backward(self, grad_out):
-        x = self._need_cache()
+    def backward(self, grad_out, x):
+        """x is the input of the forward whose output grad_out is for."""
         gx, gw, gb = T.conv2d_backward(x, self.p["weight"], grad_out)
         self.g = {"weight": gw, "bias": gb}
         return gx
@@ -128,6 +132,12 @@ class SmaAtUNet(Block):
 
     Pooling consumes the un-attended stage output; the CBAM-refined version
     feeds the skip connection, and the refined bottleneck feeds the decoder.
+
+    The forward drops each array at its last read: a stage output once it
+    is pooled or upsampled, and each skip and upsampled array once the
+    decoder's concat has copied them.  The backward rebuilds each stage
+    output that a CBAM or the head reads (DoubleConvDS.output) and passes it
+    to their backward.
     """
 
     def __init__(self, config, seed):
@@ -168,16 +178,18 @@ class SmaAtUNet(Block):
             if i < 4:
                 cur, arg = T.max_pool2(cur)
                 pools.append(arg)
-        cur = skips[4]
+        cur = skips.pop()
 
         up_sizes = []
         splits = []
         for i in range(4):
             up_sizes.append(cur.shape[2:])
-            skip = skips[3 - i]
+            skip = skips.pop()
             up = T.bilinear_resize(cur, skip.shape[2], skip.shape[3])
             splits.append(skip.shape[1])
-            cur = self.dec[i].forward(T.concat_channels(skip, up), train)
+            cur = T.concat_channels(skip, up)
+            del skip, up
+            cur = self.dec[i].forward(cur, train)
         logits = self.head.forward(cur, train)
         out = T.crop_back(logits, h, w)
         self._cache = dict(orig=(h, w), padded=(hp, wp), pools=pools,
@@ -197,20 +209,20 @@ class SmaAtUNet(Block):
             g = np.zeros(grad_out.shape[:2] + (hp, wp), dtype=grad_out.dtype)
             g[:, :, top:top + h, left:left + w] = grad_out
 
-        g = self.head.backward(g)
-        skip_grads = [None] * 4
+        g = self.head.backward(g, self.dec[3].output())
+        skip_grads = []
         for i in reversed(range(4)):
-            g = self.dec[i].backward(g)
-            g_skip, g_up = T.split_channels(g, cache["splits"][i])
-            skip_grads[3 - i] = g_skip
-            g = T.bilinear_resize_backward(g_up, *cache["up_sizes"][i])
+            g_skip, g = T.split_channels(self.dec[i].backward(g), cache["splits"][i])
+            skip_grads.append(g_skip)
+            g = T.bilinear_resize_backward(g, *cache["up_sizes"][i])
+        del g_skip  # skip_grads holds it until the encoder's pop frees it
 
         # g now holds the bottleneck-feed gradient; walk the encoder back up,
         # merging each stage's skip-branch gradient with the pooled main path.
-        g = self.enc[4].backward(self.att[4].backward(g))
+        g = self.enc[4].backward(self.att[4].backward(g, self.enc[4].output()))
         for i in reversed(range(4)):
             g = T.max_pool2_backward(g, cache["pools"][i])
-            g = g + self.att[i].backward(skip_grads[i])
+            g += self.att[i].backward(skip_grads.pop(), self.enc[i].output())
             # Nothing reads the gradient of the network input, so enc1 skips it.
             g = self.enc[i].backward(g, input_grad=i > 0)
         return dict(self.named_grads())

@@ -103,8 +103,10 @@ def _check_block_gradients(block, x, tol):
     rng = np.random.default_rng(77)
     out = block.forward(x, train=True)
     w = rng.normal(size=out.shape)
-    # The spatial gate keeps no copy of its input; its caller passes it.
-    got_x = block.backward(w, x) if isinstance(block, L.SpatialAttention) else block.backward(w)
+    # Only the double conv and the batch norm keep what their backward reads;
+    # every other block takes its input from its caller.
+    got_x = (block.backward(w) if isinstance(block, (L.BatchNorm, L.DoubleConvDS))
+             else block.backward(w, x))
     got_p = dict(block.named_grads())
 
     def project(z):

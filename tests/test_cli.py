@@ -121,6 +121,23 @@ def edited_config(workspace, name, **sections):
 
 
 @pytest.fixture(scope="module")
+def gapped_manifest(workspace):
+    """The workspace manifest with every south sample moved to 2020: both
+    regions and both years are held, but (north, 2020) and (south, 2019)
+    have no samples."""
+    with open(workspace["manifest"], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for sample in doc["samples"]:
+        if sample["region"] == "south":
+            sample["year"] = 2020
+            sample["timestamp"] = sample["timestamp"].replace("2019", "2020", 1)
+    path = os.path.join(os.path.dirname(workspace["manifest"]), "gapped-manifest.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+@pytest.fixture(scope="module")
 def mse_config(workspace):
     """The workspace config, training with the mse loss."""
     return edited_config(workspace, "mse", train={"loss": "mse"})
@@ -359,17 +376,37 @@ class TestTrain:
         for j in jobs.values():
             assert j["error"] is None and os.path.exists(j["checkpoint"])
 
-    def test_unknown_region_gives_partial_failure_exit(self, workspace, tmp_path):
+    def test_a_known_pair_without_samples_gives_partial_failure_exit(
+            self, workspace, gapped_manifest, tmp_path):
         out = str(tmp_path / "partial")
         rc = main(["train", "--config", workspace["config"],
-                   "--manifest", workspace["manifest"], "--out", out,
-                   "--regions", "north,atlantis"])
+                   "--manifest", gapped_manifest, "--out", out,
+                   "--regions", "north,south", "--years", "2019"])
         assert rc == 3
         with open(os.path.join(out, "train-report.json"), encoding="utf-8") as fh:
             report = json.load(fh)
         by_region = {j["region"]: j for j in report["jobs"]}
         assert by_region["north"]["error"] is None
-        assert by_region["atlantis"]["error"] is not None
+        assert by_region["south"]["error"] == ("ConfigError: manifest has no samples for "
+                                               "region 'south' year 2019")
+
+    @pytest.mark.parametrize("flags, line", [
+        (["--regions", "north,atlantis,zzz"],
+         "--regions names 'atlantis', 'zzz', which no sample holds; "
+         "the manifest's regions are 'north', 'south'"),
+        (["--regions", "south", "--years", "2019,2031"],
+         "--years names 2031, which no sample holds; the manifest's years are 2019, 2020"),
+    ], ids=["region", "year"])
+    def test_a_name_no_sample_holds_exits_one_leaving_no_out(
+            self, workspace, gapped_manifest, tmp_path, capsys, flags, line):
+        """A --regions or --years value that no manifest sample holds is a
+        configuration error, raised before --out is made."""
+        out = tmp_path / "regional"
+        capsys.readouterr()
+        assert main(["train", "--config", workspace["config"], "--manifest", gapped_manifest,
+                     "--out", str(out), *flags]) == 1
+        assert only_error_line(capsys) == f"nimbus: error: {line}"
+        assert not out.exists()
 
     def test_poisoned_gradient_mid_run_keeps_history_and_exits_two(self, workspace, tmp_path,
                                                                     capsys, monkeypatch):
@@ -388,10 +425,10 @@ class TestTrain:
         assert not os.path.exists(os.path.join(out, "model.smck"))
         assert sorted(os.listdir(out)) == ["model.history.jsonl", "run-config.json"]
 
-    def test_all_jobs_failing_is_runtime_exit(self, workspace, tmp_path):
+    def test_all_jobs_failing_is_runtime_exit(self, workspace, gapped_manifest, tmp_path):
         rc = main(["train", "--config", workspace["config"],
-                   "--manifest", workspace["manifest"],
-                   "--out", str(tmp_path / "none"), "--regions", "atlantis"])
+                   "--manifest", gapped_manifest,
+                   "--out", str(tmp_path / "none"), "--regions", "south", "--years", "2019"])
         assert rc == 2
 
     def test_regional_run_with_unparsable_years_exits_one_leaving_no_out(

@@ -77,15 +77,26 @@ class TestDepthwiseSeparableConv:
             return float((layer.forward(x, train=True) * probe).sum())
 
         run()
-        gx = layer.backward(probe)
+        gx = layer.backward(probe, x)
         assert rel_err(gx, fd_gradient(lambda a: float((layer.forward(a) * probe).sum()), x)) < GRAD_TOL
         for name in layer.p:
             param_fd(layer, run, name)
 
-    def test_backward_without_forward_is_state_error(self, rng):
-        layer = L.DepthwiseSeparableConv(2, 2, 1, rng)
-        with pytest.raises(StateError):
-            layer.backward(np.zeros((1, 2, 4, 4), dtype=np.float32))
+    def test_caches_nothing_so_backward_needs_no_forward(self, rng):
+        """The conv keeps nothing from a train forward: its backward is a
+        function of the input its caller passes, the same bytes with or
+        without a forward before it."""
+        layer = L.DepthwiseSeparableConv(3, 4, 2, rng)
+        x = rng.standard_normal((2, 3, 6, 5)).astype(np.float32)
+        probe = rng.standard_normal((2, 4, 6, 5)).astype(np.float32)
+        cold = layer.backward(probe, x)
+        cold_g = {name: g.copy() for name, g in layer.g.items()}
+        layer.forward(x, train=True)
+        assert layer._cache is None
+        assert layer.backward(probe, x).tobytes() == cold.tobytes()
+        assert layer.g.keys() == cold_g.keys()
+        for name, g in layer.g.items():
+            assert g.tobytes() == cold_g[name].tobytes(), name
 
 
 class TestBatchNorm:
@@ -267,7 +278,7 @@ class TestChannelAttention:
             return float((att.forward(x, train=True) * probe).sum())
 
         run()
-        gx = att.backward(probe)
+        gx = att.backward(probe, x)
         assert rel_err(gx, fd_gradient(lambda a: float((att.forward(a) * probe).sum()), x)) < GRAD_TOL
         for name in att.p:
             param_fd(att, run, name)
@@ -379,7 +390,7 @@ class TestCBAM:
             return float((block.forward(x, train=True) * probe).sum())
 
         run()
-        gx = block.backward(probe)
+        gx = block.backward(probe, x)
         want = fd_gradient(lambda a: float((block.forward(a) * probe).sum()), x)
         assert rel_err(gx, want) < GRAD_TOL
         grads = dict(block.named_grads())
@@ -461,6 +472,28 @@ class TestDoubleConvDS:
         for name, g in got.items():
             assert g.tobytes() == want[name].tobytes(), name
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rebuilt_output_is_the_forward_output(self, rng, dtype):
+        """output() rebuilds the last train forward's output from the batch
+        norms' caches with the bytes the forward returned, until a backward
+        or an eval forward ends that train forward."""
+        block = L.DoubleConvDS(5, 8, 2, rng, c_mid=6).to_dtype(dtype)
+        for bn in (block.bn1, block.bn2):
+            bn.p["gamma"] = rng.uniform(-2.0, 2.0, bn.channels).astype(dtype)
+            bn.p["beta"] = rng.uniform(-1.5, 1.5, bn.channels).astype(dtype)
+        x = rng.standard_normal((3, 5, 9, 11)).astype(dtype)
+        y = block.forward(x, train=True)
+        assert (y == 0).any() and (y > 0).any()
+        got = block.output()
+        assert got is not y and got.dtype == y.dtype and got.tobytes() == y.tobytes()
+        block.backward(np.ones_like(y))
+        with pytest.raises(StateError):
+            block.output()
+        block.forward(x, train=True)
+        block.forward(x)
+        with pytest.raises(StateError):
+            block.output()
+
     def test_whole_block_gradient(self, rng):
         block = L.DoubleConvDS(2, 3, 1, rng).to_dtype(np.float64)
         x = rng.standard_normal((3, 2, 5, 5))
@@ -478,8 +511,8 @@ class TestDoubleConvDS:
             param_fd(getattr(block, head), run, rest)
 
 
+# Every block that keeps a cache; the separable conv keeps none.
 BLOCKS = {
-    "DepthwiseSeparableConv": lambda rng: L.DepthwiseSeparableConv(4, 6, 2, rng),
     "BatchNorm": lambda rng: L.BatchNorm(4),
     "ChannelAttention": lambda rng: L.ChannelAttention(4, 2, rng),
     "SpatialAttention": lambda rng: L.SpatialAttention(rng),
@@ -496,8 +529,9 @@ class TestBackwardConsumesCache:
         train forward allows one more."""
         block = BLOCKS[kind](rng)
         x = rng.standard_normal((2, 4, 8, 8)).astype(np.float32)
-        # The spatial gate keeps no copy of its input; its caller passes it.
-        inputs = (x,) if kind == "SpatialAttention" else ()
+        # Only these keep what their backward reads; the others take their
+        # input from their caller.
+        inputs = () if kind in ("BatchNorm", "DoubleConvDS") else (x,)
         y = block.forward(x, train=True)
         block.backward(np.ones_like(y), *inputs)
         for b in _blocks(block):

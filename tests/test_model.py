@@ -194,7 +194,8 @@ class TestBackward:
 
     def test_backward_frees_every_cache(self, toy_model):
         """After one backward no block holds its train-mode activations, and
-        the model and its head refuse a second backward."""
+        the model refuses a second backward, as does its head, whose input
+        the last decoder stage can no longer rebuild."""
         x = np.random.default_rng(5).standard_normal((2, 4, 16, 16)).astype(np.float32)
         y = toy_model.forward(x, train=True)
         toy_model.backward(np.ones_like(y))
@@ -206,7 +207,7 @@ class TestBackward:
         with pytest.raises(StateError):
             toy_model.backward(np.ones_like(y))
         with pytest.raises(StateError):
-            toy_model.head.backward(np.ones_like(y))
+            toy_model.head.backward(np.ones_like(y), toy_model.dec[-1].output())
 
     def test_whole_model_gradient_sample_matches_fd(self, toy_model):
         model = toy_model.to_dtype(np.float64)
