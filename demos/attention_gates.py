@@ -1,9 +1,9 @@
 """Peek inside the attention blocks while a batch flows through.
 
-Turns on the channel-gate recorder of every encoder attention block, runs
-one synthetic batch, and prints how strongly each stage rescales its
-channels.  Gates sit in (0, 1): values near 1 pass a channel through,
-values near 0 suppress it.
+Runs one synthetic batch through the model in train mode, reads the
+channel gate each encoder attention block cached for its backward, and
+prints how strongly each stage rescales its channels.  Gates sit in
+(0, 1): values near 1 pass a channel through, values near 0 suppress it.
 """
 
 import numpy as np
@@ -18,20 +18,17 @@ def main():
     model = build_model(config, seed=3).to_dtype(np.float64)
 
     stages = list(model.att)
-    for cbam in stages:
-        cbam.channel.record_scales = True
-
     x = np.random.default_rng(3).normal(0.0, 1.0, (2, 12, 32, 32)).astype(np.float32)
     x = x.astype(np.float64)
     model.forward(x, train=True)
 
     print("channel-gate statistics per encoder stage (train-mode forward):")
     for i, cbam in enumerate(stages, start=1):
-        s = cbam.channel.last_scale
+        s = cbam.channel.gate()
         print(f"  stage {i}: {s.shape[1]:3d} channels  "
               f"min {s.min():.3f}  mean {s.mean():.3f}  max {s.max():.3f}")
 
-    flat = stages[0].channel.last_scale[0]
+    flat = stages[0].channel.gate()[0]
     order = np.argsort(flat)
     print("\nstage-1 channels by gate value (sample 0):")
     print("  most suppressed:", ", ".join(f"ch{j} {flat[j]:.3f}" for j in order[:3]))

@@ -260,9 +260,6 @@ class ChannelAttention(Block):
         hidden = channels // reduction
         self.p["w1"] = _he_uniform(rng, (hidden, channels), channels)
         self.p["w2"] = _he_uniform(rng, (channels, hidden), hidden)
-        # diagnostics: when record_scales is set, forward keeps its last gate
-        self.record_scales = False
-        self.last_scale = None
 
     def forward(self, x, train=False):
         n, c, h, w = x.shape
@@ -281,10 +278,13 @@ class ChannelAttention(Block):
         z = (w2 @ np.maximum(pre, 0)).sum(axis=2)
         s = T.sigmoid(z)
         y = x * s[:, :, None, None]
-        if self.record_scales:
-            self.last_scale = s
         self._cache = (desc, arg, pre, s) if train else None
         return y
+
+    def gate(self):
+        """The (n, c) gate of the last train forward, from the cache its
+        backward has not consumed yet."""
+        return self._peek_cache()[-1]
 
     def backward(self, grad_out, x):
         """x is the input of the train forward whose cache this consumes."""
@@ -399,7 +399,7 @@ class CBAM(Block):
 
     def backward(self, grad_out, x):
         """x is the input of the train forward whose caches this consumes."""
-        s = self.channel._peek_cache()[-1]
+        s = self.channel.gate()
         return self.channel.backward(
             self.spatial.backward(grad_out, x * s[:, :, None, None]), x)
 

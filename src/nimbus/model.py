@@ -12,6 +12,7 @@ downstream at prediction and evaluation time.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import struct
 import types
@@ -82,7 +83,9 @@ class BlobEntry(Section):
 
 @dataclasses.dataclass(frozen=True)
 class CheckpointHeader(Section):
-    """A checkpoint's JSON header: model config, blob table, input bands and loss."""
+    """A checkpoint's JSON header: model config, blob table, input bands and
+    loss.  The entries are only typed here: load_checkpoint compares them
+    with the blob table save_checkpoint writes for the config."""
     config: ModelConfig
     entries: tuple[BlobEntry, ...]
     bands: tuple[str, ...] | None = None
@@ -96,11 +99,6 @@ class CheckpointHeader(Section):
             raise FormatError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if self.bands is not None and (not self.bands or len(set(self.bands)) < len(self.bands)):
             raise FormatError(f"bands must name at least one band, none twice: {list(self.bands)}")
-        for i, entry in enumerate(self.entries):
-            for field in ("offset", "length"):
-                if getattr(entry, field) < 0:
-                    raise FormatError(f"entries[{i}].{field} must be a non-negative integer, "
-                                      f"got {getattr(entry, field)}")
 
 
 class Conv1x1(Block):
@@ -314,25 +312,33 @@ def baseline_reference_param_count(config):
     return total
 
 
+def _blob_table(model):
+    """The checkpoint blob table of a model as (BlobEntry, array) pairs:
+    every parameter, then every batch-norm statistic, in model order, each
+    stored as float32 right after the one before it."""
+    table = []
+    offset = 0
+    for name, arr in list(model.named_params()) + list(model.named_states()):
+        table.append((BlobEntry(name=name, dims=arr.shape, offset=offset, length=4 * arr.size),
+                      arr))
+        offset += 4 * arr.size
+    return table
+
+
 def save_checkpoint(model, path):
     """Serialize params, batch-norm state, config, bands and loss atomically.
 
     Layout: magic "SMCK", u16 version (4), u32 header length, JSON header
     {config, entries: [{name, dims, offset, length}], bands, loss}, then the raw
-    float32 little-endian blobs back to back.  Offsets are relative to the
-    end of the header.
+    float32 little-endian blobs.  The entries are the model's parameters,
+    then its batch-norm statistics, in model order, and their blobs lie
+    back to back from the end of the header, where offsets count from.
     """
-    entries = []
-    blobs = []
-    offset = 0
-    for name, arr in list(model.named_params()) + list(model.named_states()):
-        blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        entries.append(BlobEntry(name=name, dims=arr.shape, offset=offset, length=len(blob)))
-        blobs.append(blob)
-        offset += len(blob)
-    header = CheckpointHeader(config=model.config, entries=entries, bands=model.bands,
-                              loss=model.loss)
+    table = _blob_table(model)
+    header = CheckpointHeader(config=model.config, entries=[entry for entry, _ in table],
+                              bands=model.bands, loss=model.loss)
     header = json.dumps(header.to_dict(), separators=(",", ":")).encode("utf-8")
+    blobs = [np.ascontiguousarray(arr, dtype="<f4").tobytes() for _, arr in table]
     payload = b"".join([CHECKPOINT_MAGIC, struct.pack("<H", CHECKPOINT_VERSION),
                         struct.pack("<I", len(header)), header] + blobs)
     _atomic_write(path, payload)
@@ -360,10 +366,14 @@ def _check_values(path, name, values, start):
 def load_checkpoint(path):
     """Read a checkpoint back into a freshly built model, bitwise.
 
-    Every value must be finite and every running variance non-negative;
-    otherwise the FormatError names the entry and the byte offset of its
-    first bad value.  Any version but 4 is refused at byte 4.  A model
-    saved before training records no bands or loss: both load as None.
+    The blob table must be exactly the one save_checkpoint writes for the
+    header's config, and the data section exactly as long as its blobs;
+    otherwise the FormatError names the first entry that differs and the
+    field that does.  Every value must be finite and every running
+    variance non-negative; otherwise the FormatError names the entry and
+    the byte offset of its first bad value.  Any version but 4 is refused
+    at byte 4.  A model saved before training records no bands or loss:
+    both load as None.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -399,50 +409,23 @@ def load_checkpoint(path):
             f"{field!r} = {value!r}")
     model = build_model(header.config, seed=0)
     model.bands, model.loss = header.bands, header.loss
-    wanted = dict(list(model.named_params()) + list(model.named_states()))
-    seen = set()
-    spans = []      # (first byte, end byte, name) of every entry's data
-    for i, entry in enumerate(header.entries):
-        name, dims, offset, length = entry.name, entry.dims, entry.offset, entry.length
-        if name not in wanted:
-            raise FormatError(f"{path}: header entry {name!r} not part of this architecture")
-        if name in seen:
-            raise FormatError(f"{path}: entry {name!r} appears twice; entries[{i}] "
-                              f"repeats it with data at byte {data_start + offset}")
-        if dims != wanted[name].shape:
-            raise FormatError(
-                f"{path}: entry {name!r} dims {list(dims)} do not match the "
-                f"architecture's {list(wanted[name].shape)}")
-        want_len = int(np.prod(dims, dtype=np.int64)) * 4
-        if length != want_len:
-            raise FormatError(
-                f"{path}: entry {name!r} declares {length} bytes for dims {list(dims)} "
-                f"(expected {want_len}) at byte {data_start + offset}")
-        lo = data_start + offset
-        hi = lo + length
-        if hi > len(raw):
-            raise FormatError(f"{path}: entry {name!r} data truncated at byte {len(raw)}")
-        wanted[name][...] = np.frombuffer(raw[lo:hi], dtype="<f4").reshape(dims)
-        seen.add(name)
-        spans.append((lo, hi, name))
-    missing = set(wanted) - seen
-    if missing:
-        raise FormatError(f"{path}: header omits {len(missing)} blocks, e.g. {sorted(missing)[0]!r}")
-    # The entries must tile the data section: no overlaps, no gaps, and no
-    # bytes before the first entry or after the last.
-    spans.sort()
-    prev_hi, prev = data_start, None
-    for lo, hi, name in spans:
-        if lo < prev_hi:
-            raise FormatError(f"{path}: entry {name!r} data at byte {lo} overlaps entry "
-                              f"{prev!r}, which ends at byte {prev_hi}")
-        if lo > prev_hi:
-            raise FormatError(f"{path}: bytes {prev_hi} to {lo} before entry {name!r} "
-                              f"belong to no entry")
-        prev_hi, prev = hi, name
-    if prev_hi != len(raw):
-        raise FormatError(f"{path}: bytes {prev_hi} to {len(raw)} after entry {prev!r} "
-                          f"belong to no entry")
-    for lo, _, name in spans:
-        _check_values(path, name, wanted[name].reshape(-1), lo)
+    table = _blob_table(model)
+    wanted = [entry for entry, _ in table]
+    for i, (got, want) in enumerate(itertools.zip_longest(header.entries, wanted)):
+        if got is None or want is None:
+            raise FormatError(f"{path}: entries[{i}] {(got or want).name!r} is "
+                              f"{'missing' if got is None else 'extra'}: the blob table of "
+                              f"this config has {len(wanted)} entries")
+        if got != want:
+            have, should = got.to_dict(), want.to_dict()
+            field = next(k for k in should if have[k] != should[k])
+            raise FormatError(f"{path}: entries[{i}] {got.name!r} has {field} "
+                              f"{have[field]!r}, expected {should[field]!r}")
+    if len(raw) > data_start + need:
+        raise FormatError(f"{path}: bytes {data_start + need} to {len(raw)} after entry "
+                          f"{wanted[-1].name!r} belong to no entry")
+    for entry, arr in table:
+        start = data_start + entry.offset
+        arr[...] = np.frombuffer(raw, dtype="<f4", count=arr.size, offset=start).reshape(arr.shape)
+        _check_values(path, entry.name, arr.reshape(-1), start)
     return model

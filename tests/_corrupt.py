@@ -256,27 +256,64 @@ def poison_value(suffix, index, value):
     return edit
 
 
+def _swap_offsets(a, b):
+    """A header edit that swaps the offsets of the entries named a and b."""
+    def edit(header):
+        first, second = (next(e for e in header["entries"] if e["name"] == n) for n in (a, b))
+        first["offset"], second["offset"] = second["offset"], first["offset"]
+    return edit
+
+
+def _swap_entries(i, j):
+    """A header edit that swaps entries i and j, each keeping its offset, so
+    the table still tiles the data section."""
+    def edit(header):
+        entries = header["entries"]
+        entries[i], entries[j] = entries[j], entries[i]
+    return edit
+
+
 # Checkpoints with a malformed blob table as (test id, rewrite_checkpoint
 # edit, text the error must contain).  Each once loaded silently or, for the
 # list name, escaped as a bare TypeError.  A JSON false passed the old
 # isinstance(offset, int) check, as 0, which the first entry's offset is.
-# An unknown key in an entry was ignored.  The last two name an array the
-# architecture lacks and leave one out.
+# An unknown key in an entry was ignored.  A repeated name once loaded, the
+# later entry winning.  The two swaps loaded too, though they are not the
+# table save_checkpoint writes: swapped running statistics, all of one
+# shape, read the mean as the variance, and a variance of zeros passed the
+# non-negative check.
 BAD_BLOB_TABLES = [
     ("appended-bytes", _in_header(lambda header: None, bytes(700)), "belong to no entry"),
-    ("gap-before-last", _in_header(_shift_offsets(-1, 4), bytes(4)), "belong to no entry"),
-    ("gap-before-first", _in_header(_shift_offsets(0, 4), bytes(4)), "belong to no entry"),
+    ("gap-before-last", _in_header(_shift_offsets(-1, 4), bytes(4)),
+     "'dec4.bn2.running_var' has offset"),
+    ("gap-before-first", _in_header(_shift_offsets(0, 4), bytes(4)),
+     "entries[0] 'enc1.dsc1.depthwise.weight' has offset 4, expected 0"),
     ("name-not-string", _in_header(_setting("entries", 0, "name", value=["x"])),
      "entries[0].name"),
     ("offset-false", _in_header(_setting("entries", 0, "offset", value=False)),
      "entries[0].offset"),
+    ("offset-negative", _in_header(_setting("entries", 0, "offset", value=-4)),
+     "entries[0] 'enc1.dsc1.depthwise.weight' has offset -4, expected 0"),
     ("entry-unknown-key", _in_header(_setting("entries", 1, "dtype", value="<f4")),
      "unknown entries[1] keys: ['dtype']"),
+    ("entry-not-object", _in_header(lambda header: header["entries"].insert(1, 7)),
+     "entries[1] must be an object"),
     ("entry-unknown-name", _in_header(_setting("entries", 0, "name",
                                                value="enc1.dsc1.pointwise.bias")),
-     "entry 'enc1.dsc1.pointwise.bias' not part of this architecture"),
+     "entries[0] 'enc1.dsc1.pointwise.bias' has name 'enc1.dsc1.pointwise.bias', "
+     "expected 'enc1.dsc1.depthwise.weight'"),
     ("entry-dropped", _in_header(lambda header: header["entries"].pop()),
-     "header omits 1 blocks"),
+     "'dec4.bn2.running_var' is missing: the blob table of this config has"),
+    ("entry-repeated", _in_header(lambda header: header["entries"].append(
+        dict(header["entries"][0]))), "'enc1.dsc1.depthwise.weight' is extra"),
+    ("entries-overlap", _in_header(_setting("entries", 1, "offset", value=4)),
+     "entries[1] 'enc1.dsc1.pointwise.weight' has offset 4, expected"),
+    ("swap-same-shape-offsets", _in_header(_swap_offsets("enc1.bn1.running_mean",
+                                                         "enc1.bn1.running_var")),
+     "'enc1.bn1.running_mean' has offset"),
+    ("entries-permuted", _in_header(_swap_entries(0, 1)),
+     "entries[0] 'enc1.dsc1.pointwise.weight' has name 'enc1.dsc1.pointwise.weight', "
+     "expected 'enc1.dsc1.depthwise.weight'"),
 ]
 
 

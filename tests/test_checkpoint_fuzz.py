@@ -1,9 +1,12 @@
 """Property tests: a checkpoint with bytes overwritten, cut off or appended,
-or with a header field dropped or swapped for a value of another type or
-size, either loads or fails with a NimbusError subclass, never a bare
-builtin; and `nimbus predict` over such a checkpoint exits 0, or 1 or 2
-with one error line.  The checkpoint is version 4, the only one that
-loads, and its header records bands and a loss."""
+with a header field dropped or swapped for a value of another type or
+size, or with blob-table entries permuted, offsets swapped, or an entry
+dropped or repeated, either loads or fails with a NimbusError subclass,
+never a bare builtin; a header-mutated one that loads holds exactly the
+blob table and data that saving the loaded model writes; and `nimbus
+predict` over such a checkpoint exits 0, or 1 or 2 with one error line.
+The checkpoint is version 4, the only one that loads, and its header
+records bands and a loss."""
 
 import copy
 import json
@@ -36,7 +39,15 @@ BYTE_MUTATION = st.one_of(
     st.tuples(st.just("truncate"), st.integers(0, 1 << 20)),
     st.tuples(st.just("append"), st.binary(min_size=1, max_size=9)),
 )
+# Blob-table edits that keep every entry well-typed, so that only the
+# table's agreement with the writer's can refuse them; entry indices wrap.
+TABLE_MUTATION = st.one_of(
+    st.tuples(st.sampled_from(["permute", "swap-offsets"]), st.integers(0, 1 << 20),
+              st.integers(0, 1 << 20)),
+    st.tuples(st.sampled_from(["drop-entry", "repeat-entry"]), st.integers(0, 1 << 20)),
+)
 HEADER_MUTATION = st.one_of(
+    TABLE_MUTATION,
     st.tuples(st.just("drop"), st.integers(0, 1 << 20)),
     st.tuples(st.just("swap"), st.integers(0, 1 << 20), VALUES),
     # Config fields, bands and loss are few among the entries' paths, so aim at them too.
@@ -72,17 +83,46 @@ def _mutate_header(raw, mutations):
         elif mutation[0] == "reads":
             if isinstance(header, dict):
                 header[mutation[1]] = copy.deepcopy(mutation[2])
+        elif mutation[0] in ("permute", "swap-offsets", "drop-entry", "repeat-entry"):
+            _mutate_table(header, mutation)
         else:
             header = mutate_document(header, mutation)
     body = json.dumps(header).encode("utf-8")
     return raw[:6] + struct.pack("<I", len(body)) + body + raw[10 + header_len:]
 
 
+def _mutate_table(header, mutation):
+    """Apply a TABLE_MUTATION to the header's entries in place, if an
+    earlier mutation left them a list of objects."""
+    entries = header.get("entries") if isinstance(header, dict) else None
+    if not isinstance(entries, list) or not entries or \
+            not all(isinstance(e, dict) for e in entries):
+        return
+    kind, i = mutation[0], mutation[1] % len(entries)
+    if kind == "drop-entry":
+        del entries[i]
+    elif kind == "repeat-entry":
+        entries.insert(i, copy.deepcopy(entries[i]))
+    elif kind == "permute":
+        j = mutation[2] % len(entries)
+        entries[i], entries[j] = entries[j], entries[i]
+    else:   # swap the offsets of entry i and of another entry with its dims
+        same = [e for e in entries if e.get("dims") == entries[i].get("dims")]
+        other = same[mutation[2] % len(same)]
+        entries[i]["offset"], other["offset"] = other.get("offset"), entries[i].get("offset")
+
+
 def _loads_or_fails_cleanly(path):
     try:
-        load_checkpoint(path)
+        return load_checkpoint(path)
     except NimbusError:
-        pass
+        return None
+
+
+def _table_and_data(raw):
+    """The blob table of a checkpoint's header and the bytes after it."""
+    (header_len,) = struct.unpack_from("<I", raw, 6)
+    return json.loads(raw[10:10 + header_len])["entries"], raw[10 + header_len:]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -100,7 +140,11 @@ def test_header_mutated_checkpoint_fails_only_with_nimbus_errors(workspace, muta
     root, raw, _ = workspace
     path = root / "header.smck"
     path.write_bytes(_mutate_header(raw, mutations))
-    _loads_or_fails_cleanly(path)
+    model = _loads_or_fails_cleanly(path)
+    if model is not None:
+        save_checkpoint(model, root / "resaved.smck")
+        assert (_table_and_data(path.read_bytes()) ==
+                _table_and_data((root / "resaved.smck").read_bytes()))
 
 
 @settings(derandomize=True, max_examples=30, deadline=None,

@@ -871,27 +871,6 @@ class TestMalformedInputs:
         assert self._evaluate_checkpoint(workspace, trained, tmp_path, edit) == 2
         assert "stage_widths" in only_error_line(capsys)
 
-    def test_non_object_checkpoint_entry_exits_two(self, workspace, trained,
-                                                   tmp_path, capsys):
-        def edit(header):
-            header["entries"][0] = "enc1"
-        assert self._evaluate_checkpoint(workspace, trained, tmp_path, edit) == 2
-        assert "entries[0]" in only_error_line(capsys)
-
-    def test_duplicate_checkpoint_entry_exits_two(self, workspace, trained, tmp_path, capsys):
-        def edit(header):
-            header["entries"].append(dict(header["entries"][0]))
-        assert self._evaluate_checkpoint(workspace, trained, tmp_path, edit) == 2
-        line = only_error_line(capsys)
-        assert "appears twice" in line and "at byte" in line
-
-    def test_overlapping_checkpoint_entries_exit_two(self, workspace, trained, tmp_path, capsys):
-        def edit(header):
-            header["entries"][1]["offset"] = header["entries"][0]["offset"] + 4
-        assert self._evaluate_checkpoint(workspace, trained, tmp_path, edit) == 2
-        line = only_error_line(capsys)
-        assert "overlaps entry" in line and "at byte" in line
-
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_retired_checkpoint_version_exits_two_and_writes_nothing(
             self, workspace, trained, tmp_path, capsys, version):

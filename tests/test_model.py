@@ -168,13 +168,11 @@ class TestForwardGeometry:
         open interval is representable at all (a saturated float rounds the
         mathematically-interior value to exactly 0 or 1)."""
         model = toy_model.to_dtype(np.float64)
-        for att in model.att:
-            att.channel.record_scales = True
         x = np.random.default_rng(4).standard_normal((2, 4, 32, 32))
         model.forward(x, train=True)
         for att in model.att:
-            s = att.channel.last_scale
-            assert s is not None
+            s = att.channel.gate()
+            assert s.shape == (2, att.channel.channels)
             assert np.all((s > 0) & (s < 1))
 
 
@@ -356,45 +354,10 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="truncated"):
             load_checkpoint(path)
 
-    def test_non_object_entry_is_format_error(self, toy_model, tmp_path):
-        path = tmp_path / "model.smck"
-        save_checkpoint(toy_model, path)
-        rewrite_checkpoint_header(path, lambda h: h["entries"].insert(1, 7))
-        with pytest.raises(FormatError, match=r"entries\[1\]"):
-            load_checkpoint(path)
-
-    def test_duplicate_entry_is_format_error(self, toy_model, tmp_path):
-        """A repeated name once loaded silently, the later entry winning."""
-        path = tmp_path / "model.smck"
-        save_checkpoint(toy_model, path)
-        first = {}
-
-        def edit(header):
-            first.update(header["entries"][0])
-            header["entries"].append(dict(first))
-        rewrite_checkpoint_header(path, edit)
-        with pytest.raises(FormatError, match=re.escape(repr(first["name"])) +
-                           r" appears twice; entries\[\d+\] repeats it with data at byte \d+"):
-            load_checkpoint(path)
-
-    def test_overlapping_entries_are_format_error(self, toy_model, tmp_path):
-        """An entry whose bytes reach into another's once loaded silently."""
-        path = tmp_path / "model.smck"
-        save_checkpoint(toy_model, path)
-        names = []
-
-        def edit(header):
-            a, b = header["entries"][:2]
-            names.extend([a["name"], b["name"]])
-            b["offset"] = a["offset"] + 4
-        rewrite_checkpoint_header(path, edit)
-        with pytest.raises(FormatError, match=re.escape(repr(names[1])) + r" data at byte \d+ "
-                           "overlaps entry " + re.escape(repr(names[0]))):
-            load_checkpoint(path)
-
     @pytest.mark.parametrize("edit,text", [case[1:] for case in BAD_BLOB_TABLES],
                              ids=[case[0] for case in BAD_BLOB_TABLES])
     def test_entries_must_tile_the_data_section(self, toy_model, tmp_path, edit, text):
+        """Only the blob table save_checkpoint writes loads."""
         path = tmp_path / "model.smck"
         save_checkpoint(toy_model, path)
         rewrite_checkpoint(path, edit)
