@@ -60,10 +60,13 @@ def _comma_list(text):
 
 
 def _comma_ints(text):
+    """Comma-separated integers, as an argparse type: the parser's error
+    names the flag and the value."""
     try:
         return tuple(int(part) for part in _comma_list(text))
     except ValueError as exc:
-        raise ValidationError(f"expected comma-separated integers, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, "
+                                         f"got {text!r}") from exc
 
 
 def _load_run_config(args):
@@ -100,12 +103,16 @@ def _trained_as(config, model, drop, loss):
 def _load_models(paths, config, manifest):
     """The checkpoints' models and config as they were trained: the model
     config their headers hold, and config's data.drop_bands and train.loss
-    standing in for a model saved untrained."""
+    standing in for a model saved untrained.  The first model's ends are
+    checked against the data before any sample is read, unless it reads a
+    band the manifest lacks, which the first read names."""
     models = [load_checkpoint(p) for p in paths]
     for model in models:
         model.bands = model.bands or D.kept_bands(manifest.band_names, config.data.drop_bands)
         model.loss = model.loss or config.train.loss
     drop = tuple(b for b in manifest.band_names if b not in models[0].bands)
+    if set(models[0].bands) <= set(manifest.band_names):
+        _check_ends(models[0].config, manifest, drop)
     return models, _trained_as(config, models[0].config, drop, models[0].loss)
 
 
@@ -141,7 +148,7 @@ def cmd_synth(args):
     cfg = D.SynthConfig(n_train=args.n, n_val=n_val, n_test=n_test,
                         grid=args.grid, bands=_comma_list(args.bands),
                         regions=_comma_list(args.regions),
-                        years=_comma_ints(args.years), seed=args.seed)
+                        years=args.years, seed=args.seed)
     start = time.perf_counter()
     path = D.synth_generate(cfg, args.out)
     seconds = time.perf_counter() - start
@@ -172,7 +179,7 @@ def cmd_train(args):
         held_years = sorted({y for _, y in manifest.region_years()})
         regions = _held("--regions", _comma_list(args.regions), held_regions) \
             if args.regions else held_regions
-        years = _held("--years", _comma_ints(args.years), held_years) \
+        years = _held("--years", args.years, held_years) \
             if args.years else held_years
         os.makedirs(args.out, exist_ok=True)
         _write_json(os.path.join(args.out, "run-config.json"), config.to_dict())
@@ -242,9 +249,7 @@ def cmd_evaluate(args):
     _check_out_dir(args.out)
     config = _load_run_config(args)
     manifest = _manifest_from(args, config)
-    if bool(args.checkpoint) == bool(args.predictions):
-        raise ValidationError("pass exactly one of --checkpoint or --predictions")
-    if args.predictions:
+    if args.predictions is not None:
         source, config = args.predictions, _echoed(args.predictions, config)
     else:
         (source,), config = _load_models([args.checkpoint], config, manifest)
@@ -332,7 +337,7 @@ def build_parser():
     p.add_argument("--bands", default=",".join(D.DEFAULT_BAND_NAMES),
                    help="comma-separated band names (default: all 9)")
     p.add_argument("--regions", default="regionA", help="comma-separated regions")
-    p.add_argument("--years", default="2019", help="comma-separated years")
+    p.add_argument("--years", type=_comma_ints, default="2019", help="comma-separated years")
     p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
     p.set_defaults(func=cmd_synth)
 
@@ -346,7 +351,7 @@ def build_parser():
     p.add_argument("--regions", default="",
                    help="comma-separated regions: train one model per "
                         "(region, year) instead of one pooled model")
-    p.add_argument("--years", default="", help="comma-separated years")
+    p.add_argument("--years", type=_comma_ints, default="", help="comma-separated years")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="write per-sample prediction files")
@@ -358,8 +363,9 @@ def build_parser():
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score a checkpoint or prediction files")
-    p.add_argument("--checkpoint", help="model checkpoint path")
-    p.add_argument("--predictions", help="directory of prediction files")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--checkpoint", help="model checkpoint path")
+    source.add_argument("--predictions", help="directory of prediction files")
     p.add_argument("--manifest", help="dataset manifest path")
     p.add_argument("--config", help="RunConfig JSON path")
     p.add_argument("--split", default="test", help="split to score (default test)")

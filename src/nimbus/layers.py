@@ -407,9 +407,10 @@ class CBAM(Block):
 class DoubleConvDS(Block):
     """Two (ds_conv -> batch norm -> relu) units.
 
-    The first unit maps c_in to c_mid, the second c_mid to c_out; c_mid
-    defaults to c_out.  Decoder stages pass a halved c_mid to keep the
-    parameter budget down, mirroring the up-path blocks this design borrows.
+    The first unit maps c_in to c_mid, the second c_mid to c_out; the
+    model's channel plan gives all three (decoder stages halve c_mid to
+    keep the parameter budget down, mirroring the up-path blocks this
+    design borrows).
     ReLU runs in place on each batch-norm output.  Train mode caches only
     the block's input x, which dsc1's backward reads.  The two post-ReLU
     activations a1 and a2, whose positive entries are the ReLU masks, are
@@ -429,12 +430,11 @@ class DoubleConvDS(Block):
     by rounding only.
     """
 
-    def __init__(self, c_in, c_out, multiplier, rng, c_mid=None):
+    def __init__(self, c_in, c_mid, c_out, multiplier, rng):
         super().__init__()
-        mid = c_out if c_mid is None else c_mid
-        self.dsc1 = self._child("dsc1", DepthwiseSeparableConv(c_in, mid, multiplier, rng))
-        self.bn1 = self._child("bn1", BatchNorm(mid))
-        self.dsc2 = self._child("dsc2", DepthwiseSeparableConv(mid, c_out, multiplier, rng))
+        self.dsc1 = self._child("dsc1", DepthwiseSeparableConv(c_in, c_mid, multiplier, rng))
+        self.bn1 = self._child("bn1", BatchNorm(c_mid))
+        self.dsc2 = self._child("dsc2", DepthwiseSeparableConv(c_mid, c_out, multiplier, rng))
         self.bn2 = self._child("bn2", BatchNorm(c_out))
 
     def forward(self, x, train=False):

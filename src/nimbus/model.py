@@ -63,7 +63,7 @@ class ModelConfig(Section):
             raise ConfigError("depth_multiplier must be >= 1")
         if self.cbam_reduction < 1:
             raise ConfigError("cbam_reduction must be >= 1")
-        attended = [c for _, c in _channel_plan(self)[0]]
+        attended = [c_out for _, _, c_out in _channel_plan(self)[:5]]
         if any(c % self.cbam_reduction for c in attended):
             raise ConfigError(f"cbam_reduction {self.cbam_reduction} must divide every "
                               f"attended width {attended}")
@@ -126,16 +126,19 @@ class Conv1x1(Block):
 
 class SmaAtUNet(Block):
     """Encoder (5 double-conv stages, 4 poolings, CBAM on every stage
-    output) plus decoder (bilinear x2, concat skip, double conv) and head.
+    output) plus decoder (bilinear x2, concat skip, double conv) and head,
+    each stage built as the channel plan gives it.
 
     Pooling consumes the un-attended stage output; the CBAM-refined version
     feeds the skip connection, and the refined bottleneck feeds the decoder.
 
     The forward drops each array at its last read: a stage output once it
     is pooled or upsampled, and each skip and upsampled array once the
-    decoder's concat has copied them.  The backward rebuilds each stage
-    output that a CBAM or the head reads (DoubleConvDS.output) and passes it
-    to their backward.
+    decoder's concat has copied them.  A train forward caches only the
+    input size and the four pooling argmaxes, whose sizes are those the
+    decoder upsamples from; the skip widths come from the plan.  The
+    backward rebuilds each stage output that a CBAM or the head reads
+    (DoubleConvDS.output) and passes it to their backward.
     """
 
     def __init__(self, config, seed):
@@ -143,19 +146,16 @@ class SmaAtUNet(Block):
         self.config = config
         self.bands = self.loss = None   # input bands and loss, set by training
         rng = np.random.default_rng(seed)
-        k = config.depth_multiplier
-        r = config.cbam_reduction
-        enc, dec = _channel_plan(config)
-        self.enc = []
-        self.att = []
-        for i, (c_in, c_out) in enumerate(enc):
-            self.enc.append(self._child(f"enc{i + 1}", DoubleConvDS(c_in, c_out, k, rng)))
-            self.att.append(self._child(f"cbam{i + 1}", CBAM(c_out, r, rng)))
-        self.dec = []
-        for i, (c_in, c_out) in enumerate(dec):
-            self.dec.append(self._child(
-                f"dec{i + 1}", DoubleConvDS(c_in, c_out, k, rng, c_mid=c_in // 2)))
-        self.head = self._child("head", Conv1x1(dec[-1][1], config.out_channels, rng))
+        k, r = config.depth_multiplier, config.cbam_reduction
+        self.enc, self.att, self.dec = [], [], []
+        for i, (c_in, c_mid, c_out) in enumerate(_channel_plan(config)):
+            block = DoubleConvDS(c_in, c_mid, c_out, k, rng)
+            if i < 5:
+                self.enc.append(self._child(f"enc{i + 1}", block))
+                self.att.append(self._child(f"cbam{i + 1}", CBAM(c_out, r, rng)))
+            else:
+                self.dec.append(self._child(f"dec{i - 4}", block))
+        self.head = self._child("head", Conv1x1(c_out, config.out_channels, rng))
 
     def forward(self, x, train=False):
         T.check_nchw(x, "input")
@@ -164,12 +164,9 @@ class SmaAtUNet(Block):
             raise ShapeError(f"model expects {self.config.in_channels} channels, got {c}")
         if h < 16 or w < 16:
             raise ShapeError(f"spatial dims must be >= 16, got {h}x{w}")
-        hp = -(-h // 16) * 16
-        wp = -(-w // 16) * 16
-        cur = T.pad_reflect_to(x, hp, wp)
+        cur = T.pad_reflect_to(x, _padded(h), _padded(w))
 
-        skips = []
-        pools = []
+        skips, pools = [], []
         for i in range(5):
             cur = self.enc[i].forward(cur, train)
             skips.append(self.att[i].forward(cur, train))
@@ -178,48 +175,39 @@ class SmaAtUNet(Block):
                 pools.append(arg)
         cur = skips.pop()
 
-        up_sizes = []
-        splits = []
         for i in range(4):
-            up_sizes.append(cur.shape[2:])
             skip = skips.pop()
             up = T.bilinear_resize(cur, skip.shape[2], skip.shape[3])
-            splits.append(skip.shape[1])
             cur = T.concat_channels(skip, up)
             del skip, up
             cur = self.dec[i].forward(cur, train)
         logits = self.head.forward(cur, train)
-        out = T.crop_back(logits, h, w)
-        self._cache = dict(orig=(h, w), padded=(hp, wp), pools=pools,
-                           up_sizes=up_sizes, splits=splits) if train else None
-        return out
+        self._cache = ((h, w), pools) if train else None
+        return T.crop_back(logits, h, w)
 
     def backward(self, grad_out):
-        cache = self._need_cache()
-        h, w = cache["orig"]
-        hp, wp = cache["padded"]
+        (h, w), pools = self._need_cache()
+        hp, wp = _padded(h), _padded(w)
         if grad_out.shape[2:] != (h, w):
             raise ShapeError(f"grad_out spatial {grad_out.shape[2:]} != forward output {(h, w)}")
-        if (hp, wp) == (h, w):
-            g = grad_out
-        else:
-            top, left = (hp - h) // 2, (wp - w) // 2
-            g = np.zeros(grad_out.shape[:2] + (hp, wp), dtype=grad_out.dtype)
-            g[:, :, top:top + h, left:left + w] = grad_out
+        top, left = (hp - h) // 2, (wp - w) // 2
+        g = grad_out if (hp, wp) == (h, w) else np.pad(
+            grad_out, ((0, 0), (0, 0), (top, hp - h - top), (left, wp - w - left)))
 
         g = self.head.backward(g, self.dec[3].output())
+        plan = _channel_plan(self.config)
         skip_grads = []
         for i in reversed(range(4)):
-            g_skip, g = T.split_channels(self.dec[i].backward(g), cache["splits"][i])
+            g_skip, g = T.split_channels(self.dec[i].backward(g), plan[3 - i][2])
             skip_grads.append(g_skip)
-            g = T.bilinear_resize_backward(g, *cache["up_sizes"][i])
+            g = T.bilinear_resize_backward(g, *pools[3 - i].shape[2:])
         del g_skip  # skip_grads holds it until the encoder's pop frees it
 
         # g now holds the bottleneck-feed gradient; walk the encoder back up,
         # merging each stage's skip-branch gradient with the pooled main path.
         g = self.enc[4].backward(self.att[4].backward(g, self.enc[4].output()))
         for i in reversed(range(4)):
-            g = T.max_pool2_backward(g, cache["pools"][i])
+            g = T.max_pool2_backward(g, pools[i])
             g += self.att[i].backward(skip_grads.pop(), self.enc[i].output())
             # Nothing reads the gradient of the network input, so enc1 skips it.
             g = self.enc[i].backward(g, input_grad=i > 0)
@@ -234,41 +222,43 @@ def build_model(config, seed):
     return SmaAtUNet(config, seed)
 
 
+def _padded(side):
+    """The next multiple of 16 from side, which the four poolings halve."""
+    return -(-side // 16) * 16
+
+
 def _channel_plan(config):
-    """(c_in, c_out) of the five encoder stages, each CBAM-refined, and of
-    the four decoder stages, whose middle width is half their input.  The
-    bottleneck stage emits half the last stage width; each decoder stage
-    takes its skip concatenated with the stage below."""
+    """(c_in, c_mid, c_out) of the nine stages, enc1..enc5 then dec1..dec4:
+    the one place the layout is worked out.  The encoder stages keep their
+    width in the middle; the bottleneck emits half the last stage width.
+    Each decoder stage takes its skip concatenated with the stage below and
+    halves that for its middle width.  Reads in_channels and stage_widths.
+    """
     w = config.stage_widths
-    enc_out = (w[0], w[1], w[2], w[3], w[4] // 2)
-    enc = list(zip((config.in_channels,) + enc_out[:4], enc_out))
-    dec = []
-    carry = enc_out[4]
-    for skip, c_out in zip(enc_out[3::-1], (w[3] // 2, w[2] // 2, w[1] // 2, w[0])):
-        dec.append((skip + carry, c_out))
-        carry = c_out
-    return enc, dec
+    enc = (w[0], w[1], w[2], w[3], w[4] // 2)
+    plan = list(zip((config.in_channels,) + enc[:4], enc, enc))
+    for skip, c_out in zip(enc[3::-1], (w[3] // 2, w[2] // 2, w[1] // 2, w[0])):
+        c_in = skip + plan[-1][2]
+        plan.append((c_in, c_in // 2, c_out))
+    return plan
 
 
 def architecture_size(config):
     """(trainable parameters, batch-norm running-statistic values) of the
-    network a config describes, counted from its channel plan without
+    network a config describes, summed over its channel plan without
     building it, so any config, however large, costs no memory."""
     k = config.depth_multiplier
-    r = config.cbam_reduction
-    enc, dec = _channel_plan(config)
-    units = [(c_in, c_out, c_out) for c_in, c_out in enc]
-    units += [(c_in, c_out, c_in // 2) for c_in, c_out in dec]
+    plan = _channel_plan(config)
 
     def ds_conv(c_in, c_out):
         return 9 * k * c_in + k * c_in * c_out
 
     # Each batch norm holds gamma and beta, and as many running statistics.
-    norm = sum(2 * (mid + c_out) for _, c_out, mid in units)
-    params = sum(ds_conv(c_in, mid) + ds_conv(mid, c_out) for c_in, c_out, mid in units) + norm
+    norm = sum(2 * (mid + c_out) for _, mid, c_out in plan)
+    params = sum(ds_conv(c_in, mid) + ds_conv(mid, c_out) for c_in, mid, c_out in plan) + norm
     # CBAM: the channel MLP's two matrices and the 7x7 two-plane gate with bias.
-    params += sum(2 * c * (c // r) + 2 * 7 * 7 + 1 for _, c in enc)
-    params += (dec[-1][1] + 1) * config.out_channels
+    params += sum(2 * c * (c // config.cbam_reduction) + 2 * 7 * 7 + 1 for _, _, c in plan[:5])
+    params += (plan[-1][2] + 1) * config.out_channels
     return params, norm
 
 
@@ -288,28 +278,21 @@ def _largest_demand(config):
 
 def baseline_reference_param_count(config):
     """Trainable parameter count of the standard-convolution U-Net this
-    model is measured against: same stage layout, plain 3x3 convs with bias
-    plus batch norm, full-width bottleneck, no attention.  A counting walk
-    only; the reference network is never built or trained here.
+    model is measured against: the same stage widths, a bottleneck that
+    emits the full last width, each stage's middle width equal to its
+    output, plain 3x3 convs with bias plus batch norm, no attention, and a
+    1x1 head.  Its layout is the channel plan of the config with the last
+    width doubled, whose bottleneck emits stage_widths[4].  A count only;
+    the reference network is never built or trained here.
     """
-    def conv(ci, co):
-        return 9 * ci * co + co
-
-    def double(ci, co, mid):
-        return conv(ci, mid) + 2 * mid + conv(mid, co) + 2 * co
+    def conv(c_in, c_out):
+        return 9 * c_in * c_out + c_out
 
     w = config.stage_widths
-    enc_in = (config.in_channels, w[0], w[1], w[2], w[3])
-    enc_out = (w[0], w[1], w[2], w[3], w[4])
-    total = sum(double(ci, co, co) for ci, co in zip(enc_in, enc_out))
-    dec_out = (w[3] // 2, w[2] // 2, w[1] // 2, w[0])
-    carry = w[4]
-    for i in range(4):
-        concat_c = enc_out[3 - i] + carry
-        total += double(concat_c, dec_out[i], dec_out[i])
-        carry = dec_out[i]
-    total += dec_out[3] * config.out_channels + config.out_channels
-    return total
+    wide = dataclasses.replace(config, stage_widths=(*w[:4], 2 * w[4]))
+    total = sum(conv(c_in, c_out) + conv(c_out, c_out) + 4 * c_out
+                for c_in, _, c_out in _channel_plan(wide))
+    return total + (w[0] + 1) * config.out_channels
 
 
 def _blob_table(model):

@@ -20,7 +20,7 @@ from . import data as D
 from . import tensor as T
 from .data import _atomic_write
 from .errors import ConfigError, PoisonedGradientError, ShapeError, StateError
-from .model import LOSSES, build_model, save_checkpoint
+from .model import LOSSES, _padded, build_model, save_checkpoint
 from .schema import Section
 
 
@@ -247,6 +247,7 @@ def _regional_loaders(manifest, samples, config, bands):
 
     When the pool has no explicit val split, 10% (at least one sample) is
     carved off with a seeded permutation and held fixed for the whole run.
+    A train batch of one sample is refused where the bottleneck is 1x1.
     """
     train = [s for s in samples if s.split == "train"]
     val = [s for s in samples if s.split == "val"]
@@ -263,6 +264,11 @@ def _regional_loaders(manifest, samples, config, bands):
         val = kept or val
     if not train or not val:
         raise ConfigError("empty train or val split after filtering")
+    # A 16-pixel crop pools to a 1x1 bottleneck, whose batch norm needs two samples.
+    if _padded(manifest.crop) == 16 and 1 in (config.batch_size, len(train) % config.batch_size):
+        raise ConfigError(f"train.batch_size {config.batch_size} leaves a batch of one of the "
+                          f"{len(train)} train samples, which the 1x1 bottleneck of a "
+                          f"{manifest.crop}-pixel crop cannot batch-normalize")
 
     def train_batches(epoch_seed):
         return D.batch_iter(manifest, train, config.batch_size, epoch_seed,

@@ -12,7 +12,9 @@ mask-gathering sigmoid and the loss built on it, the batch norm and
 double-conv passes that cached the centred input and the pre-ReLU
 activations, the training loss that upsampled and scored the whole batch
 at once through a loss dispatcher, the per-method recursions that named
-parameters and states, and the verification loops that called
+parameters and states, the standard-conv reference's parameter count
+that walked the U-Net with its own encoder tuples and decoder carry, and
+the verification loops that called
 count_events once per sample and lead, read every input file and read
 each target four times.
 The earlier synthetic generator, which rendered every field on the whole
@@ -172,6 +174,29 @@ def named_arrays_ref(block, attr, prefix=""):
         yield (f"{prefix}.{key}" if prefix else key), val
     for name, child in block._children.items():
         yield from named_arrays_ref(child, attr, f"{prefix}.{name}" if prefix else name)
+
+
+def baseline_reference_param_count_ref(config):
+    """The earlier model.baseline_reference_param_count: its own walk over
+    the reference U-Net, full-width bottleneck, middle width = output."""
+    def conv(ci, co):
+        return 9 * ci * co + co
+
+    def double(ci, co, mid):
+        return conv(ci, mid) + 2 * mid + conv(mid, co) + 2 * co
+
+    w = config.stage_widths
+    enc_in = (config.in_channels, w[0], w[1], w[2], w[3])
+    enc_out = (w[0], w[1], w[2], w[3], w[4])
+    total = sum(double(ci, co, co) for ci, co in zip(enc_in, enc_out))
+    dec_out = (w[3] // 2, w[2] // 2, w[1] // 2, w[0])
+    carry = w[4]
+    for i in range(4):
+        concat_c = enc_out[3 - i] + carry
+        total += double(concat_c, dec_out[i], dec_out[i])
+        carry = dec_out[i]
+    total += dec_out[3] * config.out_channels + config.out_channels
+    return total
 
 
 def batch_norm_forward_ref(bn, x, train=False):

@@ -138,7 +138,7 @@ def test_criterion_03_gradient_suite():
             L.ChannelAttention(8, 4, np.random.default_rng(1)),
             L.SpatialAttention(np.random.default_rng(2)),
             L.CBAM(8, 4, np.random.default_rng(3)),
-            L.DoubleConvDS(8, 6, 1, np.random.default_rng(4)),
+            L.DoubleConvDS(8, 6, 6, 1, np.random.default_rng(4)),
             Conv1x1(8, 5, np.random.default_rng(5)),
         ]
         blocks = [block.to_dtype(f64) for block in blocks]

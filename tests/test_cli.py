@@ -207,6 +207,26 @@ class TestUsageAndExitCodes:
         assert err.value.code == 1
         assert "unrecognized arguments: --preset default" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,error", [
+        (["evaluate", "--out", "ev", "--manifest", "nope.json"],
+         "nimbus evaluate: error: one of the arguments --checkpoint --predictions is required"),
+        (["train", "--out", "t", "--manifest", "nope.json", "--years", "abc"],
+         "nimbus train: error: argument --years: expected comma-separated integers, got 'abc'"),
+        (["synth", "--out", "s", "--years", "20x9"],
+         "nimbus synth: error: argument --years: expected comma-separated integers, "
+         "got '20x9'"),
+    ], ids=["evaluate-without-a-source", "train-years-abc", "synth-years-20x9"])
+    def test_a_usage_error_on_a_missing_manifest_exits_one_before_reading_it(
+            self, tmp_path, monkeypatch, capsys, argv, error):
+        """The parser finds the usage error; once the missing manifest was
+        read first and the command exited 2."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == error
+        assert os.listdir(tmp_path) == []
+
     def test_missing_manifest_flag_is_validation_error(self, workspace):
         assert main(["predict", "--checkpoint", "x.smck", "--out",
                      str(workspace["root"] / "nowhere")]) == 1
@@ -216,12 +236,16 @@ class TestUsageAndExitCodes:
                      "--manifest", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "rep")]) == 2
 
-    def test_evaluate_requires_exactly_one_source(self, workspace, trained, tmp_path):
+    def test_evaluate_requires_exactly_one_source(self, workspace, trained, tmp_path, capsys):
         args = ["evaluate", "--manifest", workspace["manifest"],
                 "--out", str(tmp_path / "rep")]
-        assert main(args) == 1
-        assert main(args + ["--checkpoint", trained,
-                            "--predictions", str(tmp_path)]) == 1
+        for extra, error in [([], "one of the arguments --checkpoint --predictions is required"),
+                             (["--checkpoint", trained, "--predictions", str(tmp_path)],
+                              "argument --predictions: not allowed with argument --checkpoint")]:
+            with pytest.raises(SystemExit) as err:
+                main(args + extra)
+            assert err.value.code == 1
+            assert f"nimbus evaluate: error: {error}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "predict", "ensemble", "evaluate"])
     def test_an_out_that_is_a_file_exits_two_before_reading_a_sample(
@@ -252,10 +276,17 @@ class TestUsageAndExitCodes:
 class TestParams:
     def test_default_model_prints_budget_and_ratio(self, capsys):
         assert main(["params"]) == 0
-        out = dict(line.split() for line in capsys.readouterr().out.splitlines())
-        assert int(out["total_params"]) == 4021383
-        assert int(out["baseline_reference"]) == 24035216
-        assert float(out["ratio"]) <= 0.25
+        assert capsys.readouterr().out == \
+            "total_params 4021383\nbaseline_reference 24035216\nratio 0.1673\n"
+
+    def test_desk_model_prints_budget_and_ratio(self, tmp_path, capsys):
+        config = tmp_path / "desk.json"
+        config.write_text(json.dumps({"model": {
+            "in_channels": 36, "out_channels": 16, "stage_widths": [16, 32, 64, 128, 256],
+            "depth_multiplier": 2, "cbam_reduction": 8}}))
+        assert main(["params", "--config", str(config)]) == 0
+        assert capsys.readouterr().out == \
+            "total_params 277831\nbaseline_reference 1509104\nratio 0.1841\n"
 
     def test_single_frame_model_stays_in_budget(self, tmp_path, capsys):
         """One 11-band frame in and one lead time out, by the model's fields."""
@@ -433,14 +464,50 @@ class TestTrain:
 
     def test_regional_run_with_unparsable_years_exits_one_leaving_no_out(
             self, workspace, tmp_path, capsys):
-        """--regions and --years are parsed before --out and its echo are made."""
+        """--years is parsed by the parser, before --out and its echo are made."""
         out = tmp_path / "regional"
         capsys.readouterr()
-        assert main(["train", "--config", workspace["config"], "--manifest",
-                     workspace["manifest"], "--out", str(out), "--regions", "north",
-                     "--years", "abc"]) == 1
-        assert "'abc'" in only_error_line(capsys)
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--config", workspace["config"], "--manifest",
+                  workspace["manifest"], "--out", str(out), "--regions", "north",
+                  "--years", "abc"])
+        assert err.value.code == 1
+        assert ("nimbus train: error: argument --years: expected comma-separated integers, "
+                "got 'abc'") in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("regional", [False, True], ids=["single", "regional"])
+    def test_nine_scenes_in_batches_of_four_at_a_16_pixel_crop_fail_before_a_step(
+            self, tmp_path, capsys, monkeypatch, regional):
+        """The desk-width model's 1x1 bottleneck cannot batch-normalize the
+        final batch of one; once two steps ran before an error naming no
+        config field.  Refused before a sample is read: exit 1, or a failed
+        job on the regional path."""
+        data_dir = str(tmp_path / "data")
+        assert main(["synth", "--out", data_dir, "--n", "9", "--n-val", "4", "--n-test", "4",
+                     "--grid", "16", "--seed", "3"]) == 0
+        config = tmp_path / "desk.json"
+        config.write_text(json.dumps({
+            "model": {"stage_widths": [16, 32, 64, 128, 256], "cbam_reduction": 8},
+            "train": {"batch_size": 4}, "data": {"filter_threshold": 0}}))
+        steps = []
+        monkeypatch.setattr(O.AdamW, "step", lambda *args: steps.append(args))
+        out = tmp_path / "run"
+        capsys.readouterr()
+        rc = main(["train", "--config", str(config), "--manifest",
+                   os.path.join(data_dir, "manifest.json"), "--out", str(out),
+                   *(["--regions", "regionA"] if regional else [])])
+        line = ("train.batch_size 4 leaves a batch of one of the 9 train samples, which the "
+                "1x1 bottleneck of a 16-pixel crop cannot batch-normalize")
+        assert steps == []
+        if regional:
+            assert rc == 2
+            report = json.loads((out / "train-report.json").read_text())
+            assert report["jobs"][0]["error"] == f"ConfigError: {line}"
+        else:
+            assert rc == 1
+            assert only_error_line(capsys) == f"nimbus: error: {line}"
+            assert not out.exists()
 
     @pytest.mark.parametrize("regional", [False, True], ids=["single", "regional"])
     @pytest.mark.parametrize("case", ["three-bands", "drop-vis", "eight-leads"])
@@ -684,8 +751,36 @@ class TestRecordedBandsAndLoss:
         assert main(["predict", "--checkpoint", trained, "--config", workspace["config"],
                      "--manifest", os.path.join(data_dir, "manifest.json"),
                      "--out", str(tmp_path / "preds")]) == 1
-        assert "'VIS006'" in only_error_line(capsys)
+        assert only_error_line(capsys) == ("nimbus: error: bands ['VIS006'] are not among "
+                                           "the manifest's ['IR016', 'IR108']")
         assert not (tmp_path / "preds").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "ensemble", "evaluate"])
+    def test_a_16_lead_model_on_an_8_lead_set_exits_one_before_reading_a_sample(
+            self, workspace, trained, tmp_path, capsys, monkeypatch, command):
+        """The checkpoint's ends are checked against the data as train
+        checks the config's: once predict wrote 16-lead files for 8-lead
+        targets, and evaluate failed only after a forward."""
+        data_dir = str(tmp_path / "data")
+        D.synth_generate(D.SynthConfig(n_train=4, n_val=2, n_test=4, grid=16, t_out=8,
+                                       bands=("VIS006", "IR016"), seed=4), data_dir)
+        reads = []
+        read = D.read_tensor_file
+
+        def counted_read(*args, **kwargs):
+            reads.append(args)
+            return read(*args, **kwargs)
+
+        monkeypatch.setattr(D, "read_tensor_file", counted_read)
+        out = tmp_path / "out"
+        source = ["--checkpoints", trained] if command == "ensemble" else ["--checkpoint", trained]
+        capsys.readouterr()
+        assert main([command, *source, "--config", workspace["config"], "--manifest",
+                     os.path.join(data_dir, "manifest.json"), "--out", str(out)]) == 1
+        assert only_error_line(capsys) == \
+            "nimbus: error: model.out_channels is 16, but the data gives 8 (lead times)"
+        assert reads == []
+        assert not out.exists()
 
     def test_a_checkpoint_without_bands_or_loss_takes_both_from_the_config(
             self, workspace, mse_trained, mse_config, tmp_path):

@@ -401,14 +401,14 @@ class TestCBAM:
 
 class TestDoubleConvDS:
     def test_output_shape_and_mid_override(self, rng):
-        block = L.DoubleConvDS(6, 10, 2, rng, c_mid=3)
+        block = L.DoubleConvDS(6, 3, 10, 2, rng)
         x = rng.standard_normal((2, 6, 8, 8)).astype(np.float32)
         assert block.forward(x).shape == (2, 10, 8, 8)
         assert block.dsc1.p["pointwise.weight"].shape[0] == 3
         assert block.dsc2.c_in == 3
 
     def test_zero_input_yields_relu_beta(self, rng):
-        block = L.DoubleConvDS(2, 3, 1, rng).to_dtype(np.float64)
+        block = L.DoubleConvDS(2, 3, 3, 1, rng).to_dtype(np.float64)
         block.bn2.p["beta"] = np.array([0.7, -0.4, 0.0])
         y = block.forward(np.zeros((2, 2, 4, 4)), train=True)
         for ch, beta in enumerate([0.7, -0.4, 0.0]):
@@ -419,8 +419,8 @@ class TestDoubleConvDS:
         earlier out-of-place forward in train mode; the folded eval forward
         that follows stays within EVAL_TOL of the unfolded one."""
         seed = int(rng.integers(1 << 30))
-        block = L.DoubleConvDS(6, 10, 2, np.random.default_rng(seed), c_mid=4)
-        ref = L.DoubleConvDS(6, 10, 2, np.random.default_rng(seed), c_mid=4)
+        block = L.DoubleConvDS(6, 4, 10, 2, np.random.default_rng(seed))
+        ref = L.DoubleConvDS(6, 4, 10, 2, np.random.default_rng(seed))
         x = rng.standard_normal((3, 6, 12, 10)).astype(np.float32)
         got = block.forward(x, train=True)
         want = double_conv_forward_ref(ref, x, train=True)
@@ -437,7 +437,7 @@ class TestDoubleConvDS:
         conv, never through BatchNorm.forward, and stays within EVAL_TOL of
         conv, reference batch norm and ReLU, on running means up to +-3,
         running variances from 1e-2 to 1e2 and non-trivial gamma and beta."""
-        block = L.DoubleConvDS(5, 8, 2, rng, c_mid=6).to_dtype(dtype)
+        block = L.DoubleConvDS(5, 6, 8, 2, rng).to_dtype(dtype)
         for bn in (block.bn1, block.bn2):
             c = bn.channels
             bn.p["gamma"] = rng.uniform(-2.0, 2.0, c).astype(dtype)
@@ -459,7 +459,7 @@ class TestDoubleConvDS:
         """backward(input_grad=False), which the model's first block takes,
         returns None and leaves every parameter gradient at the bytes of
         the full backward."""
-        block = L.DoubleConvDS(4, 6, 2, rng)
+        block = L.DoubleConvDS(4, 6, 6, 2, rng)
         x = rng.standard_normal((3, 4, 9, 11)).astype(np.float32)
         probe = rng.standard_normal((3, 6, 9, 11)).astype(np.float32)
         block.forward(x, train=True)
@@ -477,7 +477,7 @@ class TestDoubleConvDS:
         """output() rebuilds the last train forward's output from the batch
         norms' caches with the bytes the forward returned, until a backward
         or an eval forward ends that train forward."""
-        block = L.DoubleConvDS(5, 8, 2, rng, c_mid=6).to_dtype(dtype)
+        block = L.DoubleConvDS(5, 6, 8, 2, rng).to_dtype(dtype)
         for bn in (block.bn1, block.bn2):
             bn.p["gamma"] = rng.uniform(-2.0, 2.0, bn.channels).astype(dtype)
             bn.p["beta"] = rng.uniform(-1.5, 1.5, bn.channels).astype(dtype)
@@ -495,7 +495,7 @@ class TestDoubleConvDS:
             block.output()
 
     def test_whole_block_gradient(self, rng):
-        block = L.DoubleConvDS(2, 3, 1, rng).to_dtype(np.float64)
+        block = L.DoubleConvDS(2, 3, 3, 1, rng).to_dtype(np.float64)
         x = rng.standard_normal((3, 2, 5, 5))
         probe = rng.standard_normal((3, 3, 5, 5))
 
@@ -517,7 +517,7 @@ BLOCKS = {
     "ChannelAttention": lambda rng: L.ChannelAttention(4, 2, rng),
     "SpatialAttention": lambda rng: L.SpatialAttention(rng),
     "CBAM": lambda rng: L.CBAM(4, 2, rng),
-    "DoubleConvDS": lambda rng: L.DoubleConvDS(4, 6, 1, rng),
+    "DoubleConvDS": lambda rng: L.DoubleConvDS(4, 6, 6, 1, rng),
 }
 
 
@@ -550,7 +550,7 @@ def _blocks(block):
 
 class TestBlockPlumbing:
     def test_named_params_are_unique_and_ordered(self, rng):
-        block = L.DoubleConvDS(2, 3, 1, rng)
+        block = L.DoubleConvDS(2, 3, 3, 1, rng)
         names = [n for n, _ in block.named_params()]
         assert len(names) == len(set(names))
         assert names[0].startswith("dsc1.")

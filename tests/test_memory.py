@@ -102,6 +102,20 @@ def test_a_train_forward_caches_block_inputs_and_batch_norms_only(rng):
             assert all(a.size < block_in.size for a in _arrays(block._cache)), name
 
 
+@pytest.mark.parametrize("side,padded", [(32, 32), (40, 48)])
+def test_the_model_caches_only_its_input_size_and_four_argmaxes(rng, side, padded):
+    """The model-level train cache is the input size and the four int8
+    pooling argmaxes; the backward works out the padded size, the upsample
+    sizes and the skip widths from them and the channel plan."""
+    model = build_model(TOY, seed=0)
+    model.forward(rng.standard_normal((2, 4, side, side)).astype(np.float32), train=True)
+    size, pools = model._cache
+    assert size == (side, side)
+    assert [p.shape for p in pools] == [(2, c, padded >> i, padded >> i)
+                                        for i, c in enumerate((8, 16, 32, 64), 1)]
+    assert all(p.dtype == np.int8 for p in pools)
+
+
 def test_desk_step_peaks_under_205_mb_with_its_batch(rng):
     """One training step of the desk configuration, batch 32 of 64x64
     inputs and 128x128 targets, peaks at no more than 205 MB of NumPy

@@ -17,7 +17,8 @@ from nimbus.model import (CHECKPOINT_VERSION, ModelConfig, architecture_size,
 
 from _corrupt import (BAD_BLOB_TABLES, BAD_READS, OVERSIZED_CONFIGS, POISONED_VALUES,
                       UNDECODABLE_JSON, oversize, rewrite_checkpoint, rewrite_checkpoint_header)
-from _oracles import named_arrays_ref, rel_err, richardson_fd
+from _oracles import (baseline_reference_param_count_ref, named_arrays_ref, rel_err,
+                      richardson_fd)
 
 TOY = dict(in_channels=4, out_channels=2, stage_widths=(8, 16, 32, 64, 128),
            depth_multiplier=1, cbam_reduction=4)
@@ -121,6 +122,38 @@ class TestParameterBudget:
         model = build_model(cfg, seed=0)
         states = sum(v.size for _, v in model.named_states())
         assert architecture_size(cfg) == (model.count_params(), states)
+
+
+def random_valid_configs(n, seed):
+    """n valid model configs drawn from a fixed seed: widths are distinct
+    even multiples of the reduction, so every attended width divides."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        r = int(rng.integers(1, 17))
+        base = np.sort(rng.choice(np.arange(1, 65), size=5, replace=False))
+        yield ModelConfig(in_channels=int(rng.integers(1, 100)),
+                          out_channels=int(rng.integers(1, 40)),
+                          stage_widths=tuple(int(2 * r * b) for b in base),
+                          depth_multiplier=int(rng.integers(1, 5)), cbam_reduction=r)
+
+
+class TestChannelPlan:
+    """architecture_size and the reference count both read the one channel
+    plan; they give what the walks they replaced gave."""
+
+    def test_reference_count_equals_the_earlier_walk_over_300_configs(self):
+        for cfg in random_valid_configs(300, seed=0):
+            assert baseline_reference_param_count(cfg) == \
+                baseline_reference_param_count_ref(cfg), cfg
+
+    def test_architecture_size_equals_the_built_model_for_small_random_configs(self):
+        small = [cfg for cfg in random_valid_configs(300, seed=0)
+                 if architecture_size(cfg)[0] < 300_000][:6]
+        assert len(small) == 6
+        for cfg in small:
+            model = build_model(cfg, seed=0)
+            states = sum(v.size for _, v in model.named_states())
+            assert architecture_size(cfg) == (model.count_params(), states), cfg
 
 
 @pytest.mark.parametrize("cfg", [TOY, DESK], ids=["toy", "desk"])

@@ -495,6 +495,34 @@ class TestRegionalLoaders:
         assert all(sorted(o, key=str) == sorted(train, key=str) for o in shuffled)
         assert any(o != train for o in shuffled)
 
+    @pytest.mark.parametrize("batch_size", [4, 1])
+    def test_nine_train_scenes_at_a_16_pixel_crop_refuse_a_batch_of_one(self, two_region_set,
+                                                                       batch_size):
+        """Nine scenes in batches of four once ran two steps, then failed in
+        the 1x1 bottleneck's batch norm with an error naming no field."""
+        manifest = dataclasses.replace(two_region_set, filter_threshold=0.0,
+                                       root=two_region_set.root)
+        samples = [s for s in manifest.samples if s.split == "train"][:9]
+        samples += [s for s in manifest.samples if s.split == "val"]
+        with pytest.raises(ConfigError, match=f"^train.batch_size {batch_size} leaves a batch "
+                                              "of one of the 9 train samples, which the 1x1 "
+                                              "bottleneck of a 16-pixel crop"):
+            O._regional_loaders(manifest, samples, O.TrainConfig(batch_size=batch_size), None)
+
+    def test_the_final_short_batch_is_kept_in_every_other_case(self, two_region_set, tmp_path):
+        """A 16-pixel crop keeps a final batch of two, a 32-pixel one a
+        final batch of one: its bottleneck is 2x2."""
+        wide = D.load_manifest(D.synth_generate(
+            D.SynthConfig(n_train=9, n_val=1, n_test=1, grid=32, bands=("VIS006",), seed=5),
+            str(tmp_path)))
+        for manifest, n_train, sizes in ((two_region_set, 10, [4, 4, 2]), (wide, 9, [4, 4, 1])):
+            manifest = dataclasses.replace(manifest, filter_threshold=0.0, root=manifest.root)
+            samples = [s for s in manifest.samples if s.split == "train"][:n_train]
+            samples += [s for s in manifest.samples if s.split == "val"]
+            batches, _ = O._regional_loaders(
+                manifest, samples, O.TrainConfig(batch_size=4, shuffle=False), None)
+            assert [len(chunk) for _, _, chunk in batches(0)] == sizes
+
 
 class TestTrainRegional:
     def test_two_regions_yield_two_checkpoints_and_histories(self, two_region_set, tmp_path):
