@@ -10,26 +10,32 @@ forward allows exactly one backward.  A block whose backward needs only its
 input caches nothing and takes that input as an argument.  Batch-norm
 running statistics move only in train mode.
 
-A train step holds each activation once, and a backward frees each one
-at its last read.  The full-size arrays a double conv keeps are its input
-and its batch norms' normalized inputs; everything else of that size is
-a cheap function of them, rebuilt in the backward with the forward's own
-expression, so its bytes are the forward's.  What each block caches:
+A train step holds each activation once, and frees each one at its last
+read: a forward or backward that is handed an array (its caller keeps no
+other reference) drops it once it has read it.  The full-size arrays a
+double conv keeps are its batch norms' normalized inputs; everything
+else of that size is its caller's or a cheap function of them, rebuilt
+in the backward with the forward's own expression, so its bytes are the
+forward's.  What each block caches:
 - DepthwiseSeparableConv: nothing.  Its backward takes the input x from
   its caller and recomputes each sample's depthwise output, which never
   exists at batch size.
-- BatchNorm: the normalized input xhat and the per-channel 1/std.
+- BatchNorm: the normalized input xhat and the per-channel 1/std.  The
+  forward drops its input once it has centred it.
 - ChannelAttention: the two descriptors, the max positions, the MLP
   pre-activation and the gate s, but not its input.
 - SpatialAttention: the pooled planes f, the channel-max positions and the
   gate m, but not its input.
 - CBAM: nothing of its own.  Its caller passes the input x; the backward
   rebuilds the spatial gate's input, x * s, from x and the channel gate's
-  cache.
-- DoubleConvDS: its input x, for dsc1's backward.  The ReLU outputs a1 and
-  a2 are rebuilt from the batch norms' caches (`output`), each freed right
-  after its last read; a1 is dsc2's input, and a2, the block's output, is
-  what the model passes to the CBAM or head that read it.
+  cache, and `output(x)` rebuilds the block's output, (x * s) * m.
+- DoubleConvDS: no array.  Its backward takes the input x from its
+  caller, which in the model keeps each encoder stage's input and
+  rebuilds each decoder stage's.  The ReLU outputs a1 and a2 are rebuilt
+  from the batch norms' caches (`output`), each freed right after its
+  last read; a1 is dsc2's input, and a2, the block's output, is what the
+  model passes to the CBAM or head that reads it and, for an encoder
+  stage, back to the block's backward for a2's ReLU mask.
 
 Eval mode does only what an eval forward needs: it caches nothing, mutates
 nothing, and skips work whose only use is the backward.  Each batch norm
@@ -124,8 +130,8 @@ class DepthwiseSeparableConv(Block):
     subtraction would cancel it.  Parameter count is 9k*C_in + k*C_in*C_out.
     Both run fused in tensor.separable_conv2d.  The conv caches nothing:
     backward(grad_out, x) takes the forward's input from its caller, which
-    in DoubleConvDS is the block's cached input or the rebuilt a1, so
-    `train` changes nothing here.
+    in DoubleConvDS is the block's own input, passed in by the model, or
+    the rebuilt a1, so `train` changes nothing here.
 
     An eval forward may pass affine=(scale, shift), a per-output-channel
     map to apply after the pointwise conv; it runs as that conv with its
@@ -167,7 +173,9 @@ class BatchNorm(Block):
     statistics into the running buffers (momentum weight on the new value).
     It caches (xhat, inv_std), the normalized input and the per-channel
     1/sqrt(var + eps); the backward needs nothing else, and `output`
-    rebuilds the forward's output from xhat until the backward runs.
+    rebuilds the forward's output from xhat until the backward runs.  The
+    forward drops its input once it has centred it, which frees it there
+    when the caller handed it over.
 
     In eval mode a batch norm is the fixed per-channel affine map that
     eval_affine returns, and it runs only folded into the conv before it
@@ -196,14 +204,15 @@ class BatchNorm(Block):
             raise DegenerateBatchError("batch norm needs more than one value per channel")
         mean = x.mean(axis=(0, 2, 3))
         xhat = x - mean[None, :, None, None]
+        del x   # freed here when the caller handed it over
         # The same square-then-sum that x.var() does, on the centred input
         # this pass needs anyway; y holds the squares meanwhile.
         y = np.square(xhat)
         var = y.sum(axis=(0, 2, 3)) / (n * h * w)
-        mom = x.dtype.type(self.momentum)
+        mom = xhat.dtype.type(self.momentum)
         self.s["running_mean"] = (1 - mom) * self.s["running_mean"] + mom * mean
         self.s["running_var"] = (1 - mom) * self.s["running_var"] + mom * var
-        inv_std = 1.0 / np.sqrt(var + x.dtype.type(self.eps))
+        inv_std = 1.0 / np.sqrt(var + xhat.dtype.type(self.eps))
         xhat *= inv_std[None, :, None, None]
         self._cache = (xhat, inv_std)
         return self._scale_shift(xhat, out=y)
@@ -363,6 +372,11 @@ class SpatialAttention(Block):
         self._cache = (f, arg, m) if train else None
         return y
 
+    def gate(self):
+        """The (n, 1, h, w) gate of the last train forward, from the cache
+        its backward has not consumed yet."""
+        return self._peek_cache()[-1]
+
     def backward(self, grad_out, x):
         """x is the input of the train forward whose cache this consumes."""
         f, arg, m = self._need_cache()
@@ -386,7 +400,8 @@ class CBAM(Block):
     the block's input x from its caller, which in the model rebuilds it as
     the stage output (DoubleConvDS.output), and rebuilds the spatial gate's
     input x * s from x and the channel gate's cached s, with the forward's
-    expression, so its bytes are the forward's.
+    expression, so its bytes are the forward's.  output(x) rebuilds the
+    block's output the same way, for the model's decoder inputs.
     """
 
     def __init__(self, channels, reduction, rng):
@@ -396,6 +411,14 @@ class CBAM(Block):
 
     def forward(self, x, train=False):
         return self.spatial.forward(self.channel.forward(x, train), train)
+
+    def output(self, x):
+        """The last train forward's output, (x * s) * m, rebuilt from its
+        input x and the two gates with the forward's expressions, so with
+        its bytes."""
+        y = x * self.channel.gate()[:, :, None, None]
+        y *= self.spatial.gate()
+        return y
 
     def backward(self, grad_out, x):
         """x is the input of the train forward whose caches this consumes."""
@@ -411,12 +434,22 @@ class DoubleConvDS(Block):
     model's channel plan gives all three (decoder stages halve c_mid to
     keep the parameter budget down, mirroring the up-path blocks this
     design borrows).
-    ReLU runs in place on each batch-norm output.  Train mode caches only
-    the block's input x, which dsc1's backward reads.  The two post-ReLU
-    activations a1 and a2, whose positive entries are the ReLU masks, are
-    rebuilt from the batch norms' caches when the backward needs them;
-    `output` rebuilds a2, the block's output, for the caller of backward
-    that reads it (the model's CBAMs and head).
+    ReLU runs in place on each batch-norm output.  The block caches no
+    array: backward(grad_out, x) takes the forward's input x from its
+    caller, as the separable convs do, and a train forward leaves only an
+    empty cache, `()`, which `output` and backward check.  The two
+    post-ReLU activations a1 and a2, whose positive entries are the ReLU
+    masks, are rebuilt from the batch norms' caches when the backward
+    needs them; `output` rebuilds a2, the block's output, for the caller
+    of backward that reads it (the model's CBAMs, decoder inputs and
+    head).  A caller that holds it may pass it to backward as `output`,
+    which takes a2's ReLU mask from it instead of rebuilding it again.
+
+    Each array is freed at its last read when the caller hands it over,
+    holding no other reference: in a train forward the input once dsc1
+    has run, a1 once dsc2 has, and each conv output once its batch norm
+    has centred it; in the backward grad_out and `output` once a2's mask
+    has been applied.
 
     In eval mode each batch norm is a fixed affine map right after a
     bias-free pointwise conv W, so it folds into that conv (Jacob et al.
@@ -438,37 +471,39 @@ class DoubleConvDS(Block):
         self.bn2 = self._child("bn2", BatchNorm(c_out))
 
     def forward(self, x, train=False):
-        a1 = self._unit(self.dsc1, self.bn1, x, train)
-        self._cache = x if train else None
-        return self._unit(self.dsc2, self.bn2, a1, train)
-
-    @staticmethod
-    def _unit(dsc, bn, x, train):
-        if train:
-            a = bn.forward(dsc.forward(x), True)
-        else:
-            a = dsc.forward(x, affine=bn.eval_affine())
-        return T.relu(a, out=a)
-
-    @staticmethod
-    def _relu_output(bn):
-        a = bn.output()
-        return T.relu(a, out=a)
+        self._cache = () if train else None
+        if not train:
+            a1 = _relu_in_place(self.dsc1.forward(x, affine=self.bn1.eval_affine()))
+            return _relu_in_place(self.dsc2.forward(a1, affine=self.bn2.eval_affine()))
+        # Each unit pops its input from a one-slot list and so holds the
+        # only reference to it, unless the caller kept one.
+        slot = [x]
+        del x
+        for dsc, bn in ((self.dsc1, self.bn1), (self.dsc2, self.bn2)):
+            slot.append(_relu_in_place(bn.forward(dsc.forward(slot.pop()), True)))
+        return slot.pop()
 
     def output(self):
         """The last train forward's output, rebuilt: the bytes it returned."""
         self._peek_cache()  # an eval forward since then leaves the batch norms stale
-        return self._relu_output(self.bn2)
+        return _relu_in_place(self.bn2.output())
 
-    def backward(self, grad_out, input_grad=True):
-        x = self._need_cache()
-        # Each rebuilt activation is freed right after its last read.  The
-        # ReLU mask of a2 needs no ReLU: relu(v) > 0 exactly where v > 0.
-        g = self.bn2.backward(T.relu_backward(grad_out, self.bn2.output()))
-        a1 = self._relu_output(self.bn1)
+    def backward(self, grad_out, x, input_grad=True, output=None):
+        """x is the input of the train forward whose caches this consumes;
+        output, when given, is that forward's output as `output()` rebuilds
+        it."""
+        self._need_cache()
+        # The ReLU mask of a2 needs no ReLU: relu(v) > 0 exactly where v > 0.
+        g = T.relu_backward(grad_out, self.bn2.output() if output is None else output)
+        del grad_out, output
+        g = self.bn2.backward(g)
+        a1 = _relu_in_place(self.bn1.output())
         g = self.dsc2.backward(g, a1)
         g = T.relu_backward(g, a1)
         del a1
         g = self.bn1.backward(g)
         return self.dsc1.backward(g, x, input_grad=input_grad)
 
+
+def _relu_in_place(a):
+    return T.relu(a, out=a)

@@ -132,13 +132,17 @@ class SmaAtUNet(Block):
     Pooling consumes the un-attended stage output; the CBAM-refined version
     feeds the skip connection, and the refined bottleneck feeds the decoder.
 
-    The forward drops each array at its last read: a stage output once it
-    is pooled or upsampled, and each skip and upsampled array once the
-    decoder's concat has copied them.  A train forward caches only the
-    input size and the four pooling argmaxes, whose sizes are those the
-    decoder upsamples from; the skip widths come from the plan.  The
-    backward rebuilds each stage output that a CBAM or the head reads
-    (DoubleConvDS.output) and passes it to their backward.
+    The forward hands each array over at its last read: a stage output is
+    dropped once it is pooled or upsampled, each skip and upsampled array
+    once the decoder's concat has copied them, and the concat reaches its
+    decoder stage with no other reference.  A train forward caches the
+    input size, the network input and the four pooled encoder inputs,
+    which no block keeps, and the four pooling argmaxes, whose sizes are
+    those the decoder upsamples from; the skip widths come from the plan.
+    The backward passes each block the input it reads, and rebuilds with
+    the forward's expressions every stage output (DoubleConvDS.output) and
+    decoder input (_decoder_input) that a block reads.  Each encoder stage
+    output is rebuilt once for its CBAM's backward and its own ReLU mask.
     """
 
     def __init__(self, config, seed):
@@ -166,8 +170,10 @@ class SmaAtUNet(Block):
             raise ShapeError(f"spatial dims must be >= 16, got {h}x{w}")
         cur = T.pad_reflect_to(x, _padded(h), _padded(w))
 
-        skips, pools = [], []
+        inputs, skips, pools = [], [], []
         for i in range(5):
+            if train:
+                inputs.append(cur)
             cur = self.enc[i].forward(cur, train)
             skips.append(self.att[i].forward(cur, train))
             if i < 4:
@@ -176,42 +182,61 @@ class SmaAtUNet(Block):
         cur = skips.pop()
 
         for i in range(4):
-            skip = skips.pop()
-            up = T.bilinear_resize(cur, skip.shape[2], skip.shape[3])
-            cur = T.concat_channels(skip, up)
-            del skip, up
-            cur = self.dec[i].forward(cur, train)
+            size = skips[-1].shape[2:]
+            cur = self.dec[i].forward(
+                T.concat_channels(skips.pop(), T.bilinear_resize(cur, *size)), train)
         logits = self.head.forward(cur, train)
-        self._cache = ((h, w), pools) if train else None
+        self._cache = ((h, w), inputs, pools) if train else None
         return T.crop_back(logits, h, w)
 
     def backward(self, grad_out):
-        (h, w), pools = self._need_cache()
+        (h, w), inputs, pools = self._need_cache()
         hp, wp = _padded(h), _padded(w)
         if grad_out.shape[2:] != (h, w):
             raise ShapeError(f"grad_out spatial {grad_out.shape[2:]} != forward output {(h, w)}")
         top, left = (hp - h) // 2, (wp - w) // 2
-        g = grad_out if (hp, wp) == (h, w) else np.pad(
-            grad_out, ((0, 0), (0, 0), (top, hp - h - top), (left, wp - w - left)))
+        # Each gradient and rebuilt stage output passes through a one-slot
+        # list that its last reader pops, so no name here holds it while a
+        # block reads it, and the block frees it at its last read.
+        g = [grad_out if (hp, wp) == (h, w) else np.pad(
+            grad_out, ((0, 0), (0, 0), (top, hp - h - top), (left, wp - w - left)))]
+        del grad_out
 
-        g = self.head.backward(g, self.dec[3].output())
+        g.append(self.head.backward(g.pop(), self.dec[3].output()))
         plan = _channel_plan(self.config)
         skip_grads = []
         for i in reversed(range(4)):
-            g_skip, g = T.split_channels(self.dec[i].backward(g), plan[3 - i][2])
+            g_skip, g_up = T.split_channels(
+                self.dec[i].backward(g.pop(), self._decoder_input(i)), plan[3 - i][2])
             skip_grads.append(g_skip)
-            g = T.bilinear_resize_backward(g, *pools[3 - i].shape[2:])
-        del g_skip  # skip_grads holds it until the encoder's pop frees it
+            g.append(T.bilinear_resize_backward(g_up, *pools[3 - i].shape[2:]))
+            del g_skip, g_up  # skip_grads holds the first until the encoder's pop frees it
 
         # g now holds the bottleneck-feed gradient; walk the encoder back up,
         # merging each stage's skip-branch gradient with the pooled main path.
-        g = self.enc[4].backward(self.att[4].backward(g, self.enc[4].output()))
-        for i in reversed(range(4)):
-            g = T.max_pool2_backward(g, pools[i])
-            g += self.att[i].backward(skip_grads.pop(), self.enc[i].output())
+        # Each stage output is rebuilt once, for its CBAM's backward and its
+        # own ReLU mask.
+        out = []
+        for i in reversed(range(5)):
+            out.append(self.enc[i].output())
+            if i == 4:
+                g.append(self.att[4].backward(g.pop(), out[0]))
+            else:
+                g.append(T.max_pool2_backward(g.pop(), pools[i]))
+                g[0] += self.att[i].backward(skip_grads.pop(), out[0])
             # Nothing reads the gradient of the network input, so enc1 skips it.
-            g = self.enc[i].backward(g, input_grad=i > 0)
+            g.append(self.enc[i].backward(g.pop(), inputs.pop(), input_grad=i > 0,
+                                          output=out.pop()))
         return dict(self.named_grads())
+
+    def _decoder_input(self, i):
+        """dec[i]'s input, rebuilt from the caches with the forward's
+        expressions, so with its bytes: the CBAM-refined output of encoder
+        stage 4-i concatenated with the upsampled output of the stage
+        below, dec[i-1] or, for dec1, the refined bottleneck."""
+        skip = self.att[3 - i].output(self.enc[3 - i].output())
+        below = self.dec[i - 1].output() if i else self.att[4].output(self.enc[4].output())
+        return T.concat_channels(skip, T.bilinear_resize(below, *skip.shape[2:]))
 
     def count_params(self):
         return sum(v.size for _, v in self.named_params())

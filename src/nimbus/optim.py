@@ -170,8 +170,10 @@ def train_epoch(model, batches, config, opt):
     weight = 0
     for batch in batches:
         x, y = batch[0], batch[1]
-        value, g_logits = batch_loss(model, x, y, config, train=True)
-        grads = model.backward(g_logits)
+        # The backward gets the only reference to the logits' gradient, so
+        # it frees that array at its last read.
+        value, *g_logits = batch_loss(model, x, y, config, train=True)
+        grads = model.backward(g_logits.pop())
         opt.step(model, grads)
         total += value * x.shape[0]
         weight += x.shape[0]

@@ -103,10 +103,9 @@ def _check_block_gradients(block, x, tol):
     rng = np.random.default_rng(77)
     out = block.forward(x, train=True)
     w = rng.normal(size=out.shape)
-    # Only the double conv and the batch norm keep what their backward reads;
-    # every other block takes its input from its caller.
-    got_x = (block.backward(w) if isinstance(block, (L.BatchNorm, L.DoubleConvDS))
-             else block.backward(w, x))
+    # Only the batch norm keeps what its backward reads; every other block
+    # takes its input from its caller.
+    got_x = block.backward(w) if isinstance(block, L.BatchNorm) else block.backward(w, x)
     got_p = dict(block.named_grads())
 
     def project(z):

@@ -398,6 +398,24 @@ class TestCBAM:
                               "spatial.conv.weight", "spatial.conv.bias"}
         assert all(g is not None for g in grads.values())
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rebuilt_output_is_the_forward_output(self, rng, dtype):
+        """output(x) rebuilds the last train forward's output from its input
+        and the two gates with the bytes the forward returned, until a
+        backward or an eval forward ends that train forward."""
+        block = L.CBAM(8, 2, rng).to_dtype(dtype)
+        x = rng.standard_normal((3, 8, 12, 10)).astype(dtype)
+        y = block.forward(x, train=True)
+        got = block.output(x)
+        assert got is not y and got.dtype == y.dtype and got.tobytes() == y.tobytes()
+        block.backward(np.ones_like(y), x)
+        with pytest.raises(StateError):
+            block.output(x)
+        block.forward(x, train=True)
+        block.forward(x)
+        with pytest.raises(StateError):
+            block.output(x)
+
 
 class TestDoubleConvDS:
     def test_output_shape_and_mid_override(self, rng):
@@ -463,10 +481,10 @@ class TestDoubleConvDS:
         x = rng.standard_normal((3, 4, 9, 11)).astype(np.float32)
         probe = rng.standard_normal((3, 6, 9, 11)).astype(np.float32)
         block.forward(x, train=True)
-        block.backward(probe)
+        block.backward(probe, x)
         want = {name: g.copy() for name, g in block.named_grads()}
         block.forward(x, train=True)
-        assert block.backward(probe, input_grad=False) is None
+        assert block.backward(probe, x, input_grad=False) is None
         got = dict(block.named_grads())
         assert got.keys() == want.keys()
         for name, g in got.items():
@@ -486,13 +504,36 @@ class TestDoubleConvDS:
         assert (y == 0).any() and (y > 0).any()
         got = block.output()
         assert got is not y and got.dtype == y.dtype and got.tobytes() == y.tobytes()
-        block.backward(np.ones_like(y))
+        block.backward(np.ones_like(y), x)
         with pytest.raises(StateError):
             block.output()
         block.forward(x, train=True)
         block.forward(x)
         with pytest.raises(StateError):
             block.output()
+
+    def test_backward_given_its_output_keeps_every_byte(self, rng):
+        """backward(output=...), which the model's encoder stages take, reads
+        a2's ReLU mask from the rebuilt output instead of rebuilding it, and
+        leaves the input gradient and every parameter gradient at the bytes
+        of a backward that rebuilds it.  Neither writes to the arrays its
+        caller passed."""
+        block = L.DoubleConvDS(4, 6, 6, 2, rng)
+        x = rng.standard_normal((3, 4, 9, 11)).astype(np.float32)
+        probe = rng.standard_normal((3, 6, 9, 11)).astype(np.float32)
+        block.forward(x, train=True)
+        want_x = block.backward(probe, x)
+        want = {name: g.copy() for name, g in block.named_grads()}
+        y = block.forward(x, train=True)
+        assert (y == 0).any()
+        out = block.output()
+        kept = (x.copy(), probe.copy(), out.copy())
+        got_x = block.backward(probe, x, output=out)
+        assert got_x.tobytes() == want_x.tobytes()
+        for name, g in block.named_grads():
+            assert g.tobytes() == want[name].tobytes(), name
+        for before, after in zip(kept, (x, probe, out)):
+            assert before.tobytes() == after.tobytes()
 
     def test_whole_block_gradient(self, rng):
         block = L.DoubleConvDS(2, 3, 3, 1, rng).to_dtype(np.float64)
@@ -503,7 +544,7 @@ class TestDoubleConvDS:
             return float((block.forward(x, train=True) * probe).sum())
 
         run()
-        gx = block.backward(probe)
+        gx = block.backward(probe, x)
         want = fd_gradient(lambda a: float((block.forward(a, train=True) * probe).sum()), x)
         assert rel_err(gx, want) < GRAD_TOL
         for name in ["dsc1.depthwise.weight", "bn1.gamma", "dsc2.pointwise.weight", "bn2.beta"]:
@@ -529,9 +570,9 @@ class TestBackwardConsumesCache:
         train forward allows one more."""
         block = BLOCKS[kind](rng)
         x = rng.standard_normal((2, 4, 8, 8)).astype(np.float32)
-        # Only these keep what their backward reads; the others take their
-        # input from their caller.
-        inputs = () if kind in ("BatchNorm", "DoubleConvDS") else (x,)
+        # Only the batch norm keeps what its backward reads; the others take
+        # their input from their caller.
+        inputs = () if kind == "BatchNorm" else (x,)
         y = block.forward(x, train=True)
         block.backward(np.ones_like(y), *inputs)
         for b in _blocks(block):
