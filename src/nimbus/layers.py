@@ -12,11 +12,13 @@ running statistics move only in train mode.
 
 A train step holds each activation once, and frees each one at its last
 read: a forward or backward that is handed an array (its caller keeps no
-other reference) drops it once it has read it.  The full-size arrays a
-double conv keeps are its batch norms' normalized inputs; everything
-else of that size is its caller's or a cheap function of them, rebuilt
-in the backward with the forward's own expression, so its bytes are the
-forward's.  What each block caches:
+other reference) drops it once it has read it.  This relies on Python
+3.11's calls, which move a call's arguments into the callee; before 3.11
+the caller's stack held them until the call returned.  The full-size
+arrays a double conv keeps are its batch norms' normalized inputs;
+everything else of that size is its caller's or a cheap function of
+them, rebuilt in the backward with the forward's own expression, so its
+bytes are the forward's.  What each block caches:
 - DepthwiseSeparableConv: nothing.  Its backward takes the input x from
   its caller and recomputes each sample's depthwise output, which never
   exists at batch size.
@@ -32,10 +34,10 @@ forward's.  What each block caches:
 - DoubleConvDS: no array.  Its backward takes the input x from its
   caller, which in the model keeps each encoder stage's input and
   rebuilds each decoder stage's.  The ReLU outputs a1 and a2 are rebuilt
-  from the batch norms' caches (`output`), each freed right after its
-  last read; a1 is dsc2's input, and a2, the block's output, is what the
-  model passes to the CBAM or head that reads it and, for an encoder
-  stage, back to the block's backward for a2's ReLU mask.
+  from the batch norms' caches, each freed right after its last read; a1
+  is dsc2's input, and a2, the block's output (`output`), is what the
+  model passes to the CBAM, decoder input or head that reads it and to
+  the block's backward for a2's ReLU mask.
 
 Eval mode does only what an eval forward needs: it caches nothing, mutates
 nothing, and skips work whose only use is the backward.  Each batch norm
@@ -435,15 +437,15 @@ class DoubleConvDS(Block):
     keep the parameter budget down, mirroring the up-path blocks this
     design borrows).
     ReLU runs in place on each batch-norm output.  The block caches no
-    array: backward(grad_out, x) takes the forward's input x from its
-    caller, as the separable convs do, and a train forward leaves only an
-    empty cache, `()`, which `output` and backward check.  The two
+    array: backward(grad_out, x, output) takes the forward's input x from
+    its caller, as the separable convs do, and a train forward leaves only
+    an empty cache, `()`, which `output` and backward check.  The two
     post-ReLU activations a1 and a2, whose positive entries are the ReLU
     masks, are rebuilt from the batch norms' caches when the backward
-    needs them; `output` rebuilds a2, the block's output, for the caller
-    of backward that reads it (the model's CBAMs, decoder inputs and
-    head).  A caller that holds it may pass it to backward as `output`,
-    which takes a2's ReLU mask from it instead of rebuilding it again.
+    needs them: `output()` rebuilds a2, the block's output, for its
+    readers (the model's CBAMs, decoder inputs and head), and the caller
+    passes it to backward, which takes a2's ReLU mask from it.  a1 is
+    rebuilt inside the backward.
 
     Each array is freed at its last read when the caller hands it over,
     holding no other reference: in a train forward the input once dsc1
@@ -488,13 +490,12 @@ class DoubleConvDS(Block):
         self._peek_cache()  # an eval forward since then leaves the batch norms stale
         return _relu_in_place(self.bn2.output())
 
-    def backward(self, grad_out, x, input_grad=True, output=None):
-        """x is the input of the train forward whose caches this consumes;
-        output, when given, is that forward's output as `output()` rebuilds
-        it."""
+    def backward(self, grad_out, x, output, input_grad=True):
+        """x is the input of the train forward whose caches this consumes,
+        and output that forward's output as `output()` rebuilds it."""
         self._need_cache()
         # The ReLU mask of a2 needs no ReLU: relu(v) > 0 exactly where v > 0.
-        g = T.relu_backward(grad_out, self.bn2.output() if output is None else output)
+        g = T.relu_backward(grad_out, output)
         del grad_out, output
         g = self.bn2.backward(g)
         a1 = _relu_in_place(self.bn1.output())

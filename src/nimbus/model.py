@@ -141,8 +141,11 @@ class SmaAtUNet(Block):
     those the decoder upsamples from; the skip widths come from the plan.
     The backward passes each block the input it reads, and rebuilds with
     the forward's expressions every stage output (DoubleConvDS.output) and
-    decoder input (_decoder_input) that a block reads.  Each encoder stage
-    output is rebuilt once for its CBAM's backward and its own ReLU mask.
+    decoder input (_decoder_input) that a block reads.  The encoder walk
+    rebuilds each encoder stage output once, for its CBAM's backward and
+    its own ReLU mask; the decoder walk has rebuilt it before, for the
+    skip half of a decoder input, as keeping it would hold it through the
+    decoder's backward.
     """
 
     def __init__(self, config, seed):
@@ -207,15 +210,16 @@ class SmaAtUNet(Block):
         skip_grads = []
         for i in reversed(range(4)):
             g_skip, g_up = T.split_channels(
-                self.dec[i].backward(g.pop(), self._decoder_input(i)), plan[3 - i][2])
+                self.dec[i].backward(g.pop(), self._decoder_input(i), self.dec[i].output()),
+                plan[3 - i][2])
             skip_grads.append(g_skip)
             g.append(T.bilinear_resize_backward(g_up, *pools[3 - i].shape[2:]))
             del g_skip, g_up  # skip_grads holds the first until the encoder's pop frees it
 
         # g now holds the bottleneck-feed gradient; walk the encoder back up,
         # merging each stage's skip-branch gradient with the pooled main path.
-        # Each stage output is rebuilt once, for its CBAM's backward and its
-        # own ReLU mask.
+        # Each stage output is rebuilt once here, for its CBAM's backward and
+        # its own ReLU mask.
         out = []
         for i in reversed(range(5)):
             out.append(self.enc[i].output())
@@ -225,8 +229,7 @@ class SmaAtUNet(Block):
                 g.append(T.max_pool2_backward(g.pop(), pools[i]))
                 g[0] += self.att[i].backward(skip_grads.pop(), out[0])
             # Nothing reads the gradient of the network input, so enc1 skips it.
-            g.append(self.enc[i].backward(g.pop(), inputs.pop(), input_grad=i > 0,
-                                          output=out.pop()))
+            g.append(self.enc[i].backward(g.pop(), inputs.pop(), out.pop(), input_grad=i > 0))
         return dict(self.named_grads())
 
     def _decoder_input(self, i):

@@ -104,8 +104,13 @@ def _check_block_gradients(block, x, tol):
     out = block.forward(x, train=True)
     w = rng.normal(size=out.shape)
     # Only the batch norm keeps what its backward reads; every other block
-    # takes its input from its caller.
-    got_x = block.backward(w) if isinstance(block, L.BatchNorm) else block.backward(w, x)
+    # takes its input from its caller, and the double conv its output too.
+    if isinstance(block, L.BatchNorm):
+        got_x = block.backward(w)
+    elif isinstance(block, L.DoubleConvDS):
+        got_x = block.backward(w, x, block.output())
+    else:
+        got_x = block.backward(w, x)
     got_p = dict(block.named_grads())
 
     def project(z):

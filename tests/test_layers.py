@@ -481,10 +481,10 @@ class TestDoubleConvDS:
         x = rng.standard_normal((3, 4, 9, 11)).astype(np.float32)
         probe = rng.standard_normal((3, 6, 9, 11)).astype(np.float32)
         block.forward(x, train=True)
-        block.backward(probe, x)
+        block.backward(probe, x, block.output())
         want = {name: g.copy() for name, g in block.named_grads()}
         block.forward(x, train=True)
-        assert block.backward(probe, x, input_grad=False) is None
+        assert block.backward(probe, x, block.output(), input_grad=False) is None
         got = dict(block.named_grads())
         assert got.keys() == want.keys()
         for name, g in got.items():
@@ -504,7 +504,7 @@ class TestDoubleConvDS:
         assert (y == 0).any() and (y > 0).any()
         got = block.output()
         assert got is not y and got.dtype == y.dtype and got.tobytes() == y.tobytes()
-        block.backward(np.ones_like(y), x)
+        block.backward(np.ones_like(y), x, got)
         with pytest.raises(StateError):
             block.output()
         block.forward(x, train=True)
@@ -512,26 +512,17 @@ class TestDoubleConvDS:
         with pytest.raises(StateError):
             block.output()
 
-    def test_backward_given_its_output_keeps_every_byte(self, rng):
-        """backward(output=...), which the model's encoder stages take, reads
-        a2's ReLU mask from the rebuilt output instead of rebuilding it, and
-        leaves the input gradient and every parameter gradient at the bytes
-        of a backward that rebuilds it.  Neither writes to the arrays its
-        caller passed."""
+    def test_backward_writes_to_no_array_its_caller_passed(self, rng):
+        """The backward reads grad_out, x and the rebuilt output, which a
+        caller may still hold, and leaves their bytes as they were."""
         block = L.DoubleConvDS(4, 6, 6, 2, rng)
         x = rng.standard_normal((3, 4, 9, 11)).astype(np.float32)
         probe = rng.standard_normal((3, 6, 9, 11)).astype(np.float32)
-        block.forward(x, train=True)
-        want_x = block.backward(probe, x)
-        want = {name: g.copy() for name, g in block.named_grads()}
         y = block.forward(x, train=True)
         assert (y == 0).any()
         out = block.output()
         kept = (x.copy(), probe.copy(), out.copy())
-        got_x = block.backward(probe, x, output=out)
-        assert got_x.tobytes() == want_x.tobytes()
-        for name, g in block.named_grads():
-            assert g.tobytes() == want[name].tobytes(), name
+        block.backward(probe, x, out)
         for before, after in zip(kept, (x, probe, out)):
             assert before.tobytes() == after.tobytes()
 
@@ -544,7 +535,7 @@ class TestDoubleConvDS:
             return float((block.forward(x, train=True) * probe).sum())
 
         run()
-        gx = block.backward(probe, x)
+        gx = block.backward(probe, x, block.output())
         want = fd_gradient(lambda a: float((block.forward(a, train=True) * probe).sum()), x)
         assert rel_err(gx, want) < GRAD_TOL
         for name in ["dsc1.depthwise.weight", "bn1.gamma", "dsc2.pointwise.weight", "bn2.beta"]:
@@ -570,10 +561,10 @@ class TestBackwardConsumesCache:
         train forward allows one more."""
         block = BLOCKS[kind](rng)
         x = rng.standard_normal((2, 4, 8, 8)).astype(np.float32)
-        # Only the batch norm keeps what its backward reads; the others take
-        # their input from their caller.
-        inputs = () if kind == "BatchNorm" else (x,)
         y = block.forward(x, train=True)
+        # Only the batch norm keeps what its backward reads; the others take
+        # their input from their caller, and the double conv its output too.
+        inputs = {"BatchNorm": (), "DoubleConvDS": (x, y)}.get(kind, (x,))
         block.backward(np.ones_like(y), *inputs)
         for b in _blocks(block):
             assert b._cache is None, type(b).__name__

@@ -234,9 +234,10 @@ def test_train_step_peak_is_the_cache_plus_a_few_activations(rng):
     no longer holds, and frees each rebuilt array and each gradient at its
     last read; at the last decoder stage's first separable conv it holds
     that input, its gradient and the half-width gradient the conv reads,
-    two and a half, and it stays within 2.6.  The whole step stays under
-    15 MB.  At batch 32 the conv kernels' per-sample scratch is small next
-    to one batch activation."""
+    two and a half, and it stays within 2.6 of them and under 14.6 MB over
+    the step's start (measured 14.4).  The whole step stays under 15 MB.
+    At batch 32 the conv kernels' per-sample scratch is small next to one
+    batch activation."""
     model = build_model(TOY, seed=0)
     x = rng.standard_normal((32, 4, 32, 32)).astype(np.float32)
     y = rng.uniform(0.0, 1.0, (32, 2, 64, 64)).astype(np.float32)
@@ -254,4 +255,5 @@ def test_train_step_peak_is_the_cache_plus_a_few_activations(rng):
     sizes = (live - base, forward_peak - live, backward_peak - live, largest)
     assert forward_peak - live <= 1.25 * largest, sizes
     assert backward_peak - live <= 2.6 * largest, sizes
+    assert backward_peak - base <= 14_600_000, sizes
     assert max(forward_peak, backward_peak) - base <= 15_000_000, sizes
